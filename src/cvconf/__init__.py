@@ -23,7 +23,7 @@ from .datamodel import (
 )
 from .cv_engine import FoldFits, RiskVector, fit_all_folds, loss_matrix, cv_risk
 from .covariance import CovEstimate, aggregate_covariance, standardized_correlation
-from .gaussian_mc import QuantileRequest, QuantileResult, max_quantile
+from .gaussian_mc import max_quantiles
 from .inference import (
     BandSet,
     ModelConfidenceSet,
@@ -71,9 +71,7 @@ __all__ = [
     "CovEstimate",
     "aggregate_covariance",
     "standardized_correlation",
-    "QuantileRequest",
-    "QuantileResult",
-    "max_quantile",
+    "max_quantiles",
     "BandSet",
     "ModelConfidenceSet",
     "simultaneous_band",

@@ -35,6 +35,7 @@ from .det_variance import (
     read_phi_csv,
     write_phi_csv,
 )
+from .gaussian_mc import MIN_DRAWS
 from .inference import (
     check_coverage,
     cvc_set,
@@ -169,8 +170,8 @@ class ExperimentConfig:
             raise ConfigError(f"alphas must lie strictly in (0, 1), got {self.alphas}")
         if self.reps < 1:
             raise ConfigError(f"need reps >= 1, got {self.reps}")
-        if self.draws < 1:
-            raise ConfigError(f"need draws >= 1, got {self.draws}")
+        if self.draws < MIN_DRAWS:
+            raise ConfigError(f"need draws >= {MIN_DRAWS}, got {self.draws}")
         if self.threads < 0:
             raise ConfigError(f"need threads >= 0, got {self.threads}")
         if self.index_mode not in ("uniform", "tail"):

@@ -34,20 +34,6 @@ class CovEstimate:
     divisor: str = "fold size minus one"
 
 
-@dataclass(frozen=True)
-class DiffCovEstimate:
-    """Covariance of difference columns loss[r] - loss[s] for s != r.
-
-    Row/column a of sigma corresponds to comparison candidate
-    others[a] in the original ordering.
-    """
-
-    candidate: int
-    sigma: np.ndarray
-    lambda_diag: np.ndarray
-    others: tuple[int, ...]
-
-
 def fold_covariance(lm: LossMatrix, v: int) -> np.ndarray:
     """Empirical covariance of fold v's loss rows."""
     if not 0 <= v < lm.plan.V:
@@ -95,18 +81,3 @@ def standardized_correlation(cov: CovEstimate, floor: float | None = None):
     corr = np.clip((corr + corr.T) / 2, -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)
     return corr, kept, dropped
-
-
-def difference_covariance(lm: LossMatrix, r: int) -> DiffCovEstimate:
-    """Fold-aggregated covariance of the p-1 columns loss[r] - loss[s]."""
-    if lm.p < 2:
-        raise DomainError("difference covariance needs at least two models")
-    if not 0 <= r < lm.p:
-        raise DomainError(f"candidate index {r} outside [0, {lm.p})")
-    others = tuple(s for s in range(lm.p) if s != r)
-    diff = lm.values[:, [r]] - lm.values[:, list(others)]
-    labels = tuple(f"{lm.model_labels[r]}-{lm.model_labels[s]}" for s in others)
-    est = aggregate_covariance(LossMatrix(diff, lm.plan, labels))
-    return DiffCovEstimate(
-        candidate=r, sigma=est.sigma, lambda_diag=est.lambda_diag, others=others
-    )

@@ -8,6 +8,7 @@ n matches the textbook 1-based prescription {n(v-1)/V+1, ..., nv/V}.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -32,6 +33,21 @@ class DatasetFormatError(ValueError):
 
 LEARNER_FAMILIES = ("ols", "ridge", "lasso", "forward", "sgd", "series")
 LOSS_TAGS = ("squared", "absolute", "zero_one")
+
+
+def _jsonable(obj):
+    """Plain JSON value: arrays and numpy scalars unwrapped, non-finite floats to None."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _as_float_array(values, name: str, ndim: int) -> np.ndarray:

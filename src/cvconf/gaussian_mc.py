@@ -1,133 +1,41 @@
-"""Monte Carlo quantiles for maxima of correlated Gaussian vectors.
+"""Monte Carlo quantiles of statistics of one correlated Gaussian sample.
 
 Critical values for the simultaneous bands and for the one-sided model
-comparisons are upper quantiles of ``max_r |Z_r|`` or ``max_r Z_r`` where
-``Z ~ N(0, C)`` and ``C`` is an estimated correlation matrix.  Neither
-statistic has a usable closed form once coordinates are dependent, so both
-are computed by simulation from a caller-supplied stream.  Determinism is
-part of the contract: the stream key fixes the draws, the draws fix the
-quantile, and chunking of the simulation never changes the result.
+comparisons are upper quantiles of maxima of ``Y ~ N(0, C)``, where ``C``
+is an estimated correlation matrix.  None of them has a usable closed
+form once coordinates are dependent, so they are computed by simulation
+from a caller-supplied stream.  One call draws one sample of ``Y`` and
+reads every column of a caller's statistic from it, so all critical
+values of a problem share the same draws.  Determinism is part of the
+contract: the stream fixes the draws, the draws fix the quantiles, and
+the block size of the simulation never changes the result.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .datamodel import DomainError
 
 __all__ = [
-    "IndefiniteMatrixError",
-    "QuantileRequest",
-    "QuantileResult",
+    "BLOCK_ELEMS",
     "DEFAULT_DRAWS",
-    "JITTER_LADDER",
-    "psd_factor",
-    "max_quantile",
-    "standard_normal_stream",
+    "MIN_DRAWS",
+    "max_quantiles",
 ]
 
 DEFAULT_DRAWS = 100_000
 
-# Relative jitter rungs tried in order; each is scaled by mean(diag).
-JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
+# Fewest draws a quantile may rest on.
+MIN_DRAWS = 1000
+
+# Elements of the largest array one simulation block may hold (4 MiB of
+# float64): larger blocks raise peak memory and do not run faster.
+BLOCK_ELEMS = 1 << 19
 
 _SYM_TOL = 1e-8
-
-
-class IndefiniteMatrixError(ValueError):
-    """No rung of the jitter ladder produced a usable Cholesky factor."""
-
-
-def psd_factor(mat: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower-triangular factor of a symmetric PSD matrix, with jitter fallback.
-
-    Tries ``cholesky(mat + c * mean(diag) * I)`` for each rung ``c`` of
-    ``JITTER_LADDER`` and returns the first factor whose reconstruction
-    error ``max|L L^T - mat|`` is within ``1e-8 * max|mat|`` plus the
-    jitter actually added.  Returns ``(L, jitter)``.  Raises
-    ``IndefiniteMatrixError`` when even the largest rung fails, which is
-    the signature of a genuinely indefinite input rather than rank
-    deficiency from degenerate coordinates.
-    """
-    M = np.asarray(mat, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
-        raise DomainError(f"expected a nonempty square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise DomainError("matrix entries must be finite")
-    max_abs = float(np.max(np.abs(M))) if M.size else 0.0
-    if float(np.max(np.abs(M - M.T))) > _SYM_TOL * max(1.0, max_abs):
-        raise DomainError("matrix must be symmetric")
-    q = M.shape[0]
-    scale = float(np.trace(M)) / q
-    if not scale > 0.0:
-        scale = 1.0
-    eye = np.eye(q)
-    for rung in JITTER_LADDER:
-        jitter = rung * scale
-        try:
-            L = np.linalg.cholesky(M + jitter * eye)
-        except np.linalg.LinAlgError:
-            continue
-        recon = float(np.max(np.abs(L @ L.T - M)))
-        if recon <= 1e-8 * max(1.0, max_abs) + jitter * (1.0 + 1e-8):
-            return L, jitter
-    raise IndefiniteMatrixError(
-        "matrix is not positive semidefinite within the jitter ladder"
-    )
-
-
-@dataclass
-class QuantileRequest:
-    """Inputs for one quantile computation.
-
-    ``correlation`` must be a symmetric matrix with unit diagonal, as
-    produced by the standardization step.  ``mode`` selects the statistic:
-    "abs_max" for two-sided bands, "max" for one-sided comparisons.
-    ``chunk_elems`` caps the size of any single simulation block; it
-    affects memory only, never the result.
-    """
-
-    correlation: np.ndarray
-    alpha: float
-    draws: int
-    mode: str
-    rng: np.random.Generator
-    chunk_elems: int = field(default=1 << 22)
-
-    def validate(self) -> None:
-        C = np.asarray(self.correlation, dtype=np.float64)
-        if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape[0] == 0:
-            raise DomainError(f"correlation must be nonempty square, got shape {C.shape}")
-        if not np.all(np.isfinite(C)):
-            raise DomainError("correlation entries must be finite")
-        if float(np.max(np.abs(C - C.T))) > _SYM_TOL:
-            raise DomainError("correlation must be symmetric")
-        if float(np.max(np.abs(np.diag(C) - 1.0))) > _SYM_TOL:
-            raise DomainError("correlation must have unit diagonal")
-        if float(np.max(np.abs(C))) > 1.0 + _SYM_TOL:
-            raise DomainError("correlation entries must lie in [-1, 1]")
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.draws < 1000:
-            raise DomainError(f"need at least 1000 draws, got {self.draws}")
-        if self.mode not in ("abs_max", "max"):
-            raise DomainError(f"mode must be 'abs_max' or 'max', got {self.mode!r}")
-        if self.chunk_elems < 1:
-            raise DomainError("chunk_elems must be positive")
-
-
-@dataclass(frozen=True)
-class QuantileResult:
-    """Estimated upper quantile plus the settings that produced it."""
-
-    z_hat: float
-    alpha: float
-    draws: int
-    mode: str
-    jitter: float
 
 
 def conservative_order_index(draws: int, alpha: float) -> int:
@@ -142,42 +50,55 @@ def conservative_order_index(draws: int, alpha: float) -> int:
     return k - 1
 
 
-def max_quantile(req: QuantileRequest) -> QuantileResult:
-    """Upper alpha quantile of the max statistic under ``N(0, correlation)``.
+def _check_inputs(corr, alpha: float, draws: int) -> np.ndarray:
+    C = np.asarray(corr, dtype=np.float64)
+    if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape[0] == 0:
+        raise DomainError(f"correlation must be nonempty square, got shape {C.shape}")
+    if not np.all(np.isfinite(C)):
+        raise DomainError("correlation entries must be finite")
+    if float(np.max(np.abs(C - C.T))) > _SYM_TOL:
+        raise DomainError("correlation must be symmetric")
+    if float(np.max(np.abs(np.diag(C) - 1.0))) > _SYM_TOL:
+        raise DomainError("correlation must have unit diagonal")
+    if float(np.max(np.abs(C))) > 1.0 + _SYM_TOL:
+        raise DomainError("correlation entries must lie in [-1, 1]")
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    if draws < MIN_DRAWS:
+        raise DomainError(f"need at least {MIN_DRAWS} draws, got {draws}")
+    return C
 
-    Draws ``req.draws`` vectors as ``eps @ L.T`` in blocks, takes the
-    rowwise max (of absolute values for "abs_max"), and returns the
-    conservative empirical quantile.  Blocks consume the stream in row
-    order, so the result is a pure function of the request.
+
+def max_quantiles(corr, statistic, alpha: float, draws: int, rng, *, width=None) -> np.ndarray:
+    """Upper alpha quantile of every column of ``statistic(Y)``, ``Y ~ N(0, corr)``.
+
+    ``corr`` is factored once by its symmetric eigen square root with
+    eigenvalues clipped at zero, so rank-deficient inputs (duplicated
+    coordinates) need no jitter; an eigenvalue below ``-tol * max|corr|``
+    marks a genuinely indefinite input and raises.  ``statistic`` maps a
+    ``(b, q)`` block of draws to a ``(b,)`` or ``(b, m)`` array.  Blocks
+    take standard normals from ``rng`` in row order and hold
+    ``BLOCK_ELEMS // width`` rows, where ``width`` is the number of
+    elements the statistic allocates per draw (default ``q``); it affects
+    memory only, never the result.  Returns the conservative order
+    statistic of each of the ``m`` columns.
     """
-    req.validate()
-    L, jitter = psd_factor(req.correlation)
-    q = L.shape[0]
-    B = req.draws
-    block = max(1, req.chunk_elems // q)
-    stats = np.empty(B, dtype=np.float64)
+    C = _check_inputs(corr, alpha, draws)
+    w, vecs = np.linalg.eigh(C)
+    if float(w[0]) < -_SYM_TOL * float(np.max(np.abs(C))):
+        raise DomainError(f"correlation is not positive semidefinite (eigenvalue {w[0]:.3g})")
+    root = (vecs * np.sqrt(np.clip(w, 0.0, None))) @ vecs.T
+    q = root.shape[0]
+    rows = max(1, BLOCK_ELEMS // (width or q))
+    stats = None
     done = 0
-    while done < B:
-        b = min(block, B - done)
-        eps = req.rng.standard_normal((b, q))
-        Z = eps @ L.T
-        if req.mode == "abs_max":
-            np.abs(Z, out=Z)
-        stats[done : done + b] = Z.max(axis=1)
+    while done < draws:
+        b = min(rows, draws - done)
+        out = np.asarray(statistic(rng.standard_normal((b, q)) @ root)).reshape(b, -1)
+        if stats is None:
+            stats = np.empty((draws, out.shape[1]))
+        stats[done : done + b] = out
         done += b
-    k = conservative_order_index(B, req.alpha)
-    z_hat = float(np.partition(stats, k)[k])
-    return QuantileResult(z_hat=z_hat, alpha=req.alpha, draws=B, mode=req.mode, jitter=jitter)
-
-
-def standard_normal_stream(rng: np.random.Generator, block: int = 8192):
-    """Yield standard normal variates one at a time from a buffered stream.
-
-    Identical keys give identical sequences; the block size is a buffering
-    detail and does not change the values yielded.
-    """
-    if block < 1:
-        raise DomainError("block must be positive")
-    while True:
-        buf = rng.standard_normal(block)
-        yield from buf.tolist()
+    k = conservative_order_index(draws, alpha)
+    stats.partition(k, axis=0)
+    return stats[k].copy()

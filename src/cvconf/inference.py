@@ -19,13 +19,13 @@ from scipy.special import ndtri
 from .covariance import (
     CovEstimate,
     EmptyProblemError,
-    difference_covariance,
+    aggregate_covariance,
     standardized_correlation,
     variance_floor,
 )
 from .cv_engine import RiskVector, cv_risk
-from .datamodel import DomainError, LossMatrix
-from .gaussian_mc import DEFAULT_DRAWS, QuantileRequest, max_quantile
+from .datamodel import DomainError, LossMatrix, _jsonable
+from .gaussian_mc import DEFAULT_DRAWS, max_quantiles
 from .simgen import derive_substream
 
 __all__ = [
@@ -37,14 +37,6 @@ __all__ = [
     "cvc_set",
     "check_coverage",
 ]
-
-
-def _jsonable(x):
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, float) and not np.isfinite(x):
-        return None
-    return x
 
 
 @dataclass(frozen=True)
@@ -140,6 +132,10 @@ class ModelConfidenceSet:
         return out
 
 
+def _abs_max(Y: np.ndarray) -> np.ndarray:
+    return np.abs(Y).max(axis=1)
+
+
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
@@ -153,7 +149,6 @@ def simultaneous_band(
     z_hat: float | None = None,
     seed: int | None = None,
     draws: int = DEFAULT_DRAWS,
-    chunk_elems: int = 1 << 22,
 ) -> BandSet:
     """Band risk_r +/- sqrt(sigma_rr) * z / sqrt(n) with a shared critical value.
 
@@ -182,9 +177,7 @@ def simultaneous_band(
         if seed is None:
             raise DomainError("provide either z_hat or a seed for the quantile draw")
         rng = derive_substream(seed, "simultaneous-band")
-        z = max_quantile(
-            QuantileRequest(corr, alpha, draws, "abs_max", rng, chunk_elems=chunk_elems)
-        ).z_hat
+        z = float(max_quantiles(corr, _abs_max, alpha, draws, rng)[0])
         half = np.zeros_like(center)
         half[kept] = scale[kept] * (z / np.sqrt(risks.n))
     else:
@@ -244,7 +237,6 @@ def cvc_set(
     draws: int = DEFAULT_DRAWS,
     seed: int | None = None,
     z_inject=None,
-    chunk_elems: int = 1 << 22,
 ) -> ModelConfidenceSet:
     """Difference-calibrated confidence set of near-optimal models.
 
@@ -252,9 +244,11 @@ def cvc_set(
     sqrt(n) (risk_r - risk_s) / sd(diff_rs) over positive-variance
     comparisons s is at most the candidate's one-sided critical value,
     and its raw gap is nonpositive against every zero-variance
-    comparison.  Critical values come from independent substreams keyed
-    by candidate index, so the per-candidate computations could run in
-    any order or in parallel without changing the answer.
+    comparison.  Every difference variance follows from the fold
+    covariance: var(diff_rs) = sigma_rr + sigma_ss - 2 sigma_rs.  So one
+    draw of X ~ N(0, sigma) serves all candidates: r's critical value is
+    the upper-alpha quantile of max_s (X_r - X_s) / sd(diff_rs) over its
+    positive comparisons, and all of them come from one sampler call.
     """
     _check_alpha(alpha)
     n, p = lm.n, lm.p
@@ -265,37 +259,27 @@ def cvc_set(
     if z_inject is None and seed is None:
         raise DomainError("provide either a seed or injected quantiles")
     injected = None if z_inject is None else _resolve_injection(z_inject, p)
+    cov = aggregate_covariance(lm)
+    diag = cov.lambda_diag
+    dvar = diag[:, None] + diag[None, :] - 2.0 * cov.sigma
     risks = cv_risk(lm).values
-    sqrt_n = np.sqrt(n)
-    z_alpha = np.full(p, np.nan)
+    gaps = risks[:, None] - risks[None, :]
+    floors = np.array([variance_floor(row) for row in dvar])
+    positive = dvar > floors[:, None]  # the diagonal is 0, never positive
+    sd = np.sqrt(np.where(positive, dvar, 1.0))
+    rows = np.flatnonzero(positive.any(axis=1))
     max_stat = np.full(p, np.nan)
-    members = []
-    for r in range(p):
-        diff = difference_covariance(lm, r)
-        dvar = diff.lambda_diag
-        floor = variance_floor(dvar)
-        others = np.array(diff.others)
-        gaps = risks[r] - risks[others]
-        positive = dvar > floor
-        ok = bool(np.all(gaps[~positive] <= 0.0))
-        if np.any(positive):
-            stats = sqrt_n * gaps[positive] / np.sqrt(dvar[positive])
-            max_stat[r] = stats.max()
-            if injected is not None:
-                z = float(injected[r])
-            else:
-                corr, _, _ = standardized_correlation(diff, floor=floor)
-                rng = derive_substream(seed, "cvc-candidate", r)
-                z = max_quantile(
-                    QuantileRequest(corr, alpha, draws, "max", rng, chunk_elems=chunk_elems)
-                ).z_hat
-            z_alpha[r] = z
-            ok = ok and max_stat[r] <= z
-        # all comparisons degenerate: sampler skipped, sign rule already applied
-        if ok:
-            members.append(r)
+    max_stat[rows] = np.where(positive, np.sqrt(n) * gaps / sd, -np.inf)[rows].max(axis=1)
+    z_alpha = np.full(p, np.nan)
+    if injected is not None:
+        z_alpha[rows] = injected[rows]
+    elif rows.size:
+        z_alpha[rows] = _pairwise_quantiles(cov, positive[rows], sd[rows], rows, alpha, draws, seed)
+    # the sign rule on degenerate comparisons, then the gap rule where any is positive
+    ok = np.all(positive | (gaps <= 0.0), axis=1)
+    ok[rows] &= max_stat[rows] <= z_alpha[rows]
     return ModelConfidenceSet(
-        members=tuple(members),
+        members=tuple(np.flatnonzero(ok)),
         method="cvc",
         alpha=alpha,
         p=p,
@@ -303,6 +287,34 @@ def cvc_set(
         max_stat=max_stat,
         seed=seed,
     )
+
+
+def _pairwise_quantiles(cov, positive, sd, rows, alpha, draws, seed) -> np.ndarray:
+    """Critical values of the candidates ``rows`` from one draw of N(0, sigma).
+
+    Candidate ``r = rows[i]`` gets the upper-alpha quantile of the max of
+    (X_r - X_s) / sd[i, s] over the comparisons s in ``positive[i]``.
+    X is sqrt(sigma_rr) * Y_r with Y ~ N(0, corr) on every coordinate of
+    nonzero variance, and 0 on the others.  No variance floor applies
+    here: a comparison can clear its own floor while both of its
+    coordinates sit below the floor of sigma, and it still needs its law.
+    """
+    corr, kept, _ = standardized_correlation(cov, floor=0.0)
+    p = cov.sigma.shape[0]
+    scale = np.sqrt(cov.lambda_diag[kept])
+    weight = 1.0 / sd
+    mask = np.where(positive, 0.0, -np.inf)  # faster than a masked max
+
+    def statistic(Y):
+        X = np.zeros((Y.shape[0], p))
+        X[:, kept] = Y * scale
+        D = X[:, rows, None] - X[:, None, :]
+        D *= weight
+        D += mask
+        return D.max(axis=2)
+
+    rng = derive_substream(seed, "cvc")
+    return max_quantiles(corr, statistic, alpha, draws, rng, width=rows.size * p)
 
 
 def check_coverage(obj, target) -> bool:

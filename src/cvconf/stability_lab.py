@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, DomainError, FoldPlan, LearnerSpec
+from .datamodel import Dataset, DomainError, FoldPlan, LearnerSpec, _jsonable
 from .cv_engine import _fit_one, _resolve_losses, _apply_loss
 from .learners import SgdConfig, fit_sgd, fit_series
 from .simgen import SeriesGen, derive_substream, gen_series
@@ -345,20 +345,6 @@ class StabilityReport:
         path = Path(path)
         path.write_text(json.dumps(self.summary(), indent=2, sort_keys=True) + "\n")
         return path
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
 
 
 # -------------------------------------------------------------- campaigns

@@ -21,7 +21,7 @@ from cvconf.covariance import aggregate_covariance, variance_floor
 from cvconf.cv_engine import cv_risk, fit_all_folds, loss_matrix, replace_one_cv_risk
 from cvconf.datamodel import LearnerSpec, LossMatrix, make_folds
 from cvconf.det_variance import HoldoutSet, phi_pair, phi_perturb
-from cvconf.gaussian_mc import QuantileRequest, max_quantile
+from cvconf.gaussian_mc import max_quantiles
 from cvconf.inference import cvc_set, naive_set, simultaneous_band
 from cvconf.learners import fit_lasso, lasso_max_lam
 from cvconf.simgen import SparseLinearGen, gen_sparse_linear
@@ -46,19 +46,27 @@ class _gate:
 # ------------------------------------------------------------------ gate 1
 
 
+def _abs_max(Y):
+    return np.abs(Y).max(axis=1)
+
+
+def _row_max(Y):
+    return Y.max(axis=1)
+
+
 def test_gate_1_gaussian_quantile_oracles():
     with _gate(1, "gaussian max-statistic quantiles vs analytic targets"):
         cases = [
-            # (correlation, mode, analytic 0.95-level quantile)
-            (np.eye(1), "abs_max", float(ndtri(0.975))),
-            (np.eye(1), "max", float(ndtri(0.95))),
+            # (correlation, statistic, analytic 0.95-level quantile)
+            (np.eye(1), _abs_max, float(ndtri(0.975))),
+            (np.eye(1), _row_max, float(ndtri(0.95))),
             # two independent coordinates: P(max |Z| <= z) = (2 Phi(z) - 1)^2
-            (np.eye(2), "abs_max", float(ndtri((1.0 + math.sqrt(0.95)) / 2.0))),
+            (np.eye(2), _abs_max, float(ndtri((1.0 + math.sqrt(0.95)) / 2.0))),
         ]
-        for k, (corr, mode, want) in enumerate(cases):
+        for k, (corr, statistic, want) in enumerate(cases):
             rng = np.random.default_rng(1000 + k)
             t0 = time.perf_counter()
-            got = max_quantile(QuantileRequest(corr, 0.05, 200_000, mode, rng)).z_hat
+            got = float(max_quantiles(corr, statistic, 0.05, 200_000, rng)[0])
             elapsed = time.perf_counter() - t0
             assert abs(got - want) <= 0.02, f"case {k}: {got} vs {want}"
             assert elapsed < 2.0, f"case {k} took {elapsed:.2f} s"

@@ -6,8 +6,10 @@ import os
 import numpy as np
 import pytest
 
+from cvconf import cli_harness
 from cvconf.cli_harness import (
     BASE_COLUMNS,
+    ConfigError,
     ExperimentConfig,
     load_config,
     main,
@@ -20,6 +22,7 @@ from cvconf.cli_harness import (
 from cvconf.cv_engine import cv_risk, fit_all_folds, loss_matrix
 from cvconf.datamodel import DomainError, LearnerSpec, load_dataset_csv, make_folds
 from cvconf.det_variance import HoldoutSet, phi_pair
+from cvconf.gaussian_mc import MIN_DRAWS
 from cvconf.inference import check_coverage, cvc_set
 from cvconf.learners import lasso_grid
 from cvconf.simgen import SparseLinearGen, gen_sparse_linear, stable_subseed
@@ -127,6 +130,14 @@ def test_load_config_validates_values(tmp_path):
         sec = _band_sections(tmp_path / "o", **patch)
         with pytest.raises(DomainError):
             load_config(_write_config(tmp_path / "c.ini", sec))
+
+
+def test_load_config_rejects_draws_below_sampler_floor(tmp_path):
+    sec = _band_sections(tmp_path / "o", draws=MIN_DRAWS - 1)
+    with pytest.raises(ConfigError, match="draws"):
+        load_config(_write_config(tmp_path / "c.ini", sec))
+    sec = _band_sections(tmp_path / "o", draws=MIN_DRAWS)
+    assert load_config(_write_config(tmp_path / "c.ini", sec)).draws == MIN_DRAWS
 
 
 def test_load_config_requires_kind(tmp_path):
@@ -254,10 +265,14 @@ def test_band_rows_nested_across_alpha(tmp_path):
         assert int(narrow["size_naive"]) <= int(wide["size_naive"])
 
 
-def test_per_rep_failures_recorded_not_fatal(tmp_path):
-    # draws below the sampler's floor: every replication fails, the
+def test_per_rep_failures_recorded_not_fatal(tmp_path, monkeypatch):
+    # a band computation that fails on every replication: the
     # campaign still completes and reports them
-    cfg = load_config(_write_config(tmp_path / "c.ini", _band_sections(tmp_path / "o", draws=500)))
+    def failing_band(*args, **kwargs):
+        raise DomainError("injected sampler failure")
+
+    monkeypatch.setattr(cli_harness, "simultaneous_band", failing_band)
+    cfg = load_config(_write_config(tmp_path / "c.ini", _band_sections(tmp_path / "o")))
     run_band_coverage(cfg)
     header, rows = _read_rows(tmp_path / "o" / "band_coverage_n80.csv")
     assert rows == []

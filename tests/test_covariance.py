@@ -10,12 +10,11 @@ from cvconf.covariance import (
     DegenerateFoldError,
     EmptyProblemError,
     aggregate_covariance,
-    difference_covariance,
     fold_covariance,
     standardized_correlation,
     variance_floor,
 )
-from cvconf.datamodel import DomainError, LossMatrix, make_folds
+from cvconf.datamodel import LossMatrix, make_folds
 
 
 def _lm(values, V):
@@ -141,34 +140,3 @@ def test_correlation_entries_lie_in_unit_interval():
     corr, *_ = standardized_correlation(est)
     assert np.all(np.abs(corr) <= 1.0)
     np.testing.assert_allclose(np.diag(corr), 1.0)
-
-
-def test_difference_covariance_bilinear_oracle():
-    rng = np.random.default_rng(4)
-    vals = rng.normal(size=(40, 3))
-    lm = _lm(vals, V=4)
-    full = aggregate_covariance(lm).sigma
-    for r in range(3):
-        dest = difference_covariance(lm, r)
-        others = [s for s in range(3) if s != r]
-        assert dest.others == tuple(others)
-        for a, s in enumerate(others):
-            for b, t in enumerate(others):
-                expected = full[r, r] - full[r, s] - full[r, t] + full[s, t]
-                assert dest.sigma[a, b] == pytest.approx(expected, abs=1e-10)
-
-
-def test_difference_covariance_needs_two_models():
-    lm = _lm(np.random.default_rng(5).normal(size=(8, 1)), V=2)
-    with pytest.raises(DomainError):
-        difference_covariance(lm, 0)
-
-
-def test_difference_covariance_identical_columns_zero_variance():
-    rng = np.random.default_rng(6)
-    col = rng.normal(size=20)
-    vals = np.column_stack([col, col, rng.normal(size=20)])
-    lm = _lm(vals, V=4)
-    dest = difference_covariance(lm, 0)
-    assert dest.lambda_diag[0] == 0.0  # column 1 duplicates the candidate
-    assert dest.lambda_diag[1] > 0.0

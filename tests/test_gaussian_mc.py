@@ -2,83 +2,71 @@
 
 import numpy as np
 import pytest
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
+from cvconf import gaussian_mc
 from cvconf.datamodel import DomainError
-from cvconf.gaussian_mc import (
-    IndefiniteMatrixError,
-    QuantileRequest,
-    QuantileResult,
-    max_quantile,
-    psd_factor,
-    standard_normal_stream,
-)
+from cvconf.gaussian_mc import max_quantiles
 from cvconf.simgen import derive_substream
 
 
-def _req(corr, alpha, draws, mode, seed, **kw):
-    return QuantileRequest(
-        correlation=np.asarray(corr, dtype=float),
-        alpha=alpha,
-        draws=draws,
-        mode=mode,
-        rng=derive_substream(seed, "test-quantile"),
-        **kw,
-    )
+def _abs_max(Y):
+    return np.abs(Y).max(axis=1)
 
 
-# ------------------------------------------------------------- psd_factor
+def _max(Y):
+    return Y.max(axis=1)
 
 
-def test_psd_factor_identity_needs_no_jitter():
-    L, jit = psd_factor(np.eye(3))
-    assert jit == 0.0
-    np.testing.assert_array_equal(L, np.eye(3))
+STATS = {"abs_max": _abs_max, "max": _max}
 
 
-def test_psd_factor_rank_one_succeeds_with_positive_jitter():
-    M = np.ones((2, 2))
-    L, jit = psd_factor(M)
-    assert jit > 0.0
-    np.testing.assert_allclose(L @ L.T, M, atol=1e-6)
+def _z(corr, alpha, draws, mode, seed):
+    rng = derive_substream(seed, "test-quantile")
+    return float(max_quantiles(np.asarray(corr, dtype=float), STATS[mode], alpha, draws, rng)[0])
 
 
-def test_psd_factor_rejects_indefinite():
-    with pytest.raises(IndefiniteMatrixError):
-        psd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+# ---------------------------------------------------------- input checks
 
 
-def test_psd_factor_rejects_asymmetric():
-    with pytest.raises(DomainError):
-        psd_factor(np.array([[1.0, 0.5], [0.2, 1.0]]))
+def test_quantiles_reject_indefinite():
+    # unit diagonal, entries in [-1, 1], eigenvalue -0.8 along (1, -1, 1)
+    C = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+    with pytest.raises(DomainError, match="positive semidefinite"):
+        _z(C, 0.05, 2000, "max", seed=0)
 
 
-# ----------------------------------------------------------- max_quantile
+def test_quantiles_reject_asymmetric():
+    with pytest.raises(DomainError, match="symmetric"):
+        _z(np.array([[1.0, 0.5], [0.2, 1.0]]), 0.05, 2000, "max", seed=0)
+
+
+# ---------------------------------------------------------- max_quantiles
 
 
 def test_quantile_single_coordinate_two_sided():
-    res = max_quantile(_req([[1.0]], 0.05, 40_000, "abs_max", seed=1))
-    assert res.z_hat == pytest.approx(ndtri(0.975), abs=0.05)
+    z = _z([[1.0]], 0.05, 40_000, "abs_max", seed=1)
+    assert z == pytest.approx(ndtri(0.975), abs=0.05)
 
 
 def test_quantile_single_coordinate_one_sided():
-    res = max_quantile(_req([[1.0]], 0.05, 40_000, "max", seed=2))
-    assert res.z_hat == pytest.approx(ndtri(0.95), abs=0.05)
+    z = _z([[1.0]], 0.05, 40_000, "max", seed=2)
+    assert z == pytest.approx(ndtri(0.95), abs=0.05)
 
 
 def test_quantile_two_independent_coordinates():
-    res = max_quantile(_req(np.eye(2), 0.05, 40_000, "abs_max", seed=3))
+    z = _z(np.eye(2), 0.05, 40_000, "abs_max", seed=3)
     target = ndtri((1 + np.sqrt(0.95)) / 2)
-    assert res.z_hat == pytest.approx(target, abs=0.05)
+    assert z == pytest.approx(target, abs=0.05)
 
 
 def test_quantile_order_statistic_convention():
     # z is the ceil(B(1 - alpha))-th smallest of the max statistics
     B, alpha = 1000, 0.05
-    res = max_quantile(_req([[1.0]], alpha, B, "abs_max", seed=4))
+    z = _z([[1.0]], alpha, B, "abs_max", seed=4)
     draws = derive_substream(4, "test-quantile").standard_normal((B, 1))
     expected = np.sort(np.abs(draws[:, 0]))[949]
-    assert res.z_hat == expected
+    assert z == expected
 
 
 def test_quantile_nonnegative_for_abs_max():
@@ -89,43 +77,45 @@ def test_quantile_nonnegative_for_abs_max():
         d = np.sqrt(np.diag(cov))
         corr = cov / np.outer(d, d)
         np.fill_diagonal(corr, 1.0)
-        res = max_quantile(_req(corr, 0.2, 2000, "abs_max", seed=seed))
-        assert res.z_hat >= 0.0
+        z = _z(corr, 0.2, 2000, "abs_max", seed=seed)
+        assert z >= 0.0
 
 
 def test_quantile_monotone_in_alpha_with_shared_seed():
-    za = max_quantile(_req(np.eye(3), 0.01, 20_000, "abs_max", seed=5)).z_hat
-    zb = max_quantile(_req(np.eye(3), 0.10, 20_000, "abs_max", seed=5)).z_hat
-    zc = max_quantile(_req(np.eye(3), 0.50, 20_000, "abs_max", seed=5)).z_hat
+    za = _z(np.eye(3), 0.01, 20_000, "abs_max", seed=5)
+    zb = _z(np.eye(3), 0.10, 20_000, "abs_max", seed=5)
+    zc = _z(np.eye(3), 0.50, 20_000, "abs_max", seed=5)
     assert za >= zb >= zc
 
 
 def test_quantile_abs_max_dominates_max_on_shared_draws():
     for alpha in (0.05, 0.2, 0.5):
-        z2 = max_quantile(_req(np.eye(4), alpha, 10_000, "abs_max", seed=6)).z_hat
-        z1 = max_quantile(_req(np.eye(4), alpha, 10_000, "max", seed=6)).z_hat
+        z2 = _z(np.eye(4), alpha, 10_000, "abs_max", seed=6)
+        z1 = _z(np.eye(4), alpha, 10_000, "max", seed=6)
         assert z2 >= z1
 
 
 def test_quantile_perfect_correlation_collapses_to_one_coordinate():
     ones = np.ones((3, 3))
-    z3 = max_quantile(_req(ones, 0.05, 60_000, "abs_max", seed=7)).z_hat
+    z3 = _z(ones, 0.05, 60_000, "abs_max", seed=7)
     assert z3 == pytest.approx(ndtri(0.975), abs=0.05)
 
 
 def test_quantile_deterministic_given_stream_key():
-    a = max_quantile(_req(np.eye(2), 0.1, 5000, "abs_max", seed=8)).z_hat
-    b = max_quantile(_req(np.eye(2), 0.1, 5000, "abs_max", seed=8)).z_hat
-    c = max_quantile(_req(np.eye(2), 0.1, 5000, "abs_max", seed=9)).z_hat
+    a = _z(np.eye(2), 0.1, 5000, "abs_max", seed=8)
+    b = _z(np.eye(2), 0.1, 5000, "abs_max", seed=8)
+    c = _z(np.eye(2), 0.1, 5000, "abs_max", seed=9)
     assert a == b
     assert a != c
 
 
-def test_quantile_invariant_to_chunk_size():
+def test_quantile_invariant_to_chunk_size(monkeypatch):
     corr = np.array([[1.0, 0.3], [0.3, 1.0]])
-    a = max_quantile(_req(corr, 0.1, 7000, "abs_max", seed=10, chunk_elems=64))
-    b = max_quantile(_req(corr, 0.1, 7000, "abs_max", seed=10, chunk_elems=10_000_000))
-    assert a.z_hat == b.z_hat
+    monkeypatch.setattr(gaussian_mc, "BLOCK_ELEMS", 64)
+    a = _z(corr, 0.1, 7000, "abs_max", seed=10)
+    monkeypatch.setattr(gaussian_mc, "BLOCK_ELEMS", 10_000_000)
+    b = _z(corr, 0.1, 7000, "abs_max", seed=10)
+    assert a == b
 
 
 def test_quantile_permutation_stability():
@@ -136,53 +126,36 @@ def test_quantile_permutation_stability():
     corr = cov / np.outer(d, d)
     np.fill_diagonal(corr, 1.0)
     perm = [2, 0, 3, 1]
-    z1 = max_quantile(_req(corr, 0.1, 60_000, "abs_max", seed=12)).z_hat
-    z2 = max_quantile(_req(corr[np.ix_(perm, perm)], 0.1, 60_000, "abs_max", seed=13)).z_hat
+    z1 = _z(corr, 0.1, 60_000, "abs_max", seed=12)
+    z2 = _z(corr[np.ix_(perm, perm)], 0.1, 60_000, "abs_max", seed=13)
     assert z1 == pytest.approx(z2, abs=0.06)
 
 
 def test_request_validation():
     with pytest.raises(DomainError):
-        _req(np.eye(2), 0.05, 500, "abs_max", seed=0).validate()
+        _z(np.eye(2), 0.05, 500, "abs_max", seed=0)
     with pytest.raises(DomainError):
-        _req(np.eye(2), 0.0, 2000, "abs_max", seed=0).validate()
+        _z(np.eye(2), 0.0, 2000, "abs_max", seed=0)
     with pytest.raises(DomainError):
-        _req(np.eye(2), 0.05, 2000, "argmax", seed=0).validate()
+        _z(np.array([[1.0, np.nan], [np.nan, 1.0]]), 0.05, 2000, "abs_max", seed=0)
     with pytest.raises(DomainError):
-        _req(np.array([[1.0, 0.2, 0.1], [0.2, 1.0, 0.0]]), 0.05, 2000, "abs_max", seed=0).validate()
+        _z(np.array([[1.0, 0.2, 0.1], [0.2, 1.0, 0.0]]), 0.05, 2000, "abs_max", seed=0)
     with pytest.raises(DomainError):
-        _req(np.array([[2.0, 0.0], [0.0, 1.0]]), 0.05, 2000, "abs_max", seed=0).validate()
+        _z(np.array([[2.0, 0.0], [0.0, 1.0]]), 0.05, 2000, "abs_max", seed=0)
+    with pytest.raises(DomainError):
+        _z(np.array([[1.0, 1.5], [1.5, 1.0]]), 0.05, 2000, "abs_max", seed=0)
 
 
-def test_result_records_inputs():
-    res = max_quantile(_req(np.eye(2), 0.1, 2000, "max", seed=14))
-    assert isinstance(res, QuantileResult)
-    assert res.draws == 2000 and res.alpha == 0.1 and res.mode == "max"
-    assert res.jitter == 0.0
-
-
-# -------------------------------------------------- standard_normal_stream
-
-
-def test_stream_reproducible_and_key_sensitive():
-    it1 = standard_normal_stream(derive_substream(0, "s", 1))
-    a = [next(it1) for _ in range(5)]
-    it2 = standard_normal_stream(derive_substream(0, "s", 1))
-    b = [next(it2) for _ in range(5)]
-    it3 = standard_normal_stream(derive_substream(0, "s", 2))
-    c = [next(it3) for _ in range(5)]
-    assert a == b
-    assert a != c
-
-
-def test_stream_marginals_are_standard_normal():
-    n = 1_000_000
-    it = standard_normal_stream(derive_substream(1, "stream-ks"))
-    x = np.fromiter(it, dtype=np.float64, count=n)
-    assert abs(x.mean()) < 4e-3
-    assert abs(x.std() - 1.0) < 4e-3
-    xs = np.sort(x)
-    F = ndtr(xs)
-    grid = np.arange(1, n + 1) / n
-    ks = max(np.max(grid - F), np.max(F - (grid - 1 / n)))
-    assert ks < 0.002
+def test_quantiles_one_per_statistic_column():
+    # a two-column statistic reads both quantiles from the same draws
+    corr = np.array([[1.0, -0.4], [-0.4, 1.0]])
+    both = max_quantiles(
+        corr,
+        lambda Y: np.column_stack([_max(Y), _abs_max(Y)]),
+        0.1,
+        3000,
+        derive_substream(14, "test-quantile"),
+    )
+    assert both.shape == (2,)
+    assert both[0] == _z(corr, 0.1, 3000, "max", seed=14)
+    assert both[1] == _z(corr, 0.1, 3000, "abs_max", seed=14)

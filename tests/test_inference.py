@@ -4,14 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import ndtri
+from scipy.stats import multivariate_normal
 
-from cvconf.covariance import (
-    CovEstimate,
-    aggregate_covariance,
-    difference_covariance,
-    variance_floor,
-)
+from cvconf.covariance import CovEstimate, aggregate_covariance, variance_floor
 from cvconf.cv_engine import RiskVector, cv_risk
 from cvconf.datamodel import DomainError, LossMatrix, make_folds
 from cvconf.inference import (
@@ -190,18 +187,24 @@ def test_cvc_identical_columns_keeps_both():
 
 
 def _cvc_oracle(lm, z_by_candidate):
-    """Direct evaluation of the membership inequalities."""
+    """Direct evaluation of the membership inequalities.
+
+    Each difference column's variance is the fold average of its
+    within-fold sample variances, computed from the column itself.
+    """
     risks = lm.values.mean(axis=0)
     n, p = lm.values.shape
     members = []
     for r in range(p):
-        diff = difference_covariance(lm, r)
-        floor = variance_floor(diff.lambda_diag)
+        others = [s for s in range(p) if s != r]
+        diffs = lm.values[:, [r]] - lm.values[:, others]
+        dvar = np.mean([np.var(diffs[ix], axis=0, ddof=1) for ix in lm.plan.index_sets], axis=0)
+        floor = variance_floor(dvar)
         ok = True
-        for a, s in enumerate(diff.others):
+        for a, s in enumerate(others):
             gap = risks[r] - risks[s]
-            if diff.lambda_diag[a] > floor:
-                stat = np.sqrt(n) * gap / np.sqrt(diff.lambda_diag[a])
+            if dvar[a] > floor:
+                stat = np.sqrt(n) * gap / np.sqrt(dvar[a])
                 if stat > z_by_candidate[r]:
                     ok = False
             elif gap > 0.0:
@@ -258,6 +261,40 @@ def test_cvc_sampled_path_contains_argmin():
         r_star = int(np.argmin(lm.values.mean(axis=0)))
         assert out.z_alpha[r_star] >= 0.0
         assert r_star in out.members
+
+
+def _identity_fold_loss(rng, m, p, V):
+    """Loss matrix whose every fold has sample covariance exactly I (up to rounding)."""
+    blocks = []
+    for v in range(V):
+        raw = rng.normal(size=(m, p))
+        q, _ = np.linalg.qr(raw - raw.mean(axis=0))  # orthonormal, centered columns
+        blocks.append(q * np.sqrt(m - 1) + 1.0 + 0.01 * v)
+    return _loss_matrix(np.vstack(blocks), V)
+
+
+def test_cvc_pairwise_critical_values_identity_sigma():
+    # sigma = I_3: each candidate's two standardized differences
+    # (X_r - X_s) / sqrt(2) are standard normals with correlation 1/2
+    lm = _identity_fold_loss(np.random.default_rng(43), 20, 3, V=2)
+    np.testing.assert_allclose(aggregate_covariance(lm).sigma, np.eye(3), atol=1e-12)
+    alpha = 0.1
+    law = multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, 0.5], [0.5, 1.0]])
+    want = brentq(lambda z: law.cdf([z, z]) - (1.0 - alpha), 0.0, 5.0, xtol=1e-6)
+    out = cvc_set(lm, alpha, seed=3, draws=200_000)
+    np.testing.assert_allclose(out.z_alpha, want, atol=0.02)
+
+
+def test_cvc_comparison_of_coordinates_below_sigma_floor_keeps_its_law():
+    # each column's variance (~7e-13) sits below sigma's floor of 1e-12,
+    # but their difference (~3e-12) clears its own floor: the comparison
+    # still needs its N(0, 1) law, not a point mass at 0
+    x = np.random.default_rng(47).normal(size=40)
+    x = 9e-7 * (x - x.mean()) / x.std()
+    lm = _loss_matrix(np.column_stack([x, -x]), V=4)
+    out = cvc_set(lm, alpha=0.1, seed=1, draws=40_000)
+    np.testing.assert_allclose(out.z_alpha, ndtri(0.9), atol=0.03)
+    assert out.members == (0, 1)
 
 
 def test_cvc_rescaling_all_columns_is_a_noop():
