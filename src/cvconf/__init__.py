@@ -21,7 +21,7 @@ from .datamodel import (
     load_dataset_csv,
     save_dataset_csv,
 )
-from .cv_engine import FoldFits, RiskVector, fit_all_folds, loss_matrix, cv_risk
+from .cv_engine import FoldFits, RiskVector, fit_all_folds, loss_matrix, cv_risk, loss_first_diff
 from .covariance import CovEstimate, aggregate_covariance, standardized_correlation
 from .gaussian_mc import max_quantiles
 from .inference import (
@@ -45,7 +45,6 @@ from .stability_lab import (
     StabilityReport,
     param_first_diff,
     param_second_diff,
-    loss_first_diff,
     scaling_fit,
     sgd_first_diff_campaign,
     sgd_second_diff_campaign,

@@ -386,16 +386,14 @@ def _band_rows(cfg: ExperimentConfig, n: int, rep: int):
         band = simultaneous_band(risks, cov, alpha, seed=q_seed, draws=cfg.draws)
         pw = pointwise_band(risks, cov, alpha)
         rows.append(
-            [
-                str(rep),
-                str(data_seed),
-                repr(float(alpha)),
-                str(int(check_coverage(band, target))),
-                str(len(naive_set(band).members)),
-                "",
-                None,
-                str(int(check_coverage(pw, target))),
-            ]
+            {
+                "rep": str(rep),
+                "seed": str(data_seed),
+                "alpha": repr(float(alpha)),
+                "covered": str(int(check_coverage(band, target))),
+                "size_naive": str(len(naive_set(band).members)),
+                "covered_pw": str(int(check_coverage(pw, target))),
+            }
         )
     return rows
 
@@ -409,16 +407,15 @@ def _cvc_rows(cfg: ExperimentConfig, n: int, rep: int):
         base = naive_set(band)
         cvc = cvc_set(lm, alpha, draws=cfg.draws, seed=q_seed)
         rows.append(
-            [
-                str(rep),
-                str(data_seed),
-                repr(float(alpha)),
-                str(int(check_coverage(cvc, target))),
-                str(len(base.members)),
-                str(len(cvc.members)),
-                None,
-                str(int(check_coverage(base, target))),
-            ]
+            {
+                "rep": str(rep),
+                "seed": str(data_seed),
+                "alpha": repr(float(alpha)),
+                "covered": str(int(check_coverage(cvc, target))),
+                "size_naive": str(len(base.members)),
+                "size_cvc": str(len(cvc.members)),
+                "covered_naive": str(int(check_coverage(base, target))),
+            }
         )
     return rows
 
@@ -432,7 +429,13 @@ def _fwd_rows(cfg: ExperimentConfig, n: int, rep: int):
         for r, label in enumerate(labels):
             hit = pw.lower[r] <= target[r] <= pw.upper[r]
             rows.append(
-                [str(rep), str(data_seed), repr(float(alpha)), str(int(hit)), "", "", None, label]
+                {
+                    "rep": str(rep),
+                    "seed": str(data_seed),
+                    "alpha": repr(float(alpha)),
+                    "covered": str(int(hit)),
+                    "model": label,
+                }
             )
     return rows
 
@@ -442,6 +445,10 @@ _REP_WORKERS = {
     "cvc_size": _cvc_rows,
     "fwd_pointwise": _fwd_rows,
 }
+
+
+def _columns(kind: str) -> list[str]:
+    return list(BASE_COLUMNS) + list(_EXTRA_COLUMNS[kind])
 
 
 def _rows_per_rep(cfg: ExperimentConfig) -> int:
@@ -467,15 +474,12 @@ def _read_completed(path: Path, header: Sequence[str], per_rep: int) -> dict[int
 
 
 def _timed_lines(worker, cfg, n, rep) -> list[str]:
+    """CSV lines of one replication, cells in header order ("" if absent)."""
     t0 = time.perf_counter()
     rows = worker(cfg, n, rep)
     ms = repr((time.perf_counter() - t0) * 1e3)
-    out = []
-    for cells in rows:
-        cells = list(cells)
-        cells[6] = ms
-        out.append(",".join(cells))
-    return out
+    columns = _columns(cfg.kind)
+    return [",".join({**row, "ms_elapsed": ms}.get(col, "") for col in columns) for row in rows]
 
 
 def _science_fields(cfg: ExperimentConfig) -> dict:
@@ -486,6 +490,26 @@ def _science_fields(cfg: ExperimentConfig) -> dict:
         if isinstance(val, tuple):
             echo[key] = list(val)
     return echo
+
+
+def _check_resume(out: Path, kind: str, cfg: ExperimentConfig) -> None:
+    """Refuse to add to artifacts that a different config wrote.
+
+    Reads ``<kind>_manifest.json`` in ``out`` if there is one.  For the
+    replicated kinds ``reps`` may differ: extending it is a resume.
+    """
+    path = out / f"{kind}_manifest.json"
+    if not path.exists():
+        return
+    old = json.loads(path.read_text()).get("config") or {}
+    new = _science_fields(cfg)
+    keys = (old.keys() | new.keys()) - ({"reps"} if kind in _REP_WORKERS else set())
+    differ = sorted(k for k in keys if old.get(k) != new.get(k))
+    if differ:
+        raise ConfigError(
+            f"{path} was written by a config that differs in {', '.join(differ)}; "
+            "use a fresh directory or the same config"
+        )
 
 
 def _aggregate_rows(kind: str, rows: list[dict]) -> dict:
@@ -530,10 +554,11 @@ def _run_replicated(cfg: ExperimentConfig, kind: str) -> dict:
     if cfg.kind != kind:
         raise DomainError(f"config kind is {cfg.kind!r} but this campaign runs {kind!r}")
     worker = _REP_WORKERS[kind]
-    header = list(BASE_COLUMNS) + list(_EXTRA_COLUMNS[kind])
+    header = _columns(kind)
     per_rep = _rows_per_rep(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
+    _check_resume(out, kind, cfg)
     files: dict[str, str] = {}
     failures: dict[str, list] = {}
     completed: dict[str, int] = {}
@@ -609,11 +634,13 @@ def run_fwd_pointwise(cfg: ExperimentConfig) -> dict:
 
 
 def run_stability(cfg: ExperimentConfig) -> dict:
-    """Replace-one SGD campaigns; artifacts are skipped when already present."""
+    """Replace-one SGD campaigns; artifacts of the same config are skipped
+    when already present."""
     if cfg.kind != "stability":
         raise DomainError(f"config kind is {cfg.kind!r} but this campaign runs 'stability'")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
+    _check_resume(out, "stability", cfg)
     variants = ("first", "second") if cfg.variant == "both" else (cfg.variant,)
     files: dict[str, dict] = {}
     skipped: list[str] = []
@@ -670,11 +697,13 @@ def run_stability(cfg: ExperimentConfig) -> dict:
 
 
 def run_phi(cfg: ExperimentConfig) -> dict:
-    """Hold-out variance estimates per n; artifacts are skipped when present."""
+    """Hold-out variance estimates per n; artifacts of the same config are
+    skipped when present."""
     if cfg.kind != "phi":
         raise DomainError(f"config kind is {cfg.kind!r} but this campaign runs 'phi'")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
+    _check_resume(out, "phi", cfg)
     variants = ("pair", "perturb") if cfg.variant == "both" else (cfg.variant,)
     files: dict[str, dict] = {v: {} for v in variants}
     skipped: list[str] = []
@@ -724,47 +753,32 @@ def run_phi(cfg: ExperimentConfig) -> dict:
 # -------------------------------------------------------- one-shot commands
 
 
-def _one_shot_band(cfg: ExperimentConfig) -> Path:
+def _one_shot(cfg: ExperimentConfig, command: str) -> Path:
+    """``band`` or ``cvc``: simultaneous bands or CVC sets, one per alpha,
+    on one generated dataset, written to ``<command>.json``."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     n = cfg.n_list[0]
-    ds, _ = _generate(cfg, n, stable_subseed(cfg.seed, "band", n))
+    ds, _ = _generate(cfg, n, stable_subseed(cfg.seed, command, n))
     plan = make_folds(n, cfg.V)
     specs, labels = _build_bank(cfg, ds)
     lm = loss_matrix(ds, fit_all_folds(ds, specs, plan), plan, "squared")
-    risks, cov = cv_risk(lm), aggregate_covariance(lm)
-    q_seed = stable_subseed(cfg.seed, "band-quantile", n)
-    bands = [
-        {
-            "alpha": float(alpha),
-            "band": simultaneous_band(risks, cov, alpha, seed=q_seed, draws=cfg.draws).to_dict(),
-        }
-        for alpha in cfg.alphas
+    q_seed = stable_subseed(cfg.seed, command + "-quantile", n)
+    if command == "band":
+        risks, cov = cv_risk(lm), aggregate_covariance(lm)
+        key, item = "bands", "band"
+        results = [
+            simultaneous_band(risks, cov, alpha, seed=q_seed, draws=cfg.draws)
+            for alpha in cfg.alphas
+        ]
+    else:
+        key, item = "sets", "set"
+        results = [cvc_set(lm, alpha, draws=cfg.draws, seed=q_seed) for alpha in cfg.alphas]
+    entries = [
+        {"alpha": float(alpha), item: res.to_dict()} for alpha, res in zip(cfg.alphas, results)
     ]
-    path = out / "band.json"
-    blob = {"n": n, "seed": cfg.seed, "draws": cfg.draws, "labels": list(labels), "bands": bands}
-    path.write_text(json.dumps(blob, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _one_shot_cvc(cfg: ExperimentConfig) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    n = cfg.n_list[0]
-    ds, _ = _generate(cfg, n, stable_subseed(cfg.seed, "cvc", n))
-    plan = make_folds(n, cfg.V)
-    specs, labels = _build_bank(cfg, ds)
-    lm = loss_matrix(ds, fit_all_folds(ds, specs, plan), plan, "squared")
-    q_seed = stable_subseed(cfg.seed, "cvc-quantile", n)
-    sets = [
-        {
-            "alpha": float(alpha),
-            "set": cvc_set(lm, alpha, draws=cfg.draws, seed=q_seed).to_dict(),
-        }
-        for alpha in cfg.alphas
-    ]
-    path = out / "cvc.json"
-    blob = {"n": n, "seed": cfg.seed, "draws": cfg.draws, "labels": list(labels), "sets": sets}
+    path = out / f"{command}.json"
+    blob = {"n": n, "seed": cfg.seed, "draws": cfg.draws, "labels": list(labels), key: entries}
     path.write_text(json.dumps(blob, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -818,10 +832,8 @@ def main(argv=None) -> int:
                 f"{cfg.kind!r}"
             )
         runner(cfg)
-    elif args.command == "band":
-        _one_shot_band(cfg)
-    elif args.command == "cvc":
-        _one_shot_cvc(cfg)
+    elif args.command in ("band", "cvc"):
+        _one_shot(cfg, args.command)
     else:
         _one_shot_gen(cfg)
     return 0

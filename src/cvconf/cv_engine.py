@@ -2,9 +2,11 @@
 
 Row i is always scored by the model fitted with row i's fold held
 out, so column means of the loss matrix are honest V-fold risks.
-Replace-one recomputation reuses the one fold whose training rows are
-untouched and refits the others, reproducing a from-scratch run
-exactly.
+Every refit, whether a full V-fold run, a replace-one risk or a
+replace-one loss difference, goes through one per-fold path,
+``_fit_fold``.  Replace-one recomputation reuses the one fold whose
+training rows are untouched and refits the others, reproducing a
+from-scratch run exactly.
 """
 
 from __future__ import annotations
@@ -62,29 +64,48 @@ class RiskVector:
         return self.values.shape[0]
 
 
-def _fit_one(spec: LearnerSpec, Z: np.ndarray, y: np.ndarray, gram=None, corr=None) -> FittedModel:
-    if spec.family == "ols":
-        return fit_ols(Z, y)
-    if spec.family == "ridge":
-        return fit_ridge(Z, y, spec.lam)
-    if spec.family == "lasso":
-        return fit_lasso(Z, y, spec.lam, gram=gram, corr=corr)
-    if spec.family == "forward":
-        return fit_forward(Z, y, spec.steps)
-    if spec.family == "sgd":
-        return fit_sgd(Z, y, spec.sgd)
-    if spec.family == "series":
-        return fit_series(Z, y, spec.truncation)
-    raise DomainError(f"unknown learner family {spec.family!r}")
+def _fit_fold(
+    specs: Sequence[LearnerSpec], Z: np.ndarray, y: np.ndarray, v: int
+) -> tuple[FittedModel, ...]:
+    """Fit every spec on fold v's training rows (Z, y).
+
+    Identical specs share one fit, and every lasso spec shares one
+    Z'Z/n and Z'y/n, built when the first lasso spec appears.  That is
+    the formula fit_lasso uses on its own, so neither shortcut changes
+    a fit, and permuting the bank permutes the fits exactly.
+    """
+    seen: dict[LearnerSpec, FittedModel] = {}
+    gram = corr = None
+    row: list[FittedModel] = []
+    for r, spec in enumerate(specs):
+        model = seen.get(spec)
+        if model is None:
+            try:
+                if spec.family == "ols":
+                    model = fit_ols(Z, y)
+                elif spec.family == "ridge":
+                    model = fit_ridge(Z, y, spec.lam)
+                elif spec.family == "lasso":
+                    if gram is None:
+                        gram, corr = Z.T @ Z / Z.shape[0], Z.T @ y / Z.shape[0]
+                    model = fit_lasso(Z, y, spec.lam, gram=gram, corr=corr)
+                elif spec.family == "forward":
+                    model = fit_forward(Z, y, spec.steps)
+                elif spec.family == "sgd":
+                    model = fit_sgd(Z, y, spec.sgd)
+                elif spec.family == "series":
+                    model = fit_series(Z, y, spec.truncation)
+                else:
+                    raise DomainError(f"unknown learner family {spec.family!r}")
+            except Exception as exc:
+                raise FitError(v, r, spec, exc) from exc
+            seen[spec] = model
+        row.append(model)
+    return tuple(row)
 
 
 def fit_all_folds(dataset: Dataset, specs: Sequence[LearnerSpec], plan: FoldPlan) -> FoldFits:
-    """Fit every candidate on every training complement.
-
-    Identical specs share one fit per fold, and lasso candidates share
-    the fold's gram matrix; neither shortcut changes any result, so
-    permuting the bank permutes the fits exactly.
-    """
+    """Fit every candidate on every training complement (see _fit_fold)."""
     problems = validate_dataset(dataset)
     if problems:
         raise DomainError("dataset invalid: " + "; ".join(problems))
@@ -95,33 +116,11 @@ def fit_all_folds(dataset: Dataset, specs: Sequence[LearnerSpec], plan: FoldPlan
         raise DomainError("need at least one learner spec")
     for spec in specs:
         spec.validate()
-
-    want_gram = sum(1 for s in specs if s.family == "lasso") >= 2
-    rows: list[tuple[FittedModel, ...]] = []
+    fits = []
     for v in range(plan.V):
         tr = plan.train_indices(v)
-        Z, y = dataset.features[tr], dataset.response[tr]
-        gram = corr = None
-        if want_gram:
-            gram = Z.T @ Z / Z.shape[0]
-            corr = Z.T @ y / Z.shape[0]
-        seen: dict[LearnerSpec, FittedModel] = {}
-        fold_row: list[FittedModel] = []
-        for r, spec in enumerate(specs):
-            if spec in seen:
-                fold_row.append(seen[spec])
-                continue
-            try:
-                if spec.family == "lasso":
-                    model = _fit_one(spec, Z, y, gram=gram, corr=corr)
-                else:
-                    model = _fit_one(spec, Z, y)
-            except Exception as exc:
-                raise FitError(v, r, spec, exc) from exc
-            seen[spec] = model
-            fold_row.append(model)
-        rows.append(tuple(fold_row))
-    return FoldFits(fits=tuple(rows), specs=specs, plan=plan)
+        fits.append(_fit_fold(specs, dataset.features[tr], dataset.response[tr], v))
+    return FoldFits(fits=tuple(fits), specs=specs, plan=plan)
 
 
 def _resolve_losses(losses, p: int) -> list[str]:
@@ -195,28 +194,58 @@ def replace_one_cv_risk(
     z_new, y_new = x_new
     ds2 = dataset.replace_row(i, np.asarray(z_new, dtype=np.float64), float(y_new))
     v_i = int(plan.fold_of[i])
-    rows: list[tuple[FittedModel, ...]] = []
+    fits = []
     for v in range(plan.V):
         if v == v_i:
-            rows.append(cached.fits[v])
-            continue
-        tr = plan.train_indices(v)
-        Z, y = ds2.features[tr], ds2.response[tr]
-        seen: dict[LearnerSpec, FittedModel] = {}
-        row: list[FittedModel] = []
-        for r, spec in enumerate(specs):
-            if spec in seen:
-                row.append(seen[spec])
-                continue
-            try:
-                model = _fit_one(spec, Z, y)
-            except Exception as exc:
-                raise FitError(v, r, spec, exc) from exc
-            seen[spec] = model
-            row.append(model)
-        rows.append(tuple(row))
-    ff2 = FoldFits(fits=tuple(rows), specs=specs, plan=plan)
+            fits.append(cached.fits[v])
+        else:
+            tr = plan.train_indices(v)
+            fits.append(_fit_fold(specs, ds2.features[tr], ds2.response[tr], v))
+    ff2 = FoldFits(fits=tuple(fits), specs=specs, plan=plan)
     return cv_risk(loss_matrix(ds2, ff2, plan, losses))
+
+
+def loss_first_diff(
+    dataset: Dataset,
+    specs: Sequence[LearnerSpec],
+    plan: FoldPlan,
+    eval_index: int,
+    i: int,
+    x_new,
+    losses="squared",
+) -> np.ndarray:
+    """Per-model change in the loss at one evaluation point when training
+    row i is replaced.
+
+    The evaluation row's own fold is held out; i must lie in the training
+    complement.  Both fits are fresh, so any learner family works.  The
+    value is signed: loss(before) - loss(after).
+    """
+    n = dataset.features.shape[0]
+    if not 0 <= eval_index < n:
+        raise DomainError(f"evaluation index {eval_index} outside [0, {n})")
+    if not 0 <= i < n:
+        raise DomainError(f"index {i} outside [0, {n})")
+    v0 = int(plan.fold_of[eval_index])
+    if int(plan.fold_of[i]) == v0:
+        raise DomainError(
+            f"row {i} shares fold {v0} with the evaluation point; replace a training row"
+        )
+    specs = tuple(specs)
+    tags = _resolve_losses(losses, len(specs))
+    z_new, y_new = x_new
+    ds2 = dataset.replace_row(i, np.asarray(z_new, dtype=np.float64), float(y_new))
+    tr = plan.train_indices(v0)
+    before = _fit_fold(specs, dataset.features[tr], dataset.response[tr], v0)
+    after = _fit_fold(specs, ds2.features[tr], ds2.response[tr], v0)
+    z0 = dataset.features[eval_index][None, :]
+    y0 = np.array([float(dataset.response[eval_index])])
+    return np.array(
+        [
+            _apply_loss(tag, y0, b.predict(z0))[0] - _apply_loss(tag, y0, a.predict(z0))[0]
+            for tag, b, a in zip(tags, before, after)
+        ]
+    )
 
 
 def average_fitted_risk_oracle(fold_fits: FoldFits, truth) -> np.ndarray:

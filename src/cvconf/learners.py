@@ -78,15 +78,6 @@ def fit_ridge(features, response, lam: float) -> FittedModel:
 # ------------------------------------------------------------------- lasso
 
 
-def soft_threshold(value: float, threshold: float) -> float:
-    """Shrink toward zero: sign(value) * max(|value| - threshold, 0)."""
-    if value > threshold:
-        return value - threshold
-    if value < -threshold:
-        return value + threshold
-    return 0.0
-
-
 @njit(cache=True)
 def _cd_sweeps(gram, corr, lam, beta, tol, max_sweeps):  # pragma: no cover - jit
     """Cyclic coordinate descent on the gram form of the lasso objective.

@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, DomainError, FoldPlan, LearnerSpec, _jsonable
-from .cv_engine import _fit_one, _resolve_losses, _apply_loss
+from .cv_engine import loss_first_diff  # re-exported; it refits through cv_engine's fold path
+from .datamodel import DomainError, _jsonable
 from .learners import SgdConfig, fit_sgd, fit_series
 from .simgen import SeriesGen, derive_substream, gen_series
 
@@ -161,49 +161,6 @@ def param_second_diff(
     t01 = run({j: (zj_new, yj_new)})
     t11 = run({i: (zi_new, yi_new), j: (zj_new, yj_new)})
     return float(np.linalg.norm(t00 - t10 - t01 + t11))
-
-
-def loss_first_diff(
-    dataset: Dataset,
-    specs: Sequence[LearnerSpec],
-    plan: FoldPlan,
-    eval_index: int,
-    i: int,
-    x_new,
-    losses="squared",
-) -> np.ndarray:
-    """Per-model change in the loss at one evaluation point when training
-    row i is replaced.
-
-    The evaluation row's own fold is held out; i must lie in the training
-    complement.  Both fits are fresh, so any learner family works.  The
-    value is signed: loss(before) - loss(after).
-    """
-    n = dataset.features.shape[0]
-    if not 0 <= eval_index < n:
-        raise DomainError(f"evaluation index {eval_index} outside [0, {n})")
-    if not 0 <= i < n:
-        raise DomainError(f"index {i} outside [0, {n})")
-    v0 = int(plan.fold_of[eval_index])
-    if int(plan.fold_of[i]) == v0:
-        raise DomainError(
-            f"row {i} shares fold {v0} with the evaluation point; replace a training row"
-        )
-    specs = tuple(specs)
-    loss_tags = _resolve_losses(losses, len(specs))
-    z_new, y_new = x_new
-    ds2 = dataset.replace_row(i, np.asarray(z_new, dtype=np.float64), float(y_new))
-    tr = plan.train_indices(v0)
-    z0 = dataset.features[eval_index]
-    y0 = float(dataset.response[eval_index])
-    out = np.empty(len(specs))
-    for r, spec in enumerate(specs):
-        before = _fit_one(spec, dataset.features[tr], dataset.response[tr])
-        after = _fit_one(spec, ds2.features[tr], ds2.response[tr])
-        l_before = _apply_loss(loss_tags[r], np.array([y0]), before.predict(z0[None, :]))[0]
-        l_after = _apply_loss(loss_tags[r], np.array([y0]), after.predict(z0[None, :]))[0]
-        out[r] = l_before - l_after
-    return out
 
 
 # ------------------------------------------------------------ scaling fit

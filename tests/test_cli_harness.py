@@ -240,6 +240,16 @@ def test_band_coverage_resumes_completed_reps(tmp_path):
     )
 
 
+def test_band_coverage_resume_with_different_draws_raises(tmp_path):
+    out = tmp_path / "o"
+    run_band_coverage(load_config(_write_config(tmp_path / "a.ini", _band_sections(out))))
+    before = (out / "band_coverage_n80.csv").read_bytes()
+    other = load_config(_write_config(tmp_path / "b.ini", _band_sections(out, draws=5000)))
+    with pytest.raises(ConfigError, match="draws"):
+        run_band_coverage(other)
+    assert (out / "band_coverage_n80.csv").read_bytes() == before
+
+
 def test_band_coverage_full_rerun_is_bitwise_stable(tmp_path):
     out = tmp_path / "o"
     cfg = load_config(_write_config(tmp_path / "c.ini", _band_sections(out)))
@@ -491,6 +501,17 @@ def test_phi_campaign_rerun_bitwise(tmp_path):
     before = (tmp_path / "o" / "phi_perturb_n40.csv").read_bytes()
     run_phi(cfg)
     assert (tmp_path / "o" / "phi_perturb_n40.csv").read_bytes() == before
+
+
+def test_phi_resume_with_different_seed_raises(tmp_path):
+    sec = _phi_sections(tmp_path / "o")
+    sec["run"]["seed"] = 1
+    run_phi(load_config(_write_config(tmp_path / "a.ini", sec)))
+    manifest = (tmp_path / "o" / "phi_manifest.json").read_bytes()
+    sec["run"]["seed"] = 2
+    with pytest.raises(ConfigError, match="seed"):
+        run_phi(load_config(_write_config(tmp_path / "b.ini", sec)))
+    assert (tmp_path / "o" / "phi_manifest.json").read_bytes() == manifest
 
 
 # -------------------------------------------------------------------- CLI

@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvconf import cv_engine
 from cvconf.cv_engine import (
     FitError,
     FoldFits,
     average_fitted_risk_oracle,
     cv_risk,
     fit_all_folds,
+    loss_first_diff,
     loss_matrix,
     replace_one_cv_risk,
 )
 from cvconf.datamodel import Dataset, DomainError, LearnerSpec, LossMatrix, make_folds
-from cvconf.learners import fit_ols, fit_ridge
+from cvconf.learners import fit_lasso, fit_ols, fit_ridge
 from cvconf.simgen import SparseLinearGen, SeriesGen, gen_series, gen_sparse_linear
 
 # one feature, four rows; both fold-out slopes work out to 1.6
@@ -154,7 +156,13 @@ def test_replace_one_equals_from_scratch():
     rng = np.random.default_rng(6)
     ds = Dataset(rng.normal(size=(20, 3)), rng.normal(size=20))
     plan = make_folds(20, 4)
-    specs = [LearnerSpec("ridge", lam=0.3), LearnerSpec("forward", steps=2)]
+    specs = [
+        LearnerSpec("ridge", lam=0.3),
+        LearnerSpec("lasso", lam=0.05),
+        LearnerSpec("forward", steps=2),
+        LearnerSpec("lasso", lam=0.2),
+        LearnerSpec("lasso", lam=0.05),
+    ]
     cached = fit_all_folds(ds, specs, plan)
     z_new = rng.normal(size=3)
     y_new = float(rng.normal())
@@ -163,6 +171,48 @@ def test_replace_one_equals_from_scratch():
         ds2 = ds.replace_row(i, z_new, y_new)
         slow = cv_risk(loss_matrix(ds2, fit_all_folds(ds2, specs, plan), plan, "squared"))
         assert np.array_equal(fast.values, slow.values)
+
+
+def test_replace_one_lasso_refits_share_one_gram_per_fold(monkeypatch):
+    rng = np.random.default_rng(13)
+    ds = Dataset(rng.normal(size=(20, 3)), rng.normal(size=20))
+    plan = make_folds(20, 4)
+    specs = [LearnerSpec("lasso", lam=lam) for lam in (0.3, 0.1, 0.03)]
+    specs.append(LearnerSpec("ridge", lam=0.5))
+    cached = fit_all_folds(ds, specs, plan)
+    grams = []
+
+    def recording_lasso(Z, y, lam, **kwargs):
+        grams.append(kwargs.get("gram"))
+        return fit_lasso(Z, y, lam, **kwargs)
+
+    monkeypatch.setattr(cv_engine, "fit_lasso", recording_lasso)
+    replace_one_cv_risk(ds, specs, plan, 6, (rng.normal(size=3), 0.4), cached)
+    # three refitted folds, three lasso penalties each, one gram per fold
+    assert len(grams) == 9
+    assert all(g is not None for g in grams)
+    assert len({id(g) for g in grams}) == 3
+    assert all(grams[k] is grams[3 * (k // 3)] for k in range(9))
+
+
+def test_loss_first_diff_lasso_bank_matches_two_fit_subtraction():
+    rng = np.random.default_rng(14)
+    ds = Dataset(rng.normal(size=(15, 3)), rng.normal(size=15))
+    plan = make_folds(15, 3)
+    lams = (0.4, 0.1, 0.02)
+    specs = [LearnerSpec("lasso", lam=lam) for lam in lams]
+    z_new, y_new = np.array([0.3, -0.8, 1.2]), -0.5
+    ev, i = 1, 11
+    out = loss_first_diff(ds, specs, plan, ev, i, (z_new, y_new))
+    tr = plan.train_indices(int(plan.fold_of[ev]))
+    ds2 = ds.replace_row(i, z_new, y_new)
+    for r, lam in enumerate(lams):
+        base = fit_lasso(ds.features[tr], ds.response[tr], lam)
+        pert = fit_lasso(ds2.features[tr], ds2.response[tr], lam)
+        l0 = (ds.response[ev] - base.predict(ds.features[[ev]])[0]) ** 2
+        l1 = (ds.response[ev] - pert.predict(ds.features[[ev]])[0]) ** 2
+        assert out[r] == l0 - l1
+    assert np.any(out != 0.0)
 
 
 def test_replace_one_rejects_bad_index():

@@ -19,7 +19,6 @@ from cvconf.learners import (
     lasso_grid,
     lasso_grid_log,
     lasso_max_lam,
-    soft_threshold,
 )
 
 
@@ -97,18 +96,15 @@ def test_ridge_rejects_negative_lam():
 # ---------------------------------------------------------------- lasso
 
 
-def test_soft_threshold_scalar():
-    assert soft_threshold(3.0, 1.0) == 2.0
-    assert soft_threshold(-3.0, 1.0) == -2.0
-    assert soft_threshold(0.5, 1.0) == 0.0
-
-
 def test_lasso_orthogonal_design_soft_threshold_oracle():
     Z = np.array([[1.0], [-1.0], [1.0], [-1.0]])
     y = np.array([2.0, 0.0, 2.0, 0.0])
     # sum z^2 / n = 1, sum z y / n = 1, so beta = S(1, lam)
     m = fit_lasso(Z, y, lam=0.4)
     assert m.coef[0] == pytest.approx(0.6, abs=1e-8)
+    # the negative branch, S(-1, lam) = -1 + lam, and the dead zone |1| <= lam
+    assert fit_lasso(Z, -y, lam=0.4).coef[0] == pytest.approx(-0.6, abs=1e-8)
+    assert fit_lasso(Z, y, lam=1.5).coef[0] == 0.0
 
 
 def test_lasso_at_lam_max_is_exact_zero():
