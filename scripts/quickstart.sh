@@ -3,6 +3,7 @@
 # then compute a simultaneous band and both confidence sets as JSON.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 python3 -m cvconf gen  --config scripts/configs/band_coverage.ini --out results/quickstart
 python3 -m cvconf band --config scripts/configs/band_coverage.ini --out results/quickstart

@@ -5,6 +5,7 @@
 # CVCONF_THREADS or the per-config threads key to cap workers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 python3 -m cvconf coverage --config scripts/configs/band_coverage.ini
 python3 -m cvconf fwd      --config scripts/configs/fwd_pointwise.ini

@@ -3,6 +3,7 @@
 # variance trajectory.  Artifacts are skipped when already present.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 python3 -m cvconf stability --config scripts/configs/stability.ini
 python3 -m cvconf phi       --config scripts/configs/phi_trajectory.ini

@@ -316,11 +316,90 @@ class SgdConfig:
         ).validate()
 
 
-def _sigmoid(u: float) -> float:
-    if u >= 0:
-        return 1.0 / (1.0 + math.exp(-u))
-    e = math.exp(u)
-    return e / (1.0 + e)
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair of two (K, d) arrays.
+
+    The stacked matmul reduces each row as ``u[k] @ v[k]`` does, so the
+    result is bitwise that of K separate 1-d dots; ``einsum`` and
+    ``(u * v).sum(1)`` associate the sum differently.
+    """
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (K, d) array, bitwise equal to
+    ``np.linalg.norm(v[k])`` for every k."""
+    return np.sqrt(_row_dots(v, v))
+
+
+def _sigmoid(u: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def sgd_trajectories(features, response, config: SgdConfig, trial, replace) -> np.ndarray:
+    """Step K single-pass projected SGD trajectories together from zero.
+
+    ``features`` (T, n, d) and ``response`` (T, n) stack T datasets of n
+    rows.  Trajectory k reads the rows of dataset ``trial[k]`` in
+    ascending order, with step size t^{-a} / smoothness at step
+    t = 1..n, except that at each row index s in the dict ``replace[k]``
+    it reads the row ``replace[k][s] = (z, y)`` instead.  Replaced rows
+    are swapped into the step's gathered rows, so no dataset is copied.
+    Returns the (K, d) final iterates; each equals the iterate of a
+    separate pass over the replaced data.
+    """
+    config.validate()
+    Z = np.asarray(features, dtype=np.float64)
+    y = np.asarray(response, dtype=np.float64)
+    if Z.ndim != 3 or y.shape != Z.shape[:2]:
+        raise DomainError(f"need (T, n, d) features and (T, n) response, got {Z.shape}, {y.shape}")
+    T, n, d = Z.shape
+    trial = np.asarray(trial, dtype=np.intp)
+    if trial.ndim != 1 or trial.size != len(replace):
+        raise DomainError("need one trial index and one replacement dict per trajectory")
+    if trial.size and not (0 <= trial.min() and trial.max() < T):
+        raise DomainError(f"trial indices must lie in [0, {T})")
+    swaps: dict[int, tuple[list, list, list]] = {}  # row index -> (trajectories, z, y)
+    for k, rows in enumerate(replace):
+        for s, (z_new, y_new) in rows.items():
+            if not 0 <= s < n:
+                raise DomainError(f"replaced row {s} outside [0, {n})")
+            z_new = np.asarray(z_new, dtype=np.float64)
+            if z_new.shape != (d,):
+                raise DomainError("replacement feature row has the wrong dimension")
+            ks, zs, ys = swaps.setdefault(s, ([], [], []))
+            ks.append(k)
+            zs.append(z_new)
+            ys.append(float(y_new))
+    theta = np.zeros((trial.size, d))
+    a = config.step_exponent
+    beta = config.smoothness
+    lam = config.lam
+    logistic = config.objective == "logistic_ridge"
+    radius = config.radius_theta
+    with np.errstate(divide="ignore"):  # a zero iterate gives radius / 0 = inf, then min 1
+        for t in range(1, n + 1):
+            z = Z[trial, t - 1]
+            yt = y[trial, t - 1]
+            swap = swaps.get(t - 1)
+            if swap is not None:
+                ks, zs, ys = swap
+                z[ks] = zs
+                yt[ks] = ys
+            u = _row_dots(z, theta)
+            if logistic:
+                grad = (_sigmoid(u) - yt)[:, None] * z + 2 * lam * theta
+            else:
+                grad = -(yt - u)[:, None] * z + lam * theta
+            theta = theta - t**-a / beta * grad
+            if config.project:
+                # scaling by exactly 1.0 leaves rows inside the ball unchanged;
+                # row_norms is inlined so a tracer wrapping public functions
+                # does not record a span per step
+                nrm = np.sqrt(_row_dots(theta, theta))
+                theta *= np.minimum(1.0, radius / nrm)[:, None]
+    return theta
 
 
 def fit_sgd(features, response, config: SgdConfig) -> FittedModel:
@@ -331,23 +410,8 @@ def fit_sgd(features, response, config: SgdConfig) -> FittedModel:
     """
     config.validate()
     Z, y = _check_xy(features, response)
-    n, d = Z.shape
-    theta = np.zeros(d)
-    a = config.step_exponent
-    beta = config.smoothness
-    lam = config.lam
-    for t in range(1, n + 1):
-        z = Z[t - 1]
-        if config.objective == "ridge_sq":
-            grad = -(y[t - 1] - z @ theta) * z + lam * theta
-        else:
-            grad = (_sigmoid(float(z @ theta)) - y[t - 1]) * z + 2 * lam * theta
-        theta = theta - t**-a / beta * grad
-        if config.project:
-            nrm = float(np.linalg.norm(theta))
-            if nrm > config.radius_theta:
-                theta *= config.radius_theta / nrm
-    return FittedModel(family="sgd", coef=theta, iterations=n)
+    theta = sgd_trajectories(Z[None], y[None], config, [0], [{}])[0]
+    return FittedModel(family="sgd", coef=theta, iterations=Z.shape[0])
 
 
 # ------------------------------------------------------------------ series

@@ -12,7 +12,9 @@ per n, and fit a log-log slope.
 
 Trials are driven by derived substreams keyed by (purpose, n, trial), so
 any subset of a campaign can be replayed in isolation and the trial
-order never matters.
+order never matters.  The SGD campaigns draw every trial of an n first
+and then step all of its trajectories in one call of
+``learners.sgd_trajectories``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .cv_engine import loss_first_diff  # re-exported; it refits through cv_engine's fold path
 from .datamodel import DomainError, _jsonable
-from .learners import SgdConfig, fit_sgd, fit_series
+from .learners import SgdConfig, fit_series, row_norms, sgd_trajectories
 from .simgen import SeriesGen, derive_substream, gen_series
 
 __all__ = [
@@ -86,25 +88,62 @@ def check_sgd_precondition(config: SgdConfig, n: int) -> None:
 
 def _check_rows_in_ball(Z: np.ndarray, y: np.ndarray, radius: float) -> None:
     tol = radius * (1 + 1e-9)
-    if float(np.max(np.linalg.norm(Z, axis=1))) > tol or float(np.max(np.abs(y))) > tol:
+    if float(np.max(np.linalg.norm(Z, axis=-1))) > tol or float(np.max(np.abs(y))) > tol:
         raise DomainError(
             "data rows must satisfy the radius bound the SGD constants assume"
         )
 
 
-def _sgd_inputs(features, response, config: SgdConfig, *rows):
+def _one_trial(features, response, *rows):
+    """A single (n, d) dataset and its replacement rows (z, y), stacked as
+    one trial: Z (1, n, d), y (1, n), z_new (1, m, d), y_new (1, m)."""
     Z = np.asarray(features, dtype=np.float64)
     y = np.asarray(response, dtype=np.float64)
     if Z.ndim != 2 or y.ndim != 1 or Z.shape[0] != y.shape[0]:
         raise DomainError("features must be (n, d) with a matching response")
-    check_sgd_precondition(config, Z.shape[0])
+    z_new = [np.asarray(z, dtype=np.float64) for z, _ in rows]
+    if any(z.shape != (Z.shape[1],) for z in z_new):
+        raise DomainError("replacement feature row has the wrong dimension")
+    return Z[None], y[None], np.array([z_new]), np.array([[float(v) for _, v in rows]])
+
+
+def _trial_paths(Z, y, config: SgdConfig, idx, z_new, y_new, pattern) -> np.ndarray:
+    """Final SGD iterates of every trial under each replacement pattern.
+
+    ``Z`` (T, n, d) and ``y`` (T, n) stack T trials; trial t replaces its
+    rows ``idx[t]`` by the rows ``z_new[t]`` (m, d) and ``y_new[t]`` (m,).
+    ``pattern`` lists, per trajectory of a trial, which of those m
+    replacements it applies.  Every trial is checked as a lone call would
+    be, then one kernel call steps all T * len(pattern) trajectories.
+    Returns the iterates as (T, len(pattern), d).
+    """
+    T, n, d = Z.shape
+    check_sgd_precondition(config, n)
     _check_rows_in_ball(Z, y, config.radius_x)
-    for z_new, y_new in rows:
-        z_new = np.asarray(z_new, dtype=np.float64)
-        if z_new.shape != (Z.shape[1],):
-            raise DomainError("replacement feature row has the wrong dimension")
-        _check_rows_in_ball(z_new[None, :], np.array([y_new]), config.radius_x)
-    return Z, y
+    _check_rows_in_ball(z_new, y_new, config.radius_x)
+    if np.any(idx < 0) or np.any(idx >= n):
+        raise DomainError(f"indices {idx[(idx < 0) | (idx >= n)].tolist()} outside [0, {n})")
+    replace = [
+        {int(idx[t, m]): (z_new[t, m], y_new[t, m]) for m in used}
+        for t in range(T)
+        for used in pattern
+    ]
+    trial = np.repeat(np.arange(T), len(pattern))
+    return sgd_trajectories(Z, y, config, trial, replace).reshape(T, len(pattern), d)
+
+
+def _first_diffs(Z, y, config: SgdConfig, idx, z_new, y_new) -> np.ndarray:
+    """||theta - theta^i|| for each stacked trial (see ``_trial_paths``)."""
+    theta = _trial_paths(Z, y, config, idx, z_new, y_new, ((), (0,)))
+    return row_norms(theta[:, 0] - theta[:, 1])
+
+
+def _second_diffs(Z, y, config: SgdConfig, idx, z_new, y_new) -> np.ndarray:
+    """||theta - theta^i - theta^j + theta^ij|| for each stacked trial."""
+    if np.any(idx[:, 0] == idx[:, 1]):
+        raise DomainError("second difference needs two distinct indices")
+    theta = _trial_paths(Z, y, config, idx, z_new, y_new, ((), (0,), (1,), (0, 1)))
+    return row_norms(theta[:, 0] - theta[:, 1] - theta[:, 2] + theta[:, 3])
 
 
 def param_first_diff(features, response, config: SgdConfig, i: int, z_new, y_new) -> float:
@@ -114,16 +153,8 @@ def param_first_diff(features, response, config: SgdConfig, i: int, z_new, y_new
     from a zero start, rows in index order) and returns the Euclidean
     distance between the two final iterates.
     """
-    Z, y = _sgd_inputs(features, response, config, (z_new, y_new))
-    n = Z.shape[0]
-    if not 0 <= i < n:
-        raise DomainError(f"index {i} outside [0, {n})")
-    base = fit_sgd(Z, y, config).coef
-    Z2, y2 = Z.copy(), y.copy()
-    Z2[i] = np.asarray(z_new, dtype=np.float64)
-    y2[i] = float(y_new)
-    pert = fit_sgd(Z2, y2, config).coef
-    return float(np.linalg.norm(base - pert))
+    Z, y, z_rows, y_rows = _one_trial(features, response, (z_new, y_new))
+    return float(_first_diffs(Z, y, config, np.array([[i]]), z_rows, y_rows)[0])
 
 
 def param_second_diff(
@@ -142,25 +173,8 @@ def param_second_diff(
     Four trajectories: original data, row i replaced, row j replaced,
     and both replaced.  Returns || theta - theta^i - theta^j + theta^ij ||.
     """
-    if i == j:
-        raise DomainError("second difference needs two distinct indices")
-    Z, y = _sgd_inputs(features, response, config, (zi_new, yi_new), (zj_new, yj_new))
-    n = Z.shape[0]
-    if not (0 <= i < n and 0 <= j < n):
-        raise DomainError(f"indices ({i}, {j}) outside [0, {n})")
-
-    def run(repl: dict[int, tuple[np.ndarray, float]]) -> np.ndarray:
-        Z2, y2 = Z.copy(), y.copy()
-        for k, (zk, yk) in repl.items():
-            Z2[k] = np.asarray(zk, dtype=np.float64)
-            y2[k] = float(yk)
-        return fit_sgd(Z2, y2, config).coef
-
-    t00 = run({})
-    t10 = run({i: (zi_new, yi_new)})
-    t01 = run({j: (zj_new, yj_new)})
-    t11 = run({i: (zi_new, yi_new), j: (zj_new, yj_new)})
-    return float(np.linalg.norm(t00 - t10 - t01 + t11))
+    Z, y, z_rows, y_rows = _one_trial(features, response, (zi_new, yi_new), (zj_new, yj_new))
+    return float(_second_diffs(Z, y, config, np.array([[i, j]]), z_rows, y_rows)[0])
 
 
 # ------------------------------------------------------------ scaling fit
@@ -267,6 +281,8 @@ class StabilityReport:
     def validate(self) -> None:
         for n in self.n_grid:
             vals = self.samples[n]
+            if not np.all(np.isfinite(vals)):
+                raise DomainError(f"stability norms must be finite, got a non-finite one at n={n}")
             if np.any(vals < 0.0):
                 raise DomainError("stability norms must be nonnegative")
             if n in self.violations and self.violations[n] > vals.size:
@@ -343,6 +359,19 @@ def _draw_index(rng: np.random.Generator, n: int, a: float, mode: str) -> int:
     raise DomainError(f"index_mode must be 'uniform' or 'tail', got {mode!r}")
 
 
+def _trial_stack(trials: int, n: int, d: int, m: int):
+    """Empty per-trial arrays a campaign fills at one n: data (trials, n, d)
+    and (trials, n), replaced indices (trials, m) and replacement rows
+    (trials, m, d) and (trials, m)."""
+    return (
+        np.empty((trials, n, d)),
+        np.empty((trials, n)),
+        np.empty((trials, m), dtype=np.intp),
+        np.empty((trials, m, d)),
+        np.empty((trials, m)),
+    )
+
+
 def _campaign_config(objective: str, lam, step_exponent, radius_x, radius_theta) -> SgdConfig:
     if objective == "ridge_sq":
         return SgdConfig.for_ridge(lam, step_exponent, radius_x, radius_theta)
@@ -384,14 +413,13 @@ def sgd_first_diff_campaign(
     bounds: dict[int, float] = {}
     violations: dict[int, int] = {}
     for n in n_grid:
-        vals = np.empty(trials)
+        Z, y, idx, z_new, y_new = _trial_stack(trials, n, d, 1)
         for t in range(trials):
             rng = derive_substream(seed, "sgd-first", n, t)
-            Z, y = _bounded_rows(rng, n, d, radius_x)
-            i = _draw_index(rng, n, a, index_mode)
-            z_new, y_new = _bounded_rows(rng, 1, d, radius_x)
-            vals[t] = param_first_diff(Z, y, config, i, z_new[0], float(y_new[0]))
-        samples[n] = vals
+            Z[t], y[t] = _bounded_rows(rng, n, d, radius_x)
+            idx[t] = _draw_index(rng, n, a, index_mode)
+            z_new[t], y_new[t] = _bounded_rows(rng, 1, d, radius_x)
+        samples[n] = vals = _first_diffs(Z, y, config, idx, z_new, y_new)
         bounds[n] = bound_scale * n ** (-a)
         violations[n] = int(np.sum(vals > bounds[n] * (1 + 1e-9)))
     rep = StabilityReport(
@@ -434,19 +462,17 @@ def sgd_second_diff_campaign(
     a = config.step_exponent
     samples: dict[int, np.ndarray] = {}
     for n in n_grid:
-        vals = np.empty(trials)
+        Z, y, idx, z_new, y_new = _trial_stack(trials, n, d, 2)
         for t in range(trials):
             rng = derive_substream(seed, "sgd-second", n, t)
-            Z, y = _bounded_rows(rng, n, d, radius_x)
+            Z[t], y[t] = _bounded_rows(rng, n, d, radius_x)
             i = _draw_index(rng, n, a, "tail")
             j = i
             while j == i:
                 j = _draw_index(rng, n, a, "tail")
-            repl = _bounded_rows(rng, 2, d, radius_x)
-            vals[t] = param_second_diff(
-                Z, y, config, i, j, repl[0][0], float(repl[1][0]), repl[0][1], float(repl[1][1])
-            )
-        samples[n] = vals
+            idx[t] = i, j
+            z_new[t], y_new[t] = _bounded_rows(rng, 2, d, radius_x)
+        samples[n] = _second_diffs(Z, y, config, idx, z_new, y_new)
     rep = StabilityReport(
         kind="sgd-second-diff",
         n_grid=n_grid,

@@ -1,14 +1,17 @@
 """Replace-one stability probes and scaling-law fits."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from cvconf.datamodel import Dataset, DomainError, LearnerSpec, make_folds
-from cvconf.learners import SgdConfig, fit_ridge, fit_sgd
+from cvconf.learners import SgdConfig, fit_ridge, fit_sgd, sgd_trajectories
 from cvconf.simgen import derive_substream
 from cvconf.stability_lab import (
+    _bounded_rows,
+    _draw_index,
     ScalingFitError,
     StabilityPreconditionError,
     StabilityReport,
@@ -215,6 +218,149 @@ def test_sgd_second_diff_campaign_scales_faster():
     assert rep.slope <= -0.7  # second differences decay faster than first
 
 
+# ------------------------------------- batched campaigns vs a scalar oracle
+#
+# The oracle is the per-trial campaign body: draw each trial from its own
+# substream, then run every trajectory as a separate scalar SGD pass over
+# a copy of the data with the replaced rows written in.
+
+
+def _scalar_sigmoid(u):
+    if u >= 0:
+        return 1.0 / (1.0 + math.exp(-u))
+    e = math.exp(u)
+    return e / (1.0 + e)
+
+
+def _scalar_sgd(Z, y, cfg, fired=None):
+    """One projected SGD pass; ``fired`` collects the steps that project."""
+    theta = np.zeros(Z.shape[1])
+    for t in range(1, Z.shape[0] + 1):
+        z = Z[t - 1]
+        if cfg.objective == "ridge_sq":
+            grad = -(y[t - 1] - z @ theta) * z + cfg.lam * theta
+        else:
+            grad = (_scalar_sigmoid(float(z @ theta)) - y[t - 1]) * z + 2 * cfg.lam * theta
+        theta = theta - t**-cfg.step_exponent / cfg.smoothness * grad
+        nrm = float(np.linalg.norm(theta))
+        if nrm > cfg.radius_theta:
+            theta *= cfg.radius_theta / nrm
+            if fired is not None:
+                fired.add(t)
+    return theta
+
+
+def _scalar_path(Z, y, cfg, repl, fired=None):
+    Z2, y2 = Z.copy(), y.copy()
+    for k, (zk, yk) in repl.items():
+        Z2[k], y2[k] = zk, yk
+    return _scalar_sgd(Z2, y2, cfg, fired)
+
+
+def _oracle_campaign(order, n_grid, trials, cfg, d, seed, index_mode="tail"):
+    """Per-n oracle samples, the drawn indices, and per n the projection
+    steps of every trajectory of every trial."""
+    samples, drawn, fired = {}, [], {}
+    for n in n_grid:
+        vals = np.empty(trials)
+        fired[n] = []
+        for t in range(trials):
+            if order == 1:
+                rng = derive_substream(seed, "sgd-first", n, t)
+                Z, y = _bounded_rows(rng, n, d, cfg.radius_x)
+                i = _draw_index(rng, n, cfg.step_exponent, index_mode)
+                z_new, y_new = _bounded_rows(rng, 1, d, cfg.radius_x)
+                repls = [{}, {i: (z_new[0], float(y_new[0]))}]
+                drawn.append((n, i))
+            else:
+                rng = derive_substream(seed, "sgd-second", n, t)
+                Z, y = _bounded_rows(rng, n, d, cfg.radius_x)
+                i = _draw_index(rng, n, cfg.step_exponent, "tail")
+                j = i
+                while j == i:
+                    j = _draw_index(rng, n, cfg.step_exponent, "tail")
+                zr, yr = _bounded_rows(rng, 2, d, cfg.radius_x)
+                ri, rj = {i: (zr[0], float(yr[0]))}, {j: (zr[1], float(yr[1]))}
+                repls = [{}, ri, rj, {**ri, **rj}]
+                drawn.append((n, i, j))
+            steps = [set() for _ in repls]
+            th = [_scalar_path(Z, y, cfg, r, f) for r, f in zip(repls, steps)]
+            fired[n] += steps
+            diff = th[0] - th[1] if order == 1 else th[0] - th[1] - th[2] + th[3]
+            vals[t] = float(np.linalg.norm(diff))
+        samples[n] = vals
+    return samples, drawn, fired
+
+
+def _mixed_projection_step(fired) -> bool:
+    """At some n, one step projects some trajectories and not others."""
+    return any(set.union(*steps) - set.intersection(*steps) for steps in fired.values())
+
+
+@pytest.mark.parametrize("index_mode", ["uniform", "tail"])
+def test_first_diff_campaign_matches_scalar_oracle(index_mode):
+    grid, trials, d, seed = (2, 3, 40, 97), 12, 3, 50
+    cfg = SgdConfig.for_ridge(12.0, 0.6, radius_x=1.0, radius_theta=1.0)
+    want, drawn, _ = _oracle_campaign(1, grid, trials, cfg, d, seed, index_mode)
+    rep = sgd_first_diff_campaign(
+        grid, trials, lam=12.0, step_exponent=0.6, d=d, seed=seed, index_mode=index_mode
+    )
+    for n in grid:
+        np.testing.assert_array_equal(rep.samples[n], want[n])
+    # replacements at the first and the last row both occur
+    assert {(n, 0) for n in grid} & set(drawn)
+    assert {(n, n - 1) for n in grid} & set(drawn)
+
+
+def test_second_diff_campaign_matches_scalar_oracle():
+    grid, trials, d, seed = (2, 5, 64, 130), 10, 3, 51
+    cfg = SgdConfig.for_ridge(12.0, 0.6, radius_x=1.0, radius_theta=1.0)
+    want, drawn, _ = _oracle_campaign(2, grid, trials, cfg, d, seed)
+    rep = sgd_second_diff_campaign(grid, trials, lam=12.0, step_exponent=0.6, d=d, seed=seed)
+    for n in grid:
+        np.testing.assert_array_equal(rep.samples[n], want[n])
+    assert any(i > j for _, i, j in drawn) and any(i < j for _, i, j in drawn)
+    assert any(0 in (i, j) for _, i, j in drawn)
+    assert any(n - 1 in (i, j) for n, i, j in drawn)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_campaigns_match_oracle_when_projection_fires_on_some_rows(order):
+    grid, trials, d, seed, radius = (200, 400), 6, 4, 52, 0.1
+    cfg = SgdConfig.for_ridge(2.0, 0.6, radius_x=1.0, radius_theta=radius)
+    want, _, fired = _oracle_campaign(order, grid, trials, cfg, d, seed, "uniform")
+    assert _mixed_projection_step(fired)
+    campaign = sgd_first_diff_campaign if order == 1 else sgd_second_diff_campaign
+    kw = {"index_mode": "uniform"} if order == 1 else {}
+    rep = campaign(grid, trials, lam=2.0, radius_theta=radius, d=d, seed=seed, **kw)
+    for n in grid:
+        np.testing.assert_array_equal(rep.samples[n], want[n])
+
+
+def test_sgd_trajectories_rejects_bad_layout():
+    Z, y, cfg = _sgd_instance(16, lam=12.0)
+    Z, y = np.stack([Z, Z]), np.stack([y, y])
+    row = (Z[0, 0], y[0, 0])
+    with pytest.raises(DomainError):
+        sgd_trajectories(Z[0], y[0], cfg, [0], [{}])  # not a stack of trials
+    with pytest.raises(DomainError):
+        sgd_trajectories(Z, y, cfg, [0, 2], [{}, {}])  # no trial 2
+    with pytest.raises(DomainError):
+        sgd_trajectories(Z, y, cfg, [0, 1], [{}])  # one replacement dict short
+    with pytest.raises(DomainError):
+        sgd_trajectories(Z, y, cfg, [0], [{16: row}])  # row index past n
+    with pytest.raises(DomainError):
+        sgd_trajectories(Z, y, cfg, [0], [{3: (np.zeros(5), 0.0)}])  # wrong d
+
+
+def test_logistic_fit_sgd_matches_scalar_sigmoid_recursion():
+    cfg = SgdConfig.for_logistic_ridge(0.2, 0.55, radius_x=1.0, radius_theta=2.0)
+    rng = np.random.default_rng(61)
+    Z = rng.uniform(-0.5, 0.5, size=(400, 3))
+    y = (rng.uniform(size=400) < 0.5).astype(float)
+    np.testing.assert_allclose(fit_sgd(Z, y, cfg).coef, _scalar_sgd(Z, y, cfg), rtol=0, atol=1e-12)
+
+
 # -------------------------------------------------------- loss difference
 
 
@@ -308,6 +454,17 @@ def test_probe_standardized_ratio_trends_down():
 
 
 # --------------------------------------------------------------------- io
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_report_validate_rejects_non_finite_samples(bad):
+    rep = StabilityReport(
+        kind="sgd-first-diff",
+        n_grid=(64, 128),
+        samples={64: np.array([0.1, 0.2]), 128: np.array([0.05, bad])},
+    )
+    with pytest.raises(DomainError, match="n=128"):
+        rep.validate()
 
 
 def test_report_round_trips_through_csv_and_json(tmp_path):
