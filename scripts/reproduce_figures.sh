@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Desk-scale coverage and set-size campaigns (300 replications each).
 # Campaigns are resumable: rerunning skips completed replications.
-# Expect roughly 10-40 minutes total on a small machine; set
-# CVCONF_THREADS or the per-config threads key to cap workers.
+# Expect roughly 10-40 minutes total on a small machine; set the
+# per-config threads key or pass --threads to cap workers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"

@@ -26,7 +26,15 @@ import numpy as np
 
 from .covariance import aggregate_covariance
 from .cv_engine import average_fitted_risk_oracle, cv_risk, fit_all_folds, loss_matrix
-from .datamodel import Dataset, DomainError, LearnerSpec, make_folds, save_dataset_csv
+from .datamodel import (
+    Dataset,
+    DomainError,
+    LearnerSpec,
+    make_folds,
+    save_dataset_csv,
+    write_csv_atomic,
+    write_json_atomic,
+)
 from .det_variance import (
     HoldoutSet,
     default_holdout_size,
@@ -366,13 +374,7 @@ def _rep_problem(cfg: ExperimentConfig, n: int, rep: int):
 
 
 def _resolve_workers(cfg: ExperimentConfig) -> int:
-    want = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
-    cap_text = os.environ.get("CVCONF_THREADS", "").strip()
-    if cap_text:
-        cap = int(cap_text)
-        if cap > 0:
-            want = min(want, cap)
-    return max(1, want)
+    return cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
 
 
 # --------------------------------------------------- replication campaigns
@@ -457,7 +459,7 @@ def _rows_per_rep(cfg: ExperimentConfig) -> int:
     return len(cfg.alphas)
 
 
-def _read_completed(path: Path, header: Sequence[str], per_rep: int) -> dict[int, list[str]]:
+def _read_completed(path: Path, header: Sequence[str], per_rep: int) -> dict[int, list]:
     if not path.exists():
         return {}
     lines = path.read_text().splitlines()
@@ -465,21 +467,22 @@ def _read_completed(path: Path, header: Sequence[str], per_rep: int) -> dict[int
         raise DomainError(
             f"existing output {path} has a different schema; use a fresh directory"
         )
-    groups: dict[int, list[str]] = {}
+    groups: dict[int, list] = {}
     for line in lines[1:]:
         if not line.strip():
             continue
-        groups.setdefault(int(line.split(",", 1)[0]), []).append(line)
+        cells = line.split(",")
+        groups.setdefault(int(cells[0]), []).append(cells)
     return {rep: rows for rep, rows in groups.items() if len(rows) == per_rep}
 
 
-def _timed_lines(worker, cfg, n, rep) -> list[str]:
-    """CSV lines of one replication, cells in header order ("" if absent)."""
+def _timed_lines(worker, cfg, n, rep) -> list[list[str]]:
+    """CSV rows of one replication, cells in header order ("" if absent)."""
     t0 = time.perf_counter()
     rows = worker(cfg, n, rep)
     ms = repr((time.perf_counter() - t0) * 1e3)
     columns = _columns(cfg.kind)
-    return [",".join({**row, "ms_elapsed": ms}.get(col, "") for col in columns) for row in rows]
+    return [[{**row, "ms_elapsed": ms}.get(col, "") for col in columns] for row in rows]
 
 
 def _science_fields(cfg: ExperimentConfig) -> dict:
@@ -510,6 +513,25 @@ def _check_resume(out: Path, kind: str, cfg: ExperimentConfig) -> None:
             f"{path} was written by a config that differs in {', '.join(differ)}; "
             "use a fresh directory or the same config"
         )
+
+
+def _write_manifest(out: Path, kind: str, cfg: ExperimentConfig, **fields) -> dict:
+    manifest = {"kind": kind, "config": _science_fields(cfg), **fields}
+    write_json_atomic(out / f"{kind}_manifest.json", manifest)
+    return manifest
+
+
+def _open_campaign(cfg: ExperimentConfig, kind: str) -> Path:
+    """Check the kind, make the output directory and refuse a mismatched
+    resume; then record the config in a manifest before any work, so
+    artifacts of a run that stops early are still config-checked."""
+    if cfg.kind != kind:
+        raise DomainError(f"config kind is {cfg.kind!r} but this campaign runs {kind!r}")
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _check_resume(out, kind, cfg)
+    _write_manifest(out, kind, cfg, files={}, aggregates={})
+    return out
 
 
 def _aggregate_rows(kind: str, rows: list[dict]) -> dict:
@@ -543,38 +565,39 @@ def _aggregate_rows(kind: str, rows: list[dict]) -> dict:
     return out
 
 
-def _aggregate_csv(kind: str, path: Path) -> dict:
-    lines = path.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    rows = [dict(zip(header, line.split(","))) for line in lines[1:] if line.strip()]
-    return _aggregate_rows(kind, rows)
+def _in_rep_order(done: dict[int, list[list[str]]]) -> list[list[str]]:
+    return [row for rep in sorted(done) for row in done[rep]]
 
 
 def _run_replicated(cfg: ExperimentConfig, kind: str) -> dict:
-    if cfg.kind != kind:
-        raise DomainError(f"config kind is {cfg.kind!r} but this campaign runs {kind!r}")
+    """Futures are consumed in rep order, and after each one the n's CSV is
+    rewritten with every replication done so far: an interrupted run keeps
+    what it finished, and no output depends on the order reps complete in."""
+    out = _open_campaign(cfg, kind)
     worker = _REP_WORKERS[kind]
     header = _columns(kind)
     per_rep = _rows_per_rep(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _check_resume(out, kind, cfg)
     files: dict[str, str] = {}
     failures: dict[str, list] = {}
     completed: dict[str, int] = {}
     resumed: dict[str, int] = {}
+    aggregates: dict[str, dict] = {}
     workers = _resolve_workers(cfg)
     for n in cfg.n_list:
+        key = str(n)
         path = out / f"{kind}_n{n}.csv"
         keep = _read_completed(path, header, per_rep)
-        todo = [rep for rep in range(cfg.reps) if rep not in keep]
-        fresh: dict[int, list[str]] = {}
+        done = {rep: rows for rep, rows in keep.items() if rep < cfg.reps}
+        resumed[key] = len(done)
+        todo = [rep for rep in range(cfg.reps) if rep not in done]
         fails: list[dict] = []
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        write_csv_atomic(path, [header, *_in_rep_order(done)])
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
             futures = {rep: pool.submit(_timed_lines, worker, cfg, n, rep) for rep in todo}
             for rep in todo:
                 try:
-                    fresh[rep] = futures[rep].result()
+                    done[rep] = futures[rep].result()
                 except Exception as exc:
                     fails.append(
                         {
@@ -583,36 +606,27 @@ def _run_replicated(cfg: ExperimentConfig, kind: str) -> dict:
                             "error": f"{type(exc).__name__}: {exc}",
                         }
                     )
-        lines = [",".join(header)]
-        done = 0
-        for rep in range(cfg.reps):
-            rows = keep.get(rep) or fresh.get(rep)
-            if rows:
-                lines.extend(rows)
-                done += 1
-        path.write_text("\n".join(lines) + "\n")
-        key = str(n)
+                write_csv_atomic(path, [header, *_in_rep_order(done)])
+        finally:
+            # an interrupt drops the queued replications instead of running them
+            pool.shutdown(cancel_futures=True)
         files[key] = path.name
         failures[key] = fails
-        completed[key] = done
-        resumed[key] = sum(1 for rep in keep if rep < cfg.reps)
-    aggregates = {
-        str(n): _aggregate_csv(kind, out / f"{kind}_n{n}.csv") for n in cfg.n_list
-    }
-    manifest = {
-        "kind": kind,
-        "config": _science_fields(cfg),
-        "columns": header,
-        "files": files,
-        "reps_completed": completed,
-        "resumed_reps": resumed,
-        "failures": failures,
-        "aggregates": aggregates,
-    }
-    (out / f"{kind}_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        completed[key] = len(done)
+        aggregates[key] = _aggregate_rows(
+            kind, [dict(zip(header, row)) for row in _in_rep_order(done)]
+        )
+    return _write_manifest(
+        out,
+        kind,
+        cfg,
+        columns=header,
+        files=files,
+        reps_completed=completed,
+        resumed_reps=resumed,
+        failures=failures,
+        aggregates=aggregates,
     )
-    return manifest
 
 
 def run_band_coverage(cfg: ExperimentConfig) -> dict:
@@ -636,11 +650,7 @@ def run_fwd_pointwise(cfg: ExperimentConfig) -> dict:
 def run_stability(cfg: ExperimentConfig) -> dict:
     """Replace-one SGD campaigns; artifacts of the same config are skipped
     when already present."""
-    if cfg.kind != "stability":
-        raise DomainError(f"config kind is {cfg.kind!r} but this campaign runs 'stability'")
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _check_resume(out, "stability", cfg)
+    out = _open_campaign(cfg, "stability")
     variants = ("first", "second") if cfg.variant == "both" else (cfg.variant,)
     files: dict[str, dict] = {}
     skipped: list[str] = []
@@ -652,28 +662,20 @@ def run_stability(cfg: ExperimentConfig) -> dict:
             skipped.append(variant)
         else:
             if variant == "first":
-                report = sgd_first_diff_campaign(
-                    cfg.n_list,
-                    cfg.reps,
-                    lam=cfg.sgd_lam,
-                    step_exponent=cfg.sgd_a,
-                    radius_x=cfg.radius_x,
-                    radius_theta=cfg.sgd_radius_theta,
-                    d=int(cfg.d),
-                    seed=cfg.seed,
-                    index_mode=cfg.index_mode,
-                )
+                campaign, extra = sgd_first_diff_campaign, {"index_mode": cfg.index_mode}
             else:
-                report = sgd_second_diff_campaign(
-                    cfg.n_list,
-                    cfg.reps,
-                    lam=cfg.sgd_lam,
-                    step_exponent=cfg.sgd_a,
-                    radius_x=cfg.radius_x,
-                    radius_theta=cfg.sgd_radius_theta,
-                    d=int(cfg.d),
-                    seed=cfg.seed,
-                )
+                campaign, extra = sgd_second_diff_campaign, {}
+            report = campaign(
+                cfg.n_list,
+                cfg.reps,
+                lam=cfg.sgd_lam,
+                step_exponent=cfg.sgd_a,
+                radius_x=cfg.radius_x,
+                radius_theta=cfg.sgd_radius_theta,
+                d=int(cfg.d),
+                seed=cfg.seed,
+                **extra,
+            )
             report.write_csv(csv_path)
             report.write_json(json_path)
         blob = json.loads(json_path.read_text())
@@ -683,27 +685,15 @@ def run_stability(cfg: ExperimentConfig) -> dict:
             "slope": blob["slope"],
             "violations": blob.get("violations", {}),
         }
-    manifest = {
-        "kind": "stability",
-        "config": _science_fields(cfg),
-        "files": files,
-        "skipped": skipped,
-        "aggregates": aggregates,
-    }
-    (out / "stability_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    return _write_manifest(
+        out, "stability", cfg, files=files, skipped=skipped, aggregates=aggregates
     )
-    return manifest
 
 
 def run_phi(cfg: ExperimentConfig) -> dict:
     """Hold-out variance estimates per n; artifacts of the same config are
     skipped when present."""
-    if cfg.kind != "phi":
-        raise DomainError(f"config kind is {cfg.kind!r} but this campaign runs 'phi'")
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _check_resume(out, "phi", cfg)
+    out = _open_campaign(cfg, "phi")
     variants = ("pair", "perturb") if cfg.variant == "both" else (cfg.variant,)
     files: dict[str, dict] = {v: {} for v in variants}
     skipped: list[str] = []
@@ -739,15 +729,7 @@ def run_phi(cfg: ExperimentConfig) -> dict:
             phi, _meta = read_phi_csv(csv_path)
             files[variant][str(n)] = {"csv": csv_path.name, "json": json_path.name}
             aggregates[variant][str(n)] = {"diag": [float(v) for v in np.diag(phi)]}
-    manifest = {
-        "kind": "phi",
-        "config": _science_fields(cfg),
-        "files": files,
-        "skipped": skipped,
-        "aggregates": aggregates,
-    }
-    (out / "phi_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return manifest
+    return _write_manifest(out, "phi", cfg, files=files, skipped=skipped, aggregates=aggregates)
 
 
 # -------------------------------------------------------- one-shot commands
@@ -779,8 +761,7 @@ def _one_shot(cfg: ExperimentConfig, command: str) -> Path:
     ]
     path = out / f"{command}.json"
     blob = {"n": n, "seed": cfg.seed, "draws": cfg.draws, "labels": list(labels), key: entries}
-    path.write_text(json.dumps(blob, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_json_atomic(path, blob)
 
 
 def _one_shot_gen(cfg: ExperimentConfig) -> list[Path]:

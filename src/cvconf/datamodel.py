@@ -8,7 +8,9 @@ n matches the textbook 1-based prescription {n(v-1)/V+1, ..., nv/V}.
 from __future__ import annotations
 
 import csv
+import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -48,6 +50,32 @@ def _jsonable(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
+
+
+def _replace_file(path, text: str) -> Path:
+    """Write ``text`` to a temp file beside ``path``, then ``os.replace`` it into
+    place: an interrupted run leaves the old file or the new, never a torn one."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def write_json_atomic(path, obj) -> Path:
+    """Atomically write ``_jsonable(obj)`` as indented JSON with sorted keys."""
+    return _replace_file(path, json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
+
+
+def write_csv_atomic(path, rows: Iterable[Sequence]) -> Path:
+    """Atomically write ``rows`` as CSV: ``str`` cells joined by ``,``, ``\\n`` line
+    ends.  Cells are never quoted, so none may hold a comma or a line break."""
+    return _replace_file(path, "".join(",".join(map(str, row)) + "\n" for row in rows))
 
 
 def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
@@ -266,12 +294,12 @@ class FittedModel:
 
 def save_dataset_csv(dataset: Dataset, path) -> None:
     """Write ``y,z1,...,zd`` rows in full decimal precision."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y"] + [f"z{j + 1}" for j in range(dataset.d)])
-        for y, row in zip(dataset.response, dataset.features):
-            writer.writerow([repr(float(y))] + [repr(float(z)) for z in row])
+    header = ["y"] + [f"z{j + 1}" for j in range(dataset.d)]
+    rows = (
+        [repr(float(y))] + [repr(float(z)) for z in row]
+        for y, row in zip(dataset.response, dataset.features)
+    )
+    write_csv_atomic(path, [header, *rows])
 
 
 def load_dataset_csv(path) -> Dataset:

@@ -31,7 +31,15 @@ from typing import Sequence
 import numpy as np
 
 from .cv_engine import FoldFits, cv_risk, fit_all_folds, loss_matrix, replace_one_cv_risk
-from .datamodel import Dataset, DomainError, FoldPlan, LearnerSpec, _as_float_array
+from .datamodel import (
+    Dataset,
+    DomainError,
+    FoldPlan,
+    LearnerSpec,
+    _as_float_array,
+    write_csv_atomic,
+    write_json_atomic,
+)
 
 __all__ = [
     "ParityError",
@@ -236,10 +244,7 @@ def write_phi_csv(est: PhiEstimate, path, *, n: int, seed: int | None = None) ->
     n, m, variant, and seed.  Returns the sidecar path.
     """
     path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in est.phi:
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv_atomic(path, [[repr(float(v)) for v in row] for row in est.phi])
     sidecar = path.with_suffix(".json")
     meta = {
         "n": int(n),
@@ -250,8 +255,7 @@ def write_phi_csv(est: PhiEstimate, path, *, n: int, seed: int | None = None) ->
         "indices": list(est.indices),
         "model_labels": list(est.model_labels),
     }
-    sidecar.write_text(json.dumps(meta, indent=2) + "\n")
-    return sidecar
+    return write_json_atomic(sidecar, meta)
 
 
 def read_phi_csv(path) -> tuple[np.ndarray, dict]:

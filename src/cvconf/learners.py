@@ -15,19 +15,6 @@ import numpy as np
 
 from .datamodel import DomainError, FittedModel
 
-try:  # pragma: no cover - exercised implicitly by every lasso fit
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap if not (args and callable(args[0])) else args[0]
-
 
 class ConvergenceError(RuntimeError):
     """An iterative fit stopped before reaching its tolerance."""
@@ -78,8 +65,7 @@ def fit_ridge(features, response, lam: float) -> FittedModel:
 # ------------------------------------------------------------------- lasso
 
 
-@njit(cache=True)
-def _cd_sweeps(gram, corr, lam, beta, tol, max_sweeps):  # pragma: no cover - jit
+def _cd_sweeps(gram, corr, lam, beta, tol, max_sweeps):
     """Cyclic coordinate descent on the gram form of the lasso objective.
 
     Maintains grad = corr - gram @ beta.  Converged once the largest

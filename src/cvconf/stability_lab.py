@@ -19,8 +19,6 @@ and then step all of its trajectories in one call of
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .cv_engine import loss_first_diff  # re-exported; it refits through cv_engine's fold path
-from .datamodel import DomainError, _jsonable
+from .datamodel import DomainError, _jsonable, write_csv_atomic, write_json_atomic
 from .learners import SgdConfig, fit_series, row_norms, sgd_trajectories
 from .simgen import SeriesGen, derive_substream, gen_series
 
@@ -289,15 +287,12 @@ class StabilityReport:
                 raise DomainError("violation count exceeds trial count")
 
     def write_csv(self, path) -> Path:
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["kind", "n", "trial", "value", "bound"])
-            for n in self.n_grid:
-                bound = self.bounds.get(n, "")
-                for t, val in enumerate(self.samples[n]):
-                    writer.writerow([self.kind, n, t, repr(float(val)), bound])
-        return path
+        rows = [["kind", "n", "trial", "value", "bound"]]
+        for n in self.n_grid:
+            bound = self.bounds.get(n, "")
+            for t, val in enumerate(self.samples[n]):
+                rows.append([self.kind, n, t, repr(float(val)), bound])
+        return write_csv_atomic(path, rows)
 
     def summary(self) -> dict:
         return {
@@ -315,9 +310,7 @@ class StabilityReport:
         }
 
     def write_json(self, path) -> Path:
-        path = Path(path)
-        path.write_text(json.dumps(self.summary(), indent=2, sort_keys=True) + "\n")
-        return path
+        return write_json_atomic(path, self.summary())
 
 
 # -------------------------------------------------------------- campaigns

@@ -1,7 +1,9 @@
 """Config-driven experiment harness: parsing, campaigns, CSV/JSON emission."""
 
 import json
-import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,22 +207,6 @@ def test_band_coverage_deterministic_across_dirs_and_threads(tmp_path):
     ).read_text()
 
 
-def test_env_thread_cap_keeps_results(tmp_path, monkeypatch):
-    cfg_a = load_config(
-        _write_config(tmp_path / "a.ini", _band_sections(tmp_path / "a", threads=8))
-    )
-    monkeypatch.setenv("CVCONF_THREADS", "1")
-    run_band_coverage(cfg_a)
-    monkeypatch.delenv("CVCONF_THREADS")
-    cfg_b = load_config(
-        _write_config(tmp_path / "b.ini", _band_sections(tmp_path / "b", threads=1))
-    )
-    run_band_coverage(cfg_b)
-    assert _strip_ms(tmp_path / "a" / "band_coverage_n80.csv") == _strip_ms(
-        tmp_path / "b" / "band_coverage_n80.csv"
-    )
-
-
 def test_band_coverage_resumes_completed_reps(tmp_path):
     out = tmp_path / "o"
     cfg2 = load_config(_write_config(tmp_path / "c2.ini", _band_sections(out, reps=2)))
@@ -291,6 +277,78 @@ def test_per_rep_failures_recorded_not_fatal(tmp_path, monkeypatch):
     assert len(blob["failures"]["80"]) == 3
     entry = blob["failures"]["80"][0]
     assert entry["rep"] == 0 and "DomainError" in entry["error"]
+
+
+class _Crash(BaseException):
+    """Stands in for an interrupt: not an Exception, so not a per-rep failure."""
+
+
+def _crash_at(monkeypatch, n, rep, seed=11):
+    # the band of replication `rep` at `n` is the one drawn with its quantile seed
+    real = cli_harness.simultaneous_band
+    doomed = stable_subseed(seed, "band_coverage-quantile", n, rep)
+
+    def band(*args, **kwargs):
+        if kwargs["seed"] == doomed:
+            raise _Crash(f"injected crash at n={n}, rep={rep}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_harness, "simultaneous_band", band)
+
+
+def test_band_coverage_crash_keeps_finished_reps_and_resumes(tmp_path, monkeypatch):
+    out = tmp_path / "o"
+    cfg = load_config(_write_config(tmp_path / "c.ini", _band_sections(out, reps=4)))
+    with monkeypatch.context() as m:
+        _crash_at(m, 80, 2)
+        with pytest.raises(_Crash):
+            run_band_coverage(cfg)
+    _, rows = _read_rows(out / "band_coverage_n80.csv")
+    assert [r["rep"] for r in rows] == ["0", "1"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "band_coverage_manifest.json",
+        "band_coverage_n80.csv",
+    ]
+    # the manifest written before any work is still one summarize.py prints
+    summarize = Path(__file__).parents[1] / "scripts" / "summarize.py"
+    printed = subprocess.run(
+        [sys.executable, str(summarize), str(out / "band_coverage_manifest.json")],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert "[band_coverage]" in printed.stdout
+
+    run_band_coverage(cfg)
+    whole = tmp_path / "w"
+    run_band_coverage(
+        load_config(_write_config(tmp_path / "w.ini", _band_sections(whole, reps=4)))
+    )
+    assert _strip_ms(out / "band_coverage_n80.csv") == _strip_ms(
+        whole / "band_coverage_n80.csv"
+    )
+    resumed = json.loads((out / "band_coverage_manifest.json").read_text())
+    uninterrupted = json.loads((whole / "band_coverage_manifest.json").read_text())
+    assert resumed.pop("resumed_reps") == {"80": 2}
+    assert uninterrupted.pop("resumed_reps") == {"80": 0}
+    assert resumed == uninterrupted
+
+
+def test_resume_after_crash_with_different_draws_raises(tmp_path, monkeypatch):
+    out = tmp_path / "o"
+    sec = _band_sections(out, reps=2)
+    sec["generator"]["n"] = "60, 80"
+    cfg = load_config(_write_config(tmp_path / "a.ini", sec))
+    with monkeypatch.context() as m:
+        _crash_at(m, 80, 1)
+        with pytest.raises(_Crash):
+            run_band_coverage(cfg)
+    finished = (out / "band_coverage_n60.csv").read_bytes()
+    sec["run"]["draws"] = 5000
+    other = load_config(_write_config(tmp_path / "b.ini", sec))
+    with pytest.raises(ConfigError, match="draws"):
+        run_band_coverage(other)
+    assert (out / "band_coverage_n60.csv").read_bytes() == finished
 
 
 # ------------------------------------------------------------ cvc campaign

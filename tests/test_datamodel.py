@@ -1,4 +1,6 @@
-"""Container types, fold construction, and dataset CSV round trips."""
+"""Container types, fold construction, dataset CSV round trips, and the artifact writer."""
+
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from cvconf.datamodel import (
     load_dataset_csv,
     save_dataset_csv,
     validate_dataset,
+    write_csv_atomic,
+    write_json_atomic,
 )
 from cvconf.learners import SgdConfig
 
@@ -124,6 +128,34 @@ def test_dataset_csv_requires_response_column(tmp_path):
     path.write_text("resp,z1\n1.0,2.0\n")
     with pytest.raises(DatasetFormatError):
         load_dataset_csv(path)
+
+
+def test_artifact_writer_forms(tmp_path):
+    json_path = write_json_atomic(
+        tmp_path / "a.json", {"b": (1, np.int64(2)), "a": np.array([0.5, np.inf])}
+    )
+    assert json_path.read_bytes() == (
+        b'{\n  "a": [\n    0.5,\n    null\n  ],\n  "b": [\n    1,\n    2\n  ]\n}\n'
+    )
+    csv_path = write_csv_atomic(tmp_path / "a.csv", [["y", "z1"], [0.1, np.float64(2.5)], [3, ""]])
+    assert csv_path.read_bytes() == b"y,z1\n0.1,2.5\n3,\n"
+
+
+def test_artifact_writer_keeps_old_file_when_replace_fails(tmp_path, monkeypatch):
+    json_path = write_json_atomic(tmp_path / "a.json", {"old": 1})
+    csv_path = write_csv_atomic(tmp_path / "a.csv", [["old"]])
+    before = {p.name: p.read_bytes() for p in (json_path, csv_path)}
+
+    def failing_replace(src, dst):
+        raise OSError("injected replace failure")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="injected"):
+        write_json_atomic(json_path, {"new": 2})
+    with pytest.raises(OSError, match="injected"):
+        write_csv_atomic(csv_path, [["new"]])
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_loss_matrix_rejects_nonfinite_and_row_mismatch():
