@@ -374,7 +374,14 @@ def _rep_problem(cfg: ExperimentConfig, n: int, rep: int):
 
 
 def _resolve_workers(cfg: ExperimentConfig) -> int:
-    return cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
+    """``threads``, or for 0 the cores this process may run on: its affinity
+    mask where the OS has one, since ``os.cpu_count`` also counts cores the
+    mask excludes."""
+    if cfg.threads > 0:
+        return cfg.threads
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # --------------------------------------------------- replication campaigns

@@ -38,6 +38,9 @@ __all__ = [
     "check_coverage",
 ]
 
+# How a screened set's candidate got its critical value (see ModelConfidenceSet).
+DECISIONS = frozenset({"low", "high", "drawn", "injected", "none"})
+
 
 @dataclass(frozen=True)
 class BandSet:
@@ -93,8 +96,21 @@ class ModelConfidenceSet:
     For the band-overlap rule ("naive") the per-candidate statistics are
     the interval endpoints and the overlap threshold.  For the
     difference-based rule ("cvc") they are each candidate's worst
-    standardized gap and its one-sided critical value; entries are NaN
-    where every comparison was degenerate and the sampler was skipped.
+    standardized gap ``max_stat``, its one-sided critical value
+    ``z_alpha`` and, in ``decided``, how that value was found:
+
+    - "low": ``max_stat`` is at most Phi^-1(1 - alpha), the lower bound
+      on the exact critical value, and ``z_alpha`` holds that bound;
+    - "high": ``max_stat`` exceeds Phi^-1(1 - alpha / k), the union
+      bound over the candidate's k positive comparisons, and ``z_alpha``
+      holds that bound;
+    - "drawn": ``z_alpha`` is a Monte Carlo quantile;
+    - "injected": ``z_alpha`` was supplied by the caller;
+    - "none": every comparison was degenerate, and ``z_alpha`` and
+      ``max_stat`` are NaN.
+
+    In every case membership (apart from the sign rule on degenerate
+    comparisons) is ``max_stat <= z_alpha``.
     """
 
     members: tuple[int, ...]
@@ -107,6 +123,7 @@ class ModelConfidenceSet:
     upper: np.ndarray | None = None
     threshold: float | None = None
     seed: int | None = None
+    decided: tuple[str, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(int(r) for r in self.members))
@@ -114,6 +131,10 @@ class ModelConfidenceSet:
             raise DomainError(f"unknown set method {self.method!r}")
         if any(not 0 <= r < self.p for r in self.members):
             raise DomainError("set members must index the candidate list")
+        if self.decided is not None:
+            object.__setattr__(self, "decided", tuple(str(d) for d in self.decided))
+            if len(self.decided) != self.p or not set(self.decided) <= DECISIONS:
+                raise DomainError(f"decided needs one of {sorted(DECISIONS)} per candidate")
 
     def to_dict(self) -> dict:
         out = {
@@ -123,7 +144,7 @@ class ModelConfidenceSet:
             "members": list(self.members),
             "seed": self.seed,
         }
-        for name in ("z_alpha", "max_stat", "lower", "upper"):
+        for name in ("z_alpha", "decided", "max_stat", "lower", "upper"):
             val = getattr(self, name)
             if val is not None:
                 out[name] = _jsonable(val)
@@ -245,36 +266,52 @@ def cvc_set(
     comparisons s is at most the candidate's one-sided critical value,
     and its raw gap is nonpositive against every zero-variance
     comparison.  Every difference variance follows from the fold
-    covariance: var(diff_rs) = sigma_rr + sigma_ss - 2 sigma_rs.  So one
-    draw of X ~ N(0, sigma) serves all candidates: r's critical value is
-    the upper-alpha quantile of max_s (X_r - X_s) / sd(diff_rs) over its
-    positive comparisons, and all of them come from one sampler call.
+    covariance: var(diff_rs) = sigma_rr + sigma_ss - 2 sigma_rs.
+
+    r's exact critical value is the upper-alpha quantile of the max of
+    its k positive comparisons, each marginally N(0, 1), so it lies in
+    [Phi^-1(1 - alpha), Phi^-1(1 - alpha / k)]: one coordinate gives the
+    lower end and the union bound the upper.  A gap at most the lower
+    end keeps r and a gap above the upper end drops it, with that bound
+    as r's ``z_alpha``; at k = 1 the two ends meet.  Only the remaining
+    candidates are drawn: one draw of X ~ N(0, sigma) gives each the
+    quantile of max_s (X_r - X_s) / sd(diff_rs), so a call draws
+    ``draws x p`` normals when some candidate is undecided and none
+    otherwise.  ``decided`` records which case applied to each candidate.
     """
     _check_alpha(alpha)
     n, p = lm.n, lm.p
     if n < 2 * lm.plan.V:
         raise DomainError(f"need n >= 2V for within-fold covariances, got n={n}, V={lm.plan.V}")
     if p == 1:
-        return ModelConfidenceSet(members=(0,), method="cvc", alpha=alpha, p=1, seed=seed)
+        nan = np.full(1, np.nan)
+        return ModelConfidenceSet(
+            (0,), "cvc", alpha, 1, z_alpha=nan, max_stat=nan, seed=seed, decided=("none",)
+        )
     if z_inject is None and seed is None:
         raise DomainError("provide either a seed or injected quantiles")
     injected = None if z_inject is None else _resolve_injection(z_inject, p)
     cov = aggregate_covariance(lm)
-    diag = cov.lambda_diag
-    dvar = diag[:, None] + diag[None, :] - 2.0 * cov.sigma
+    positive, sd = _comparisons(cov)
     risks = cv_risk(lm).values
     gaps = risks[:, None] - risks[None, :]
-    floors = np.array([variance_floor(row) for row in dvar])
-    positive = dvar > floors[:, None]  # the diagonal is 0, never positive
-    sd = np.sqrt(np.where(positive, dvar, 1.0))
     rows = np.flatnonzero(positive.any(axis=1))
     max_stat = np.full(p, np.nan)
     max_stat[rows] = np.where(positive, np.sqrt(n) * gaps / sd, -np.inf)[rows].max(axis=1)
     z_alpha = np.full(p, np.nan)
+    decided = np.full(p, "none", dtype=object)
     if injected is not None:
         z_alpha[rows] = injected[rows]
+        decided[rows] = "injected"
     elif rows.size:
-        z_alpha[rows] = _pairwise_quantiles(cov, positive[rows], sd[rows], rows, alpha, draws, seed)
+        lo = ndtri(1.0 - alpha)
+        hi = ndtri(1.0 - alpha / positive[rows].sum(axis=1))
+        low, high = max_stat[rows] <= lo, max_stat[rows] > hi
+        z_alpha[rows] = np.where(low, lo, hi)
+        decided[rows] = np.where(low, "low", np.where(high, "high", "drawn"))
+        drawn = rows[~(low | high)]
+        if drawn.size:
+            z_alpha[drawn] = _pairwise_quantiles(cov, positive, sd, drawn, alpha, draws, seed)
     # the sign rule on degenerate comparisons, then the gap rule where any is positive
     ok = np.all(positive | (gaps <= 0.0), axis=1)
     ok[rows] &= max_stat[rows] <= z_alpha[rows]
@@ -286,24 +323,41 @@ def cvc_set(
         z_alpha=z_alpha,
         max_stat=max_stat,
         seed=seed,
+        decided=tuple(decided),
     )
+
+
+def _comparisons(cov: CovEstimate):
+    """Which comparisons (r, s) have positive variance, and their sds.
+
+    var(diff_rs) = sigma_rr + sigma_ss - 2 sigma_rs clears the floor of
+    candidate r's row or counts as degenerate; degenerate entries get a
+    placeholder sd of 1.
+    """
+    diag = cov.lambda_diag
+    dvar = diag[:, None] + diag[None, :] - 2.0 * cov.sigma
+    floors = np.array([variance_floor(row) for row in dvar])
+    positive = dvar > floors[:, None]  # the diagonal is 0, never positive
+    return positive, np.sqrt(np.where(positive, dvar, 1.0))
 
 
 def _pairwise_quantiles(cov, positive, sd, rows, alpha, draws, seed) -> np.ndarray:
     """Critical values of the candidates ``rows`` from one draw of N(0, sigma).
 
     Candidate ``r = rows[i]`` gets the upper-alpha quantile of the max of
-    (X_r - X_s) / sd[i, s] over the comparisons s in ``positive[i]``.
+    (X_r - X_s) / sd[r, s] over the comparisons s in ``positive[r]``.
     X is sqrt(sigma_rr) * Y_r with Y ~ N(0, corr) on every coordinate of
     nonzero variance, and 0 on the others.  No variance floor applies
     here: a comparison can clear its own floor while both of its
     coordinates sit below the floor of sigma, and it still needs its law.
+    The draws do not depend on ``rows``, so a candidate's value is the
+    same whichever other candidates are drawn with it.
     """
     corr, kept, _ = standardized_correlation(cov, floor=0.0)
     p = cov.sigma.shape[0]
     scale = np.sqrt(cov.lambda_diag[kept])
-    weight = 1.0 / sd
-    mask = np.where(positive, 0.0, -np.inf)  # faster than a masked max
+    weight = 1.0 / sd[rows]
+    mask = np.where(positive[rows], 0.0, -np.inf)  # faster than a masked max
 
     def statistic(Y):
         X = np.zeros((Y.shape[0], p))

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -622,3 +623,12 @@ def test_main_rejects_band_kind_for_series_generator(tmp_path):
     sec["generator"] = {"family": "series", "n": 80, "j_max": 8, "decay": 2.0, "noise_sd": 1.0}
     with pytest.raises(DomainError):
         load_config(_write_config(tmp_path / "c.ini", sec))
+
+
+def test_resolve_workers_counts_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(cli_harness.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli_harness.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert cli_harness._resolve_workers(SimpleNamespace(threads=0)) == 2
+    assert cli_harness._resolve_workers(SimpleNamespace(threads=3)) == 3
+    monkeypatch.delattr(cli_harness.os, "sched_getaffinity")
+    assert cli_harness._resolve_workers(SimpleNamespace(threads=0)) == 8

@@ -10,10 +10,13 @@ from scipy.stats import multivariate_normal
 
 from cvconf.covariance import CovEstimate, aggregate_covariance, variance_floor
 from cvconf.cv_engine import RiskVector, cv_risk
+from cvconf import inference
 from cvconf.datamodel import DomainError, LossMatrix, make_folds
 from cvconf.inference import (
     BandSet,
     ModelConfidenceSet,
+    _comparisons,
+    _pairwise_quantiles,
     check_coverage,
     cvc_set,
     naive_set,
@@ -176,6 +179,7 @@ def test_cvc_single_model_short_circuits():
     out = cvc_set(lm, alpha=0.05, seed=1)
     assert out.members == (0,)
     assert out.method == "cvc"
+    assert out.decided == ("none",) and np.isnan(out.z_alpha[0])
 
 
 def test_cvc_identical_columns_keeps_both():
@@ -281,8 +285,88 @@ def test_cvc_pairwise_critical_values_identity_sigma():
     alpha = 0.1
     law = multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, 0.5], [0.5, 1.0]])
     want = brentq(lambda z: law.cdf([z, z]) - (1.0 - alpha), 0.0, 5.0, xtol=1e-6)
+    # every risk is equal, so each gap of 0 sits below Phi^-1(1 - alpha)
     out = cvc_set(lm, alpha, seed=3, draws=200_000)
-    np.testing.assert_allclose(out.z_alpha, want, atol=0.02)
+    assert out.decided == ("low", "low", "low")
+    np.testing.assert_array_equal(out.z_alpha, ndtri(1.0 - alpha))
+    cov = aggregate_covariance(lm)
+    positive, sd = _comparisons(cov)
+    drawn = _pairwise_quantiles(cov, positive, sd, np.arange(3), alpha, 200_000, 3)
+    np.testing.assert_allclose(drawn, want, atol=0.02)
+
+
+def _spread_loss(seed, n=200):
+    # standardized gaps near (0, 0.5, 1.5, 1.7, 1.9, 8): at alpha = 0.1 and
+    # seed 4 the set has candidates decided low, drawn and decided high
+    g = np.array([0.0, 0.5, 1.5, 1.7, 1.9, 8.0])
+    vals = np.random.default_rng(seed).normal(size=(n, 6)) + g * np.sqrt(2 / n)
+    return _loss_matrix(vals, V=4)
+
+
+def _raising_sampler(*args, **kwargs):
+    raise AssertionError("the sampler ran")
+
+
+def test_cvc_drawn_candidates_match_drawing_every_candidate():
+    lm = _spread_loss(4)
+    out = cvc_set(lm, alpha=0.1, seed=4, draws=4000)
+    assert set(out.decided) == {"low", "drawn", "high"}
+    cov = aggregate_covariance(lm)
+    positive, sd = _comparisons(cov)
+    every = _pairwise_quantiles(cov, positive, sd, np.arange(lm.p), 0.1, 4000, 4)
+    drawn = np.array([d == "drawn" for d in out.decided])
+    np.testing.assert_allclose(out.z_alpha[drawn], every[drawn], rtol=0, atol=1e-12)
+
+
+def test_cvc_decided_candidates_report_their_bound():
+    alpha = 0.1
+    for seed in range(6):
+        lm = _spread_loss(seed)
+        out = cvc_set(lm, alpha=alpha, seed=seed, draws=2000)
+        k = _comparisons(aggregate_covariance(lm))[0].sum(axis=1)
+        for r, how in enumerate(out.decided):
+            if how == "low":
+                assert out.z_alpha[r] == ndtri(1.0 - alpha)
+                assert out.max_stat[r] <= out.z_alpha[r] and r in out.members
+            elif how == "high":
+                assert out.z_alpha[r] == ndtri(1.0 - alpha / k[r])
+                assert out.max_stat[r] > out.z_alpha[r] and r not in out.members
+            else:
+                assert how == "drawn"
+                assert ndtri(1.0 - alpha) < out.max_stat[r] <= ndtri(1.0 - alpha / k[r])
+
+
+def test_cvc_all_decided_never_calls_the_sampler(monkeypatch):
+    monkeypatch.setattr(inference, "max_quantiles", _raising_sampler)
+    rng = np.random.default_rng(23)
+    vals = rng.normal(size=(40, 3)) ** 2 + np.array([0.0, 5.0, 10.0])
+    out = cvc_set(_loss_matrix(vals, V=4), alpha=0.05, seed=1)
+    assert out.decided == ("low", "high", "high")
+    assert out.members == (0,)
+
+
+def test_cvc_two_candidates_are_decided_exactly(monkeypatch):
+    # k = 1: both bounds equal Phi^-1(1 - alpha), the exact critical value
+    monkeypatch.setattr(inference, "max_quantiles", _raising_sampler)
+    rng = np.random.default_rng(53)
+    for trial in range(20):
+        lm = _random_loss(rng, 40, 2, V=4)
+        out = cvc_set(lm, alpha=0.2, seed=trial)
+        assert set(out.decided) <= {"low", "high"}
+        np.testing.assert_array_equal(out.z_alpha, ndtri(0.8))
+        assert out.members == tuple(np.flatnonzero(out.max_stat <= ndtri(0.8)))
+
+
+def test_cvc_labels_injected_and_degenerate_candidates():
+    col = np.random.default_rng(59).normal(size=(40, 1)) ** 2
+    lm = _loss_matrix(np.hstack([col, col, col + 1.0 + 0.1 * col]), V=4)
+    out = cvc_set(lm, alpha=0.1, z_inject=1.0)
+    assert out.decided == ("injected", "injected", "injected")
+    dup = cvc_set(_loss_matrix(np.hstack([col, col]), V=4), alpha=0.1, seed=1)
+    assert dup.decided == ("none", "none")
+    assert np.all(np.isnan(dup.z_alpha))
+    with pytest.raises(DomainError):
+        ModelConfidenceSet(members=(0,), method="cvc", alpha=0.1, p=2, decided=("low", "guess"))
 
 
 def test_cvc_comparison_of_coordinates_below_sigma_floor_keeps_its_law():
@@ -327,6 +411,7 @@ def test_cvc_serializes_to_json():
     assert blob["method"] == "cvc"
     assert set(blob["members"]) == set(out.members)
     assert len(blob["z_alpha"]) == 3
+    assert blob["decided"] == list(out.decided)
 
 
 # ----------------------------------------------------------- check_coverage
