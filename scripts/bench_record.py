@@ -3,14 +3,14 @@
 
 Usage (from the root of a checkout):
 
-    python3 scripts/bench_record.py --base HEAD --label 7 --pairs 10
+    python3 scripts/bench_record.py --base HEAD --label 7
 
 ``--base`` names a git revision; its committed files are exported into a
 temporary directory and serve as the parent tree.  The checkout this
 script lives in (working tree included) is the changed tree.  For every
 workload in ``BENCHMARK.json`` the script runs ``bench/run.py --trace 0
---seconds <run_seconds>`` in both trees, ``--pairs`` times each, with
-seeds 1..pairs.  The two runs of a pair
+--seconds <run_seconds>`` in both trees, ``PAIRS`` times each, with
+seeds 1..PAIRS.  The two runs of a pair
 share a seed and alternate order (parent first on odd pairs, change
 first on even ones), so slow drift of the machine hits both sides.  Each
 run is a fresh process started from its own tree, so it imports that
@@ -47,6 +47,7 @@ import scipy  # noqa: E402
 
 from cvconf.datamodel import write_json_atomic  # noqa: E402
 
+PAIRS = 10  # the fewest alternating pairs that can back a claimed gain
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=5"]
 
 
@@ -91,18 +92,22 @@ def quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarize(pairs: list[dict]) -> dict:
-    """Per-metric medians and quartiles per side, and the pairwise comparison."""
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per-metric medians and quartiles per side, and the pairwise comparison.
+
+    ``better`` maps each metric name to ``"higher"`` or ``"lower"``, as
+    ``BENCHMARK.json`` declares it.
+    """
     out = {}
     for name, spec in pairs[0]["parent"]["result"]["metrics"].items():
         side = {s: [p[s]["result"]["metrics"][name]["value"] for p in pairs]
                 for s in ("parent", "change")}
         ratios = [c / a for a, c in zip(side["parent"], side["change"])]
-        higher = name == "units_per_s"
+        higher = better[name] == "higher"
         wins = sum((c > a) if higher else (c < a) for a, c in zip(side["parent"], side["change"]))
         out[name] = {
             "unit": spec["unit"],
-            "better": "higher" if higher else "lower",
+            "better": better[name],
             "parent": quartiles(side["parent"]),
             "change": quartiles(side["change"]),
             "ratio_change_over_parent": quartiles(ratios),
@@ -129,12 +134,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git revision of the parent tree")
     ap.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
-    ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("need --pairs >= 2")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = float(spec["run_seconds"])
     out = ROOT / f"BENCH_{args.label}.json"
     base_sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.base],
@@ -151,7 +154,7 @@ def main(argv=None) -> int:
         }
         for workload in workloads:
             pairs = []
-            for k in range(1, args.pairs + 1):
+            for k in range(1, PAIRS + 1):
                 order = ("parent", "change") if k % 2 else ("change", "parent")
                 pair = {"seed": k, "order": list(order)}
                 for side in order:
@@ -166,7 +169,7 @@ def main(argv=None) -> int:
                 "runs": pairs,
                 "all_correct": all(p[s]["result"]["correct"] for p in pairs for s in trees),
                 "failed": sum(p[s]["result"]["failed"] for p in pairs for s in trees),
-                "summary": summarize(pairs),
+                "summary": summarize(pairs, better),
             }
             write_json_atomic(out, record)
         record["tier1"] = {side: tier1(tree) for side, tree in trees.items()}

@@ -107,7 +107,8 @@ class ModelConfidenceSet:
     - "drawn": ``z_alpha`` is a Monte Carlo quantile;
     - "injected": ``z_alpha`` was supplied by the caller;
     - "none": every comparison was degenerate, and ``z_alpha`` and
-      ``max_stat`` are NaN.
+      ``max_stat`` are NaN (a single candidate has no comparison; its
+      set leaves both None).
 
     In every case membership (apart from the sign rule on degenerate
     comparisons) is ``max_stat <= z_alpha``.
@@ -284,10 +285,7 @@ def cvc_set(
     if n < 2 * lm.plan.V:
         raise DomainError(f"need n >= 2V for within-fold covariances, got n={n}, V={lm.plan.V}")
     if p == 1:
-        nan = np.full(1, np.nan)
-        return ModelConfidenceSet(
-            (0,), "cvc", alpha, 1, z_alpha=nan, max_stat=nan, seed=seed, decided=("none",)
-        )
+        return ModelConfidenceSet((0,), "cvc", alpha, 1, seed=seed, decided=("none",))
     if z_inject is None and seed is None:
         raise DomainError("provide either a seed or injected quantiles")
     injected = None if z_inject is None else _resolve_injection(z_inject, p)
