@@ -13,8 +13,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
+import ctypes
 import dataclasses
+import functools
 import json
+import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -67,6 +71,8 @@ __all__ = [
     "run_phi",
     "main",
 ]
+
+_log = logging.getLogger(__name__)
 
 
 class ConfigError(DomainError):
@@ -384,6 +390,44 @@ def _resolve_workers(cfg: ExperimentConfig) -> int:
     return os.cpu_count() or 1
 
 
+@functools.cache
+def _openblas_threads():
+    """(setter, getter) of the thread count of the OpenBLAS bundled with
+    numpy, or None when this numpy does not export them."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        set_threads = lib.scipy_openblas_set_num_threads64_
+        get_threads = lib.scipy_openblas_get_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return set_threads, get_threads
+
+
+@contextlib.contextmanager
+def _one_blas_thread(kind: str, workers: int):
+    """Run BLAS on one thread per pool worker, then restore its count.
+
+    Every product then runs on the worker that called it, whatever the
+    worker count: BLAS threads do not compete with the workers for the
+    cores, and no output depends on how many threads BLAS would use.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        _log.warning("%s: %d workers; BLAS threads could not be pinned", kind, workers)
+        yield
+        return
+    set_threads, get_threads = blas
+    before = get_threads()
+    set_threads(1)
+    _log.info("%s: %d workers, 1 BLAS thread each", kind, workers)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 # --------------------------------------------------- replication campaigns
 
 
@@ -590,39 +634,40 @@ def _run_replicated(cfg: ExperimentConfig, kind: str) -> dict:
     resumed: dict[str, int] = {}
     aggregates: dict[str, dict] = {}
     workers = _resolve_workers(cfg)
-    for n in cfg.n_list:
-        key = str(n)
-        path = out / f"{kind}_n{n}.csv"
-        keep = _read_completed(path, header, per_rep)
-        done = {rep: rows for rep, rows in keep.items() if rep < cfg.reps}
-        resumed[key] = len(done)
-        todo = [rep for rep in range(cfg.reps) if rep not in done]
-        fails: list[dict] = []
-        write_csv_atomic(path, [header, *_in_rep_order(done)])
-        pool = ThreadPoolExecutor(max_workers=workers)
-        try:
-            futures = {rep: pool.submit(_timed_lines, worker, cfg, n, rep) for rep in todo}
-            for rep in todo:
-                try:
-                    done[rep] = futures[rep].result()
-                except Exception as exc:
-                    fails.append(
-                        {
-                            "rep": rep,
-                            "seed": stable_subseed(cfg.seed, kind, n, rep),
-                            "error": f"{type(exc).__name__}: {exc}",
-                        }
-                    )
-                write_csv_atomic(path, [header, *_in_rep_order(done)])
-        finally:
-            # an interrupt drops the queued replications instead of running them
-            pool.shutdown(cancel_futures=True)
-        files[key] = path.name
-        failures[key] = fails
-        completed[key] = len(done)
-        aggregates[key] = _aggregate_rows(
-            kind, [dict(zip(header, row)) for row in _in_rep_order(done)]
-        )
+    with _one_blas_thread(kind, workers):
+        for n in cfg.n_list:
+            key = str(n)
+            path = out / f"{kind}_n{n}.csv"
+            keep = _read_completed(path, header, per_rep)
+            done = {rep: rows for rep, rows in keep.items() if rep < cfg.reps}
+            resumed[key] = len(done)
+            todo = [rep for rep in range(cfg.reps) if rep not in done]
+            fails: list[dict] = []
+            write_csv_atomic(path, [header, *_in_rep_order(done)])
+            pool = ThreadPoolExecutor(max_workers=workers)
+            try:
+                futures = {rep: pool.submit(_timed_lines, worker, cfg, n, rep) for rep in todo}
+                for rep in todo:
+                    try:
+                        done[rep] = futures[rep].result()
+                    except Exception as exc:
+                        fails.append(
+                            {
+                                "rep": rep,
+                                "seed": stable_subseed(cfg.seed, kind, n, rep),
+                                "error": f"{type(exc).__name__}: {exc}",
+                            }
+                        )
+                    write_csv_atomic(path, [header, *_in_rep_order(done)])
+            finally:
+                # an interrupt drops the queued replications instead of running them
+                pool.shutdown(cancel_futures=True)
+            files[key] = path.name
+            failures[key] = fails
+            completed[key] = len(done)
+            aggregates[key] = _aggregate_rows(
+                kind, [dict(zip(header, row)) for row in _in_rep_order(done)]
+            )
     return _write_manifest(
         out,
         kind,
@@ -809,6 +854,7 @@ def main(argv=None) -> int:
         p.add_argument("--reps", type=int, help="override the replication/trial count")
         p.add_argument("--threads", type=int, help="override the worker count (0 = auto)")
     args = parser.parse_args(argv)
+    logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
     cfg = load_config(
         args.config, seed=args.seed, out=args.out, reps=args.reps, threads=args.threads
     )

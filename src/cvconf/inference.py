@@ -190,14 +190,14 @@ def simultaneous_band(
         raise DomainError("need at least two observations")
     scale = np.sqrt(diag)
     if z_hat is None:
+        if seed is None:
+            raise DomainError("provide either z_hat or a seed for the quantile draw")
         floor = variance_floor(diag)
         try:
             corr, kept, _ = standardized_correlation(cov, floor=floor)
         except EmptyProblemError:
             half = np.zeros_like(center)
             return BandSet(center - half, center + half, center, alpha, 0.0, "simultaneous", risks.n)
-        if seed is None:
-            raise DomainError("provide either z_hat or a seed for the quantile draw")
         rng = derive_substream(seed, "simultaneous-band")
         z = float(max_quantiles(corr, _abs_max, alpha, draws, rng)[0])
         half = np.zeros_like(center)
@@ -343,30 +343,34 @@ def _pairwise_quantiles(cov, positive, sd, rows, alpha, draws, seed) -> np.ndarr
     """Critical values of the candidates ``rows`` from one draw of N(0, sigma).
 
     Candidate ``r = rows[i]`` gets the upper-alpha quantile of the max of
-    (X_r - X_s) / sd[r, s] over the comparisons s in ``positive[r]``.
-    X is sqrt(sigma_rr) * Y_r with Y ~ N(0, corr) on every coordinate of
-    nonzero variance, and 0 on the others.  No variance floor applies
-    here: a comparison can clear its own floor while both of its
-    coordinates sit below the floor of sigma, and it still needs its law.
-    The draws do not depend on ``rows``, so a candidate's value is the
-    same whichever other candidates are drawn with it.
+    (X_r - X_s) / sd[r, s] over the comparisons s in ``positive[r]``, of
+    which it needs at least one.  X is sqrt(sigma_rr) * Y_r with
+    Y ~ N(0, corr) on every coordinate of nonzero variance, and 0 on the
+    others.  Each comparison is a fixed linear map of Y, so the
+    comparisons of all rows are the columns of one product ``Y @ W``,
+    grouped by candidate, and a block's statistic is the max over each
+    group.  No variance floor applies here: a comparison can
+    clear its own floor while both of its coordinates sit below the floor
+    of sigma, and it still needs its law.  The draws do not depend on
+    ``rows``, so a candidate's value is the same whichever other
+    candidates are drawn with it.
     """
     corr, kept, _ = standardized_correlation(cov, floor=0.0)
-    p = cov.sigma.shape[0]
-    scale = np.sqrt(cov.lambda_diag[kept])
-    weight = 1.0 / sd[rows]
-    mask = np.where(positive[rows], 0.0, -np.inf)  # faster than a masked max
+    # lift[:, j] maps Y to X_j: sqrt(sigma_jj) on j's kept coordinate, or 0
+    lift = np.zeros((kept.size, cov.sigma.shape[0]))
+    lift[np.arange(kept.size), kept] = np.sqrt(cov.lambda_diag[kept])
+    compared = positive[rows]
+    i, s = np.nonzero(compared)  # row-major, so grouped by candidate
+    r = rows[i]
+    W = (lift[:, r] - lift[:, s]) / sd[r, s]
+    counts = compared.sum(axis=1)
+    starts = np.cumsum(counts) - counts
 
     def statistic(Y):
-        X = np.zeros((Y.shape[0], p))
-        X[:, kept] = Y * scale
-        D = X[:, rows, None] - X[:, None, :]
-        D *= weight
-        D += mask
-        return D.max(axis=2)
+        return np.maximum.reduceat(Y @ W, starts, axis=1)
 
     rng = derive_substream(seed, "cvc")
-    return max_quantiles(corr, statistic, alpha, draws, rng, width=rows.size * p)
+    return max_quantiles(corr, statistic, alpha, draws, rng, width=W.shape[1])
 
 
 def check_coverage(obj, target) -> bool:

@@ -1,6 +1,7 @@
 """Config-driven experiment harness: parsing, campaigns, CSV/JSON emission."""
 
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -335,6 +336,64 @@ def test_band_coverage_crash_keeps_finished_reps_and_resumes(tmp_path, monkeypat
     assert resumed == uninterrupted
 
 
+@pytest.fixture
+def blas_threads():
+    """The OpenBLAS thread getter, with the count set to 2 for the test."""
+    blas = cli_harness._openblas_threads()
+    if blas is None:
+        pytest.skip("this numpy exports no OpenBLAS thread setter")
+    set_threads, get_threads = blas
+    before = get_threads()
+    set_threads(2)
+    yield get_threads
+    set_threads(before)
+
+
+def test_pool_workers_run_one_blas_thread_and_restore_the_count(
+    tmp_path, monkeypatch, blas_threads
+):
+    seen = []
+    real = cli_harness._band_rows
+
+    def band_rows(*args):
+        seen.append(blas_threads())
+        return real(*args)
+
+    monkeypatch.setitem(cli_harness._REP_WORKERS, "band_coverage", band_rows)
+    cfg = load_config(_write_config(tmp_path / "c.ini", _band_sections(tmp_path / "o", threads=2)))
+    run_band_coverage(cfg)
+    assert seen == [1, 1, 1]
+    assert blas_threads() == 2
+
+
+def test_crash_restores_the_blas_thread_count(tmp_path, monkeypatch, blas_threads):
+    cfg = load_config(_write_config(tmp_path / "c.ini", _band_sections(tmp_path / "o", reps=4)))
+    with monkeypatch.context() as m:
+        _crash_at(m, 80, 2)
+        with pytest.raises(_Crash):
+            run_band_coverage(cfg)
+    assert blas_threads() == 2
+
+
+def test_campaign_logs_its_worker_model(tmp_path, monkeypatch, caplog, blas_threads):
+    caplog.set_level(logging.INFO, logger="cvconf.cli_harness")
+    run_band_coverage(
+        load_config(_write_config(tmp_path / "a.ini", _band_sections(tmp_path / "a", threads=2)))
+    )
+    assert caplog.messages == ["band_coverage: 2 workers, 1 BLAS thread each"]
+    caplog.clear()
+    monkeypatch.setattr(cli_harness, "_openblas_threads", lambda: None)
+    run_band_coverage(
+        load_config(_write_config(tmp_path / "b.ini", _band_sections(tmp_path / "b", threads=2)))
+    )
+    assert caplog.messages == ["band_coverage: 2 workers; BLAS threads could not be pinned"]
+    assert blas_threads() == 2
+    # the worker model stays out of the manifest
+    assert (tmp_path / "a" / "band_coverage_manifest.json").read_text() == (
+        tmp_path / "b" / "band_coverage_manifest.json"
+    ).read_text()
+
+
 def test_resume_after_crash_with_different_draws_raises(tmp_path, monkeypatch):
     out = tmp_path / "o"
     sec = _band_sections(out, reps=2)
@@ -414,6 +473,29 @@ def test_cvc_size_manifest_sizes(tmp_path):
     assert agg["coverage_naive"] == pytest.approx(
         np.mean([int(r["covered_naive"]) for r in rows])
     )
+
+
+def test_cvc_size_deterministic_across_threads(tmp_path, monkeypatch):
+    decided = []
+    real = cli_harness.cvc_set
+
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        decided.extend(out.decided)
+        return out
+
+    monkeypatch.setattr(cli_harness, "cvc_set", recorded)
+    for name, threads in (("a", 1), ("b", 2)):
+        sec = _cvc_sections(tmp_path / name)
+        sec["run"]["threads"] = threads
+        run_cvc_size(load_config(_write_config(tmp_path / f"{name}.ini", sec)))
+    assert "drawn" in decided
+    assert _strip_ms(tmp_path / "a" / "cvc_size_n60.csv") == _strip_ms(
+        tmp_path / "b" / "cvc_size_n60.csv"
+    )
+    assert (tmp_path / "a" / "cvc_size_manifest.json").read_text() == (
+        tmp_path / "b" / "cvc_size_manifest.json"
+    ).read_text()
 
 
 # ------------------------------------------------------------ fwd campaign

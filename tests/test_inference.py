@@ -8,10 +8,17 @@ from scipy.optimize import brentq
 from scipy.special import ndtri
 from scipy.stats import multivariate_normal
 
-from cvconf.covariance import CovEstimate, aggregate_covariance, variance_floor
+from cvconf.covariance import (
+    CovEstimate,
+    aggregate_covariance,
+    standardized_correlation,
+    variance_floor,
+)
 from cvconf.cv_engine import RiskVector, cv_risk
-from cvconf import inference
+from cvconf import gaussian_mc, inference
 from cvconf.datamodel import DomainError, LossMatrix, make_folds
+from cvconf.gaussian_mc import max_quantiles
+from cvconf.simgen import derive_substream
 from cvconf.inference import (
     BandSet,
     ModelConfidenceSet,
@@ -83,6 +90,11 @@ def test_simultaneous_degenerate_coordinate_gets_zero_width():
 def test_simultaneous_all_degenerate_returns_point_band():
     band = simultaneous_band(_risk([0.2, 0.8]), _cov([0.0, 0.0]), alpha=0.1, seed=3)
     np.testing.assert_array_equal(band.lower, band.upper)
+
+
+def test_simultaneous_all_degenerate_still_needs_a_seed():
+    with pytest.raises(DomainError, match="seed"):
+        simultaneous_band(_risk([0.2, 0.8]), _cov([0.0, 0.0]), alpha=0.1)
 
 
 def test_simultaneous_scaling_losses_scales_endpoints_exactly():
@@ -316,6 +328,55 @@ def test_cvc_drawn_candidates_match_drawing_every_candidate():
     every = _pairwise_quantiles(cov, positive, sd, np.arange(lm.p), 0.1, 4000, 4)
     drawn = np.array([d == "drawn" for d in out.decided])
     np.testing.assert_allclose(out.z_alpha[drawn], every[drawn], rtol=0, atol=1e-12)
+
+
+def _elementwise_pairwise_quantiles(cov, positive, sd, rows, alpha, draws, seed):
+    """Reference: the statistic built elementwise as (X_r - X_s) * weight + mask."""
+    corr, kept, _ = standardized_correlation(cov, floor=0.0)
+    p = cov.sigma.shape[0]
+    scale = np.sqrt(cov.lambda_diag[kept])
+    weight = 1.0 / sd[rows]
+    mask = np.where(positive[rows], 0.0, -np.inf)
+
+    def statistic(Y):
+        X = np.zeros((Y.shape[0], p))
+        X[:, kept] = Y * scale
+        D = X[:, rows, None] - X[:, None, :]
+        return (D * weight + mask).max(axis=2)
+
+    rng = derive_substream(seed, "cvc")
+    return max_quantiles(corr, statistic, alpha, draws, rng, width=rows.size * p)
+
+
+def _lopsided_cov():
+    # a zero-variance column (its coordinate leaves corr) and a duplicate
+    # pair (a degenerate comparison) among correlated columns
+    rng = np.random.default_rng(61)
+    vals = rng.normal(size=(60, 4)) + rng.normal(size=(60, 1))
+    vals = np.column_stack([vals, vals[:, 0], np.full(60, 0.5)])
+    cov = aggregate_covariance(_loss_matrix(vals, V=4))
+    positive, sd = _comparisons(cov)
+    assert cov.lambda_diag[5] == 0.0 and positive[5, :5].all()
+    assert not positive[0, 4] and not positive[4, 0]
+    return cov, positive, sd
+
+
+def test_pairwise_product_matches_elementwise_statistic():
+    cov, positive, sd = _lopsided_cov()
+    for rows in (np.arange(6), np.array([0, 4, 5]), np.array([2])):
+        got = _pairwise_quantiles(cov, positive, sd, rows, 0.1, 3000, 7)
+        want = _elementwise_pairwise_quantiles(cov, positive, sd, rows, 0.1, 3000, 7)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_pairwise_quantiles_do_not_depend_on_block_size(monkeypatch):
+    cov, positive, sd = _lopsided_cov()
+    rows = np.arange(6)
+    out = []
+    for elems in (64, 10**7):
+        monkeypatch.setattr(gaussian_mc, "BLOCK_ELEMS", elems)
+        out.append(_pairwise_quantiles(cov, positive, sd, rows, 0.1, 3000, 7))
+    np.testing.assert_array_equal(out[0], out[1])
 
 
 def test_cvc_decided_candidates_report_their_bound():
