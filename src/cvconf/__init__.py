@@ -26,7 +26,9 @@ from .covariance import CovEstimate, aggregate_covariance, standardized_correlat
 from .gaussian_mc import max_quantiles
 from .inference import (
     BandSet,
+    CriticalValues,
     ModelConfidenceSet,
+    critical_values,
     simultaneous_band,
     pointwise_band,
     naive_set,
@@ -72,7 +74,9 @@ __all__ = [
     "standardized_correlation",
     "max_quantiles",
     "BandSet",
+    "CriticalValues",
     "ModelConfidenceSet",
+    "critical_values",
     "simultaneous_band",
     "pointwise_band",
     "naive_set",

@@ -50,6 +50,7 @@ from .det_variance import (
 from .gaussian_mc import MIN_DRAWS
 from .inference import (
     check_coverage,
+    critical_values,
     cvc_set,
     naive_set,
     pointwise_band,
@@ -182,6 +183,8 @@ class ExperimentConfig:
             raise ConfigError(f"need V >= 2, got {self.V}")
         if not self.alphas or any(not 0 < a < 1 for a in self.alphas):
             raise ConfigError(f"alphas must lie strictly in (0, 1), got {self.alphas}")
+        if len(set(self.alphas)) != len(self.alphas):
+            raise ConfigError(f"alphas must be distinct, got {self.alphas}")
         if self.reps < 1:
             raise ConfigError(f"need reps >= 1, got {self.reps}")
         if self.draws < MIN_DRAWS:
@@ -434,9 +437,10 @@ def _one_blas_thread(kind: str, workers: int):
 def _band_rows(cfg: ExperimentConfig, n: int, rep: int):
     data_seed, q_seed, _, lm, target = _rep_problem(cfg, n, rep)
     risks, cov = cv_risk(lm), aggregate_covariance(lm)
+    critical = critical_values(risks, cov, cfg.alphas, seed=q_seed, draws=cfg.draws, sets=False)
     rows = []
     for alpha in cfg.alphas:
-        band = simultaneous_band(risks, cov, alpha, seed=q_seed, draws=cfg.draws)
+        band = simultaneous_band(risks, cov, alpha, critical=critical)
         pw = pointwise_band(risks, cov, alpha)
         rows.append(
             {
@@ -454,11 +458,12 @@ def _band_rows(cfg: ExperimentConfig, n: int, rep: int):
 def _cvc_rows(cfg: ExperimentConfig, n: int, rep: int):
     data_seed, q_seed, _, lm, target = _rep_problem(cfg, n, rep)
     risks, cov = cv_risk(lm), aggregate_covariance(lm)
+    critical = critical_values(risks, cov, cfg.alphas, seed=q_seed, draws=cfg.draws)
     rows = []
     for alpha in cfg.alphas:
-        band = simultaneous_band(risks, cov, alpha, seed=q_seed, draws=cfg.draws)
+        band = simultaneous_band(risks, cov, alpha, critical=critical)
         base = naive_set(band)
-        cvc = cvc_set(lm, alpha, draws=cfg.draws, seed=q_seed)
+        cvc = cvc_set(lm, alpha, critical=critical)
         rows.append(
             {
                 "rep": str(rep),
@@ -798,21 +803,34 @@ def _one_shot(cfg: ExperimentConfig, command: str) -> Path:
     specs, labels = _build_bank(cfg, ds)
     lm = loss_matrix(ds, fit_all_folds(ds, specs, plan), plan, "squared")
     q_seed = stable_subseed(cfg.seed, command + "-quantile", n)
+    risks, cov = cv_risk(lm), aggregate_covariance(lm)
+    critical = critical_values(
+        risks,
+        cov,
+        cfg.alphas,
+        seed=q_seed,
+        draws=cfg.draws,
+        bands=command == "band",
+        sets=command == "cvc",
+    )
     if command == "band":
-        risks, cov = cv_risk(lm), aggregate_covariance(lm)
         key, item = "bands", "band"
-        results = [
-            simultaneous_band(risks, cov, alpha, seed=q_seed, draws=cfg.draws)
-            for alpha in cfg.alphas
-        ]
+        results = [simultaneous_band(risks, cov, a, critical=critical) for a in cfg.alphas]
     else:
         key, item = "sets", "set"
-        results = [cvc_set(lm, alpha, draws=cfg.draws, seed=q_seed) for alpha in cfg.alphas]
+        results = [cvc_set(lm, a, critical=critical) for a in cfg.alphas]
     entries = [
         {"alpha": float(alpha), item: res.to_dict()} for alpha, res in zip(cfg.alphas, results)
     ]
     path = out / f"{command}.json"
-    blob = {"n": n, "seed": cfg.seed, "draws": cfg.draws, "labels": list(labels), key: entries}
+    blob = {
+        "n": n,
+        "seed": cfg.seed,
+        "draws": cfg.draws,
+        "rank": critical.rank,
+        "labels": list(labels),
+        key: entries,
+    }
     return write_json_atomic(path, blob)
 
 

@@ -1,14 +1,17 @@
 """Monte Carlo quantiles of statistics of one correlated Gaussian sample.
 
 Critical values for the simultaneous bands and for the one-sided model
-comparisons are upper quantiles of maxima of ``Y ~ N(0, C)``, where ``C``
-is an estimated correlation matrix.  None of them has a usable closed
-form once coordinates are dependent, so they are computed by simulation
-from a caller-supplied stream.  One call draws one sample of ``Y`` and
-reads every column of a caller's statistic from it, so all critical
-values of a problem share the same draws.  Determinism is part of the
-contract: the stream fixes the draws, the draws fix the quantiles, and
-the block size of the simulation never changes the result.
+comparisons are upper quantiles of maxima of linear maps of
+``Y ~ N(0, C)``, where ``C`` is an estimated correlation matrix.  None of
+them has a usable closed form once coordinates are dependent, so they
+are computed by simulation from a caller-supplied stream.  ``C`` is
+factored as ``F'F`` with ``F`` of its numerical rank ``r`` rows, so a
+draw costs ``r`` normals however many coordinates are collinear.  One
+call draws one sample and reads every column of a caller's statistic
+from it at every requested alpha, so all critical values of a problem
+share the same draws.  Determinism is part of the contract: the stream
+fixes the draws, the draws fix the quantiles, and the block size of the
+simulation never changes the result.
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ DEFAULT_DRAWS = 100_000
 # Fewest draws a quantile may rest on.
 MIN_DRAWS = 1000
 
-# Elements of the largest array one simulation block may hold (4 MiB of
-# float64): larger blocks raise peak memory and do not run faster.
-BLOCK_ELEMS = 1 << 19
+# Elements of the largest array one simulation block may hold (512 KiB of
+# float64).  Blocks this small stay in cache and run no slower than 4 MiB
+# ones, and every pool worker holds one, so they keep peak memory down.
+BLOCK_ELEMS = 1 << 16
 
 _SYM_TOL = 1e-8
 
@@ -50,7 +54,7 @@ def conservative_order_index(draws: int, alpha: float) -> int:
     return k - 1
 
 
-def _check_inputs(corr, alpha: float, draws: int) -> np.ndarray:
+def _check_inputs(corr, alphas: np.ndarray, draws: int) -> np.ndarray:
     C = np.asarray(corr, dtype=np.float64)
     if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape[0] == 0:
         raise DomainError(f"correlation must be nonempty square, got shape {C.shape}")
@@ -62,43 +66,66 @@ def _check_inputs(corr, alpha: float, draws: int) -> np.ndarray:
         raise DomainError("correlation must have unit diagonal")
     if float(np.max(np.abs(C))) > 1.0 + _SYM_TOL:
         raise DomainError("correlation entries must lie in [-1, 1]")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    if alphas.size == 0 or not np.all((alphas > 0.0) & (alphas < 1.0)):
+        raise DomainError(f"alpha must lie in (0, 1), got {alphas.tolist()}")
     if draws < MIN_DRAWS:
         raise DomainError(f"need at least {MIN_DRAWS} draws, got {draws}")
     return C
 
 
-def max_quantiles(corr, statistic, alpha: float, draws: int, rng, *, width=None) -> np.ndarray:
-    """Upper alpha quantile of every column of ``statistic(Y)``, ``Y ~ N(0, corr)``.
+def _factor(C: np.ndarray) -> np.ndarray:
+    """F of shape (r, q) with F'F = C, r the numerical rank of C.
 
-    ``corr`` is factored once by its symmetric eigen square root with
-    eigenvalues clipped at zero, so rank-deficient inputs (duplicated
-    coordinates) need no jitter; an eigenvalue below ``-tol * max|corr|``
-    marks a genuinely indefinite input and raises.  ``statistic`` maps a
-    ``(b, q)`` block of draws to a ``(b,)`` or ``(b, m)`` array.  Blocks
-    take standard normals from ``rng`` in row order and hold
-    ``BLOCK_ELEMS // width`` rows, where ``width`` is the number of
-    elements the statistic allocates per draw (default ``q``); it affects
-    memory only, never the result.  Returns the conservative order
-    statistic of each of the ``m`` columns.
+    Eigenpairs with eigenvalue at most ``w_max * q * eps`` (numpy's
+    ``matrix_rank`` tolerance) are dropped, so duplicated or collinear
+    coordinates cost no draws.
     """
-    C = _check_inputs(corr, alpha, draws)
     w, vecs = np.linalg.eigh(C)
     if float(w[0]) < -_SYM_TOL * float(np.max(np.abs(C))):
         raise DomainError(f"correlation is not positive semidefinite (eigenvalue {w[0]:.3g})")
-    root = (vecs * np.sqrt(np.clip(w, 0.0, None))) @ vecs.T
-    q = root.shape[0]
-    rows = max(1, BLOCK_ELEMS // (width or q))
+    keep = w > w[-1] * C.shape[0] * np.finfo(np.float64).eps
+    return (vecs[:, keep] * np.sqrt(w[keep])).T
+
+
+def max_quantiles(
+    corr, statistic, alpha, draws: int, rng, *, linear=None, return_rank: bool = False
+):
+    """Upper alpha quantiles of every column of ``statistic(Y @ linear)``, ``Y ~ N(0, corr)``.
+
+    ``corr`` (q x q) is factored once as F'F by its eigendecomposition,
+    keeping the r eigenpairs above the numerical-rank tolerance; an
+    eigenvalue below ``-tol * max|corr|`` marks a genuinely indefinite
+    input and raises.  Each block draws a ``(b, r)`` array Z of standard
+    normals from ``rng`` in row order and hands ``statistic`` the one
+    product ``Z @ (F @ linear)``, a ``(b, m)`` array whose rows are
+    draws of ``Y @ linear``; ``linear`` (q x m) defaults to the identity.
+    ``statistic`` returns a ``(b,)`` or ``(b, k)`` array.  A call draws
+    exactly ``draws * r`` normals.  A block holds
+    ``BLOCK_ELEMS // max(r, m)`` rows, which bounds memory and never
+    changes the result.
+
+    ``alpha`` is a float or a sequence of them; every quantile is the
+    conservative order statistic of the same ``draws`` values of the
+    statistic.  A float gives a ``(k,)`` array, a sequence a
+    ``(len(alpha), k)`` array with one row per alpha.  With
+    ``return_rank`` the result is the pair ``(quantiles, r)``.
+    """
+    alphas = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
+    C = _check_inputs(corr, alphas, draws)
+    F = _factor(C)
+    M = F if linear is None else F @ np.asarray(linear, dtype=np.float64)
+    r, m = M.shape
+    rows = max(1, BLOCK_ELEMS // max(r, m))
     stats = None
     done = 0
     while done < draws:
         b = min(rows, draws - done)
-        out = np.asarray(statistic(rng.standard_normal((b, q)) @ root)).reshape(b, -1)
+        out = np.asarray(statistic(rng.standard_normal((b, r)) @ M)).reshape(b, -1)
         if stats is None:
             stats = np.empty((draws, out.shape[1]))
         stats[done : done + b] = out
         done += b
-    k = conservative_order_index(draws, alpha)
-    stats.partition(k, axis=0)
-    return stats[k].copy()
+    ks = [conservative_order_index(draws, a) for a in alphas]
+    stats.partition(sorted(set(ks)), axis=0)
+    quantiles = stats[ks] if np.ndim(alpha) else stats[ks[0]].copy()
+    return (quantiles, r) if return_rank else quantiles

@@ -6,7 +6,8 @@ all candidates, the band-overlap confidence set, and the sharper set built
 from per-candidate risk differences with one-sided calibration.  All of
 them treat the loss-matrix column means as the point estimates and draw
 critical values from the Gaussian machinery, so results are deterministic
-functions of (data, alpha, seed).
+functions of (data, alpha, seed).  ``critical_values`` reads the band's
+and the screened set's critical values at every alpha from one draw.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from scipy.special import ndtri
 
 from .covariance import (
     CovEstimate,
-    EmptyProblemError,
     aggregate_covariance,
     standardized_correlation,
     variance_floor,
@@ -30,7 +30,9 @@ from .simgen import derive_substream
 
 __all__ = [
     "BandSet",
+    "CriticalValues",
     "ModelConfidenceSet",
+    "critical_values",
     "simultaneous_band",
     "pointwise_band",
     "naive_set",
@@ -154,10 +156,6 @@ class ModelConfidenceSet:
         return out
 
 
-def _abs_max(Y: np.ndarray) -> np.ndarray:
-    return np.abs(Y).max(axis=1)
-
-
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
@@ -171,15 +169,17 @@ def simultaneous_band(
     z_hat: float | None = None,
     seed: int | None = None,
     draws: int = DEFAULT_DRAWS,
+    critical: CriticalValues | None = None,
 ) -> BandSet:
     """Band risk_r +/- sqrt(sigma_rr) * z / sqrt(n) with a shared critical value.
 
     When ``z_hat`` is not injected, z is the upper-alpha quantile of the
     max absolute coordinate of a centered Gaussian vector with the
-    standardized correlation of ``cov``; coordinates whose variance falls
-    below the floor are excluded from the max and get zero-width
-    intervals.  If every coordinate is degenerate the band is a point
-    band regardless of z.
+    standardized correlation of ``cov``, read from ``critical`` (see
+    ``critical_values``), or drawn here from ``seed``.  Coordinates whose
+    variance falls below the floor are excluded from the max and get
+    zero-width intervals.  If every coordinate is degenerate the band is
+    a point band regardless of z.
     """
     _check_alpha(alpha)
     center = np.asarray(risks.values, dtype=np.float64)
@@ -190,16 +190,12 @@ def simultaneous_band(
         raise DomainError("need at least two observations")
     scale = np.sqrt(diag)
     if z_hat is None:
-        if seed is None:
-            raise DomainError("provide either z_hat or a seed for the quantile draw")
-        floor = variance_floor(diag)
-        try:
-            corr, kept, _ = standardized_correlation(cov, floor=floor)
-        except EmptyProblemError:
-            half = np.zeros_like(center)
-            return BandSet(center - half, center + half, center, alpha, 0.0, "simultaneous", risks.n)
-        rng = derive_substream(seed, "simultaneous-band")
-        z = float(max_quantiles(corr, _abs_max, alpha, draws, rng)[0])
+        if critical is None:
+            if seed is None:
+                raise DomainError("provide z_hat, critical values or a seed for the quantile draw")
+            critical = critical_values(risks, cov, (alpha,), seed=seed, draws=draws, sets=False)
+        z = float(critical.band_z[critical.index(alpha, "band_z")])
+        kept = _band_coordinates(diag)
         half = np.zeros_like(center)
         half[kept] = scale[kept] * (z / np.sqrt(risks.n))
     else:
@@ -259,6 +255,7 @@ def cvc_set(
     draws: int = DEFAULT_DRAWS,
     seed: int | None = None,
     z_inject=None,
+    critical: CriticalValues | None = None,
 ) -> ModelConfidenceSet:
     """Difference-calibrated confidence set of near-optimal models.
 
@@ -275,41 +272,33 @@ def cvc_set(
     lower end and the union bound the upper.  A gap at most the lower
     end keeps r and a gap above the upper end drops it, with that bound
     as r's ``z_alpha``; at k = 1 the two ends meet.  Only the remaining
-    candidates are drawn: one draw of X ~ N(0, sigma) gives each the
-    quantile of max_s (X_r - X_s) / sd(diff_rs), so a call draws
-    ``draws x p`` normals when some candidate is undecided and none
-    otherwise.  ``decided`` records which case applied to each candidate.
+    candidates are drawn, all from one sample (see ``critical_values``,
+    whose result ``critical`` may be passed in place of ``seed``).
+    ``decided`` records which case applied to each candidate.
     """
     _check_alpha(alpha)
     n, p = lm.n, lm.p
+    if critical is not None:
+        seed = critical.seed
     if n < 2 * lm.plan.V:
         raise DomainError(f"need n >= 2V for within-fold covariances, got n={n}, V={lm.plan.V}")
     if p == 1:
         return ModelConfidenceSet((0,), "cvc", alpha, 1, seed=seed, decided=("none",))
-    if z_inject is None and seed is None:
-        raise DomainError("provide either a seed or injected quantiles")
+    if z_inject is None and critical is None and seed is None:
+        raise DomainError("provide a seed, critical values or injected quantiles")
     injected = None if z_inject is None else _resolve_injection(z_inject, p)
-    cov = aggregate_covariance(lm)
-    positive, sd = _comparisons(cov)
-    risks = cv_risk(lm).values
-    gaps = risks[:, None] - risks[None, :]
-    rows = np.flatnonzero(positive.any(axis=1))
-    max_stat = np.full(p, np.nan)
-    max_stat[rows] = np.where(positive, np.sqrt(n) * gaps / sd, -np.inf)[rows].max(axis=1)
-    z_alpha = np.full(p, np.nan)
-    decided = np.full(p, "none", dtype=object)
+    risks, cov = cv_risk(lm), aggregate_covariance(lm)
+    positive, _, gaps, rows, max_stat = _screen(risks, cov)
     if injected is not None:
+        z_alpha = np.full(p, np.nan)
+        decided = np.full(p, "none", dtype=object)
         z_alpha[rows] = injected[rows]
         decided[rows] = "injected"
-    elif rows.size:
-        lo = ndtri(1.0 - alpha)
-        hi = ndtri(1.0 - alpha / positive[rows].sum(axis=1))
-        low, high = max_stat[rows] <= lo, max_stat[rows] > hi
-        z_alpha[rows] = np.where(low, lo, hi)
-        decided[rows] = np.where(low, "low", np.where(high, "high", "drawn"))
-        drawn = rows[~(low | high)]
-        if drawn.size:
-            z_alpha[drawn] = _pairwise_quantiles(cov, positive, sd, drawn, alpha, draws, seed)
+    else:
+        if critical is None:
+            critical = critical_values(risks, cov, (alpha,), seed=seed, draws=draws, bands=False)
+        i = critical.index(alpha, "z_alpha")
+        z_alpha, decided = critical.z_alpha[i].copy(), critical.decided[i]
     # the sign rule on degenerate comparisons, then the gap rule where any is positive
     ok = np.all(positive | (gaps <= 0.0), axis=1)
     ok[rows] &= max_stat[rows] <= z_alpha[rows]
@@ -339,38 +328,164 @@ def _comparisons(cov: CovEstimate):
     return positive, np.sqrt(np.where(positive, dvar, 1.0))
 
 
-def _pairwise_quantiles(cov, positive, sd, rows, alpha, draws, seed) -> np.ndarray:
-    """Critical values of the candidates ``rows`` from one draw of N(0, sigma).
+def _screen(risks: RiskVector, cov: CovEstimate):
+    """The screening statistics: (positive, sd, gaps, rows, max_stat).
 
-    Candidate ``r = rows[i]`` gets the upper-alpha quantile of the max of
-    (X_r - X_s) / sd[r, s] over the comparisons s in ``positive[r]``, of
-    which it needs at least one.  X is sqrt(sigma_rr) * Y_r with
-    Y ~ N(0, corr) on every coordinate of nonzero variance, and 0 on the
-    others.  Each comparison is a fixed linear map of Y, so the
-    comparisons of all rows are the columns of one product ``Y @ W``,
-    grouped by candidate, and a block's statistic is the max over each
-    group.  No variance floor applies here: a comparison can
-    clear its own floor while both of its coordinates sit below the floor
-    of sigma, and it still needs its law.  The draws do not depend on
-    ``rows``, so a candidate's value is the same whichever other
-    candidates are drawn with it.
+    ``rows`` are the candidates with at least one positive comparison and
+    ``max_stat`` their worst standardized gap (NaN for the others).
     """
-    corr, kept, _ = standardized_correlation(cov, floor=0.0)
-    # lift[:, j] maps Y to X_j: sqrt(sigma_jj) on j's kept coordinate, or 0
-    lift = np.zeros((kept.size, cov.sigma.shape[0]))
+    positive, sd = _comparisons(cov)
+    values = np.asarray(risks.values, dtype=np.float64)
+    gaps = values[:, None] - values[None, :]
+    rows = np.flatnonzero(positive.any(axis=1))
+    max_stat = np.full(values.shape[0], np.nan)
+    max_stat[rows] = np.where(positive, np.sqrt(risks.n) * gaps / sd, -np.inf)[rows].max(axis=1)
+    return positive, sd, gaps, rows, max_stat
+
+
+def _band_coordinates(diag: np.ndarray) -> np.ndarray:
+    """Coordinates the band's max reads: variance above the floor."""
+    return np.flatnonzero(diag > variance_floor(diag))
+
+
+def _comparison_columns(cov, kept, positive, sd, rows):
+    """The comparisons of candidates ``rows`` as columns of a map of Y.
+
+    Y ~ N(0, corr) lives on the ``kept`` coordinates, and X_j is
+    sqrt(sigma_jj) Y_j there and 0 elsewhere.  Column (r, s) maps Y to
+    (X_r - X_s) / sd[r, s], for each s in ``positive[r]``; columns are
+    grouped by candidate in the order of ``rows``.  Returns the
+    ``(kept.size, m)`` map and each candidate's column count.
+    """
+    # lift[:, j] maps Y to X_j
+    lift = np.zeros((kept.size, positive.shape[0]))
     lift[np.arange(kept.size), kept] = np.sqrt(cov.lambda_diag[kept])
     compared = positive[rows]
     i, s = np.nonzero(compared)  # row-major, so grouped by candidate
     r = rows[i]
-    W = (lift[:, r] - lift[:, s]) / sd[r, s]
-    counts = compared.sum(axis=1)
-    starts = np.cumsum(counts) - counts
+    return (lift[:, r] - lift[:, s]) / sd[r, s], compared.sum(axis=1)
 
-    def statistic(Y):
-        return np.maximum.reduceat(Y @ W, starts, axis=1)
 
-    rng = derive_substream(seed, "cvc")
-    return max_quantiles(corr, statistic, alpha, draws, rng, width=W.shape[1])
+@dataclass(frozen=True)
+class CriticalValues:
+    """Every critical value of one problem at each of ``alphas``, from one draw.
+
+    Row i of each array belongs to ``alphas[i]``.  ``band_z`` holds the
+    simultaneous band's z (0 when every coordinate is degenerate), and
+    ``z_alpha`` and ``decided`` the screened set's per-candidate values
+    and labels as in ``ModelConfidenceSet``; each is None when it was not
+    asked for.  ``rank`` is the number of rows of the correlation's
+    factor, so the draw took ``draws * rank`` normals; it is 0 when
+    nothing needed drawing.
+    """
+
+    alphas: tuple[float, ...]
+    band_z: np.ndarray | None
+    z_alpha: np.ndarray | None
+    decided: tuple[tuple[str, ...], ...] | None
+    draws: int
+    rank: int
+    seed: int
+
+    def index(self, alpha: float, part: str) -> int:
+        """Row of ``alpha``; raises when ``part`` was not drawn at it."""
+        if getattr(self, part) is None or float(alpha) not in self.alphas:
+            raise DomainError(f"no {part} critical values were drawn at alpha {alpha}")
+        return self.alphas.index(float(alpha))
+
+
+def critical_values(
+    risks: RiskVector,
+    cov: CovEstimate,
+    alphas,
+    *,
+    seed: int,
+    draws: int = DEFAULT_DRAWS,
+    bands: bool = True,
+    sets: bool = True,
+) -> CriticalValues:
+    """The band's and the screened set's critical values at every alpha, from one draw.
+
+    With ``bands``, the band's z is the quantile of max |Y_j| over its
+    floor-kept coordinates, Y ~ N(0, corr) with corr the standardized
+    correlation of ``cov`` over its coordinates of nonzero variance.
+    With ``sets``, each candidate is first decided by the exact normal
+    bounds of ``cvc_set`` at each alpha; a candidate left undecided at
+    any alpha is drawn, and keeps its bound and label at the alphas where
+    it was decided.  Candidate r's drawn value is the quantile of
+    max_s (X_r - X_s) / sd(diff_rs) over its positive comparisons s,
+    X_j = sqrt(sigma_jj) Y_j.  No variance floor applies to that: a
+    comparison can clear its own floor while both of its coordinates sit
+    below the floor of sigma, and it still needs its law.
+
+    Every drawn value is read from one linear map of Y: the band's
+    coordinates and each comparison (X_r - X_s) / sd are its columns,
+    the comparisons grouped by candidate, and one ``max_quantiles`` call
+    on the stream ``(seed, "critical-values")`` reads all of them at
+    every alpha.  The draws depend only on ``cov``, ``seed`` and
+    ``draws``, so a value is the same, up to rounding in the product,
+    whichever other values are drawn with it.  Nothing is drawn when no
+    column is needed.
+    """
+    alphas = tuple(float(a) for a in alphas)
+    if not alphas:
+        raise DomainError("need at least one alpha")
+    for alpha in alphas:
+        _check_alpha(alpha)
+    p = risks.p
+    diag = np.clip(np.asarray(cov.lambda_diag, dtype=np.float64), 0.0, None)
+    if diag.shape[0] != p:
+        raise DomainError("risk vector and covariance diagonal disagree on p")
+    band = _band_coordinates(diag) if bands else np.empty(0, dtype=np.intp)
+    band_z = np.zeros(len(alphas)) if bands else None
+    z_alpha = decided = None
+    drawn = np.empty(0, dtype=np.intp)
+    if sets:
+        z_alpha = np.full((len(alphas), p), np.nan)
+        decided = np.full((len(alphas), p), "none", dtype=object)
+        positive, sd, _, rows, max_stat = _screen(risks, cov)
+        k = positive[rows].sum(axis=1)
+        for i, alpha in enumerate(alphas):
+            lo, hi = ndtri(1.0 - alpha), ndtri(1.0 - alpha / k)
+            low, high = max_stat[rows] <= lo, max_stat[rows] > hi
+            z_alpha[i, rows] = np.where(low, lo, hi)
+            decided[i, rows] = np.where(low, "low", np.where(high, "high", "drawn"))
+        drawn = np.flatnonzero((decided == "drawn").any(axis=0))
+    rank = 0
+    if band.size or drawn.size:
+        corr, kept, _ = standardized_correlation(cov, floor=0.0)
+        select = np.zeros((kept.size, band.size))
+        select[np.searchsorted(kept, band), np.arange(band.size)] = 1.0
+        linear, starts = select, None
+        if drawn.size:
+            W, counts = _comparison_columns(cov, kept, positive, sd, drawn)
+            linear, starts = np.hstack([select, W]), band.size + np.cumsum(counts) - counts
+        nb = band.size
+
+        def statistic(Y):
+            parts = [np.abs(Y[:, :nb]).max(axis=1, keepdims=True)] if nb else []
+            if starts is not None:
+                parts.append(np.maximum.reduceat(Y, starts, axis=1))
+            return np.hstack(parts)
+
+        rng = derive_substream(seed, "critical-values")
+        q, rank = max_quantiles(
+            corr, statistic, alphas, draws, rng, linear=linear, return_rank=True
+        )
+        if nb:
+            band_z = q[:, 0]
+        if drawn.size:
+            here = decided[:, drawn] == "drawn"
+            z_alpha[:, drawn] = np.where(here, q[:, 1 if nb else 0 :], z_alpha[:, drawn])
+    return CriticalValues(
+        alphas=alphas,
+        band_z=band_z,
+        z_alpha=z_alpha,
+        decided=None if decided is None else tuple(tuple(row) for row in decided),
+        draws=draws,
+        rank=int(rank),
+        seed=seed,
+    )
 
 
 def check_coverage(obj, target) -> bool:

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cvconf import cli_harness
+from cvconf import cli_harness, inference
 from cvconf.cli_harness import (
     BASE_COLUMNS,
     ConfigError,
@@ -134,6 +134,16 @@ def test_load_config_validates_values(tmp_path):
         sec = _band_sections(tmp_path / "o", **patch)
         with pytest.raises(DomainError):
             load_config(_write_config(tmp_path / "c.ini", sec))
+
+
+def test_load_config_rejects_duplicate_alphas(tmp_path):
+    # a repeated alpha would pool its rows into one aggregate with twice the reps
+    sec = _cvc_sections(tmp_path / "o")
+    sec["run"]["alphas"] = "0.1, 0.1"
+    with pytest.raises(ConfigError, match="distinct"):
+        load_config(_write_config(tmp_path / "c.ini", sec))
+    with pytest.raises(ConfigError, match="distinct"):
+        ExperimentConfig(kind="cvc_size", alphas=(0.05, 0.1, 0.05)).validate()
 
 
 def test_load_config_rejects_draws_below_sampler_floor(tmp_path):
@@ -286,12 +296,12 @@ class _Crash(BaseException):
 
 
 def _crash_at(monkeypatch, n, rep, seed=11):
-    # the band of replication `rep` at `n` is the one drawn with its quantile seed
+    # the band of replication `rep` at `n` is the one read from its quantile seed's draw
     real = cli_harness.simultaneous_band
     doomed = stable_subseed(seed, "band_coverage-quantile", n, rep)
 
     def band(*args, **kwargs):
-        if kwargs["seed"] == doomed:
+        if kwargs["critical"].seed == doomed:
             raise _Crash(f"injected crash at n={n}, rep={rep}")
         return real(*args, **kwargs)
 
@@ -473,6 +483,28 @@ def test_cvc_size_manifest_sizes(tmp_path):
     assert agg["coverage_naive"] == pytest.approx(
         np.mean([int(r["covered_naive"]) for r in rows])
     )
+
+
+@pytest.mark.parametrize("kind", ["cvc_size", "band_coverage"])
+def test_one_sampler_call_per_replication(tmp_path, monkeypatch, kind):
+    calls = []
+    real = inference.max_quantiles
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args[2], out[1] if kwargs.get("return_rank") else None))
+        return out
+
+    monkeypatch.setattr(inference, "max_quantiles", counted)
+    sec = _cvc_sections(tmp_path / "o") if kind == "cvc_size" else _band_sections(tmp_path / "o")
+    sec["run"]["alphas"] = "0.1, 0.5"
+    cfg = load_config(_write_config(tmp_path / "c.ini", sec))
+    worker = cli_harness._REP_WORKERS[kind]
+    for rep in range(3):
+        rows = worker(cfg, cfg.n_list[0], rep)
+        assert [r["alpha"] for r in rows] == [repr(0.1), repr(0.5)]
+        assert len(calls) == rep + 1
+    assert all(alphas == (0.1, 0.5) and rank >= 1 for alphas, rank in calls)
 
 
 def test_cvc_size_deterministic_across_threads(tmp_path, monkeypatch):
@@ -681,6 +713,27 @@ def test_main_band_and_cvc_one_shots(tmp_path):
     sets = json.loads((tmp_path / "o" / "cvc.json").read_text())["sets"]
     assert sets[0]["set"]["method"] == "cvc"
     assert len(sets[0]["set"]["members"]) >= 1
+
+
+def test_one_shots_record_the_factor_rank(tmp_path, monkeypatch):
+    ranks = []
+    real = inference.max_quantiles
+
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        ranks.append(out[1])
+        return out
+
+    monkeypatch.setattr(inference, "max_quantiles", recorded)
+    p = _write_config(tmp_path / "c.ini", _band_sections(tmp_path / "o", alphas="0.2, 0.05"))
+    assert main(["band", "--config", str(p)]) == 0
+    blob = json.loads((tmp_path / "o" / "band.json").read_text())
+    assert ranks == [blob["rank"]] and 1 <= blob["rank"] <= len(blob["labels"])
+    assert [e["alpha"] for e in blob["bands"]] == [0.2, 0.05]
+    assert main(["cvc", "--config", str(p)]) == 0
+    blob = json.loads((tmp_path / "o" / "cvc.json").read_text())
+    drawn = any("drawn" in e["set"]["decided"] for e in blob["sets"])
+    assert blob["rank"] == (ranks[1] if drawn else 0) and len(ranks) == 1 + drawn
 
 
 def test_main_coverage_subcommand_with_overrides(tmp_path):

@@ -159,3 +159,50 @@ def test_quantiles_one_per_statistic_column():
     assert both.shape == (2,)
     assert both[0] == _z(corr, 0.1, 3000, "max", seed=14)
     assert both[1] == _z(corr, 0.1, 3000, "abs_max", seed=14)
+
+
+def _collinear_corr():
+    # coordinates 0..3 random, 4 duplicates 0, 5 is a unit combination of 1 and 2
+    rng = np.random.default_rng(15)
+    X = rng.normal(size=(200, 4))
+    X = np.column_stack([X, X[:, 0], X[:, 1] + X[:, 2]])
+    return np.corrcoef(X, rowvar=False)
+
+
+def test_factor_has_the_numerical_rank_and_reproduces_corr():
+    corr = _collinear_corr()
+    F = gaussian_mc._factor(corr)
+    assert F.shape == (4, 6)
+    np.testing.assert_allclose(F.T @ F, corr, rtol=0, atol=1e-12)
+
+
+def test_call_draws_exactly_draws_times_rank_normals():
+    corr, draws = _collinear_corr(), 3000
+    rng = derive_substream(16, "test-quantile")
+    _, rank = max_quantiles(corr, _abs_max, 0.1, draws, rng, return_rank=True)
+    assert rank == 4
+    fresh = derive_substream(16, "test-quantile")
+    fresh.standard_normal(draws * rank)
+    assert rng.standard_normal() == fresh.standard_normal()
+
+
+def test_multi_alpha_call_equals_single_alpha_calls_bitwise():
+    corr = _collinear_corr()
+
+    def stat(Y):
+        return np.column_stack([_max(Y), _abs_max(Y)])
+
+    alphas = (0.05, 0.2, 0.5, 0.2)
+    both = max_quantiles(corr, stat, alphas, 4000, derive_substream(17, "test-quantile"))
+    assert both.shape == (4, 2)
+    for row, alpha in zip(both, alphas):
+        one = max_quantiles(corr, stat, alpha, 4000, derive_substream(17, "test-quantile"))
+        np.testing.assert_array_equal(row, one)
+
+
+def test_linear_map_is_applied_to_the_draws():
+    # Y @ A with A = [e_0 - e_1, e_2]: the first column has variance 2 - 2 rho
+    corr = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+    got = max_quantiles(corr, lambda Y: Y, 0.05, 40_000, derive_substream(18, "q"), linear=A)
+    np.testing.assert_allclose(got, [ndtri(0.95), ndtri(0.95)], atol=0.05)

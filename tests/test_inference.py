@@ -22,9 +22,10 @@ from cvconf.simgen import derive_substream
 from cvconf.inference import (
     BandSet,
     ModelConfidenceSet,
+    _comparison_columns,
     _comparisons,
-    _pairwise_quantiles,
     check_coverage,
+    critical_values,
     cvc_set,
     naive_set,
     pointwise_band,
@@ -301,10 +302,21 @@ def test_cvc_pairwise_critical_values_identity_sigma():
     out = cvc_set(lm, alpha, seed=3, draws=200_000)
     assert out.decided == ("low", "low", "low")
     np.testing.assert_array_equal(out.z_alpha, ndtri(1.0 - alpha))
-    cov = aggregate_covariance(lm)
-    positive, sd = _comparisons(cov)
-    drawn = _pairwise_quantiles(cov, positive, sd, np.arange(3), alpha, 200_000, 3)
+    drawn = _draw_candidates(aggregate_covariance(lm), np.arange(3), alpha, 200_000, 3)
     np.testing.assert_allclose(drawn, want, atol=0.02)
+
+
+def _draw_candidates(cov, rows, alpha, draws, seed):
+    """The drawn critical values of candidates ``rows``, drawing all of them
+    on the stream and factor that ``critical_values`` uses."""
+    corr, kept, _ = standardized_correlation(cov, floor=0.0)
+    positive, sd = _comparisons(cov)
+    W, counts = _comparison_columns(cov, kept, positive, sd, rows)
+    starts = np.cumsum(counts) - counts
+    rng = derive_substream(seed, "critical-values")
+    return max_quantiles(
+        corr, lambda Y: np.maximum.reduceat(Y, starts, axis=1), alpha, draws, rng, linear=W
+    )
 
 
 def _spread_loss(seed, n=200):
@@ -323,16 +335,15 @@ def test_cvc_drawn_candidates_match_drawing_every_candidate():
     lm = _spread_loss(4)
     out = cvc_set(lm, alpha=0.1, seed=4, draws=4000)
     assert set(out.decided) == {"low", "drawn", "high"}
-    cov = aggregate_covariance(lm)
-    positive, sd = _comparisons(cov)
-    every = _pairwise_quantiles(cov, positive, sd, np.arange(lm.p), 0.1, 4000, 4)
+    every = _draw_candidates(aggregate_covariance(lm), np.arange(lm.p), 0.1, 4000, 4)
     drawn = np.array([d == "drawn" for d in out.decided])
     np.testing.assert_allclose(out.z_alpha[drawn], every[drawn], rtol=0, atol=1e-12)
 
 
-def _elementwise_pairwise_quantiles(cov, positive, sd, rows, alpha, draws, seed):
+def _elementwise_pairwise_quantiles(cov, rows, alpha, draws, seed):
     """Reference: the statistic built elementwise as (X_r - X_s) * weight + mask."""
     corr, kept, _ = standardized_correlation(cov, floor=0.0)
+    positive, sd = _comparisons(cov)
     p = cov.sigma.shape[0]
     scale = np.sqrt(cov.lambda_diag[kept])
     weight = 1.0 / sd[rows]
@@ -344,8 +355,8 @@ def _elementwise_pairwise_quantiles(cov, positive, sd, rows, alpha, draws, seed)
         D = X[:, rows, None] - X[:, None, :]
         return (D * weight + mask).max(axis=2)
 
-    rng = derive_substream(seed, "cvc")
-    return max_quantiles(corr, statistic, alpha, draws, rng, width=rows.size * p)
+    rng = derive_substream(seed, "critical-values")
+    return max_quantiles(corr, statistic, alpha, draws, rng)
 
 
 def _lopsided_cov():
@@ -364,8 +375,8 @@ def _lopsided_cov():
 def test_pairwise_product_matches_elementwise_statistic():
     cov, positive, sd = _lopsided_cov()
     for rows in (np.arange(6), np.array([0, 4, 5]), np.array([2])):
-        got = _pairwise_quantiles(cov, positive, sd, rows, 0.1, 3000, 7)
-        want = _elementwise_pairwise_quantiles(cov, positive, sd, rows, 0.1, 3000, 7)
+        got = _draw_candidates(cov, rows, 0.1, 3000, 7)
+        want = _elementwise_pairwise_quantiles(cov, rows, 0.1, 3000, 7)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -375,7 +386,7 @@ def test_pairwise_quantiles_do_not_depend_on_block_size(monkeypatch):
     out = []
     for elems in (64, 10**7):
         monkeypatch.setattr(gaussian_mc, "BLOCK_ELEMS", elems)
-        out.append(_pairwise_quantiles(cov, positive, sd, rows, 0.1, 3000, 7))
+        out.append(_draw_candidates(cov, rows, 0.1, 3000, 7))
     np.testing.assert_array_equal(out[0], out[1])
 
 
@@ -416,6 +427,68 @@ def test_cvc_two_candidates_are_decided_exactly(monkeypatch):
         assert set(out.decided) <= {"low", "high"}
         np.testing.assert_array_equal(out.z_alpha, ndtri(0.8))
         assert out.members == tuple(np.flatnonzero(out.max_stat <= ndtri(0.8)))
+
+
+def test_shared_call_matches_standalone_band_and_set():
+    # one draw for the band and the set at two alphas, against each alone
+    lm = _spread_loss(4)
+    risks, cov = cv_risk(lm), aggregate_covariance(lm)
+    alphas = (0.1, 0.3)
+    shared = critical_values(risks, cov, alphas, seed=4, draws=4000)
+    assert shared.rank == lm.p and shared.draws == 4000
+    drawn_any = False
+    for i, alpha in enumerate(alphas):
+        band = simultaneous_band(risks, cov, alpha, seed=4, draws=4000)
+        assert shared.band_z[i] == pytest.approx(band.z_used, rel=0, abs=1e-12)
+        alone = cvc_set(lm, alpha, seed=4, draws=4000)
+        via = cvc_set(lm, alpha, critical=shared)
+        drawn = np.array([d == "drawn" for d in alone.decided])
+        drawn_any |= drawn.any()
+        np.testing.assert_allclose(via.z_alpha[drawn], alone.z_alpha[drawn], rtol=0, atol=1e-12)
+        assert via.decided == alone.decided == shared.decided[i]
+        assert via.members == alone.members and via.seed == 4
+        shared_band = simultaneous_band(risks, cov, alpha, critical=shared)
+        assert shared_band.z_used == shared.band_z[i]
+    assert drawn_any
+
+
+def test_shared_call_keeps_bounds_where_a_candidate_is_decided():
+    # a candidate drawn at one alpha keeps its bound and label at another
+    lm = _spread_loss(4)
+    shared = critical_values(cv_risk(lm), aggregate_covariance(lm), (0.1, 0.5), seed=4, draws=2000)
+    mixed = [r for r in range(lm.p) if len({shared.decided[0][r], shared.decided[1][r]}) == 2]
+    assert mixed
+    for i, alpha in enumerate((0.1, 0.5)):
+        one = cvc_set(lm, alpha, seed=4, draws=2000)
+        for r in mixed:
+            assert shared.decided[i][r] == one.decided[r]
+            if one.decided[r] != "drawn":
+                assert shared.z_alpha[i, r] == one.z_alpha[r]
+
+
+def test_shared_call_parts_must_be_asked_for():
+    lm = _spread_loss(4)
+    risks, cov = cv_risk(lm), aggregate_covariance(lm)
+    band_only = critical_values(risks, cov, (0.1,), seed=1, draws=2000, sets=False)
+    assert band_only.z_alpha is None and band_only.decided is None
+    with pytest.raises(DomainError, match="z_alpha"):
+        cvc_set(lm, 0.1, critical=band_only)
+    with pytest.raises(DomainError, match="alpha 0.2"):
+        simultaneous_band(risks, cov, 0.2, critical=band_only)
+    set_only = critical_values(risks, cov, (0.1,), seed=1, draws=2000, bands=False)
+    with pytest.raises(DomainError, match="band_z"):
+        simultaneous_band(risks, cov, 0.1, critical=set_only)
+    with pytest.raises(DomainError):
+        critical_values(risks, cov, (), seed=1)
+
+
+def test_shared_call_draws_nothing_when_no_column_is_needed(monkeypatch):
+    monkeypatch.setattr(inference, "max_quantiles", _raising_sampler)
+    risks = _risk([0.2, 0.8])
+    out = critical_values(risks, _cov([0.0, 0.0]), (0.1, 0.2), seed=3)
+    assert out.rank == 0
+    np.testing.assert_array_equal(out.band_z, [0.0, 0.0])
+    assert out.decided == (("none", "none"), ("none", "none"))
 
 
 def test_cvc_labels_injected_and_degenerate_candidates():
