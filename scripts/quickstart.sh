@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # One-shot demonstration on a single generated dataset: export the data,
-# then compute a simultaneous band and both confidence sets as JSON.
+# then compute the simultaneous band and the difference-screened set on
+# that same dataset as JSON.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"

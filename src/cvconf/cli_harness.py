@@ -370,8 +370,13 @@ def _generate(cfg: ExperimentConfig, n: int, seed: int, *, d: int | None = None)
     raise DomainError(f"generator family {cfg.family!r} cannot produce datasets here")
 
 
+def _rep_seed(cfg: ExperimentConfig, n: int, rep: int) -> int:
+    """The data seed of replication ``rep`` at ``n``."""
+    return stable_subseed(cfg.seed, cfg.kind, n, rep)
+
+
 def _rep_problem(cfg: ExperimentConfig, n: int, rep: int):
-    data_seed = stable_subseed(cfg.seed, cfg.kind, n, rep)
+    data_seed = _rep_seed(cfg, n, rep)
     q_seed = stable_subseed(cfg.seed, cfg.kind + "-quantile", n, rep)
     ds, truth = _generate(cfg, n, data_seed)
     plan = make_folds(n, cfg.V)
@@ -659,7 +664,7 @@ def _run_replicated(cfg: ExperimentConfig, kind: str) -> dict:
                         fails.append(
                             {
                                 "rep": rep,
-                                "seed": stable_subseed(cfg.seed, kind, n, rep),
+                                "seed": _rep_seed(cfg, n, rep),
                                 "error": f"{type(exc).__name__}: {exc}",
                             }
                         )
@@ -792,13 +797,20 @@ def run_phi(cfg: ExperimentConfig) -> dict:
 # -------------------------------------------------------- one-shot commands
 
 
+def _one_shot_dataset(cfg: ExperimentConfig, n: int) -> Dataset:
+    """The dataset every one-shot command (``gen``, ``band``, ``cvc``) of
+    one config sees at ``n``."""
+    ds, _ = _generate(cfg, n, stable_subseed(cfg.seed, "gen", n))
+    return ds
+
+
 def _one_shot(cfg: ExperimentConfig, command: str) -> Path:
     """``band`` or ``cvc``: simultaneous bands or CVC sets, one per alpha,
     on one generated dataset, written to ``<command>.json``."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     n = cfg.n_list[0]
-    ds, _ = _generate(cfg, n, stable_subseed(cfg.seed, command, n))
+    ds = _one_shot_dataset(cfg, n)
     plan = make_folds(n, cfg.V)
     specs, labels = _build_bank(cfg, ds)
     lm = loss_matrix(ds, fit_all_folds(ds, specs, plan), plan, "squared")
@@ -839,9 +851,8 @@ def _one_shot_gen(cfg: ExperimentConfig) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for n in cfg.n_list:
-        ds, _ = _generate(cfg, n, stable_subseed(cfg.seed, "gen", n))
         path = out / f"dataset_n{n}.csv"
-        save_dataset_csv(ds, path)
+        save_dataset_csv(_one_shot_dataset(cfg, n), path)
         paths.append(path)
     return paths
 
@@ -850,11 +861,11 @@ def _one_shot_gen(cfg: ExperimentConfig) -> list[Path]:
 
 
 _CAMPAIGNS = {
-    "coverage": ("band_coverage", run_band_coverage),
-    "fwd": ("fwd_pointwise", run_fwd_pointwise),
-    "cvc-size": ("cvc_size", run_cvc_size),
-    "stability": ("stability", run_stability),
-    "phi": ("phi", run_phi),
+    "coverage": run_band_coverage,
+    "fwd": run_fwd_pointwise,
+    "cvc-size": run_cvc_size,
+    "stability": run_stability,
+    "phi": run_phi,
 }
 
 
@@ -877,13 +888,7 @@ def main(argv=None) -> int:
         args.config, seed=args.seed, out=args.out, reps=args.reps, threads=args.threads
     )
     if args.command in _CAMPAIGNS:
-        kind, runner = _CAMPAIGNS[args.command]
-        if cfg.kind != kind:
-            raise DomainError(
-                f"subcommand {args.command!r} runs kind {kind!r} but the config says "
-                f"{cfg.kind!r}"
-            )
-        runner(cfg)
+        _CAMPAIGNS[args.command](cfg)
     elif args.command in ("band", "cvc"):
         _one_shot(cfg, args.command)
     else:

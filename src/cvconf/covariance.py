@@ -31,7 +31,6 @@ class CovEstimate:
 
     sigma: np.ndarray
     lambda_diag: np.ndarray
-    divisor: str = "fold size minus one"
 
 
 def fold_covariance(lm: LossMatrix, v: int) -> np.ndarray:

@@ -149,9 +149,6 @@ class FoldPlan:
     fold_of: np.ndarray
     index_sets: tuple[np.ndarray, ...]
 
-    def fold_sizes(self) -> tuple[int, ...]:
-        return tuple(len(ix) for ix in self.index_sets)
-
     def train_indices(self, v: int) -> np.ndarray:
         """Ascending indices of all rows outside fold v."""
         if not 0 <= v < self.V:

@@ -8,14 +8,15 @@ hold-out point, recompute the full cross-validated risk vector, and
 aggregate the outer products of the changes.  Two variants share that
 shape:
 
-* pair: always replace the same sample, using the hold-out points two at
-  a time, and accumulate outer products of the paired differences with
-  weight n^2 / m;
+* pair: always replace row 0, using the hold-out points two at a time,
+  and accumulate outer products of the paired differences with weight
+  n^2 / m;
 * perturb: replace a different (round-robin) sample per hold-out point
   and accumulate outer products of changes from the unperturbed risks
   with weight n^2 / (2 m).
 
-Both are exactly symmetric PSD by construction and scale as averages in
+Both fit the bank once on the original data and share one accumulator.
+They are exactly symmetric PSD by construction and scale as averages in
 the number of hold-out points used.
 """
 
@@ -136,13 +137,12 @@ def default_perturb_schedule(n: int, m: int) -> tuple[int, ...]:
     return tuple(j % n for j in range(m))
 
 
-def _prepare(
-    dataset: Dataset,
-    specs: Sequence[LearnerSpec],
-    plan: FoldPlan,
-    holdout: HoldoutSet,
-    cached: FoldFits | None,
-):
+_PAIR_ROW = 0  # the dataset row the pair variant replaces
+
+
+def _base_fits(
+    dataset: Dataset, specs: Sequence[LearnerSpec], plan: FoldPlan, holdout: HoldoutSet
+) -> tuple[tuple[LearnerSpec, ...], FoldFits]:
     specs = tuple(specs)
     if not specs:
         raise DomainError("need at least one learner")
@@ -150,9 +150,24 @@ def _prepare(
         raise DomainError(
             f"hold-out has {holdout.d} features but the dataset has {dataset.features.shape[1]}"
         )
-    if cached is None:
-        cached = fit_all_folds(dataset, specs, plan)
-    return specs, cached
+    return specs, fit_all_folds(dataset, specs, plan)
+
+
+def _estimate(variant, indices, specs, holdout, scale, pairs) -> PhiEstimate:
+    """Sum the outer products of a - b over the risk-vector pairs (a, b),
+    multiply by ``scale`` and symmetrize."""
+    phi = np.zeros((len(specs), len(specs)))
+    for a, b in pairs:
+        delta = a.values - b.values
+        phi += np.outer(delta, delta)
+    phi *= scale
+    return PhiEstimate(
+        phi=(phi + phi.T) / 2,
+        m=holdout.m,
+        variant=variant,
+        indices=indices,
+        model_labels=tuple(spec.label() for spec in specs),
+    )
 
 
 def phi_pair(
@@ -162,39 +177,23 @@ def phi_pair(
     holdout: HoldoutSet,
     *,
     losses="squared",
-    replace_index: int = 0,
-    cached: FoldFits | None = None,
 ) -> PhiEstimate:
     """Paired-difference variance estimate.
 
     For each consecutive hold-out pair (2j, 2j+1), recompute the risk
-    vector with row ``replace_index`` swapped for each point and add the
-    outer product of the difference; the total is scaled by n^2 / m.
+    vector with row 0 swapped for each point and add
+    the outer product of the difference; the total is scaled by n^2 / m.
     """
     if holdout.m % 2 != 0 or holdout.m < 2:
         raise ParityError(f"pair variant needs even m >= 2, got {holdout.m}")
-    if not 0 <= replace_index < dataset.features.shape[0]:
-        raise DomainError(f"replace_index {replace_index} outside the dataset")
-    specs, cached = _prepare(dataset, specs, plan, holdout, cached)
+    specs, fits = _base_fits(dataset, specs, plan, holdout)
     n = dataset.features.shape[0]
-    p = len(specs)
-    phi = np.zeros((p, p))
-    labels = None
-    for j in range(holdout.m // 2):
-        ra = replace_one_cv_risk(
-            dataset, specs, plan, replace_index, holdout.row(2 * j), cached, losses
-        )
-        rb = replace_one_cv_risk(
-            dataset, specs, plan, replace_index, holdout.row(2 * j + 1), cached, losses
-        )
-        delta = ra.values - rb.values
-        phi += np.outer(delta, delta)
-        labels = ra.model_labels
-    phi *= n**2 / holdout.m
-    phi = (phi + phi.T) / 2
-    return PhiEstimate(
-        phi=phi, m=holdout.m, variant="pair", indices=(replace_index,), model_labels=labels
-    )
+
+    def swapped(j):
+        return replace_one_cv_risk(dataset, specs, plan, _PAIR_ROW, holdout.row(j), fits, losses)
+
+    pairs = ((swapped(2 * j), swapped(2 * j + 1)) for j in range(holdout.m // 2))
+    return _estimate("pair", (_PAIR_ROW,), specs, holdout, n**2 / holdout.m, pairs)
 
 
 def phi_perturb(
@@ -205,7 +204,6 @@ def phi_perturb(
     *,
     schedule: Sequence[int] | None = None,
     losses="squared",
-    cached: FoldFits | None = None,
 ) -> PhiEstimate:
     """Multi-index variant: perturb a different row per hold-out point.
 
@@ -214,7 +212,7 @@ def phi_perturb(
     """
     if holdout.m < 1:
         raise DomainError("perturb variant needs m >= 1")
-    specs, cached = _prepare(dataset, specs, plan, holdout, cached)
+    specs, fits = _base_fits(dataset, specs, plan, holdout)
     n = dataset.features.shape[0]
     if schedule is None:
         schedule = default_perturb_schedule(n, holdout.m)
@@ -223,18 +221,12 @@ def phi_perturb(
         raise DomainError(f"schedule length {len(schedule)} != m = {holdout.m}")
     if any(not 0 <= i < n for i in schedule):
         raise DomainError("schedule indices must lie in [0, n)")
-    base = cv_risk(loss_matrix(dataset, cached, plan, losses))
-    p = len(specs)
-    phi = np.zeros((p, p))
-    for j, i in enumerate(schedule):
-        rj = replace_one_cv_risk(dataset, specs, plan, i, holdout.row(j), cached, losses)
-        delta = base.values - rj.values
-        phi += np.outer(delta, delta)
-    phi *= n**2 / (2 * holdout.m)
-    phi = (phi + phi.T) / 2
-    return PhiEstimate(
-        phi=phi, m=holdout.m, variant="perturb", indices=schedule, model_labels=base.model_labels
+    base = cv_risk(loss_matrix(dataset, fits, plan, losses))
+    pairs = (
+        (base, replace_one_cv_risk(dataset, specs, plan, i, holdout.row(j), fits, losses))
+        for j, i in enumerate(schedule)
     )
+    return _estimate("perturb", schedule, specs, holdout, n**2 / (2 * holdout.m), pairs)
 
 
 def write_phi_csv(est: PhiEstimate, path, *, n: int, seed: int | None = None) -> Path:

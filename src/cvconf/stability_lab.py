@@ -10,6 +10,13 @@ whose step-ratio precondition we enforce rather than assume; everything
 else is Monte Carlo: run trials over an n-grid, take a max or quantile
 per n, and fit a log-log slope.
 
+Every probe measures one replacement difference: with m distinct rows
+replaced, the subsets S of the replacements, in the order (), (0,),
+(1,), (0, 1), give 2^m datasets, and the probe takes the alternating sum
+over S of (-1)^|S| times the final iterate (then its norm) or the loss
+difference (then its absolute value).  The SGD campaigns run the ridge
+objective.
+
 Trials are driven by derived substreams keyed by (purpose, n, trial), so
 any subset of a campaign can be replayed in isolation and the trial
 order never matters.  The SGD campaigns draw every trial of an n first
@@ -92,28 +99,30 @@ def _check_rows_in_ball(Z: np.ndarray, y: np.ndarray, radius: float) -> None:
         )
 
 
-def _one_trial(features, response, *rows):
-    """A single (n, d) dataset and its replacement rows (z, y), stacked as
-    one trial: Z (1, n, d), y (1, n), z_new (1, m, d), y_new (1, m)."""
-    Z = np.asarray(features, dtype=np.float64)
-    y = np.asarray(response, dtype=np.float64)
-    if Z.ndim != 2 or y.ndim != 1 or Z.shape[0] != y.shape[0]:
-        raise DomainError("features must be (n, d) with a matching response")
-    z_new = [np.asarray(z, dtype=np.float64) for z, _ in rows]
-    if any(z.shape != (Z.shape[1],) for z in z_new):
-        raise DomainError("replacement feature row has the wrong dimension")
-    return Z[None], y[None], np.array([z_new]), np.array([[float(v) for _, v in rows]])
+def _subsets(m: int) -> list[tuple[int, ...]]:
+    """The subsets of m replacements in binary counting order: (), (0,),
+    (1,), (0, 1), ...; those of m - 1 come first."""
+    return [tuple(b for b in range(m) if k >> b & 1) for k in range(2**m)]
 
 
-def _trial_paths(Z, y, config: SgdConfig, idx, z_new, y_new, pattern) -> np.ndarray:
-    """Final SGD iterates of every trial under each replacement pattern.
+def _alternating_sum(terms, subsets):
+    """sum over S of (-1)^|S| terms[S], added left to right."""
+    total = terms[0]
+    for term, subset in zip(terms[1:], subsets[1:]):
+        total = total - term if len(subset) % 2 else total + term
+    return total
+
+
+def _replacement_diffs(Z, y, config: SgdConfig, idx, z_new, y_new) -> np.ndarray:
+    """||sum over S of (-1)^|S| theta^S|| for each stacked trial.
 
     ``Z`` (T, n, d) and ``y`` (T, n) stack T trials; trial t replaces its
-    rows ``idx[t]`` by the rows ``z_new[t]`` (m, d) and ``y_new[t]`` (m,).
-    ``pattern`` lists, per trajectory of a trial, which of those m
-    replacements it applies.  Every trial is checked as a lone call would
-    be, then one kernel call steps all T * len(pattern) trajectories.
-    Returns the iterates as (T, len(pattern), d).
+    distinct rows ``idx[t]`` (m of them) by the rows ``z_new[t]`` (m, d)
+    and ``y_new[t]`` (m,).  theta^S is the final SGD iterate with the
+    replacements in S applied, S running over ``_subsets(m)``: m = 1 gives
+    ||theta - theta^i|| and m = 2 ||theta - theta^i - theta^j + theta^ij||.
+    Every trial is checked as a lone call would be, then one kernel call
+    steps all T * 2^m trajectories.
     """
     T, n, d = Z.shape
     check_sgd_precondition(config, n)
@@ -121,27 +130,33 @@ def _trial_paths(Z, y, config: SgdConfig, idx, z_new, y_new, pattern) -> np.ndar
     _check_rows_in_ball(z_new, y_new, config.radius_x)
     if np.any(idx < 0) or np.any(idx >= n):
         raise DomainError(f"indices {idx[(idx < 0) | (idx >= n)].tolist()} outside [0, {n})")
+    ordered = np.sort(idx, axis=1)
+    if np.any(ordered[:, 1:] == ordered[:, :-1]):
+        raise DomainError("the replaced indices of a trial must be distinct")
+    subsets = _subsets(idx.shape[1])
     replace = [
-        {int(idx[t, m]): (z_new[t, m], y_new[t, m]) for m in used}
+        {int(idx[t, b]): (z_new[t, b], y_new[t, b]) for b in subset}
         for t in range(T)
-        for used in pattern
+        for subset in subsets
     ]
-    trial = np.repeat(np.arange(T), len(pattern))
-    return sgd_trajectories(Z, y, config, trial, replace).reshape(T, len(pattern), d)
+    trial = np.repeat(np.arange(T), len(subsets))
+    theta = sgd_trajectories(Z, y, config, trial, replace).reshape(T, len(subsets), d)
+    return row_norms(_alternating_sum([theta[:, k] for k in range(len(subsets))], subsets))
 
 
-def _first_diffs(Z, y, config: SgdConfig, idx, z_new, y_new) -> np.ndarray:
-    """||theta - theta^i|| for each stacked trial (see ``_trial_paths``)."""
-    theta = _trial_paths(Z, y, config, idx, z_new, y_new, ((), (0,)))
-    return row_norms(theta[:, 0] - theta[:, 1])
-
-
-def _second_diffs(Z, y, config: SgdConfig, idx, z_new, y_new) -> np.ndarray:
-    """||theta - theta^i - theta^j + theta^ij|| for each stacked trial."""
-    if np.any(idx[:, 0] == idx[:, 1]):
-        raise DomainError("second difference needs two distinct indices")
-    theta = _trial_paths(Z, y, config, idx, z_new, y_new, ((), (0,), (1,), (0, 1)))
-    return row_norms(theta[:, 0] - theta[:, 1] - theta[:, 2] + theta[:, 3])
+def _one_trial_diff(features, response, config: SgdConfig, *replacements) -> float:
+    """``_replacement_diffs`` of a single (n, d) dataset; each replacement
+    is (row index, z, y)."""
+    Z = np.asarray(features, dtype=np.float64)
+    y = np.asarray(response, dtype=np.float64)
+    if Z.ndim != 2 or y.ndim != 1 or Z.shape[0] != y.shape[0]:
+        raise DomainError("features must be (n, d) with a matching response")
+    z_new = [np.asarray(z, dtype=np.float64) for _, z, _ in replacements]
+    if any(z.shape != (Z.shape[1],) for z in z_new):
+        raise DomainError("replacement feature row has the wrong dimension")
+    idx = np.array([[i for i, _, _ in replacements]])
+    y_new = np.array([[float(v) for _, _, v in replacements]])
+    return float(_replacement_diffs(Z[None], y[None], config, idx, np.array([z_new]), y_new)[0])
 
 
 def param_first_diff(features, response, config: SgdConfig, i: int, z_new, y_new) -> float:
@@ -151,8 +166,7 @@ def param_first_diff(features, response, config: SgdConfig, i: int, z_new, y_new
     from a zero start, rows in index order) and returns the Euclidean
     distance between the two final iterates.
     """
-    Z, y, z_rows, y_rows = _one_trial(features, response, (z_new, y_new))
-    return float(_first_diffs(Z, y, config, np.array([[i]]), z_rows, y_rows)[0])
+    return _one_trial_diff(features, response, config, (i, z_new, y_new))
 
 
 def param_second_diff(
@@ -171,8 +185,7 @@ def param_second_diff(
     Four trajectories: original data, row i replaced, row j replaced,
     and both replaced.  Returns || theta - theta^i - theta^j + theta^ij ||.
     """
-    Z, y, z_rows, y_rows = _one_trial(features, response, (zi_new, yi_new), (zj_new, yj_new))
-    return float(_second_diffs(Z, y, config, np.array([[i, j]]), z_rows, y_rows)[0])
+    return _one_trial_diff(features, response, config, (i, zi_new, yi_new), (j, zj_new, yj_new))
 
 
 # ------------------------------------------------------------ scaling fit
@@ -189,17 +202,6 @@ def _loglog_line(grid, stats) -> tuple[float, float, float]:
     dof = len(grid) - 2
     sigma2 = float(resid @ resid) / dof if dof > 0 else 0.0
     return slope, intercept, math.sqrt(sigma2 / sxx)
-
-
-def _median_slope(report: "StabilityReport") -> None:
-    """Fit the per-n medians in place when the grid supports a line."""
-    if len(report.n_grid) < 3:
-        return
-    medians = [float(np.median(report.samples[n])) for n in report.n_grid]
-    if any(m <= 0.0 for m in medians):
-        return
-    slope, intercept, stderr = _loglog_line(report.n_grid, medians)
-    report.slope, report.intercept, report.slope_stderr = slope, intercept, stderr
 
 
 @dataclass(frozen=True)
@@ -352,25 +354,59 @@ def _draw_index(rng: np.random.Generator, n: int, a: float, mode: str) -> int:
     raise DomainError(f"index_mode must be 'uniform' or 'tail', got {mode!r}")
 
 
-def _trial_stack(trials: int, n: int, d: int, m: int):
-    """Empty per-trial arrays a campaign fills at one n: data (trials, n, d)
-    and (trials, n), replaced indices (trials, m) and replacement rows
-    (trials, m, d) and (trials, m)."""
-    return (
-        np.empty((trials, n, d)),
-        np.empty((trials, n)),
-        np.empty((trials, m), dtype=np.intp),
-        np.empty((trials, m, d)),
-        np.empty((trials, m)),
+def _sgd_campaign(
+    config: SgdConfig,
+    n_grid: Sequence[int],
+    trials: int,
+    d: int,
+    seed: int,
+    purpose: str,
+    m: int,
+    index_mode: str,
+) -> tuple[tuple[int, ...], dict[int, np.ndarray]]:
+    """The n-grid and, per n, the m-th replacement differences of
+    ``trials`` trials.
+
+    Trial t at n draws from its own substream (seed, purpose, n, t): the
+    data, then m distinct indices, then the m replacement rows.  Every
+    trial of an n is drawn first and all are measured in one
+    ``_replacement_diffs`` call.
+    """
+    n_grid = tuple(int(n) for n in n_grid)
+    if trials < 1:
+        raise DomainError("need at least one trial")
+    for n in n_grid:
+        check_sgd_precondition(config, n)
+    a = config.step_exponent
+    samples: dict[int, np.ndarray] = {}
+    for n in n_grid:
+        Z, y = np.empty((trials, n, d)), np.empty((trials, n))
+        idx = np.empty((trials, m), dtype=np.intp)
+        z_new, y_new = np.empty((trials, m, d)), np.empty((trials, m))
+        for t in range(trials):
+            rng = derive_substream(seed, purpose, n, t)
+            Z[t], y[t] = _bounded_rows(rng, n, d, config.radius_x)
+            for b in range(m):
+                i = _draw_index(rng, n, a, index_mode)
+                while i in idx[t, :b]:
+                    i = _draw_index(rng, n, a, index_mode)
+                idx[t, b] = i
+            z_new[t], y_new[t] = _bounded_rows(rng, m, d, config.radius_x)
+        samples[n] = _replacement_diffs(Z, y, config, idx, z_new, y_new)
+    return n_grid, samples
+
+
+def _report(kind: str, n_grid, samples, seed: int, extras: dict, **fields) -> StabilityReport:
+    """A validated report, with the log-log slope of its per-n medians
+    when the grid has at least 3 points and every median is positive."""
+    rep = StabilityReport(
+        kind=kind, n_grid=n_grid, samples=samples, master_seed=seed, extras=extras, **fields
     )
-
-
-def _campaign_config(objective: str, lam, step_exponent, radius_x, radius_theta) -> SgdConfig:
-    if objective == "ridge_sq":
-        return SgdConfig.for_ridge(lam, step_exponent, radius_x, radius_theta)
-    if objective == "logistic_ridge":
-        return SgdConfig.for_logistic_ridge(lam, step_exponent, radius_x, radius_theta)
-    raise DomainError(f"unknown objective {objective!r}")
+    medians = [float(np.median(samples[n])) for n in n_grid]
+    if len(n_grid) >= 3 and all(m > 0.0 for m in medians):
+        rep.slope, rep.intercept, rep.slope_stderr = _loglog_line(n_grid, medians)
+    rep.validate()
+    return rep
 
 
 def sgd_first_diff_campaign(
@@ -384,9 +420,8 @@ def sgd_first_diff_campaign(
     d: int = 4,
     seed: int = 0,
     index_mode: str = "uniform",
-    objective: str = "ridge_sq",
 ) -> StabilityReport:
-    """First-order movement trials across an n-grid.
+    """First-order movement trials of ridge SGD across an n-grid.
 
     Every trial draws fresh data, a replacement row, and an index
     (uniform, or from the tail window for slope studies), then measures
@@ -394,39 +429,15 @@ def sgd_first_diff_campaign(
     (2L / beta) n^-a.  The slope of per-n medians is fitted whenever the
     grid has at least 3 points.
     """
-    config = _campaign_config(objective, lam, step_exponent, radius_x, radius_theta)
-    n_grid = tuple(int(n) for n in n_grid)
-    if trials < 1:
-        raise DomainError("need at least one trial")
-    for n in n_grid:
-        check_sgd_precondition(config, n)
-    a = config.step_exponent
+    config = SgdConfig.for_ridge(lam, step_exponent, radius_x, radius_theta)
+    n_grid, samples = _sgd_campaign(config, n_grid, trials, d, seed, "sgd-first", 1, index_mode)
     bound_scale = 2.0 * config.lipschitz / config.smoothness
-    samples: dict[int, np.ndarray] = {}
-    bounds: dict[int, float] = {}
-    violations: dict[int, int] = {}
-    for n in n_grid:
-        Z, y, idx, z_new, y_new = _trial_stack(trials, n, d, 1)
-        for t in range(trials):
-            rng = derive_substream(seed, "sgd-first", n, t)
-            Z[t], y[t] = _bounded_rows(rng, n, d, radius_x)
-            idx[t] = _draw_index(rng, n, a, index_mode)
-            z_new[t], y_new[t] = _bounded_rows(rng, 1, d, radius_x)
-        samples[n] = vals = _first_diffs(Z, y, config, idx, z_new, y_new)
-        bounds[n] = bound_scale * n ** (-a)
-        violations[n] = int(np.sum(vals > bounds[n] * (1 + 1e-9)))
-    rep = StabilityReport(
-        kind="sgd-first-diff",
-        n_grid=n_grid,
-        samples=samples,
-        bounds=bounds,
-        violations=violations,
-        master_seed=seed,
-        extras={"index_mode": index_mode, "objective": objective, "lam": lam},
+    bounds = {n: bound_scale * n ** (-config.step_exponent) for n in n_grid}
+    violations = {n: int(np.sum(samples[n] > bounds[n] * (1 + 1e-9))) for n in n_grid}
+    extras = {"index_mode": index_mode, "objective": "ridge_sq", "lam": lam}
+    return _report(
+        "sgd-first-diff", n_grid, samples, seed, extras, bounds=bounds, violations=violations
     )
-    _median_slope(rep)
-    rep.validate()
-    return rep
 
 
 def sgd_second_diff_campaign(
@@ -439,43 +450,16 @@ def sgd_second_diff_campaign(
     radius_theta: float = 1.0,
     d: int = 4,
     seed: int = 0,
-    objective: str = "ridge_sq",
 ) -> StabilityReport:
-    """Second-order movement trials; indices drawn from the tail window.
+    """Second-order movement trials of ridge SGD; indices drawn from the
+    tail window.
 
     No deterministic bound is claimed (the guarantee is a rate up to a
     log factor), so the report carries samples and the fitted slope only.
     """
-    config = _campaign_config(objective, lam, step_exponent, radius_x, radius_theta)
-    n_grid = tuple(int(n) for n in n_grid)
-    if trials < 1:
-        raise DomainError("need at least one trial")
-    for n in n_grid:
-        check_sgd_precondition(config, n)
-    a = config.step_exponent
-    samples: dict[int, np.ndarray] = {}
-    for n in n_grid:
-        Z, y, idx, z_new, y_new = _trial_stack(trials, n, d, 2)
-        for t in range(trials):
-            rng = derive_substream(seed, "sgd-second", n, t)
-            Z[t], y[t] = _bounded_rows(rng, n, d, radius_x)
-            i = _draw_index(rng, n, a, "tail")
-            j = i
-            while j == i:
-                j = _draw_index(rng, n, a, "tail")
-            idx[t] = i, j
-            z_new[t], y_new[t] = _bounded_rows(rng, 2, d, radius_x)
-        samples[n] = _second_diffs(Z, y, config, idx, z_new, y_new)
-    rep = StabilityReport(
-        kind="sgd-second-diff",
-        n_grid=n_grid,
-        samples=samples,
-        master_seed=seed,
-        extras={"objective": objective, "lam": lam},
-    )
-    _median_slope(rep)
-    rep.validate()
-    return rep
+    config = SgdConfig.for_ridge(lam, step_exponent, radius_x, radius_theta)
+    n_grid, samples = _sgd_campaign(config, n_grid, trials, d, seed, "sgd-second", 2, "tail")
+    return _report("sgd-second-diff", n_grid, samples, seed, {"objective": "ridge_sq", "lam": lam})
 
 
 # ------------------------------------------------------------------ probe
@@ -516,6 +500,7 @@ def diff_loss_stability_probe(
     var_by_n: dict[int, float] = {}
     ratio_first: dict[int, float] = {}
     ratio_second: dict[int, float] = {}
+    subsets = _subsets(2)
     for n in n_grid:
         firsts = np.empty(trials)
         seconds = np.empty(trials)
@@ -542,19 +527,17 @@ def diff_loss_stability_probe(
                 pred_s = float(z0 @ fit_series(Zt, yt, j_s).coef)
                 return (y0 - pred_r) ** 2 - (y0 - pred_s) ** 2
 
-            Zi, yi = Z.copy(), y.copy()
-            Zi[i], yi[i] = ds.features[n + 1], ds.response[n + 1]
-            Zj, yj = Z.copy(), y.copy()
-            Zj[j], yj[j] = ds.features[n + 2], ds.response[n + 2]
-            Zij, yij = Zi.copy(), yi.copy()
-            Zij[j], yij[j] = ds.features[n + 2], ds.response[n + 2]
-            l00 = ldiff(Z, y)
-            l10 = ldiff(Zi, yi)
-            l01 = ldiff(Zj, yj)
-            l11 = ldiff(Zij, yij)
-            ldiffs[t] = l00
-            firsts[t] = abs(l00 - l10)
-            seconds[t] = abs(l00 - l10 - l01 + l11)
+            # replacement b writes data row n + 1 + b over training row (i, j)[b]
+            rows = (i, j)
+            by_subset = []
+            for subset in subsets:
+                Zs, ys = Z.copy(), y.copy()
+                for b in subset:
+                    Zs[rows[b]], ys[rows[b]] = ds.features[n + 1 + b], ds.response[n + 1 + b]
+                by_subset.append(ldiff(Zs, ys))
+            ldiffs[t] = by_subset[0]
+            firsts[t] = abs(_alternating_sum(by_subset[:2], subsets[:2]))
+            seconds[t] = abs(_alternating_sum(by_subset, subsets))
         samples[n] = firsts
         second[n] = seconds
         var = float(np.var(ldiffs, ddof=1))
@@ -562,24 +545,16 @@ def diff_loss_stability_probe(
         sd = math.sqrt(var) if var > 0 else float("nan")
         ratio_first[n] = math.sqrt(n) * float(np.median(firsts)) / sd if var > 0 else float("nan")
         ratio_second[n] = n * float(np.median(seconds)) / sd if var > 0 else float("nan")
-    rep = StabilityReport(
-        kind="loss-diff",
-        n_grid=n_grid,
-        samples=samples,
-        master_seed=seed,
-        extras={
-            "j_r": j_r,
-            "j_s": j_s,
-            "decay": decay,
-            "noise_sd": noise_sd,
-            "var_by_n": var_by_n,
-            "ratio_first": ratio_first,
-            "ratio_second": ratio_second,
-            "second_medians": {n: float(np.median(second[n])) for n in n_grid},
-            "condition": condition,
-            "flagged_out_of_regime": flagged,
-        },
-    )
-    _median_slope(rep)
-    rep.validate()
-    return rep
+    extras = {
+        "j_r": j_r,
+        "j_s": j_s,
+        "decay": decay,
+        "noise_sd": noise_sd,
+        "var_by_n": var_by_n,
+        "ratio_first": ratio_first,
+        "ratio_second": ratio_second,
+        "second_medians": {n: float(np.median(second[n])) for n in n_grid},
+        "condition": condition,
+        "flagged_out_of_regime": flagged,
+    }
+    return _report("loss-diff", n_grid, samples, seed, extras)

@@ -715,6 +715,19 @@ def test_main_band_and_cvc_one_shots(tmp_path):
     assert len(sets[0]["set"]["members"]) >= 1
 
 
+def test_one_shots_share_the_exported_dataset(tmp_path):
+    # the band's centers are the CV risks of the very rows `gen` exported
+    p = _write_config(tmp_path / "c.ini", _band_sections(tmp_path / "o"))
+    assert main(["gen", "--config", str(p)]) == 0
+    assert main(["band", "--config", str(p)]) == 0
+    ds = load_dataset_csv(tmp_path / "o" / "dataset_n80.csv")
+    specs, _ = cli_harness._build_bank(load_config(p), ds)
+    plan = make_folds(80, 5)
+    risks = cv_risk(loss_matrix(ds, fit_all_folds(ds, specs, plan), plan, "squared"))
+    band = json.loads((tmp_path / "o" / "band.json").read_text())["bands"][0]["band"]
+    np.testing.assert_array_equal(risks.values, band["center"])
+
+
 def test_one_shots_record_the_factor_rank(tmp_path, monkeypatch):
     ranks = []
     real = inference.max_quantiles

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from cvconf.cv_engine import cv_risk, fit_all_folds, loss_matrix
 from cvconf.datamodel import Dataset, DomainError, LearnerSpec, make_folds
 from cvconf.det_variance import (
     HoldoutSet,
@@ -192,6 +193,51 @@ def test_phi_sampling_variance_halves_when_m_doubles():
         )
     ratio = np.var(small) / np.var(large)
     assert 1.6 <= ratio <= 2.5
+
+
+def _oracle_phi(ds, specs, plan, hold, variant):
+    """phi from scratch: every replaced dataset refitted in full, outer
+    products accumulated entry by entry."""
+
+    def risks(data):
+        return cv_risk(loss_matrix(data, fit_all_folds(data, specs, plan), plan, "squared")).values
+
+    def swapped(i, j):
+        return risks(ds.replace_row(i, hold.features[j], float(hold.response[j])))
+
+    if variant == "pair":
+        deltas = [swapped(0, 2 * j) - swapped(0, 2 * j + 1) for j in range(hold.m // 2)]
+        scale = ds.n**2 / hold.m
+    else:
+        base = risks(ds)
+        schedule = default_perturb_schedule(ds.n, hold.m)
+        deltas = [base - swapped(i, j) for j, i in enumerate(schedule)]
+        scale = ds.n**2 / (2 * hold.m)
+    p = len(specs)
+    phi = np.zeros((p, p))
+    for delta in deltas:
+        for a in range(p):
+            for b in range(p):
+                phi[a, b] += delta[a] * delta[b]
+    return phi * scale
+
+
+@pytest.mark.parametrize("variant", ["pair", "perturb"])
+def test_phi_matches_from_scratch_refits(variant):
+    ds, _ = _instance(n=40, seed=40)
+    specs = (
+        LearnerSpec(family="ridge", lam=0.3),
+        LearnerSpec(family="lasso", lam=0.05),
+        LearnerSpec(family="lasso", lam=0.2),
+    )
+    plan = make_folds(40, 4)
+    hold = _holdout(10, seed=41)
+    estimator = phi_pair if variant == "pair" else phi_perturb
+    est = estimator(ds, specs, plan, hold)
+    want = _oracle_phi(ds, specs, plan, hold, variant)
+    np.testing.assert_allclose(est.phi, want, rtol=1e-12, atol=0)
+    assert np.all(np.abs(want) > 0.0)
+    assert est.model_labels == tuple(spec.label() for spec in specs)
 
 
 # --------------------------------------------------------------------- io

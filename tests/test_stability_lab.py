@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from cvconf.datamodel import Dataset, DomainError, LearnerSpec, make_folds
-from cvconf.learners import SgdConfig, fit_ridge, fit_sgd, sgd_trajectories
-from cvconf.simgen import derive_substream
+from cvconf.learners import SgdConfig, fit_ridge, fit_series, fit_sgd, sgd_trajectories
+from cvconf.simgen import SeriesGen, derive_substream, gen_series
 from cvconf.stability_lab import (
     _bounded_rows,
     _draw_index,
@@ -451,6 +451,50 @@ def test_probe_standardized_ratio_trends_down():
     rep = diff_loss_stability_probe(2, 8, (200, 400, 800), trials=400, seed=1)
     ratios = [rep.extras["ratio_first"][n] for n in rep.n_grid]
     assert ratios[-1] <= ratios[0]
+
+
+def _oracle_probe(j_r, j_s, n_grid, trials, decay, noise_sd, seed):
+    """Per-n first and second loss differences, each trial drawn as the
+    probe draws it and each replaced dataset copied and written by hand."""
+    firsts, seconds = {}, {}
+    for n in n_grid:
+        firsts[n], seconds[n] = np.empty(trials), np.empty(trials)
+        for t in range(trials):
+            rng = derive_substream(seed, "loss-diff", n, t)
+            gen = SeriesGen(
+                n=n + 3, j_max=j_s, decay=decay, noise_sd=noise_sd, seed=int(rng.integers(2**62))
+            )
+            ds, _ = gen_series(gen)
+            Z, y = ds.features[:n], ds.response[:n]
+            z0, y0 = ds.features[n], float(ds.response[n])
+            i = int(rng.integers(n))
+            j = i
+            while j == i:
+                j = int(rng.integers(n))
+            Zi, yi = Z.copy(), y.copy()
+            Zi[i], yi[i] = ds.features[n + 1], ds.response[n + 1]
+            Zj, yj = Z.copy(), y.copy()
+            Zj[j], yj[j] = ds.features[n + 2], ds.response[n + 2]
+            Zij, yij = Zi.copy(), yi.copy()
+            Zij[j], yij[j] = ds.features[n + 2], ds.response[n + 2]
+            ld = []
+            for Zt, yt in ((Z, y), (Zi, yi), (Zj, yj), (Zij, yij)):
+                pred_r = float(z0 @ fit_series(Zt, yt, j_r).coef)
+                pred_s = float(z0 @ fit_series(Zt, yt, j_s).coef)
+                ld.append((y0 - pred_r) ** 2 - (y0 - pred_s) ** 2)
+            firsts[n][t] = abs(ld[0] - ld[1])
+            seconds[n][t] = abs(ld[0] - ld[1] - ld[2] + ld[3])
+    return firsts, seconds
+
+
+def test_probe_matches_scalar_oracle():
+    grid, trials, decay, sd, seed = (40, 80, 160), 7, 2.0, 1.0, 14
+    rep = diff_loss_stability_probe(2, 8, grid, trials, decay=decay, noise_sd=sd, seed=seed)
+    firsts, seconds = _oracle_probe(2, 8, grid, trials, decay, sd, seed)
+    for n in grid:
+        np.testing.assert_array_equal(rep.samples[n], firsts[n])
+        assert rep.extras["second_medians"][n] == float(np.median(seconds[n]))
+    assert np.all(rep.samples[grid[0]] > 0.0)
 
 
 # --------------------------------------------------------------------- io
