@@ -2,15 +2,20 @@
 
 Row i is always scored by the model fitted with row i's fold held
 out, so column means of the loss matrix are honest V-fold risks.
-Every refit, whether a full V-fold run, a replace-one risk or a
-replace-one loss difference, goes through one per-fold path,
-``_fit_fold``.  Replace-one recomputation reuses the one fold whose
-training rows are untouched and refits the others, reproducing a
-from-scratch run exactly.
+Every fit of the bank goes through one path, ``_fit_sets``, which fits
+it on many training sets in one call: the V folds of a full run
+(``fit_all_folds``), the m x (V - 1) refitted folds of m replace-one
+risks (``replace_one_cv_risks``, whose one-swap form is
+``replace_one_cv_risk``), and the two sets of a replace-one loss
+difference (``loss_first_diff``).  The lasso problems of all the sets
+are solved together by ``learners.lasso_bank``.  Replace-one
+recomputation reuses the one fold whose training rows are untouched
+and refits the others, reproducing a from-scratch run exactly.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +31,16 @@ from .datamodel import (
     LOSS_TAGS,
     validate_dataset,
 )
-from .learners import fit_forward, fit_lasso, fit_ols, fit_ridge, fit_series, fit_sgd
+from .learners import (
+    ConvergenceError,
+    _lasso_fit,
+    fit_forward,
+    fit_ols,
+    fit_ridge,
+    fit_series,
+    fit_sgd,
+    lasso_bank,
+)
 from .simgen import SparseLinearTruth
 
 
@@ -64,48 +78,145 @@ class RiskVector:
         return self.values.shape[0]
 
 
-def _fit_fold(
-    specs: Sequence[LearnerSpec], Z: np.ndarray, y: np.ndarray, v: int
-) -> tuple[FittedModel, ...]:
-    """Fit every spec on fold v's training rows (Z, y).
+class _LassoQueue:
+    """Lasso problems of a fit call waiting for one ``lasso_bank`` call.
 
-    Identical specs share one fit, and every lasso spec shares one
-    Z'Z/n and Z'y/n, built when the first lasso spec appears.  That is
-    the formula fit_lasso uses on its own, so neither shortcut changes
-    a fit, and permuting the bank permutes the fits exactly.
+    Each queued training set adds its Z'Z/n and Z'y/n once, by the
+    formula fit_lasso uses on its own, and its problems read them
+    through an index.  The stack holds n // d grams of d x d for sets of
+    n rows, so it never outgrows the rows of one set; the kernel is
+    called when it is full.  Problems keep the order in which the fit
+    call meets them, so the first failure found is the first in that
+    order.
     """
-    seen: dict[LearnerSpec, FittedModel] = {}
-    gram = corr = None
-    row: list[FittedModel] = []
-    for r, spec in enumerate(specs):
-        model = seen.get(spec)
-        if model is None:
-            try:
-                if spec.family == "ols":
-                    model = fit_ols(Z, y)
-                elif spec.family == "ridge":
-                    model = fit_ridge(Z, y, spec.lam)
-                elif spec.family == "lasso":
-                    if gram is None:
-                        gram, corr = Z.T @ Z / Z.shape[0], Z.T @ y / Z.shape[0]
-                    model = fit_lasso(Z, y, spec.lam, gram=gram, corr=corr)
-                elif spec.family == "forward":
-                    model = fit_forward(Z, y, spec.steps)
-                elif spec.family == "sgd":
-                    model = fit_sgd(Z, y, spec.sgd)
-                elif spec.family == "series":
-                    model = fit_series(Z, y, spec.truncation)
-                else:
-                    raise DomainError(f"unknown learner family {spec.family!r}")
-            except Exception as exc:
-                raise FitError(v, r, spec, exc) from exc
-            seen[spec] = model
-        row.append(model)
-    return tuple(row)
+
+    def __init__(self, n: int, d: int):
+        self.capacity = max(1, n // max(1, d))
+        self.grams = np.empty((self.capacity, d, d))
+        self.corrs = np.empty((self.capacity, d))
+        self.count = 0
+        # (gram slot, the set's row of fits, fold, spec, the spec's positions)
+        self.problems: list[tuple[int, list, int, LearnerSpec, list[int]]] = []
+
+    def add(self, row: list, v: int, Z: np.ndarray, y: np.ndarray, positions: dict) -> None:
+        """Queue a set's lasso specs, given with their positions in its row."""
+        n = Z.shape[0]
+        self.grams[self.count] = Z.T @ Z / n
+        self.corrs[self.count] = Z.T @ y / n
+        for spec, pos in positions.items():
+            self.problems.append((self.count, row, v, spec, pos))
+        self.count += 1
+
+    def flush(self) -> None:
+        """Fit every queued problem and place each fit in its set's row."""
+        if self.problems:
+            slots, _, _, specs, _ = zip(*self.problems)
+            lams = [spec.lam for spec in specs]
+            coefs, sweeps, ok = lasso_bank(
+                self.grams[: self.count], self.corrs[: self.count], slots, lams
+            )
+            for k, (_, row, v, spec, pos) in enumerate(self.problems):
+                try:
+                    model = _lasso_fit(coefs[k], sweeps[k], ok[k], spec.lam)
+                except ConvergenceError as exc:
+                    raise FitError(v, pos[0], spec, exc) from exc
+                for r in pos:
+                    row[r] = model
+        self.problems.clear()
+        self.count = 0
+
+
+def _fit_sets(specs: Sequence[LearnerSpec], sets):
+    """Yield the fits of every spec on each training set (v, Z, y) of
+    ``sets``, in order.
+
+    ``sets`` may be a generator: each set's rows are used and dropped
+    before the next is built, and only its gram waits for the lasso
+    kernel.  A set's fits are yielded once all of them are made, so a
+    consumer can drop them before later sets are fitted.  Identical
+    specs of one set share one fit.  Every other family is fitted at
+    once; the lasso problems of all sets go through ``lasso_bank``
+    calls, each over the grams of as many sets as ``_LassoQueue`` holds.
+    The kernel fits each problem as fit_lasso would on its own, so
+    neither the sharing nor the batching changes a fit, and permuting
+    the bank permutes the fits exactly.  A failure
+    raises FitError for the first failing (set, model) in that order.
+    """
+    waiting: deque[list] = deque()  # rows not yet yielded, in set order
+    queue: _LassoQueue | None = None
+    for v, Z, y in sets:
+        row: list = [None] * len(specs)
+        waiting.append(row)
+        first: dict[LearnerSpec, int] = {}
+        lasso: dict[LearnerSpec, list[int]] = {}  # queued specs and their positions
+        failure = None
+        for r, spec in enumerate(specs):
+            if spec in lasso:
+                lasso[spec].append(r)
+            elif spec in first:
+                row[r] = row[first[spec]]
+            else:
+                first[spec] = r
+                try:
+                    if spec.family == "lasso":
+                        if not spec.lam >= 0:
+                            raise DomainError(f"lasso needs lam >= 0, got {spec.lam}")
+                        lasso[spec] = [r]
+                    else:
+                        row[r] = _fit_now(spec, Z, y)
+                except Exception as exc:
+                    failure = (r, spec, exc)
+                    break
+        if lasso:
+            queue = queue or _LassoQueue(*Z.shape)
+            queue.add(row, v, Z, y, lasso)
+        del Z, y  # the kernel needs only the gram
+        if failure is not None:
+            if queue is not None:
+                queue.flush()  # a lasso failure earlier in the order comes first
+            r, spec, exc = failure
+            raise FitError(v, r, spec, exc) from exc
+        if queue is not None and queue.count == queue.capacity:
+            queue.flush()
+        if queue is None or not queue.problems:
+            while waiting:
+                yield tuple(waiting.popleft())
+    if queue is not None:
+        queue.flush()
+    while waiting:
+        yield tuple(waiting.popleft())
+
+
+def _fit_now(spec: LearnerSpec, Z: np.ndarray, y: np.ndarray) -> FittedModel:
+    """Fit one spec of a family other than the lasso."""
+    if spec.family == "ols":
+        return fit_ols(Z, y)
+    if spec.family == "ridge":
+        return fit_ridge(Z, y, spec.lam)
+    if spec.family == "forward":
+        return fit_forward(Z, y, spec.steps)
+    if spec.family == "sgd":
+        return fit_sgd(Z, y, spec.sgd)
+    if spec.family == "series":
+        return fit_series(Z, y, spec.truncation)
+    raise DomainError(f"unknown learner family {spec.family!r}")
+
+
+def _rows(dataset: Dataset, ix: np.ndarray, swap=None) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh copies of the ascending rows ``ix`` of the dataset, with the
+    replacement ``swap`` = (i, z, y) made when row i is among them: the
+    values, in the same layout, of those rows of ``replace_row``'s copy."""
+    Z, y = dataset.features[ix], dataset.response[ix]
+    if swap is not None:
+        k = int(np.searchsorted(ix, swap[0]))
+        if k < ix.size and ix[k] == swap[0]:
+            Z[k] = swap[1]
+            y[k] = swap[2]
+    return Z, y
 
 
 def fit_all_folds(dataset: Dataset, specs: Sequence[LearnerSpec], plan: FoldPlan) -> FoldFits:
-    """Fit every candidate on every training complement (see _fit_fold)."""
+    """Fit every candidate on every training complement (see _fit_sets)."""
     problems = validate_dataset(dataset)
     if problems:
         raise DomainError("dataset invalid: " + "; ".join(problems))
@@ -116,11 +227,9 @@ def fit_all_folds(dataset: Dataset, specs: Sequence[LearnerSpec], plan: FoldPlan
         raise DomainError("need at least one learner spec")
     for spec in specs:
         spec.validate()
-    fits = []
-    for v in range(plan.V):
-        tr = plan.train_indices(v)
-        fits.append(_fit_fold(specs, dataset.features[tr], dataset.response[tr], v))
-    return FoldFits(fits=tuple(fits), specs=specs, plan=plan)
+    sets = ((v, *_rows(dataset, plan.train_indices(v))) for v in range(plan.V))
+    fits = tuple(_fit_sets(specs, sets))
+    return FoldFits(fits=fits, specs=specs, plan=plan)
 
 
 def _resolve_losses(losses, p: int) -> list[str]:
@@ -146,22 +255,27 @@ def _apply_loss(tag: str, y: np.ndarray, score: np.ndarray) -> np.ndarray:
     return (pred != y).astype(np.float64)
 
 
+def _loss_values(dataset: Dataset, fits, plan: FoldPlan, tags, swap=None) -> np.ndarray:
+    """Held-out loss of every model on every row, on the dataset with the
+    replacement ``swap`` = (i, z, y) made in a copy of row i's fold only."""
+    values = np.empty((dataset.n, len(tags)))
+    for v in range(plan.V):
+        ix = plan.index_sets[v]
+        block_Z, block_y = _rows(dataset, ix, swap)
+        coefs = np.column_stack([model.coef for model in fits[v]])
+        icepts = np.array([model.intercept for model in fits[v]])
+        scores = block_Z @ coefs + icepts
+        for r, tag in enumerate(tags):
+            values[ix, r] = _apply_loss(tag, block_y, scores[:, r])
+    return values
+
+
 def loss_matrix(dataset: Dataset, fold_fits: FoldFits, plan: FoldPlan, losses) -> LossMatrix:
     """Held-out loss of every model on every row."""
     if plan.n != dataset.n:
         raise DomainError(f"plan covers {plan.n} rows, dataset has {dataset.n}")
-    p = len(fold_fits.specs)
-    tags = _resolve_losses(losses, p)
-    values = np.empty((dataset.n, p))
-    for v in range(plan.V):
-        ix = plan.index_sets[v]
-        block_Z = dataset.features[ix]
-        block_y = dataset.response[ix]
-        coefs = np.column_stack([fold_fits.fits[v][r].coef for r in range(p)])
-        icepts = np.array([fold_fits.fits[v][r].intercept for r in range(p)])
-        scores = block_Z @ coefs + icepts
-        for r in range(p):
-            values[ix, r] = _apply_loss(tags[r], block_y, scores[:, r])
+    tags = _resolve_losses(losses, len(fold_fits.specs))
+    values = _loss_values(dataset, fold_fits.fits, plan, tags)
     labels = tuple(spec.label() for spec in fold_fits.specs)
     return LossMatrix(values, plan, labels)
 
@@ -169,6 +283,65 @@ def loss_matrix(dataset: Dataset, fold_fits: FoldFits, plan: FoldPlan, losses) -
 def cv_risk(lm: LossMatrix) -> RiskVector:
     """Column means of the loss matrix."""
     return RiskVector(values=lm.values.mean(axis=0), n=lm.n, model_labels=lm.model_labels)
+
+
+def _swap(dataset: Dataset, i, x_new) -> tuple[int, np.ndarray, float]:
+    """Check one replacement (row i, (z, y)) as Dataset.replace_row does."""
+    i = int(i)
+    if not 0 <= i < dataset.n:
+        raise DomainError(f"row index {i} outside [0, {dataset.n})")
+    z_new, y_new = x_new
+    z_new = np.asarray(z_new, dtype=np.float64)
+    if z_new.shape != (dataset.d,):
+        raise DomainError(f"replacement has shape {z_new.shape}, expected ({dataset.d},)")
+    return i, z_new, float(y_new)
+
+
+def replace_one_cv_risks(
+    dataset: Dataset,
+    specs: Sequence[LearnerSpec],
+    plan: FoldPlan,
+    swaps,
+    cached: FoldFits,
+    losses="squared",
+) -> list[RiskVector]:
+    """Risk vector after each replacement (i, (z, y)) in ``swaps``, each
+    made on its own.
+
+    The fold containing row i never trains on it, so its cached fits
+    are reused; the V - 1 other folds of every swap are refitted in one
+    fit call, one training set at a time.  Each result equals a full
+    recomputation on the replaced data bit for bit.
+    """
+    specs = tuple(specs)
+    if cached.plan is not plan and (cached.plan.n != plan.n or cached.plan.V != plan.V):
+        raise DomainError("cached fits were built for a different fold plan")
+    if cached.specs != specs:
+        raise DomainError("cached fits were built for a different learner bank")
+    if plan.n != dataset.n:
+        raise DomainError(f"plan covers {plan.n} rows, dataset has {dataset.n}")
+    tags = _resolve_losses(losses, len(specs))
+    labels = tuple(spec.label() for spec in specs)
+    swaps = [_swap(dataset, i, x_new) for i, x_new in swaps]
+    trains = [plan.train_indices(v) for v in range(plan.V)]
+
+    def refitted():
+        for swap in swaps:
+            for v in range(plan.V):
+                if v != plan.fold_of[swap[0]]:
+                    yield (v, *_rows(dataset, trains[v], swap))
+
+    def risk(swap, fits):
+        values = _loss_values(dataset, fits, plan, tags, swap)
+        return cv_risk(LossMatrix(values, plan, labels))
+
+    # a swap's fits are dropped before the next swap is fitted
+    fitted = _fit_sets(specs, refitted())
+    return [
+        risk(swap, [cached.fits[v] if v == plan.fold_of[swap[0]] else next(fitted)
+                    for v in range(plan.V)])
+        for swap in swaps
+    ]
 
 
 def replace_one_cv_risk(
@@ -180,29 +353,9 @@ def replace_one_cv_risk(
     cached: FoldFits,
     losses="squared",
 ) -> RiskVector:
-    """Risk vector after swapping row i for x_new = (z, y).
-
-    The fold containing row i never trains on it, so its cached fits
-    are reused; every other fold is refitted on the modified rows.
-    Results equal a full recomputation bit for bit.
-    """
-    specs = tuple(specs)
-    if cached.plan is not plan and (cached.plan.n != plan.n or cached.plan.V != plan.V):
-        raise DomainError("cached fits were built for a different fold plan")
-    if cached.specs != specs:
-        raise DomainError("cached fits were built for a different learner bank")
-    z_new, y_new = x_new
-    ds2 = dataset.replace_row(i, np.asarray(z_new, dtype=np.float64), float(y_new))
-    v_i = int(plan.fold_of[i])
-    fits = []
-    for v in range(plan.V):
-        if v == v_i:
-            fits.append(cached.fits[v])
-        else:
-            tr = plan.train_indices(v)
-            fits.append(_fit_fold(specs, ds2.features[tr], ds2.response[tr], v))
-    ff2 = FoldFits(fits=tuple(fits), specs=specs, plan=plan)
-    return cv_risk(loss_matrix(ds2, ff2, plan, losses))
+    """Risk vector after swapping row i for x_new = (z, y): the one-swap
+    form of replace_one_cv_risks."""
+    return replace_one_cv_risks(dataset, specs, plan, [(i, x_new)], cached, losses)[0]
 
 
 def loss_first_diff(
@@ -218,8 +371,9 @@ def loss_first_diff(
     row i is replaced.
 
     The evaluation row's own fold is held out; i must lie in the training
-    complement.  Both fits are fresh, so any learner family works.  The
-    value is signed: loss(before) - loss(after).
+    complement.  Both fits are fresh, made in one fit call over the two
+    training sets, so any learner family works.  The value is signed:
+    loss(before) - loss(after).
     """
     n = dataset.features.shape[0]
     if not 0 <= eval_index < n:
@@ -233,11 +387,10 @@ def loss_first_diff(
         )
     specs = tuple(specs)
     tags = _resolve_losses(losses, len(specs))
-    z_new, y_new = x_new
-    ds2 = dataset.replace_row(i, np.asarray(z_new, dtype=np.float64), float(y_new))
+    swap = _swap(dataset, i, x_new)
     tr = plan.train_indices(v0)
-    before = _fit_fold(specs, dataset.features[tr], dataset.response[tr], v0)
-    after = _fit_fold(specs, ds2.features[tr], ds2.response[tr], v0)
+    sets = [(v0, *_rows(dataset, tr)), (v0, *_rows(dataset, tr, swap))]
+    before, after = _fit_sets(specs, sets)
     z0 = dataset.features[eval_index][None, :]
     y0 = np.array([float(dataset.response[eval_index])])
     return np.array(

@@ -15,7 +15,9 @@ shape:
   and accumulate outer products of changes from the unperturbed risks
   with weight n^2 / (2 m).
 
-Both fit the bank once on the original data and share one accumulator.
+Both fit the bank once on the original data, get the risk vectors of
+all their replacements from one ``replace_one_cv_risks`` call, and share
+one accumulator.
 They are exactly symmetric PSD by construction and scale as averages in
 the number of hold-out points used.
 """
@@ -31,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cv_engine import FoldFits, cv_risk, fit_all_folds, loss_matrix, replace_one_cv_risk
+from .cv_engine import FoldFits, cv_risk, fit_all_folds, loss_matrix, replace_one_cv_risks
 from .datamodel import (
     Dataset,
     DomainError,
@@ -188,11 +190,9 @@ def phi_pair(
         raise ParityError(f"pair variant needs even m >= 2, got {holdout.m}")
     specs, fits = _base_fits(dataset, specs, plan, holdout)
     n = dataset.features.shape[0]
-
-    def swapped(j):
-        return replace_one_cv_risk(dataset, specs, plan, _PAIR_ROW, holdout.row(j), fits, losses)
-
-    pairs = ((swapped(2 * j), swapped(2 * j + 1)) for j in range(holdout.m // 2))
+    swaps = [(_PAIR_ROW, holdout.row(j)) for j in range(holdout.m)]
+    risks = replace_one_cv_risks(dataset, specs, plan, swaps, fits, losses)
+    pairs = zip(risks[0::2], risks[1::2])
     return _estimate("pair", (_PAIR_ROW,), specs, holdout, n**2 / holdout.m, pairs)
 
 
@@ -212,7 +212,6 @@ def phi_perturb(
     """
     if holdout.m < 1:
         raise DomainError("perturb variant needs m >= 1")
-    specs, fits = _base_fits(dataset, specs, plan, holdout)
     n = dataset.features.shape[0]
     if schedule is None:
         schedule = default_perturb_schedule(n, holdout.m)
@@ -221,11 +220,11 @@ def phi_perturb(
         raise DomainError(f"schedule length {len(schedule)} != m = {holdout.m}")
     if any(not 0 <= i < n for i in schedule):
         raise DomainError("schedule indices must lie in [0, n)")
+    specs, fits = _base_fits(dataset, specs, plan, holdout)
     base = cv_risk(loss_matrix(dataset, fits, plan, losses))
-    pairs = (
-        (base, replace_one_cv_risk(dataset, specs, plan, i, holdout.row(j), fits, losses))
-        for j, i in enumerate(schedule)
-    )
+    swaps = [(i, holdout.row(j)) for j, i in enumerate(schedule)]
+    risks = replace_one_cv_risks(dataset, specs, plan, swaps, fits, losses)
+    pairs = ((base, risk) for risk in risks)
     return _estimate("perturb", schedule, specs, holdout, n**2 / (2 * holdout.m), pairs)
 
 

@@ -10,8 +10,11 @@ draw costs ``r`` normals however many coordinates are collinear.  One
 call draws one sample and reads every column of a caller's statistic
 from it at every requested alpha, so all critical values of a problem
 share the same draws.  Determinism is part of the contract: the stream
-fixes the draws, the draws fix the quantiles, and the block size of the
-simulation never changes the result.
+fixes the draws and the draws fix the quantiles.  The block size does
+not change which normals are drawn, but it changes the shape of each
+product Z @ (F @ A), so a quantile can move by rounding (4.4e-16 to
+6.7e-16 was seen between block sizes); for fixed inputs ``BLOCK_ELEMS``
+fixes the blocks and the result.
 """
 
 from __future__ import annotations
@@ -101,8 +104,10 @@ def max_quantiles(
     draws of ``Y @ linear``; ``linear`` (q x m) defaults to the identity.
     ``statistic`` returns a ``(b,)`` or ``(b, k)`` array.  A call draws
     exactly ``draws * r`` normals.  A block holds
-    ``BLOCK_ELEMS // max(r, m)`` rows, which bounds memory and never
-    changes the result.
+    ``BLOCK_ELEMS // max(r, m)`` rows, which bounds memory; the block
+    size shapes each product, so another size can move a quantile by
+    rounding.  Of each column only the largest values that a quantile can
+    be read from are kept, about ``2 * draws * max(alpha)`` and a block.
 
     ``alpha`` is a float or a sequence of them; every quantile is the
     conservative order statistic of the same ``draws`` values of the
@@ -116,16 +121,27 @@ def max_quantiles(
     M = F if linear is None else F @ np.asarray(linear, dtype=np.float64)
     r, m = M.shape
     rows = max(1, BLOCK_ELEMS // max(r, m))
+    ks = [conservative_order_index(draws, a) for a in alphas]
+    # Every quantile read is among the `tail` largest values of its column,
+    # so the buffer holds 2 * tail values and drops the smallest ones of
+    # each column whenever it fills.
+    tail = draws - min(ks)
     stats = None
-    done = 0
-    while done < draws:
-        b = min(rows, draws - done)
+    kept = dropped = 0
+    while kept + dropped < draws:
+        b = min(rows, draws - kept - dropped)
         out = np.asarray(statistic(rng.standard_normal((b, r)) @ M)).reshape(b, -1)
         if stats is None:
-            stats = np.empty((draws, out.shape[1]))
-        stats[done : done + b] = out
-        done += b
-    ks = [conservative_order_index(draws, a) for a in alphas]
+            stats = np.empty((min(draws, 2 * tail + rows), out.shape[1]))
+        if kept + b > stats.shape[0]:
+            stats[:kept].partition(kept - tail, axis=0)
+            stats[:tail] = stats[kept - tail : kept]
+            dropped += kept - tail
+            kept = tail
+        stats[kept : kept + b] = out
+        kept += b
+    ks = [k - dropped for k in ks]
+    stats = stats[:kept]
     stats.partition(sorted(set(ks)), axis=0)
     quantiles = stats[ks] if np.ndim(alpha) else stats[ks[0]].copy()
     return (quantiles, r) if return_rank else quantiles

@@ -3,7 +3,11 @@ single-pass SGD, and truncated series regression.
 
 All fitting functions are pure: identical inputs give identical
 outputs, with no dependence on global RNG or iteration order beyond
-the documented cyclic/greedy schedules.
+the documented cyclic/greedy schedules.  The lasso has one solver,
+``lasso_bank``, which runs the coordinate descent of many problems
+together; ``fit_lasso`` is its one-problem call.  Batched SGD passes
+likewise run in ``sgd_trajectories``, with ``fit_sgd`` as its
+one-trajectory call.
 """
 
 from __future__ import annotations
@@ -65,51 +69,116 @@ def fit_ridge(features, response, lam: float) -> FittedModel:
 # ------------------------------------------------------------------- lasso
 
 
-def _cd_sweeps(gram, corr, lam, beta, tol, max_sweeps):
-    """Cyclic coordinate descent on the gram form of the lasso objective.
+def lasso_bank(grams, corrs, gram_index, lams, tol: float = 1e-8, max_iter: int = 100_000):
+    """Run the cyclic coordinate descent of K lasso problems together.
 
-    Maintains grad = corr - gram @ beta.  Converged once the largest
-    coordinate update in a sweep is below tol and the KKT residual is
-    within 10 * tol.
+    Problem k minimizes (1/2) b'Gb - c'b + lams[k] ||b||_1 from a zero
+    start, where G = ``grams[gram_index[k]]`` and c =
+    ``corrs[gram_index[k]]`` (Z'Z/n and Z'y/n of its training rows).
+    Problems read the (G, d, d) stack through the index, so penalties
+    and training sets share it without a copy.  Each coordinate step
+    soft-thresholds every live problem at once and updates the gradient
+    c - Gb only of the problems whose coordinate moved; a coordinate
+    whose gram diagonal is not positive never moves.  A problem retires
+    at the first sweep whose largest move is below ``tol`` and whose
+    KKT residual is within 10 * tol.  Every value a problem computes is
+    bitwise the one a cyclic loop over its own coordinates computes, so
+    its coefficients and sweep count do not depend on the other
+    problems of the call.  Grams and corrs must be finite.
+
+    Returns (coefs (K, d), sweeps (K,), converged (K,)); a problem still
+    live after ``max_iter`` sweeps reports ``max_iter`` and False.
     """
-    d = gram.shape[0]
-    grad = corr - gram @ beta
-    for sweep in range(1, max_sweeps + 1):
-        dmax = 0.0
+    grams = np.asarray(grams, dtype=np.float64)
+    corrs = np.asarray(corrs, dtype=np.float64)
+    gram_index = np.asarray(gram_index, dtype=np.intp)
+    lams = np.asarray(lams, dtype=np.float64)
+    if grams.ndim != 3 or grams.shape[1] != grams.shape[2] or corrs.shape != grams.shape[:2]:
+        raise DomainError(f"need (G, d, d) grams and (G, d) corrs, got {grams.shape}, {corrs.shape}")
+    if gram_index.ndim != 1 or lams.shape != gram_index.shape:
+        raise DomainError("need one gram index and one penalty per problem")
+    if gram_index.size and not (0 <= gram_index.min() and gram_index.max() < grams.shape[0]):
+        raise DomainError(f"gram indices must lie in [0, {grams.shape[0]})")
+    if not np.all(lams >= 0):
+        raise DomainError(f"lasso needs lam >= 0, got {lams[~(lams >= 0)][0]}")
+    if not (np.all(np.isfinite(grams)) and np.all(np.isfinite(corrs))):
+        raise DomainError("grams and corrs must be finite")
+    if tol <= 0 or max_iter < 1:
+        raise DomainError(f"need tol > 0 and max_iter >= 1, got {tol}, {max_iter}")
+    K, d = gram_index.size, grams.shape[1]
+    coefs = np.zeros((K, d))
+    sweeps = np.full(K, int(max_iter))
+    converged = np.zeros(K, dtype=bool)
+    # state of the live problems, compacted as problems retire
+    live = np.arange(K)
+    gi = gram_index
+    lam, neg_lam = lams, -lams
+    beta = np.zeros((K, d))
+    grad = corrs[gi]  # corr - gram @ 0
+    # each live problem's gram diagonal by coordinate, (d, K); dividing by
+    # inf sends a skipped coordinate to +-0, which never moves it off its
+    # zero start
+    diag = np.diagonal(grams, axis1=1, axis2=2).T[:, gi]
+    div = np.where(diag > 0.0, diag, np.inf)
+    for sweep in range(1, int(max_iter) + 1):
+        if not live.size:
+            break
+        dmax = np.zeros(live.size)
         for j in range(d):
-            gjj = gram[j, j]
-            if gjj <= 0.0:
-                continue
-            zj = grad[j] + gjj * beta[j]
-            if zj > lam:
-                bnew = (zj - lam) / gjj
-            elif zj < -lam:
-                bnew = (zj + lam) / gjj
-            else:
-                bnew = 0.0
-            diff = bnew - beta[j]
-            if diff != 0.0:
-                beta[j] = bnew
-                grad -= gram[j] * diff
-                ad = abs(diff)
-                if ad > dmax:
-                    dmax = ad
-        if dmax < tol:
-            kkt = 0.0
-            for j in range(d):
-                if beta[j] == 0.0:
-                    r = abs(grad[j]) - lam
-                    if r < 0.0:
-                        r = 0.0
-                elif beta[j] > 0.0:
-                    r = abs(grad[j] - lam)
-                else:
-                    r = abs(grad[j] + lam)
-                if r > kkt:
-                    kkt = r
-            if kkt <= 10.0 * tol:
-                return sweep, True
-    return max_sweeps, False
+            b = beta[:, j]
+            zj = grad[:, j] + diag[j] * b
+            # soft-threshold: zj - lam above lam, zj + lam below -lam and
+            # zj - zj = +0 between, exactly as the three branches give them
+            # for finite zj
+            shrunk = zj - np.maximum(np.minimum(zj, lam), neg_lam)
+            bnew = shrunk / div[j]
+            diff = bnew - b
+            moved = np.flatnonzero(diff != 0.0)
+            if moved.size:
+                beta[moved, j] = bnew[moved]
+                step = grams[gi[moved], j]
+                step *= diff[moved, None]
+                grad[moved] -= step
+                # fmax skips a NaN move as the scalar comparison would
+                np.fmax(dmax, np.abs(diff), out=dmax)
+        small = np.flatnonzero(dmax < tol)
+        if small.size:
+            # KKT residual |g - lam| where b > 0, |g + lam| where b < 0 (or
+            # NaN), max(|g| - lam, 0) where b == 0; written in place
+            g, bs, ls = grad[small], beta[small], lam[small, None]
+            r = np.where(bs > 0.0, ls, -ls)
+            np.subtract(g, r, out=r)
+            np.abs(r, out=r)
+            np.abs(g, out=g)
+            g -= ls
+            np.maximum(g, 0.0, out=g)
+            np.copyto(r, g, where=bs == 0.0)
+            kkt = np.fmax.reduce(r, axis=1, initial=0.0)
+            done = small[kkt <= 10.0 * tol]
+            if done.size:
+                coefs[live[done]] = beta[done]
+                sweeps[live[done]] = sweep
+                converged[live[done]] = True
+                keep = np.ones(live.size, dtype=bool)
+                keep[done] = False
+                live, gi, lam, neg_lam = live[keep], gi[keep], lam[keep], neg_lam[keep]
+                beta = beta[keep]
+                grad = grad[keep]
+                diag = diag[:, keep]
+                div = div[:, keep]
+    coefs[live] = beta
+    return coefs, sweeps, converged
+
+
+def _lasso_fit(coef, sweeps, converged, lam) -> FittedModel:
+    """The fitted model of one ``lasso_bank`` problem, or its ConvergenceError."""
+    sweeps = int(sweeps)
+    if not converged:
+        raise ConvergenceError(
+            f"lasso did not converge in {sweeps} sweeps at lam={lam:g}", iterations=sweeps
+        )
+    support = tuple(int(j) for j in np.flatnonzero(coef))
+    return FittedModel(family="lasso", coef=coef, support=support, iterations=sweeps)
 
 
 def fit_lasso(
@@ -118,38 +187,18 @@ def fit_lasso(
     lam: float,
     tol: float = 1e-8,
     max_iter: int = 100_000,
-    gram=None,
-    corr=None,
 ) -> FittedModel:
     """Minimize (1/2n)||y - Z beta||^2 + lam ||beta||_1 by cyclic
-    coordinate descent with soft-thresholding from a zero start.
-
-    ``gram`` and ``corr`` may carry precomputed Z'Z/n and Z'y/n so a
-    bank of penalties can share the quadratic part.  The returned fit
+    coordinate descent with soft-thresholding from a zero start: one
+    problem of ``lasso_bank`` on Z'Z/n and Z'y/n.  The returned fit
     satisfies the KKT conditions to within 10 * tol.
     """
     Z, y = _check_xy(features, response)
-    if lam < 0:
+    if not lam >= 0:
         raise DomainError(f"lasso needs lam >= 0, got {lam}")
-    if tol <= 0 or max_iter < 1:
-        raise DomainError(f"need tol > 0 and max_iter >= 1, got {tol}, {max_iter}")
-    n, d = Z.shape
-    if gram is None:
-        gram = Z.T @ Z / n
-    if corr is None:
-        corr = Z.T @ y / n
-    gram = np.ascontiguousarray(gram, dtype=np.float64)
-    corr = np.ascontiguousarray(corr, dtype=np.float64)
-    beta = np.zeros(d)
-    sweeps, ok = _cd_sweeps(gram, corr, float(lam), beta, float(tol), int(max_iter))
-    sweeps = int(sweeps)
-    if not ok:
-        raise ConvergenceError(
-            f"lasso did not converge in {sweeps} sweeps at lam={lam:g}, tol={tol:g}",
-            iterations=sweeps,
-        )
-    support = tuple(int(j) for j in np.flatnonzero(beta))
-    return FittedModel(family="lasso", coef=beta, support=support, iterations=sweeps)
+    n = Z.shape[0]
+    coefs, sweeps, ok = lasso_bank((Z.T @ Z / n)[None], (Z.T @ y / n)[None], [0], [lam], tol, max_iter)
+    return _lasso_fit(coefs[0], sweeps[0], ok[0], lam)
 
 
 def lasso_max_lam(features, response) -> float:

@@ -15,9 +15,10 @@ from cvconf.cv_engine import (
     loss_first_diff,
     loss_matrix,
     replace_one_cv_risk,
+    replace_one_cv_risks,
 )
 from cvconf.datamodel import Dataset, DomainError, LearnerSpec, LossMatrix, make_folds
-from cvconf.learners import fit_lasso, fit_ols, fit_ridge
+from cvconf.learners import ConvergenceError, fit_lasso, fit_ols, fit_ridge, lasso_bank
 from cvconf.simgen import SparseLinearGen, SeriesGen, gen_series, gen_sparse_linear
 
 # one feature, four rows; both fold-out slopes work out to 1.6
@@ -180,19 +181,102 @@ def test_replace_one_lasso_refits_share_one_gram_per_fold(monkeypatch):
     specs = [LearnerSpec("lasso", lam=lam) for lam in (0.3, 0.1, 0.03)]
     specs.append(LearnerSpec("ridge", lam=0.5))
     cached = fit_all_folds(ds, specs, plan)
-    grams = []
+    calls = []
 
-    def recording_lasso(Z, y, lam, **kwargs):
-        grams.append(kwargs.get("gram"))
-        return fit_lasso(Z, y, lam, **kwargs)
+    def recording_bank(grams, corrs, gram_index, lams, *args):
+        calls.append((grams.shape[0], list(gram_index), list(lams)))
+        return lasso_bank(grams, corrs, gram_index, lams, *args)
 
-    monkeypatch.setattr(cv_engine, "fit_lasso", recording_lasso)
+    monkeypatch.setattr(cv_engine, "lasso_bank", recording_bank)
     replace_one_cv_risk(ds, specs, plan, 6, (rng.normal(size=3), 0.4), cached)
     # three refitted folds, three lasso penalties each, one gram per fold
-    assert len(grams) == 9
-    assert all(g is not None for g in grams)
-    assert len({id(g) for g in grams}) == 3
-    assert all(grams[k] is grams[3 * (k // 3)] for k in range(9))
+    assert calls == [(3, [0, 0, 0, 1, 1, 1, 2, 2, 2], [0.3, 0.1, 0.03] * 3)]
+
+
+def _mixed_bank_instance():
+    rng = np.random.default_rng(15)
+    ds = Dataset(rng.normal(size=(24, 3)), rng.normal(size=24))
+    plan = make_folds(24, 4)
+    specs = [
+        LearnerSpec("lasso", lam=0.3),
+        LearnerSpec("ridge", lam=0.5),
+        LearnerSpec("lasso", lam=0.01),
+        LearnerSpec("lasso", lam=0.3),
+        LearnerSpec("forward", steps=1),
+        LearnerSpec("lasso", lam=0.0),
+    ]
+    return rng, ds, plan, specs
+
+
+def test_replace_one_cv_risks_equal_one_swap_calls(monkeypatch):
+    rng, ds, plan, specs = _mixed_bank_instance()
+    cached = fit_all_folds(ds, specs, plan)
+    # two replacements in every fold, one row replaced twice
+    rows = [0, 6, 12, 18, 5, 11, 17, 23, 0]
+    swaps = [(i, (rng.normal(size=3), float(rng.normal()))) for i in rows]
+    one_by_one = [replace_one_cv_risk(ds, specs, plan, i, x, cached) for i, x in swaps]
+    # a kernel call holds 18 // 3 = 6 grams here, and 9 swaps refit 27 training sets
+    calls = []
+
+    def recording_bank(grams, *args):
+        calls.append(grams.shape[0])
+        return lasso_bank(grams, *args)
+
+    monkeypatch.setattr(cv_engine, "lasso_bank", recording_bank)
+    together = replace_one_cv_risks(ds, specs, plan, swaps, cached)
+    assert calls == [6] * 4 + [3]
+    assert len(together) == len(swaps)
+    for got, want in zip(together, one_by_one):
+        assert np.array_equal(got.values, want.values)
+
+
+def _first_scalar_failure(ds, plan, specs, swaps, **kwargs):
+    """(fold, model, iterations) of the first lasso fit that fails, taking
+    swaps, then refitted folds, then models in order."""
+    for i, (z, y) in swaps:
+        ds2 = ds.replace_row(i, z, y)
+        for v in range(plan.V):
+            if v == plan.fold_of[i]:
+                continue
+            tr = plan.train_indices(v)
+            for r, spec in enumerate(specs):
+                if spec.family == "lasso":
+                    try:
+                        fit_lasso(ds2.features[tr], ds2.response[tr], spec.lam, **kwargs)
+                    except ConvergenceError as exc:
+                        return v, r, exc.iterations
+    return None
+
+
+def test_replace_one_cv_risks_reports_the_first_nonconvergence_in_order(monkeypatch):
+    rng, ds, plan, specs = _mixed_bank_instance()
+    cached = fit_all_folds(ds, specs, plan)
+    swaps = [(i, (rng.normal(size=3), float(rng.normal()))) for i in (20, 3, 9)]
+    forced = dict(tol=1e-14, max_iter=2)
+    want = _first_scalar_failure(ds, plan, specs, swaps, **forced)
+    assert want is not None and want[1] > 0  # an earlier model converged first
+    monkeypatch.setattr(cv_engine, "lasso_bank", lambda *args: lasso_bank(*args, **forced))
+    with pytest.raises(FitError) as err:
+        replace_one_cv_risks(ds, specs, plan, swaps, cached)
+    assert isinstance(err.value.cause, ConvergenceError)
+    assert (err.value.fold, err.value.model, err.value.cause.iterations) == want
+
+
+def test_fit_error_order_runs_across_families(monkeypatch):
+    rng, ds, plan, _ = _mixed_bank_instance()
+    lasso = LearnerSpec("lasso", lam=0.01)
+    too_many = LearnerSpec("forward", steps=5)  # more steps than the 3 features
+    forced = dict(tol=1e-14, max_iter=2)
+    monkeypatch.setattr(cv_engine, "lasso_bank", lambda *args: lasso_bank(*args, **forced))
+    for specs, model, cause in (
+        ([lasso, too_many], 0, ConvergenceError),
+        ([too_many, lasso], 0, DomainError),
+        ([LearnerSpec("ols"), lasso, too_many], 1, ConvergenceError),
+    ):
+        with pytest.raises(FitError) as err:
+            loss_first_diff(ds, specs, plan, 7, 1, (rng.normal(size=3), 0.5))
+        assert (err.value.fold, err.value.model) == (1, model)
+        assert isinstance(err.value.cause, cause)
 
 
 def test_loss_first_diff_lasso_bank_matches_two_fit_subtraction():

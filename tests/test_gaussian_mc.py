@@ -200,6 +200,25 @@ def test_multi_alpha_call_equals_single_alpha_calls_bitwise():
         np.testing.assert_array_equal(row, one)
 
 
+@pytest.mark.parametrize("draws", [1000, 1999, 4321])
+def test_quantiles_kept_from_the_tail_equal_those_of_all_draws(monkeypatch, draws):
+    # small blocks, so the buffer fills and drops its lowest values many times
+    monkeypatch.setattr(gaussian_mc, "BLOCK_ELEMS", 90)
+    alphas = (0.05, 0.3, 0.01)
+    ks = [gaussian_mc.conservative_order_index(draws, a) for a in alphas]
+    for seed in range(20):
+        seen = []
+
+        def stat(Y):
+            seen.append(np.column_stack([_max(Y), _abs_max(Y)]))
+            return seen[-1]
+
+        got = max_quantiles(_collinear_corr(), stat, alphas, draws, derive_substream(seed, "q"))
+        every = np.concatenate(seen)
+        assert every.shape == (draws, 2)
+        np.testing.assert_array_equal(got, np.sort(every, axis=0)[ks])
+
+
 def test_linear_map_is_applied_to_the_draws():
     # Y @ A with A = [e_0 - e_1, e_2]: the first column has variance 2 - 2 rho
     corr = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])

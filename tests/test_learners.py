@@ -16,6 +16,7 @@ from cvconf.learners import (
     fit_ridge,
     fit_series,
     fit_sgd,
+    lasso_bank,
     lasso_grid,
     lasso_grid_log,
     lasso_max_lam,
@@ -146,6 +147,114 @@ def test_lasso_kkt_residual_bounded(seed):
     tol = 1e-8
     m = fit_lasso(Z, y, lam, tol=tol)
     assert _kkt_residual(Z, y, lam, m.coef) <= 10 * tol
+
+
+def _reference_sweeps(gram, corr, lam, tol, max_sweeps):
+    """Cyclic coordinate descent of one lasso problem, one coordinate at
+    a time: the loop lasso_bank must reproduce bit for bit."""
+    d = gram.shape[0]
+    beta = np.zeros(d)
+    grad = corr - gram @ beta
+    for sweep in range(1, max_sweeps + 1):
+        dmax = 0.0
+        for j in range(d):
+            gjj = gram[j, j]
+            if gjj <= 0.0:
+                continue
+            zj = grad[j] + gjj * beta[j]
+            if zj > lam:
+                bnew = (zj - lam) / gjj
+            elif zj < -lam:
+                bnew = (zj + lam) / gjj
+            else:
+                bnew = 0.0
+            diff = bnew - beta[j]
+            if diff != 0.0:
+                beta[j] = bnew
+                grad -= gram[j] * diff
+                if abs(diff) > dmax:
+                    dmax = abs(diff)
+        if dmax < tol:
+            kkt = 0.0
+            for j in range(d):
+                if beta[j] == 0.0:
+                    r = max(abs(grad[j]) - lam, 0.0)
+                elif beta[j] > 0.0:
+                    r = abs(grad[j] - lam)
+                else:
+                    r = abs(grad[j] + lam)
+                if r > kkt:
+                    kkt = r
+            if kkt <= 10.0 * tol:
+                return beta, sweep, True
+    return beta, max_sweeps, False
+
+
+def _bank_instance(seed):
+    """Four training sets of one design, one with a constant-zero column,
+    each with penalties 0, duplicated ones, and ones at and above lam_max."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 9))
+    grams, corrs, index, lams = [], [], [], []
+    for g in range(4):
+        n = int(rng.integers(8, 40))
+        Z = rng.normal(size=(n, d)) * rng.uniform(0.2, 3.0, size=d)
+        if g == 1:
+            Z[:, rng.integers(d)] = 0.0
+        if g == 2:
+            Z[:, 1] = Z[:, 0] + 0.05 * rng.normal(size=n)  # slow to converge
+        y = Z[:, 0] - Z[:, -1] + rng.normal(size=n)
+        grams.append(Z.T @ Z / n)
+        corrs.append(Z.T @ y / n)
+        lam_max = float(np.abs(corrs[-1]).max())
+        drawn = list(rng.uniform(0.0, 1.0, size=4) * lam_max)
+        for lam in [0.0, *drawn, drawn[0], lam_max, 2 * lam_max]:
+            index.append(g)
+            lams.append(lam)
+    order = rng.permutation(len(index))  # problems of one gram need not be adjacent
+    return np.array(grams), np.array(corrs), np.array(index)[order], np.array(lams)[order]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lasso_bank_matches_the_scalar_loop_bitwise(seed):
+    grams, corrs, index, lams = _bank_instance(seed)
+    for tol, max_iter in ((1e-8, 1000), (1e-12, 5)):
+        coefs, sweeps, ok = lasso_bank(grams, corrs, index, lams, tol, max_iter)
+        for k, (g, lam) in enumerate(zip(index, lams)):
+            beta, want_sweeps, want_ok = _reference_sweeps(grams[g], corrs[g], lam, tol, max_iter)
+            assert np.array_equal(coefs[k], beta)
+            assert (sweeps[k], ok[k]) == (want_sweeps, want_ok)
+        if max_iter > 5:
+            assert len(set(sweeps[ok])) > 2  # problems retire at different sweeps
+            assert not coefs[lams >= np.abs(corrs[index]).max(axis=1)].any()
+
+
+def test_lasso_bank_skips_a_zero_variance_column():
+    Z = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+    y = np.array([2.0, 0.0, 2.0, 0.0])
+    coefs, sweeps, ok = lasso_bank((Z.T @ Z / 4)[None], (Z.T @ y / 4)[None], [0, 0], [0.4, 0.0])
+    assert np.array_equal(coefs, [[0.6, 0.0], [1.0, 0.0]]) and ok.all()
+
+
+def test_lasso_bank_of_no_problems_returns_at_once():
+    coefs, sweeps, ok = lasso_bank(np.eye(3)[None], np.ones((1, 3)), [], [], max_iter=10**9)
+    assert coefs.shape == (0, 3) and sweeps.size == 0 and ok.size == 0
+
+
+def test_lasso_bank_rejects_bad_input():
+    gram, corr = np.eye(2)[None], np.ones((1, 2))
+    with pytest.raises(DomainError):
+        lasso_bank(gram, np.array([[1.0, np.inf]]), [0], [0.1])
+    for bad in (
+        dict(gram_index=[1], lams=[0.1]),
+        dict(gram_index=[0], lams=[-0.1]),
+        dict(gram_index=[0], lams=[np.nan]),
+        dict(gram_index=[0, 0], lams=[0.1]),
+        dict(gram_index=[0], lams=[0.1], tol=0.0),
+        dict(gram_index=[0], lams=[0.1], max_iter=0),
+    ):
+        with pytest.raises(DomainError):
+            lasso_bank(gram, corr, **bad)
 
 
 def test_lasso_nonconvergence_reports_iterations():
