@@ -28,19 +28,9 @@ from .datamodel import (
     FoldPlan,
     LearnerSpec,
     LossMatrix,
-    LOSS_TAGS,
     validate_dataset,
 )
-from .learners import (
-    ConvergenceError,
-    _lasso_fit,
-    fit_forward,
-    fit_ols,
-    fit_ridge,
-    fit_series,
-    fit_sgd,
-    lasso_bank,
-)
+from .learners import ConvergenceError, _lasso_fit, fit_forward, fit_ridge, fit_series, lasso_bank
 from .simgen import SparseLinearTruth
 
 
@@ -189,14 +179,10 @@ def _fit_sets(specs: Sequence[LearnerSpec], sets):
 
 def _fit_now(spec: LearnerSpec, Z: np.ndarray, y: np.ndarray) -> FittedModel:
     """Fit one spec of a family other than the lasso."""
-    if spec.family == "ols":
-        return fit_ols(Z, y)
     if spec.family == "ridge":
         return fit_ridge(Z, y, spec.lam)
     if spec.family == "forward":
         return fit_forward(Z, y, spec.steps)
-    if spec.family == "sgd":
-        return fit_sgd(Z, y, spec.sgd)
     if spec.family == "series":
         return fit_series(Z, y, spec.truncation)
     raise DomainError(f"unknown learner family {spec.family!r}")
@@ -232,50 +218,32 @@ def fit_all_folds(dataset: Dataset, specs: Sequence[LearnerSpec], plan: FoldPlan
     return FoldFits(fits=fits, specs=specs, plan=plan)
 
 
-def _resolve_losses(losses, p: int) -> list[str]:
-    if isinstance(losses, str):
-        tags = [losses] * p
-    else:
-        tags = list(losses)
-        if len(tags) != p:
-            raise DomainError(f"{len(tags)} loss tags for {p} models")
-    for tag in tags:
-        if tag not in LOSS_TAGS:
-            raise DomainError(f"unknown loss tag {tag!r}")
-    return tags
+def _check_squared(losses) -> None:
+    """Every candidate is scored under squared loss; refuse any other tag."""
+    if not (isinstance(losses, str) and losses == "squared"):
+        raise DomainError(f"only squared loss is supported, got {losses!r}")
 
 
-def _apply_loss(tag: str, y: np.ndarray, score: np.ndarray) -> np.ndarray:
-    if tag == "squared":
-        return (y - score) ** 2
-    if tag == "absolute":
-        return np.abs(y - score)
-    # zero_one: class 1 whenever the logistic link of the score reaches 1/2
-    pred = (score >= 0.0).astype(np.float64)
-    return (pred != y).astype(np.float64)
-
-
-def _loss_values(dataset: Dataset, fits, plan: FoldPlan, tags, swap=None) -> np.ndarray:
-    """Held-out loss of every model on every row, on the dataset with the
-    replacement ``swap`` = (i, z, y) made in a copy of row i's fold only."""
-    values = np.empty((dataset.n, len(tags)))
+def _loss_values(dataset: Dataset, fits, plan: FoldPlan, swap=None) -> np.ndarray:
+    """Held-out squared loss of every model on every row, on the dataset
+    with the replacement ``swap`` = (i, z, y) made in a copy of row i's
+    fold only."""
+    values = np.empty((dataset.n, len(fits[0])))
     for v in range(plan.V):
         ix = plan.index_sets[v]
         block_Z, block_y = _rows(dataset, ix, swap)
         coefs = np.column_stack([model.coef for model in fits[v]])
-        icepts = np.array([model.intercept for model in fits[v]])
-        scores = block_Z @ coefs + icepts
-        for r, tag in enumerate(tags):
-            values[ix, r] = _apply_loss(tag, block_y, scores[:, r])
+        values[ix] = (block_y[:, None] - block_Z @ coefs) ** 2
     return values
 
 
 def loss_matrix(dataset: Dataset, fold_fits: FoldFits, plan: FoldPlan, losses) -> LossMatrix:
-    """Held-out loss of every model on every row."""
+    """Held-out squared loss of every model on every row; ``losses``
+    must be "squared"."""
+    _check_squared(losses)
     if plan.n != dataset.n:
         raise DomainError(f"plan covers {plan.n} rows, dataset has {dataset.n}")
-    tags = _resolve_losses(losses, len(fold_fits.specs))
-    values = _loss_values(dataset, fold_fits.fits, plan, tags)
+    values = _loss_values(dataset, fold_fits.fits, plan)
     labels = tuple(spec.label() for spec in fold_fits.specs)
     return LossMatrix(values, plan, labels)
 
@@ -303,7 +271,6 @@ def replace_one_cv_risks(
     plan: FoldPlan,
     swaps,
     cached: FoldFits,
-    losses="squared",
 ) -> list[RiskVector]:
     """Risk vector after each replacement (i, (z, y)) in ``swaps``, each
     made on its own.
@@ -320,7 +287,6 @@ def replace_one_cv_risks(
         raise DomainError("cached fits were built for a different learner bank")
     if plan.n != dataset.n:
         raise DomainError(f"plan covers {plan.n} rows, dataset has {dataset.n}")
-    tags = _resolve_losses(losses, len(specs))
     labels = tuple(spec.label() for spec in specs)
     swaps = [_swap(dataset, i, x_new) for i, x_new in swaps]
     trains = [plan.train_indices(v) for v in range(plan.V)]
@@ -332,7 +298,7 @@ def replace_one_cv_risks(
                     yield (v, *_rows(dataset, trains[v], swap))
 
     def risk(swap, fits):
-        values = _loss_values(dataset, fits, plan, tags, swap)
+        values = _loss_values(dataset, fits, plan, swap)
         return cv_risk(LossMatrix(values, plan, labels))
 
     # a swap's fits are dropped before the next swap is fitted
@@ -354,8 +320,9 @@ def replace_one_cv_risk(
     losses="squared",
 ) -> RiskVector:
     """Risk vector after swapping row i for x_new = (z, y): the one-swap
-    form of replace_one_cv_risks."""
-    return replace_one_cv_risks(dataset, specs, plan, [(i, x_new)], cached, losses)[0]
+    form of replace_one_cv_risks.  ``losses`` must be "squared"."""
+    _check_squared(losses)
+    return replace_one_cv_risks(dataset, specs, plan, [(i, x_new)], cached)[0]
 
 
 def loss_first_diff(
@@ -365,10 +332,9 @@ def loss_first_diff(
     eval_index: int,
     i: int,
     x_new,
-    losses="squared",
 ) -> np.ndarray:
-    """Per-model change in the loss at one evaluation point when training
-    row i is replaced.
+    """Per-model change in the squared loss at one evaluation point when
+    training row i is replaced.
 
     The evaluation row's own fold is held out; i must lie in the training
     complement.  Both fits are fresh, made in one fit call over the two
@@ -386,18 +352,16 @@ def loss_first_diff(
             f"row {i} shares fold {v0} with the evaluation point; replace a training row"
         )
     specs = tuple(specs)
-    tags = _resolve_losses(losses, len(specs))
+    for spec in specs:
+        spec.validate()
     swap = _swap(dataset, i, x_new)
     tr = plan.train_indices(v0)
     sets = [(v0, *_rows(dataset, tr)), (v0, *_rows(dataset, tr, swap))]
     before, after = _fit_sets(specs, sets)
     z0 = dataset.features[eval_index][None, :]
-    y0 = np.array([float(dataset.response[eval_index])])
+    y0 = float(dataset.response[eval_index])
     return np.array(
-        [
-            _apply_loss(tag, y0, b.predict(z0))[0] - _apply_loss(tag, y0, a.predict(z0))[0]
-            for tag, b, a in zip(tags, before, after)
-        ]
+        [((y0 - b.predict(z0)) ** 2 - (y0 - a.predict(z0)) ** 2)[0] for b, a in zip(before, after)]
     )
 
 
@@ -410,19 +374,13 @@ def average_fitted_risk_oracle(fold_fits: FoldFits, truth) -> np.ndarray:
         raise DomainError(
             "risk oracle only supports the identity-covariance Gaussian design"
         )
-    for spec in fold_fits.specs:
-        if spec.loss != "squared":
-            raise DomainError("risk oracle only supports squared loss")
     p = len(fold_fits.specs)
     V = fold_fits.plan.V
     out = np.empty(p)
     for r in range(p):
         acc = 0.0
         for v in range(V):
-            model = fold_fits.fits[v][r]
-            if model.intercept != 0.0:
-                raise DomainError("risk oracle assumes centered linear predictors")
-            delta = model.coef - truth.beta
+            delta = fold_fits.fits[v][r].coef - truth.beta
             acc += truth.noise_var + float(delta @ delta)
         out[r] = acc / V
     return out

@@ -11,14 +11,11 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .learners import SgdConfig
 
 
 class DomainError(ValueError):
@@ -33,8 +30,7 @@ class DatasetFormatError(ValueError):
     """A dataset file does not follow the expected CSV layout."""
 
 
-LEARNER_FAMILIES = ("ols", "ridge", "lasso", "forward", "sgd", "series")
-LOSS_TAGS = ("squared", "absolute", "zero_one")
+LEARNER_FAMILIES = ("ridge", "lasso", "forward", "series")
 
 
 def _jsonable(obj):
@@ -95,7 +91,6 @@ class Dataset:
 
     features: np.ndarray
     response: np.ndarray
-    feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "features", _as_float_array(self.features, "features", 2))
@@ -120,7 +115,7 @@ class Dataset:
         response = self.response.copy()
         features[i] = z_new
         response[i] = float(y_new)
-        return Dataset(features, response, self.feature_names)
+        return Dataset(features, response)
 
 
 def validate_dataset(dataset: Dataset) -> list[str]:
@@ -133,10 +128,6 @@ def validate_dataset(dataset: Dataset) -> list[str]:
         problems.append("features contains non-finite entries")
     if not np.all(np.isfinite(dataset.response)):
         problems.append("response contains non-finite entries")
-    if dataset.feature_names is not None and len(dataset.feature_names) != dataset.d:
-        problems.append(
-            f"feature_names has {len(dataset.feature_names)} entries for {dataset.d} columns"
-        )
     return problems
 
 
@@ -227,24 +218,19 @@ class LearnerSpec:
     """Value-type description of one candidate learner.
 
     Only the fields relevant to ``family`` are consulted: ``lam`` for
-    ridge and lasso, ``steps`` for forward selection, ``truncation``
-    for the series estimator, ``sgd`` for the stochastic gradient
-    family.  ``loss`` names the evaluation loss, not the training
-    objective.
+    ridge and lasso (ridge at lam = 0 is least squares), ``steps`` for
+    forward selection, ``truncation`` for the series estimator.  Every
+    candidate is scored under squared loss.
     """
 
     family: str
     lam: float = 0.0
     steps: int | None = None
     truncation: int | None = None
-    loss: str = "squared"
-    sgd: "SgdConfig | None" = None
 
     def validate(self) -> "LearnerSpec":
         if self.family not in LEARNER_FAMILIES:
             raise DomainError(f"unknown learner family {self.family!r}")
-        if self.loss not in LOSS_TAGS:
-            raise DomainError(f"unknown loss tag {self.loss!r}")
         if self.family in ("ridge", "lasso") and not self.lam >= 0:
             raise DomainError(f"{self.family} needs lam >= 0, got {self.lam}")
         if self.family == "forward":
@@ -253,10 +239,6 @@ class LearnerSpec:
         if self.family == "series":
             if self.truncation is None or self.truncation < 1:
                 raise DomainError(f"series needs truncation >= 1, got {self.truncation}")
-        if self.family == "sgd":
-            if self.sgd is None:
-                raise DomainError("sgd family needs an attached SgdConfig")
-            self.sgd.validate()
         return self
 
     def label(self) -> str:
@@ -266,8 +248,6 @@ class LearnerSpec:
             return f"forward:{self.steps}"
         if self.family == "series":
             return f"series:{self.truncation}"
-        if self.family == "sgd":
-            return f"sgd:{self.sgd.objective if self.sgd else '?'}"
         return self.family
 
 
@@ -277,7 +257,6 @@ class FittedModel:
 
     family: str
     coef: np.ndarray
-    intercept: float = 0.0
     support: tuple[int, ...] | None = None
     iterations: int = 0
 
@@ -286,7 +265,7 @@ class FittedModel:
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
-        return features @ self.coef + self.intercept
+        return features @ self.coef
 
 
 def save_dataset_csv(dataset: Dataset, path) -> None:

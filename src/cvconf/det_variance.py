@@ -177,8 +177,6 @@ def phi_pair(
     specs: Sequence[LearnerSpec],
     plan: FoldPlan,
     holdout: HoldoutSet,
-    *,
-    losses="squared",
 ) -> PhiEstimate:
     """Paired-difference variance estimate.
 
@@ -191,7 +189,7 @@ def phi_pair(
     specs, fits = _base_fits(dataset, specs, plan, holdout)
     n = dataset.features.shape[0]
     swaps = [(_PAIR_ROW, holdout.row(j)) for j in range(holdout.m)]
-    risks = replace_one_cv_risks(dataset, specs, plan, swaps, fits, losses)
+    risks = replace_one_cv_risks(dataset, specs, plan, swaps, fits)
     pairs = zip(risks[0::2], risks[1::2])
     return _estimate("pair", (_PAIR_ROW,), specs, holdout, n**2 / holdout.m, pairs)
 
@@ -203,7 +201,6 @@ def phi_perturb(
     holdout: HoldoutSet,
     *,
     schedule: Sequence[int] | None = None,
-    losses="squared",
 ) -> PhiEstimate:
     """Multi-index variant: perturb a different row per hold-out point.
 
@@ -221,9 +218,9 @@ def phi_perturb(
     if any(not 0 <= i < n for i in schedule):
         raise DomainError("schedule indices must lie in [0, n)")
     specs, fits = _base_fits(dataset, specs, plan, holdout)
-    base = cv_risk(loss_matrix(dataset, fits, plan, losses))
+    base = cv_risk(loss_matrix(dataset, fits, plan, "squared"))
     swaps = [(i, holdout.row(j)) for j, i in enumerate(schedule)]
-    risks = replace_one_cv_risks(dataset, specs, plan, swaps, fits, losses)
+    risks = replace_one_cv_risks(dataset, specs, plan, swaps, fits)
     pairs = ((base, risk) for risk in risks)
     return _estimate("perturb", schedule, specs, holdout, n**2 / (2 * holdout.m), pairs)
 

@@ -75,10 +75,6 @@ class BandSet:
     def p(self) -> int:
         return self.center.shape[0]
 
-    @property
-    def half_width(self) -> np.ndarray:
-        return (self.upper - self.lower) / 2.0
-
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,

@@ -1,13 +1,12 @@
-"""Learner bank: least squares, ridge, lasso, forward selection,
-single-pass SGD, and truncated series regression.
+"""Learner bank: ridge (least squares at lam = 0), lasso, forward
+selection, single-pass SGD, and truncated series regression.
 
 All fitting functions are pure: identical inputs give identical
 outputs, with no dependence on global RNG or iteration order beyond
 the documented cyclic/greedy schedules.  The lasso has one solver,
 ``lasso_bank``, which runs the coordinate descent of many problems
-together; ``fit_lasso`` is its one-problem call.  Batched SGD passes
-likewise run in ``sgd_trajectories``, with ``fit_sgd`` as its
-one-trajectory call.
+together; ``fit_lasso`` is its one-problem call.  SGD passes likewise
+run together in ``sgd_trajectories``.
 """
 
 from __future__ import annotations
@@ -38,14 +37,7 @@ def _check_xy(features, response):
     return Z, y
 
 
-# ------------------------------------------------------------ least squares
-
-
-def fit_ols(features, response) -> FittedModel:
-    """Least squares, minimum-norm solution under rank deficiency."""
-    Z, y = _check_xy(features, response)
-    coef, *_ = np.linalg.lstsq(Z, y, rcond=None)
-    return FittedModel(family="ols", coef=coef)
+# ------------------------------------------------------------------- ridge
 
 
 def fit_ridge(features, response, lam: float) -> FittedModel:
@@ -55,7 +47,7 @@ def fit_ridge(features, response, lam: float) -> FittedModel:
     singular design never raises.
     """
     Z, y = _check_xy(features, response)
-    if lam < 0:
+    if not lam >= 0:
         raise DomainError(f"ridge needs lam >= 0, got {lam}")
     if lam == 0:
         coef, *_ = np.linalg.lstsq(Z, y, rcond=None)
@@ -279,30 +271,25 @@ def fit_forward(features, response, steps: int) -> FittedModel:
 
 @dataclass(frozen=True)
 class SgdConfig:
-    """Objective description and curvature constants for projected SGD.
+    """Curvature constants for projected SGD on the ridge objective
+    (1/2)(y - z'theta)^2 + (lam/2)||theta||^2.
 
     The step size is t^{-step_exponent} / smoothness; admissibility
     requires strong_convexity <= smoothness so every step satisfies
     alpha_t <= 2 / (smoothness + strong_convexity).  The guarantees the
     constants encode assume every data row (y, z) lies in the
-    radius_x ball and, with projection on, iterates stay in the
-    radius_theta ball.
+    radius_x ball; projection keeps iterates in the radius_theta ball.
     """
 
-    objective: str
     lam: float
     step_exponent: float
     strong_convexity: float
     smoothness: float
     lipschitz: float
-    hessian_lipschitz: float
     radius_x: float
     radius_theta: float
-    project: bool = True
 
     def validate(self) -> "SgdConfig":
-        if self.objective not in ("ridge_sq", "logistic_ridge"):
-            raise DomainError(f"unknown sgd objective {self.objective!r}")
         if not 0 < self.step_exponent < 1:
             raise DomainError(f"step exponent must lie in (0, 1), got {self.step_exponent}")
         if self.lam < 0:
@@ -310,8 +297,8 @@ class SgdConfig:
         for name in ("smoothness", "lipschitz", "radius_x", "radius_theta"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"need {name} > 0, got {getattr(self, name)}")
-        if self.strong_convexity < 0 or self.hessian_lipschitz < 0:
-            raise DomainError("curvature constants must be non-negative")
+        if self.strong_convexity < 0:
+            raise DomainError(f"need strong_convexity >= 0, got {self.strong_convexity}")
         if self.strong_convexity > self.smoothness:
             raise DomainError(
                 "step size admissibility needs strong_convexity <= smoothness, "
@@ -320,34 +307,15 @@ class SgdConfig:
         return self
 
     @classmethod
-    def for_ridge(cls, lam, step_exponent, radius_x, radius_theta, project=True):
+    def for_ridge(cls, lam, step_exponent, radius_x, radius_theta):
         return cls(
-            objective="ridge_sq",
             lam=lam,
             step_exponent=step_exponent,
             strong_convexity=lam,
             smoothness=radius_x**2 + lam,
             lipschitz=radius_x**2 * (1 + radius_theta) + lam * radius_theta,
-            hessian_lipschitz=0.0,
             radius_x=radius_x,
             radius_theta=radius_theta,
-            project=project,
-        ).validate()
-
-    @classmethod
-    def for_logistic_ridge(cls, lam, step_exponent, radius_x, radius_theta, project=True):
-        return cls(
-            objective="logistic_ridge",
-            lam=lam,
-            step_exponent=step_exponent,
-            strong_convexity=2 * lam,
-            smoothness=radius_x / radius_theta + lam,
-            lipschitz=radius_x**2 + math.log1p(math.exp(radius_x * radius_theta)) / radius_theta
-            + lam * radius_theta,
-            hessian_lipschitz=radius_x**2 / (4 * radius_theta),
-            radius_x=radius_x,
-            radius_theta=radius_theta,
-            project=project,
         ).validate()
 
 
@@ -365,11 +333,6 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a (K, d) array, bitwise equal to
     ``np.linalg.norm(v[k])`` for every k."""
     return np.sqrt(_row_dots(v, v))
-
-
-def _sigmoid(u: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(u))
-    return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sgd_trajectories(features, response, config: SgdConfig, trial, replace) -> np.ndarray:
@@ -411,7 +374,6 @@ def sgd_trajectories(features, response, config: SgdConfig, trial, replace) -> n
     a = config.step_exponent
     beta = config.smoothness
     lam = config.lam
-    logistic = config.objective == "logistic_ridge"
     radius = config.radius_theta
     with np.errstate(divide="ignore"):  # a zero iterate gives radius / 0 = inf, then min 1
         for t in range(1, n + 1):
@@ -422,60 +384,30 @@ def sgd_trajectories(features, response, config: SgdConfig, trial, replace) -> n
                 ks, zs, ys = swap
                 z[ks] = zs
                 yt[ks] = ys
-            u = _row_dots(z, theta)
-            if logistic:
-                grad = (_sigmoid(u) - yt)[:, None] * z + 2 * lam * theta
-            else:
-                grad = -(yt - u)[:, None] * z + lam * theta
+            grad = -(yt - _row_dots(z, theta))[:, None] * z + lam * theta
             theta = theta - t**-a / beta * grad
-            if config.project:
-                # scaling by exactly 1.0 leaves rows inside the ball unchanged;
-                # row_norms is inlined so a tracer wrapping public functions
-                # does not record a span per step
-                nrm = np.sqrt(_row_dots(theta, theta))
-                theta *= np.minimum(1.0, radius / nrm)[:, None]
+            # scaling by exactly 1.0 leaves rows inside the ball unchanged;
+            # row_norms is inlined so a tracer wrapping public functions
+            # does not record a span per step
+            nrm = np.sqrt(_row_dots(theta, theta))
+            theta *= np.minimum(1.0, radius / nrm)[:, None]
     return theta
-
-
-def fit_sgd(features, response, config: SgdConfig) -> FittedModel:
-    """Single pass of projected SGD from a zero start.
-
-    Rows are consumed once, in ascending index order, with step size
-    t^{-a} / smoothness at step t = 1..n.
-    """
-    config.validate()
-    Z, y = _check_xy(features, response)
-    theta = sgd_trajectories(Z[None], y[None], config, [0], [{}])[0]
-    return FittedModel(family="sgd", coef=theta, iterations=Z.shape[0])
 
 
 # ------------------------------------------------------------------ series
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Truncation level for the series estimator."""
-
-    truncation: int
-
-    def validate(self) -> "SeriesConfig":
-        if self.truncation < 1:
-            raise DomainError(f"need truncation >= 1, got {self.truncation}")
-        return self
-
-
-def fit_series(features, response, config) -> FittedModel:
+def fit_series(features, response, truncation: int) -> FittedModel:
     """Moment estimator beta_j = mean(y * z_j) for j below the
     truncation, zero beyond.
 
     Valid when features are centered with unit variance, as produced by
     the series generator.
     """
-    if isinstance(config, int):
-        config = SeriesConfig(truncation=config)
-    config.validate()
     Z, y = _check_xy(features, response)
-    J = config.truncation
+    J = truncation
+    if J is None or J < 1:
+        raise DomainError(f"need truncation >= 1, got {J}")
     if J > Z.shape[1]:
         raise DomainError(f"truncation {J} exceeds feature count {Z.shape[1]}")
     coef = np.zeros(Z.shape[1])

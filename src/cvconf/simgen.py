@@ -106,8 +106,7 @@ def gen_sparse_linear(cfg: SparseLinearGen) -> tuple[Dataset, SparseLinearTruth]
     response = features @ beta
     if noise_var > 0:
         response = response + math.sqrt(noise_var) * rng.standard_normal(cfg.n)
-    names = tuple(f"z{j + 1}" for j in range(cfg.d))
-    return Dataset(features, response, names), SparseLinearTruth(beta, noise_var)
+    return Dataset(features, response), SparseLinearTruth(beta, noise_var)
 
 
 def series_tail_energy_ratio(j_max: int, decay: float) -> float:
@@ -145,5 +144,4 @@ def gen_series(cfg: SeriesGen) -> tuple[Dataset, SeriesTruth]:
     response = features @ beta
     if cfg.noise_sd > 0:
         response = response + cfg.noise_sd * rng.standard_normal(cfg.n)
-    names = tuple(f"z{j + 1}" for j in range(cfg.j_max))
-    return Dataset(features, response, names), SeriesTruth(beta, cfg.noise_sd, ratio)
+    return Dataset(features, response), SeriesTruth(beta, cfg.noise_sd, ratio)

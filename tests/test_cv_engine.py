@@ -18,18 +18,19 @@ from cvconf.cv_engine import (
     replace_one_cv_risks,
 )
 from cvconf.datamodel import Dataset, DomainError, LearnerSpec, LossMatrix, make_folds
-from cvconf.learners import ConvergenceError, fit_lasso, fit_ols, fit_ridge, lasso_bank
+from cvconf.learners import ConvergenceError, fit_lasso, fit_ridge, lasso_bank
 from cvconf.simgen import SparseLinearGen, SeriesGen, gen_series, gen_sparse_linear
 
 # one feature, four rows; both fold-out slopes work out to 1.6
 HAND_Z = np.array([[1.0], [2.0], [3.0], [1.0]])
 HAND_Y = np.array([2.0, 3.0, 5.0, 1.0])
+OLS = LearnerSpec("ridge", lam=0.0)  # least squares
 
 
 def _hand_setup():
     ds = Dataset(HAND_Z, HAND_Y)
     plan = make_folds(4, 2)
-    fits = fit_all_folds(ds, [LearnerSpec("ols")], plan)
+    fits = fit_all_folds(ds, [OLS], plan)
     return ds, plan, fits
 
 
@@ -37,12 +38,12 @@ def test_fit_all_folds_trains_on_complement():
     rng = np.random.default_rng(0)
     ds = Dataset(rng.normal(size=(20, 3)), rng.normal(size=20))
     plan = make_folds(20, 4)
-    fits = fit_all_folds(ds, [LearnerSpec("ols"), LearnerSpec("ridge", lam=0.7)], plan)
+    fits = fit_all_folds(ds, [OLS, LearnerSpec("ridge", lam=0.7)], plan)
     for v in range(4):
         tr = plan.train_indices(v)
-        expect_ols = fit_ols(ds.features[tr], ds.response[tr])
+        expect_ols, *_ = np.linalg.lstsq(ds.features[tr], ds.response[tr], rcond=None)
         expect_ridge = fit_ridge(ds.features[tr], ds.response[tr], 0.7)
-        assert np.array_equal(fits.fits[v][0].coef, expect_ols.coef)
+        assert np.array_equal(fits.fits[v][0].coef, expect_ols)
         assert np.array_equal(fits.fits[v][1].coef, expect_ridge.coef)
 
 
@@ -62,14 +63,14 @@ def test_fit_all_folds_wraps_failures_with_location():
     plan = make_folds(8, 2)
     bad = LearnerSpec("series", truncation=5)  # wider than the data
     with pytest.raises(FitError) as err:
-        fit_all_folds(ds, [LearnerSpec("ols"), bad], plan)
+        fit_all_folds(ds, [OLS, bad], plan)
     assert err.value.fold == 0 and err.value.model == 1
 
 
 def test_fit_all_folds_rejects_dirty_dataset():
     ds = Dataset(np.ones((4, 2)), np.array([1.0, np.nan, 0.0, 2.0]))
     with pytest.raises(DomainError):
-        fit_all_folds(ds, [LearnerSpec("ols")], make_folds(4, 2))
+        fit_all_folds(ds, [OLS], make_folds(4, 2))
 
 
 def test_loss_matrix_hand_squared():
@@ -79,28 +80,19 @@ def test_loss_matrix_hand_squared():
 
 
 def test_loss_matrix_hand_absolute():
+    # every candidate is scored under squared loss; other tags are refused
     ds, plan, fits = _hand_setup()
-    lm = loss_matrix(ds, fits, plan, "absolute")
-    np.testing.assert_allclose(lm.values[:, 0], [0.4, 0.2, 0.2, 0.6], atol=1e-12)
-
-
-def test_loss_matrix_zero_one_thresholds_score_at_zero():
-    # a zero-step forward fit scores 0 everywhere; sigmoid(0) = 0.5 predicts class 1
-    ds = Dataset(np.arange(8, dtype=float).reshape(4, 2), np.array([1.0, 0.0, 1.0, 0.0]))
-    plan = make_folds(4, 2)
-    fits = fit_all_folds(ds, [LearnerSpec("forward", steps=0, loss="zero_one")], plan)
-    lm = loss_matrix(ds, fits, plan, "zero_one")
-    np.testing.assert_array_equal(lm.values[:, 0], [0.0, 1.0, 0.0, 1.0])
+    with pytest.raises(DomainError):
+        loss_matrix(ds, fits, plan, "absolute")
 
 
 def test_loss_matrix_per_model_tags():
+    # a list of tags is refused, even one naming squared loss for every model
     ds, plan, _ = _hand_setup()
-    fits = fit_all_folds(ds, [LearnerSpec("ols"), LearnerSpec("ols", loss="absolute")], plan)
-    lm = loss_matrix(ds, fits, plan, ["squared", "absolute"])
-    np.testing.assert_allclose(lm.values[:, 0], [0.16, 0.04, 0.04, 0.36], atol=1e-12)
-    np.testing.assert_allclose(lm.values[:, 1], [0.4, 0.2, 0.2, 0.6], atol=1e-12)
-    with pytest.raises(DomainError):
-        loss_matrix(ds, fits, plan, ["squared"])
+    fits = fit_all_folds(ds, [OLS, LearnerSpec("ridge", lam=0.5)], plan)
+    for tags in (["squared", "absolute"], ["squared", "squared"], ["squared"]):
+        with pytest.raises(DomainError):
+            loss_matrix(ds, fits, plan, tags)
 
 
 def test_cv_risk_matches_naive_summation():
@@ -132,7 +124,7 @@ def test_spec_permutation_permutes_columns():
     rng = np.random.default_rng(4)
     ds = Dataset(rng.normal(size=(20, 4)), rng.normal(size=20))
     plan = make_folds(20, 4)
-    specs = [LearnerSpec("ridge", lam=0.1), LearnerSpec("lasso", lam=0.05), LearnerSpec("ols")]
+    specs = [LearnerSpec("ridge", lam=0.1), LearnerSpec("lasso", lam=0.05), OLS]
     lm = loss_matrix(ds, fit_all_folds(ds, specs, plan), plan, "squared")
     perm = [2, 0, 1]
     specs_p = [specs[j] for j in perm]
@@ -271,7 +263,7 @@ def test_fit_error_order_runs_across_families(monkeypatch):
     for specs, model, cause in (
         ([lasso, too_many], 0, ConvergenceError),
         ([too_many, lasso], 0, DomainError),
-        ([LearnerSpec("ols"), lasso, too_many], 1, ConvergenceError),
+        ([OLS, lasso, too_many], 1, ConvergenceError),
     ):
         with pytest.raises(FitError) as err:
             loss_first_diff(ds, specs, plan, 7, 1, (rng.normal(size=3), 0.5))
@@ -299,11 +291,38 @@ def test_loss_first_diff_lasso_bank_matches_two_fit_subtraction():
     assert np.any(out != 0.0)
 
 
+def test_replace_one_cv_risk_refuses_losses_other_than_squared():
+    rng = np.random.default_rng(16)
+    ds = Dataset(rng.normal(size=(8, 2)), rng.normal(size=8))
+    plan = make_folds(8, 2)
+    specs = [OLS, LearnerSpec("lasso", lam=0.1)]
+    cached = fit_all_folds(ds, specs, plan)
+    x_new = (np.zeros(2), 0.0)
+    want = replace_one_cv_risk(ds, specs, plan, 3, x_new, cached)
+    got = replace_one_cv_risk(ds, specs, plan, 3, x_new, cached, "squared")
+    assert np.array_equal(got.values, want.values)
+    for losses in ("absolute", ["squared", "squared"]):
+        with pytest.raises(DomainError):
+            replace_one_cv_risk(ds, specs, plan, 3, x_new, cached, losses)
+
+
+def test_loss_first_diff_validates_specs_before_fitting():
+    # a NaN penalty or a series spec without truncation is a DomainError
+    # before any fit, not a NaN difference or a failure inside the fit
+    rng = np.random.default_rng(17)
+    ds = Dataset(rng.normal(size=(12, 3)), rng.normal(size=12))
+    plan = make_folds(12, 3)
+    x_new = (rng.normal(size=3), 0.5)
+    for bad in (LearnerSpec("ridge", lam=float("nan")), LearnerSpec("series")):
+        with pytest.raises(DomainError):
+            loss_first_diff(ds, [LearnerSpec("ridge", lam=0.5), bad], plan, 0, 6, x_new)
+
+
 def test_replace_one_rejects_bad_index():
     rng = np.random.default_rng(7)
     ds = Dataset(rng.normal(size=(8, 2)), rng.normal(size=8))
     plan = make_folds(8, 2)
-    specs = [LearnerSpec("ols")]
+    specs = [OLS]
     cached = fit_all_folds(ds, specs, plan)
     with pytest.raises(DomainError):
         replace_one_cv_risk(ds, specs, plan, 8, (np.zeros(2), 0.0), cached)
@@ -355,11 +374,3 @@ def test_fitted_risk_oracle_refuses_unknown_design():
     with pytest.raises(DomainError):
         average_fitted_risk_oracle(fits, truth)
 
-
-def test_fitted_risk_oracle_refuses_nonsquared_loss():
-    cfg = SparseLinearGen(n=20, d=3, s=1, nu=10.0, seed=12)
-    ds, truth = gen_sparse_linear(cfg)
-    plan = make_folds(20, 4)
-    fits = fit_all_folds(ds, [LearnerSpec("ols", loss="absolute")], plan)
-    with pytest.raises(DomainError):
-        average_fitted_risk_oracle(fits, truth)

@@ -23,7 +23,6 @@ from cvconf.datamodel import (
     write_csv_atomic,
     write_json_atomic,
 )
-from cvconf.learners import SgdConfig
 
 
 def test_make_folds_strict_first_and_last_block():
@@ -171,7 +170,7 @@ def test_loss_matrix_rejects_nonfinite_and_row_mismatch():
 
 
 def test_learner_spec_validation():
-    LearnerSpec("ols").validate()
+    LearnerSpec("ridge", lam=0.0).validate()
     LearnerSpec("lasso", lam=0.3).validate()
     LearnerSpec("forward", steps=2).validate()
     LearnerSpec("series", truncation=3).validate()
@@ -182,13 +181,11 @@ def test_learner_spec_validation():
     with pytest.raises(DomainError):
         LearnerSpec("series", truncation=0).validate()
     with pytest.raises(DomainError):
-        LearnerSpec("kitchen_sink").validate()
-    with pytest.raises(DomainError):
-        LearnerSpec("ols", loss="hinge").validate()
-    with pytest.raises(DomainError):
-        LearnerSpec("sgd").validate()  # needs an attached SgdConfig
-    LearnerSpec("sgd", sgd=SgdConfig.for_ridge(lam=0.5, step_exponent=0.6,
-                                               radius_x=1.0, radius_theta=1.0)).validate()
+        LearnerSpec("ridge", lam=float("nan")).validate()
+    # least squares is ridge at lam = 0; SGD runs only in the stability campaigns
+    for family in ("kitchen_sink", "ols", "sgd"):
+        with pytest.raises(DomainError):
+            LearnerSpec(family).validate()
 
 
 def test_learner_spec_is_hashable_value_type():
@@ -199,6 +196,6 @@ def test_learner_spec_is_hashable_value_type():
 
 
 def test_fitted_model_predict_is_affine():
-    m = FittedModel(family="ols", coef=np.array([2.0, -1.0]), intercept=0.5)
+    m = FittedModel(family="ridge", coef=np.array([2.0, -1.0]))
     Z = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 3.0]])
-    np.testing.assert_allclose(m.predict(Z), [2.5, -0.5, 1.5])
+    np.testing.assert_allclose(m.predict(Z), [2.0, -1.0, 1.0])

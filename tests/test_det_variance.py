@@ -119,7 +119,7 @@ def test_phi_pair_analytic_variance_target():
 def test_phi_symmetric_nonnegative_diagonal():
     ds, _ = _instance(seed=7)
     specs = [
-        LearnerSpec(family="ols"),
+        LearnerSpec(family="ridge", lam=0.0),
         LearnerSpec(family="ridge", lam=0.5),
         ZERO_FIT,
     ]

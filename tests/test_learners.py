@@ -8,18 +8,16 @@ from hypothesis import strategies as st
 from cvconf.datamodel import DomainError
 from cvconf.learners import (
     ConvergenceError,
-    SeriesConfig,
     SgdConfig,
     fit_forward,
     fit_lasso,
-    fit_ols,
     fit_ridge,
     fit_series,
-    fit_sgd,
     lasso_bank,
     lasso_grid,
     lasso_grid_log,
     lasso_max_lam,
+    sgd_trajectories,
 )
 
 
@@ -30,26 +28,36 @@ def _random_instance(seed, n=24, d=4):
     return Z, y
 
 
-# ---------------------------------------------------------------- ols
+def _lstsq(Z, y):
+    """Minimum-norm least-squares coefficients."""
+    return np.linalg.lstsq(Z, y, rcond=None)[0]
+
+
+def _sgd_pass(Z, y, cfg):
+    """Final iterate of one projected SGD pass over (Z, y)."""
+    return sgd_trajectories(Z[None], y[None], cfg, [0], [{}])[0]
+
+
+# ------------------------------------------------- least squares (lam = 0)
 
 
 def test_ols_single_feature_closed_form():
     Z = np.array([[1.0], [2.0], [3.0]])
     y = np.array([2.0, 3.0, 5.0])
-    m = fit_ols(Z, y)
+    m = fit_ridge(Z, y, 0.0)
     assert m.coef[0] == pytest.approx(23.0 / 14.0)
 
 
 def test_ols_minimum_norm_on_duplicate_columns():
     Z = np.array([[1.0, 1.0], [2.0, 2.0]])
     y = np.array([2.0, 4.0])
-    m = fit_ols(Z, y)
+    m = fit_ridge(Z, y, 0.0)
     np.testing.assert_allclose(m.coef, [1.0, 1.0], atol=1e-12)
 
 
 def test_ols_underdetermined_returns_min_norm_interpolant():
     Z, y = _random_instance(0, n=3, d=6)
-    m = fit_ols(Z, y)
+    m = fit_ridge(Z, y, 0.0)
     np.testing.assert_allclose(Z @ m.coef, y, atol=1e-9)
     # minimum-norm solutions live in the row space
     resid = m.coef - Z.T @ np.linalg.lstsq(Z.T, m.coef, rcond=None)[0]
@@ -68,7 +76,7 @@ def test_ridge_identity_design_hand_value():
 
 def test_ridge_zero_lam_equals_ols():
     Z, y = _random_instance(1)
-    np.testing.assert_allclose(fit_ridge(Z, y, 0.0).coef, fit_ols(Z, y).coef, atol=1e-10)
+    np.testing.assert_allclose(fit_ridge(Z, y, 0.0).coef, _lstsq(Z, y), atol=1e-10)
 
 
 def test_ridge_zero_lam_rank_deficient_falls_back_to_min_norm():
@@ -92,6 +100,13 @@ def test_ridge_rejects_negative_lam():
     Z, y = _random_instance(2)
     with pytest.raises(DomainError):
         fit_ridge(Z, y, -0.5)
+
+
+def test_ridge_rejects_nan_lam():
+    # a NaN penalty fails lam < 0 as well as lam >= 0
+    Z, y = _random_instance(2)
+    with pytest.raises(DomainError):
+        fit_ridge(Z, y, float("nan"))
 
 
 # ---------------------------------------------------------------- lasso
@@ -120,7 +135,7 @@ def test_lasso_at_lam_max_is_exact_zero():
 def test_lasso_zero_lam_matches_ols():
     Z, y = _random_instance(4, n=40, d=3)
     m = fit_lasso(Z, y, 0.0)
-    np.testing.assert_allclose(m.coef, fit_ols(Z, y).coef, atol=1e-6)
+    np.testing.assert_allclose(m.coef, _lstsq(Z, y), atol=1e-6)
 
 
 def _kkt_residual(Z, y, lam, beta):
@@ -345,7 +360,7 @@ def test_forward_full_support_matches_ols():
     Z, y = _random_instance(11, n=20, d=4)
     m = fit_forward(Z, y, 4)
     np.testing.assert_allclose(np.sort(m.support), np.arange(4))
-    np.testing.assert_allclose(m.coef, fit_ols(Z, y).coef, atol=1e-9)
+    np.testing.assert_allclose(m.coef, _lstsq(Z, y), atol=1e-9)
 
 
 def test_forward_rss_nonincreasing_along_path():
@@ -373,23 +388,16 @@ def test_sgd_config_constant_derivation_ridge():
     assert cfg.strong_convexity == pytest.approx(0.5)
     assert cfg.smoothness == pytest.approx(1.5**2 + 0.5)
     assert cfg.lipschitz == pytest.approx(1.5**2 * (1 + 2.0) + 0.5 * 2.0)
-    assert cfg.hessian_lipschitz == 0.0
-
-
-def test_sgd_config_constant_derivation_logistic_ridge():
-    rx, rt, lam = 1.2, 2.0, 0.3
-    cfg = SgdConfig.for_logistic_ridge(lam=lam, step_exponent=0.5, radius_x=rx, radius_theta=rt)
-    assert cfg.strong_convexity == pytest.approx(2 * lam)
-    assert cfg.smoothness == pytest.approx(rx / rt + lam)
-    assert cfg.lipschitz == pytest.approx(rx**2 + np.log1p(np.exp(rx * rt)) / rt + lam * rt)
-    assert cfg.hessian_lipschitz == pytest.approx(rx**2 / (4 * rt))
 
 
 def test_sgd_config_rejects_gamma_above_beta():
-    # logistic ridge with lam > R_x / R_theta makes gamma exceed beta
-    with pytest.raises(DomainError):
-        SgdConfig.for_logistic_ridge(lam=1.0, step_exponent=0.5, radius_x=1.0,
-                                     radius_theta=2.0).validate()
+    cfg = SgdConfig(lam=0.5, step_exponent=0.5, strong_convexity=2.0, smoothness=1.5,
+                    lipschitz=4.0, radius_x=1.0, radius_theta=2.0)
+    with pytest.raises(DomainError, match="strong_convexity <= smoothness"):
+        cfg.validate()
+    # gamma == beta is admissible
+    SgdConfig(lam=0.5, step_exponent=0.5, strong_convexity=1.5, smoothness=1.5,
+              lipschitz=4.0, radius_x=1.0, radius_theta=2.0).validate()
 
 
 def test_sgd_config_rejects_bad_exponent():
@@ -401,8 +409,7 @@ def test_sgd_one_step_ridge_closed_form():
     cfg = SgdConfig.for_ridge(lam=0.5, step_exponent=0.6, radius_x=2.0, radius_theta=100.0)
     Z = np.array([[1.0, 2.0]])
     y = np.array([3.0])
-    m = fit_sgd(Z, y, cfg)
-    np.testing.assert_allclose(m.coef, y[0] * Z[0] / cfg.smoothness, atol=1e-14)
+    np.testing.assert_allclose(_sgd_pass(Z, y, cfg), y[0] * Z[0] / cfg.smoothness, atol=1e-14)
 
 
 def test_sgd_two_steps_match_manual_recursion():
@@ -415,8 +422,7 @@ def test_sgd_two_steps_match_manual_recursion():
         z, yy = Z[t - 1], y[t - 1]
         grad = -(yy - z @ theta) * z + cfg.lam * theta
         theta = theta - t**-0.7 / beta * grad
-    m = fit_sgd(Z, y, cfg)
-    np.testing.assert_allclose(m.coef, theta, atol=1e-14)
+    np.testing.assert_allclose(_sgd_pass(Z, y, cfg), theta, atol=1e-14)
 
 
 def test_sgd_projection_keeps_iterates_in_ball():
@@ -424,17 +430,7 @@ def test_sgd_projection_keeps_iterates_in_ball():
     rng = np.random.default_rng(14)
     Z = rng.normal(size=(50, 3))
     y = 10.0 * rng.normal(size=50)
-    m = fit_sgd(Z, y, cfg)
-    assert np.linalg.norm(m.coef) <= cfg.radius_theta + 1e-12
-
-
-def test_sgd_logistic_gradient_direction():
-    cfg = SgdConfig.for_logistic_ridge(lam=0.1, step_exponent=0.5, radius_x=2.0, radius_theta=5.0)
-    Z = np.array([[1.0, 0.0]])
-    y = np.array([1.0])
-    m = fit_sgd(Z, y, cfg)
-    # from zero: grad = -y z + z sigmoid(0) = -z/2, so theta = alpha_1 z / 2
-    np.testing.assert_allclose(m.coef, Z[0] / (2 * cfg.smoothness), atol=1e-14)
+    assert np.linalg.norm(_sgd_pass(Z, y, cfg)) <= cfg.radius_theta + 1e-12
 
 
 # ---------------------------------------------------------------- series
@@ -443,7 +439,7 @@ def test_sgd_logistic_gradient_direction():
 def test_series_single_row():
     Z = np.array([[3.0, 4.0]])
     y = np.array([2.0])
-    m = fit_series(Z, y, SeriesConfig(truncation=2))
+    m = fit_series(Z, y, 2)
     np.testing.assert_allclose(m.coef, [6.0, 8.0])
 
 
@@ -471,6 +467,12 @@ def test_series_rejects_truncation_beyond_width():
     Z = np.ones((4, 3))
     with pytest.raises(DomainError):
         fit_series(Z, np.ones(4), 4)
+
+
+@pytest.mark.parametrize("truncation", [0, None])
+def test_series_rejects_missing_or_zero_truncation(truncation):
+    with pytest.raises(DomainError):
+        fit_series(np.ones((4, 3)), np.ones(4), truncation)
 
 
 @given(st.integers(0, 100))

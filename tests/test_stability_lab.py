@@ -1,13 +1,12 @@
 """Replace-one stability probes and scaling-law fits."""
 
 import json
-import math
 
 import numpy as np
 import pytest
 
 from cvconf.datamodel import Dataset, DomainError, LearnerSpec, make_folds
-from cvconf.learners import SgdConfig, fit_ridge, fit_series, fit_sgd, sgd_trajectories
+from cvconf.learners import SgdConfig, fit_ridge, fit_series, sgd_trajectories
 from cvconf.simgen import SeriesGen, derive_substream, gen_series
 from cvconf.stability_lab import (
     _bounded_rows,
@@ -89,7 +88,7 @@ def test_param_first_diff_last_step_unrolls_to_gradient_gap():
     cfg = SgdConfig.for_ridge(4.0, a, radius_x=1.0, radius_theta=5.0)
     Z, y = bounded_regression_data(n, 3, radius_x=1.0, seed=11)
     z_new, y_new = _fresh_row(3, seed=12)
-    theta_prev = fit_sgd(Z[: n - 1], y[: n - 1], cfg).coef
+    theta_prev = sgd_trajectories(Z[None, : n - 1], y[None, : n - 1], cfg, [0], [{}])[0]
     g_old = -(y[n - 1] - Z[n - 1] @ theta_prev) * Z[n - 1] + cfg.lam * theta_prev
     g_new = -(y_new - z_new @ theta_prev) * z_new + cfg.lam * theta_prev
     expected = n**-a / cfg.smoothness * np.linalg.norm(g_old - g_new)
@@ -225,22 +224,12 @@ def test_sgd_second_diff_campaign_scales_faster():
 # a copy of the data with the replaced rows written in.
 
 
-def _scalar_sigmoid(u):
-    if u >= 0:
-        return 1.0 / (1.0 + math.exp(-u))
-    e = math.exp(u)
-    return e / (1.0 + e)
-
-
 def _scalar_sgd(Z, y, cfg, fired=None):
     """One projected SGD pass; ``fired`` collects the steps that project."""
     theta = np.zeros(Z.shape[1])
     for t in range(1, Z.shape[0] + 1):
         z = Z[t - 1]
-        if cfg.objective == "ridge_sq":
-            grad = -(y[t - 1] - z @ theta) * z + cfg.lam * theta
-        else:
-            grad = (_scalar_sigmoid(float(z @ theta)) - y[t - 1]) * z + 2 * cfg.lam * theta
+        grad = -(y[t - 1] - z @ theta) * z + cfg.lam * theta
         theta = theta - t**-cfg.step_exponent / cfg.smoothness * grad
         nrm = float(np.linalg.norm(theta))
         if nrm > cfg.radius_theta:
@@ -353,14 +342,6 @@ def test_sgd_trajectories_rejects_bad_layout():
         sgd_trajectories(Z, y, cfg, [0], [{3: (np.zeros(5), 0.0)}])  # wrong d
 
 
-def test_logistic_fit_sgd_matches_scalar_sigmoid_recursion():
-    cfg = SgdConfig.for_logistic_ridge(0.2, 0.55, radius_x=1.0, radius_theta=2.0)
-    rng = np.random.default_rng(61)
-    Z = rng.uniform(-0.5, 0.5, size=(400, 3))
-    y = (rng.uniform(size=400) < 0.5).astype(float)
-    np.testing.assert_allclose(fit_sgd(Z, y, cfg).coef, _scalar_sgd(Z, y, cfg), rtol=0, atol=1e-12)
-
-
 # -------------------------------------------------------- loss difference
 
 
@@ -419,7 +400,7 @@ def test_loss_first_diff_rejects_index_in_evaluation_fold():
     ds = Dataset(rng.normal(size=(12, 3)), rng.normal(size=12))
     plan = make_folds(12, 3)
     with pytest.raises(DomainError):
-        loss_first_diff(ds, [LearnerSpec(family="ols")], plan, 0, 2, (np.zeros(3), 0.0))
+        loss_first_diff(ds, [LearnerSpec(family="ridge", lam=0.0)], plan, 0, 2, (np.zeros(3), 0.0))
 
 
 # ------------------------------------------------------------------ probe
