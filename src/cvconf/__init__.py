@@ -48,6 +48,7 @@ from .stability_lab import (
     param_first_diff,
     param_second_diff,
     scaling_fit,
+    sgd_campaigns,
     sgd_first_diff_campaign,
     sgd_second_diff_campaign,
     diff_loss_stability_probe,
@@ -97,6 +98,7 @@ __all__ = [
     "param_second_diff",
     "loss_first_diff",
     "scaling_fit",
+    "sgd_campaigns",
     "sgd_first_diff_campaign",
     "sgd_second_diff_campaign",
     "diff_loss_stability_probe",

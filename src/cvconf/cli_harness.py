@@ -58,7 +58,7 @@ from .inference import (
 )
 from .learners import lasso_grid, lasso_grid_log
 from .simgen import SeriesGen, SparseLinearGen, gen_series, gen_sparse_linear, stable_subseed
-from .stability_lab import sgd_first_diff_campaign, sgd_second_diff_campaign
+from .stability_lab import sgd_campaigns
 
 __all__ = [
     "BASE_COLUMNS",
@@ -158,6 +158,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown generator family {self.family!r}")
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ConfigError(f"n must be a list of positive sizes, got {self.n_list}")
+        if len(set(self.n_list)) != len(self.n_list):
+            raise ConfigError(f"sample sizes must be distinct, got {self.n_list}")
         if isinstance(self.d, str):
             if self.d != "n/10":
                 raise ConfigError(f"d must be an integer or 'n/10', got {self.d!r}")
@@ -711,35 +713,31 @@ def run_fwd_pointwise(cfg: ExperimentConfig) -> dict:
 
 def run_stability(cfg: ExperimentConfig) -> dict:
     """Replace-one SGD campaigns; artifacts of the same config are skipped
-    when already present."""
+    when already present, and the missing variants run in one call."""
     out = _open_campaign(cfg, "stability")
     variants = ("first", "second") if cfg.variant == "both" else (cfg.variant,)
+    paths = {v: (out / f"stability_{v}.csv", out / f"stability_{v}.json") for v in variants}
+    skipped = [v for v in variants if all(p.exists() for p in paths[v])]
+    missing = [v for v in variants if v not in skipped]
+    if missing:
+        reports = sgd_campaigns(
+            missing,
+            cfg.n_list,
+            cfg.reps,
+            lam=cfg.sgd_lam,
+            step_exponent=cfg.sgd_a,
+            radius_x=cfg.radius_x,
+            radius_theta=cfg.sgd_radius_theta,
+            d=int(cfg.d),
+            seed=cfg.seed,
+            index_mode=cfg.index_mode,
+        )
+        for variant, report in reports.items():
+            report.write_csv(paths[variant][0])
+            report.write_json(paths[variant][1])
     files: dict[str, dict] = {}
-    skipped: list[str] = []
     aggregates: dict[str, dict] = {}
-    for variant in variants:
-        csv_path = out / f"stability_{variant}.csv"
-        json_path = out / f"stability_{variant}.json"
-        if csv_path.exists() and json_path.exists():
-            skipped.append(variant)
-        else:
-            if variant == "first":
-                campaign, extra = sgd_first_diff_campaign, {"index_mode": cfg.index_mode}
-            else:
-                campaign, extra = sgd_second_diff_campaign, {}
-            report = campaign(
-                cfg.n_list,
-                cfg.reps,
-                lam=cfg.sgd_lam,
-                step_exponent=cfg.sgd_a,
-                radius_x=cfg.radius_x,
-                radius_theta=cfg.sgd_radius_theta,
-                d=int(cfg.d),
-                seed=cfg.seed,
-                **extra,
-            )
-            report.write_csv(csv_path)
-            report.write_json(json_path)
+    for variant, (csv_path, json_path) in paths.items():
         blob = json.loads(json_path.read_text())
         files[variant] = {"csv": csv_path.name, "json": json_path.name}
         aggregates[variant] = {

@@ -335,63 +335,88 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dots(v, v))
 
 
-def sgd_trajectories(features, response, config: SgdConfig, trial, replace) -> np.ndarray:
+def sgd_trajectories(features, response, lengths, config: SgdConfig, trial, replace) -> np.ndarray:
     """Step K single-pass projected SGD trajectories together from zero.
 
-    ``features`` (T, n, d) and ``response`` (T, n) stack T datasets of n
-    rows.  Trajectory k reads the rows of dataset ``trial[k]`` in
-    ascending order, with step size t^{-a} / smoothness at step
-    t = 1..n, except that at each row index s in the dict ``replace[k]``
-    it reads the row ``replace[k][s] = (z, y)`` instead.  Replaced rows
-    are swapped into the step's gathered rows, so no dataset is copied.
-    Returns the (K, d) final iterates; each equals the iterate of a
-    separate pass over the replaced data.
+    ``features`` (N, d) and ``response`` (N,) hold the rows of T datasets
+    end to end; dataset j has ``lengths[j]`` rows.  Trajectory k reads the
+    rows of dataset ``trial[k]`` in ascending order, with step size
+    t^{-a} / smoothness at step t = 1..lengths[trial[k]], except that at
+    each row index s in the dict ``replace[k]`` it reads the row
+    ``replace[k][s] = (z, y)`` instead.  Replaced rows are swapped into
+    the step's gathered rows, so no dataset is copied.
+
+    The trajectories run longest-first, so the live ones are always a
+    prefix of the stack; each retires after its own last row, on a
+    schedule fixed before the loop.  Every row's arithmetic is that of a
+    lone pass, so the (K, d) final iterates, in the order of ``trial``,
+    are bitwise those of separate passes over the replaced data.
     """
     config.validate()
     Z = np.asarray(features, dtype=np.float64)
     y = np.asarray(response, dtype=np.float64)
-    if Z.ndim != 3 or y.shape != Z.shape[:2]:
-        raise DomainError(f"need (T, n, d) features and (T, n) response, got {Z.shape}, {y.shape}")
-    T, n, d = Z.shape
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if Z.ndim != 2 or y.shape != Z.shape[:1]:
+        raise DomainError(f"need (N, d) features and (N,) response, got {Z.shape}, {y.shape}")
+    if lengths.ndim != 1 or np.any(lengths < 0) or lengths.sum() != Z.shape[0]:
+        raise DomainError(
+            f"need nonnegative dataset lengths that sum to the {Z.shape[0]} rows, got {lengths}"
+        )
+    d = Z.shape[1]
     trial = np.asarray(trial, dtype=np.intp)
     if trial.ndim != 1 or trial.size != len(replace):
         raise DomainError("need one trial index and one replacement dict per trajectory")
-    if trial.size and not (0 <= trial.min() and trial.max() < T):
-        raise DomainError(f"trial indices must lie in [0, {T})")
-    swaps: dict[int, tuple[list, list, list]] = {}  # row index -> (trajectories, z, y)
+    if trial.size and not (0 <= trial.min() and trial.max() < lengths.size):
+        raise DomainError(f"trial indices must lie in [0, {lengths.size})")
+    n_of = lengths[trial]
+    order = np.argsort(-n_of, kind="stable")  # longest first
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    swaps: dict[int, tuple[list, list, list]] = {}  # row index -> (ranks, z, y)
     for k, rows in enumerate(replace):
         for s, (z_new, y_new) in rows.items():
-            if not 0 <= s < n:
-                raise DomainError(f"replaced row {s} outside [0, {n})")
+            if not 0 <= s < n_of[k]:
+                raise DomainError(f"replaced row {s} outside [0, {n_of[k]})")
             z_new = np.asarray(z_new, dtype=np.float64)
             if z_new.shape != (d,):
                 raise DomainError("replacement feature row has the wrong dimension")
             ks, zs, ys = swaps.setdefault(s, ([], [], []))
-            ks.append(k)
+            ks.append(rank[k])
             zs.append(z_new)
             ys.append(float(y_new))
+    n_sorted = n_of[order]
+    start = (np.cumsum(lengths) - lengths)[trial[order]]
     theta = np.zeros((trial.size, d))
     a = config.step_exponent
     beta = config.smoothness
     lam = config.lam
     radius = config.radius_theta
+    done = 0  # steps taken
     with np.errstate(divide="ignore"):  # a zero iterate gives radius / 0 = inf, then min 1
-        for t in range(1, n + 1):
-            z = Z[trial, t - 1]
-            yt = y[trial, t - 1]
-            swap = swaps.get(t - 1)
-            if swap is not None:
-                ks, zs, ys = swap
-                z[ks] = zs
-                yt[ks] = ys
-            grad = -(yt - _row_dots(z, theta))[:, None] * z + lam * theta
-            theta = theta - t**-a / beta * grad
-            # scaling by exactly 1.0 leaves rows inside the ball unchanged;
-            # row_norms is inlined so a tracer wrapping public functions
-            # does not record a span per step
-            nrm = np.sqrt(_row_dots(theta, theta))
-            theta *= np.minimum(1.0, radius / nrm)[:, None]
-    return theta
+        for stop in np.unique(n_sorted).tolist():
+            # steps done + 1..stop move the trajectories with rows left there
+            live = int(np.count_nonzero(n_sorted >= stop))
+            th, rows = theta[:live], start[:live] + done
+            for t in range(done + 1, stop + 1):
+                z = Z.take(rows, axis=0)  # a copy, as fancy indexing makes, but faster
+                yt = y[rows]
+                swap = swaps.get(t - 1)
+                if swap is not None:
+                    ks, zs, ys = swap
+                    z[ks] = zs
+                    yt[ks] = ys
+                grad = -(yt - _row_dots(z, th))[:, None] * z + lam * th
+                th -= t**-a / beta * grad
+                # scaling by exactly 1.0 leaves rows inside the ball unchanged;
+                # row_norms is inlined so a tracer wrapping public functions
+                # does not record a span per step
+                nrm = np.sqrt(_row_dots(th, th))
+                th *= np.minimum(1.0, radius / nrm)[:, None]
+                rows += 1
+            done = stop
+    out = np.empty_like(theta)
+    out[order] = theta
+    return out
 
 
 # ------------------------------------------------------------------ series

@@ -19,13 +19,15 @@ objective.
 
 Trials are driven by derived substreams keyed by (purpose, n, trial), so
 any subset of a campaign can be replayed in isolation and the trial
-order never matters.  The SGD campaigns draw every trial of an n first
-and then step all of its trajectories in one call of
-``learners.sgd_trajectories``.
+order never matters.  ``sgd_campaigns`` draws every trial of every n of
+every requested variant into one flat buffer of rows, then steps all of
+their trajectories in one call of ``learners.sgd_trajectories``; the
+one-variant campaign functions are its single-variant calls.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,6 +52,7 @@ __all__ = [
     "loss_first_diff",
     "scaling_fit",
     "bounded_regression_data",
+    "sgd_campaigns",
     "sgd_first_diff_campaign",
     "sgd_second_diff_campaign",
     "diff_loss_stability_probe",
@@ -92,8 +95,10 @@ def check_sgd_precondition(config: SgdConfig, n: int) -> None:
 
 
 def _check_rows_in_ball(Z: np.ndarray, y: np.ndarray, radius: float) -> None:
+    # row_norms and max/min make no temporary copy of the rows
     tol = radius * (1 + 1e-9)
-    if float(np.max(np.linalg.norm(Z, axis=-1))) > tol or float(np.max(np.abs(y))) > tol:
+    norm = float(np.max(row_norms(Z.reshape(-1, Z.shape[-1]))))
+    if norm > tol or float(np.max(y)) > tol or float(np.min(y)) < -tol:
         raise DomainError(
             "data rows must satisfy the radius bound the SGD constants assume"
         )
@@ -113,35 +118,50 @@ def _alternating_sum(terms, subsets):
     return total
 
 
-def _replacement_diffs(Z, y, config: SgdConfig, idx, z_new, y_new) -> np.ndarray:
-    """||sum over S of (-1)^|S| theta^S|| for each stacked trial.
+def _replacement_diffs(Z, y, lengths, config: SgdConfig, groups) -> list[np.ndarray]:
+    """||sum over S of (-1)^|S| theta^S|| for each dataset, one array per group.
 
-    ``Z`` (T, n, d) and ``y`` (T, n) stack T trials; trial t replaces its
-    distinct rows ``idx[t]`` (m of them) by the rows ``z_new[t]`` (m, d)
-    and ``y_new[t]`` (m,).  theta^S is the final SGD iterate with the
-    replacements in S applied, S running over ``_subsets(m)``: m = 1 gives
-    ||theta - theta^i|| and m = 2 ||theta - theta^i - theta^j + theta^ij||.
-    Every trial is checked as a lone call would be, then one kernel call
-    steps all T * 2^m trajectories.
+    ``Z`` (N, d) and ``y`` (N,) hold the datasets' rows end to end, dataset
+    j having ``lengths[j]`` rows.  The datasets fall into consecutive
+    groups, each given as (idx, z_new, y_new): its t-th dataset replaces
+    its distinct rows ``idx[t]`` (m of them) by the rows ``z_new[t]``
+    (m, d) and ``y_new[t]`` (m,).  theta^S is the final SGD iterate with
+    the replacements in S applied, S running over ``_subsets(m)``: m = 1
+    gives ||theta - theta^i|| and m = 2 ||theta - theta^i - theta^j +
+    theta^ij||.  Every dataset is checked as a lone call would be, then
+    one kernel call steps the 2^m trajectories of every dataset.
     """
-    T, n, d = Z.shape
-    check_sgd_precondition(config, n)
+    for n in np.unique(lengths).tolist():
+        check_sgd_precondition(config, n)
     _check_rows_in_ball(Z, y, config.radius_x)
-    _check_rows_in_ball(z_new, y_new, config.radius_x)
-    if np.any(idx < 0) or np.any(idx >= n):
-        raise DomainError(f"indices {idx[(idx < 0) | (idx >= n)].tolist()} outside [0, {n})")
-    ordered = np.sort(idx, axis=1)
-    if np.any(ordered[:, 1:] == ordered[:, :-1]):
-        raise DomainError("the replaced indices of a trial must be distinct")
-    subsets = _subsets(idx.shape[1])
-    replace = [
-        {int(idx[t, b]): (z_new[t, b], y_new[t, b]) for b in subset}
-        for t in range(T)
-        for subset in subsets
-    ]
-    trial = np.repeat(np.arange(T), len(subsets))
-    theta = sgd_trajectories(Z, y, config, trial, replace).reshape(T, len(subsets), d)
-    return row_norms(_alternating_sum([theta[:, k] for k in range(len(subsets))], subsets))
+    trial, replace, sizes = [], [], []
+    first = 0
+    for idx, z_new, y_new in groups:
+        T, m = idx.shape
+        _check_rows_in_ball(z_new, y_new, config.radius_x)
+        bad = (idx < 0) | (idx >= lengths[first : first + T, None])
+        if np.any(bad):
+            raise DomainError(f"indices {idx[bad].tolist()} outside their datasets' rows")
+        ordered = np.sort(idx, axis=1)
+        if np.any(ordered[:, 1:] == ordered[:, :-1]):
+            raise DomainError("the replaced indices of a trial must be distinct")
+        subsets = _subsets(m)
+        replace += [
+            {int(idx[t, b]): (z_new[t, b], y_new[t, b]) for b in subset}
+            for t in range(T)
+            for subset in subsets
+        ]
+        trial.append(np.repeat(np.arange(first, first + T), len(subsets)))
+        sizes.append(T * len(subsets))
+        first += T
+    theta = sgd_trajectories(Z, y, lengths, config, np.concatenate(trial), replace)
+    norms = []
+    for (idx, _, _), block in zip(groups, np.split(theta, np.cumsum(sizes)[:-1])):
+        subsets = _subsets(idx.shape[1])
+        block = block.reshape(len(idx), len(subsets), -1)
+        diff = _alternating_sum([block[:, k] for k in range(len(subsets))], subsets)
+        norms.append(row_norms(diff))
+    return norms
 
 
 def _one_trial_diff(features, response, config: SgdConfig, *replacements) -> float:
@@ -156,7 +176,8 @@ def _one_trial_diff(features, response, config: SgdConfig, *replacements) -> flo
         raise DomainError("replacement feature row has the wrong dimension")
     idx = np.array([[i for i, _, _ in replacements]])
     y_new = np.array([[float(v) for _, _, v in replacements]])
-    return float(_replacement_diffs(Z[None], y[None], config, idx, np.array([z_new]), y_new)[0])
+    group = (idx, np.array([z_new]), y_new)
+    return float(_replacement_diffs(Z, y, np.array([Z.shape[0]]), config, [group])[0][0])
 
 
 def param_first_diff(features, response, config: SgdConfig, i: int, z_new, y_new) -> float:
@@ -354,46 +375,58 @@ def _draw_index(rng: np.random.Generator, n: int, a: float, mode: str) -> int:
     raise DomainError(f"index_mode must be 'uniform' or 'tail', got {mode!r}")
 
 
+def _grid(n_grid: Sequence[int]) -> tuple[int, ...]:
+    """The n-grid as ints; results are keyed by n, so a repeated n is refused."""
+    grid = tuple(int(n) for n in n_grid)
+    if len(set(grid)) != len(grid):
+        raise DomainError(f"sample sizes must be distinct, got {grid}")
+    return grid
+
+
 def _sgd_campaign(
     config: SgdConfig,
-    n_grid: Sequence[int],
+    n_grid: tuple[int, ...],
     trials: int,
     d: int,
     seed: int,
-    purpose: str,
-    m: int,
-    index_mode: str,
-) -> tuple[tuple[int, ...], dict[int, np.ndarray]]:
-    """The n-grid and, per n, the m-th replacement differences of
-    ``trials`` trials.
+    plans: Sequence[tuple[str, int, str]],
+) -> list[dict[int, np.ndarray]]:
+    """Per plan (purpose, m, index_mode), the m-th replacement differences
+    of ``trials`` trials at every n of the grid.
 
-    Trial t at n draws from its own substream (seed, purpose, n, t): the
-    data, then m distinct indices, then the m replacement rows.  Every
-    trial of an n is drawn first and all are measured in one
+    Trial t at n of a plan draws from its own substream (seed, purpose, n,
+    t): the data, then m distinct indices, then the m replacement rows.
+    The data of every trial of every n and plan is drawn straight into
+    one flat buffer of rows, and all are measured in one
     ``_replacement_diffs`` call.
     """
-    n_grid = tuple(int(n) for n in n_grid)
     if trials < 1:
         raise DomainError("need at least one trial")
     for n in n_grid:
         check_sgd_precondition(config, n)
     a = config.step_exponent
-    samples: dict[int, np.ndarray] = {}
-    for n in n_grid:
-        Z, y = np.empty((trials, n, d)), np.empty((trials, n))
-        idx = np.empty((trials, m), dtype=np.intp)
-        z_new, y_new = np.empty((trials, m, d)), np.empty((trials, m))
-        for t in range(trials):
+    lengths = np.tile(np.repeat(n_grid, trials), len(plans))
+    Z, y = np.empty((int(lengths.sum()), d)), np.empty(int(lengths.sum()))
+    row = 0
+    groups = []
+    for purpose, m, index_mode in plans:
+        idx = np.empty((len(n_grid) * trials, m), dtype=np.intp)
+        z_new, y_new = np.empty((len(idx), m, d)), np.empty((len(idx), m))
+        for k, (n, t) in enumerate(itertools.product(n_grid, range(trials))):
             rng = derive_substream(seed, purpose, n, t)
-            Z[t], y[t] = _bounded_rows(rng, n, d, config.radius_x)
+            Z[row : row + n], y[row : row + n] = _bounded_rows(rng, n, d, config.radius_x)
+            row += n
             for b in range(m):
                 i = _draw_index(rng, n, a, index_mode)
-                while i in idx[t, :b]:
+                while i in idx[k, :b]:
                     i = _draw_index(rng, n, a, index_mode)
-                idx[t, b] = i
-            z_new[t], y_new[t] = _bounded_rows(rng, m, d, config.radius_x)
-        samples[n] = _replacement_diffs(Z, y, config, idx, z_new, y_new)
-    return n_grid, samples
+                idx[k, b] = i
+            z_new[k], y_new[k] = _bounded_rows(rng, m, d, config.radius_x)
+        groups.append((idx, z_new, y_new))
+    return [
+        {n: norms[j * trials : (j + 1) * trials] for j, n in enumerate(n_grid)}
+        for norms in _replacement_diffs(Z, y, lengths, config, groups)
+    ]
 
 
 def _report(kind: str, n_grid, samples, seed: int, extras: dict, **fields) -> StabilityReport:
@@ -407,6 +440,54 @@ def _report(kind: str, n_grid, samples, seed: int, extras: dict, **fields) -> St
         rep.slope, rep.intercept, rep.slope_stderr = _loglog_line(n_grid, medians)
     rep.validate()
     return rep
+
+
+def sgd_campaigns(
+    variants: Sequence[str],
+    n_grid: Sequence[int],
+    trials: int,
+    *,
+    lam: float,
+    step_exponent: float = 0.6,
+    radius_x: float = 1.0,
+    radius_theta: float = 1.0,
+    d: int = 4,
+    seed: int = 0,
+    index_mode: str = "uniform",
+) -> dict[str, StabilityReport]:
+    """The ridge SGD campaigns named in ``variants``, "first" and/or
+    "second", with every trajectory of every variant stepped in one
+    kernel call.
+
+    Each report is the one its campaign function below returns;
+    ``index_mode`` applies to the first-order campaign only.
+    """
+    plans = {"first": ("sgd-first", 1, index_mode), "second": ("sgd-second", 2, "tail")}
+    variants = tuple(variants)
+    if not variants or len(set(variants)) != len(variants) or not set(variants) <= plans.keys():
+        raise DomainError(f"variants must be distinct names among first, second; got {variants}")
+    config = SgdConfig.for_ridge(lam, step_exponent, radius_x, radius_theta)
+    n_grid = _grid(n_grid)
+    samples = _sgd_campaign(config, n_grid, trials, d, seed, [plans[v] for v in variants])
+    extras = {"objective": "ridge_sq", "lam": lam}
+    reports = {}
+    for variant, by_n in zip(variants, samples):
+        if variant == "first":
+            bound_scale = 2.0 * config.lipschitz / config.smoothness
+            bounds = {n: bound_scale * n ** (-config.step_exponent) for n in n_grid}
+            violations = {n: int(np.sum(by_n[n] > bounds[n] * (1 + 1e-9))) for n in n_grid}
+            reports[variant] = _report(
+                "sgd-first-diff",
+                n_grid,
+                by_n,
+                seed,
+                {"index_mode": index_mode, **extras},
+                bounds=bounds,
+                violations=violations,
+            )
+        else:
+            reports[variant] = _report("sgd-second-diff", n_grid, by_n, seed, dict(extras))
+    return reports
 
 
 def sgd_first_diff_campaign(
@@ -429,15 +510,18 @@ def sgd_first_diff_campaign(
     (2L / beta) n^-a.  The slope of per-n medians is fitted whenever the
     grid has at least 3 points.
     """
-    config = SgdConfig.for_ridge(lam, step_exponent, radius_x, radius_theta)
-    n_grid, samples = _sgd_campaign(config, n_grid, trials, d, seed, "sgd-first", 1, index_mode)
-    bound_scale = 2.0 * config.lipschitz / config.smoothness
-    bounds = {n: bound_scale * n ** (-config.step_exponent) for n in n_grid}
-    violations = {n: int(np.sum(samples[n] > bounds[n] * (1 + 1e-9))) for n in n_grid}
-    extras = {"index_mode": index_mode, "objective": "ridge_sq", "lam": lam}
-    return _report(
-        "sgd-first-diff", n_grid, samples, seed, extras, bounds=bounds, violations=violations
-    )
+    return sgd_campaigns(
+        ("first",),
+        n_grid,
+        trials,
+        lam=lam,
+        step_exponent=step_exponent,
+        radius_x=radius_x,
+        radius_theta=radius_theta,
+        d=d,
+        seed=seed,
+        index_mode=index_mode,
+    )["first"]
 
 
 def sgd_second_diff_campaign(
@@ -457,9 +541,17 @@ def sgd_second_diff_campaign(
     No deterministic bound is claimed (the guarantee is a rate up to a
     log factor), so the report carries samples and the fitted slope only.
     """
-    config = SgdConfig.for_ridge(lam, step_exponent, radius_x, radius_theta)
-    n_grid, samples = _sgd_campaign(config, n_grid, trials, d, seed, "sgd-second", 2, "tail")
-    return _report("sgd-second-diff", n_grid, samples, seed, {"objective": "ridge_sq", "lam": lam})
+    return sgd_campaigns(
+        ("second",),
+        n_grid,
+        trials,
+        lam=lam,
+        step_exponent=step_exponent,
+        radius_x=radius_x,
+        radius_theta=radius_theta,
+        d=d,
+        seed=seed,
+    )["second"]
 
 
 # ------------------------------------------------------------------ probe
@@ -490,7 +582,7 @@ def diff_loss_stability_probe(
         raise DomainError("truncation levels must be >= 1")
     if j_r > j_s:
         raise DomainError("the smaller model must come first (j_r <= j_s)")
-    n_grid = tuple(int(n) for n in n_grid)
+    n_grid = _grid(n_grid)
     if trials < 2:
         raise DomainError("need at least two trials for a variance")
     condition = {n: j_s * j_r ** (decay / 2.0) / n for n in n_grid}

@@ -146,6 +146,14 @@ def test_load_config_rejects_duplicate_alphas(tmp_path):
         ExperimentConfig(kind="cvc_size", alphas=(0.05, 0.1, 0.05)).validate()
 
 
+def test_load_config_rejects_duplicate_sample_sizes(tmp_path):
+    # results are keyed and split back by n, so a repeated n has no rows of its own
+    sec = _stability_sections(tmp_path / "o")
+    sec["generator"]["n"] = "256, 256"
+    with pytest.raises(ConfigError, match="distinct"):
+        load_config(_write_config(tmp_path / "c.ini", sec))
+
+
 def test_load_config_rejects_draws_below_sampler_floor(tmp_path):
     sec = _band_sections(tmp_path / "o", draws=MIN_DRAWS - 1)
     with pytest.raises(ConfigError, match="draws"):
@@ -624,6 +632,49 @@ def test_stability_campaign_both_and_skip(tmp_path):
     assert (tmp_path / "o" / "stability_second.csv").read_bytes() == before
     manifest = json.loads((tmp_path / "o" / "stability_manifest.json").read_text())
     assert sorted(manifest["skipped"]) == ["first", "second"]
+
+
+def test_stability_both_writes_the_bytes_of_separate_variants(tmp_path):
+    artifacts = {}
+    for variant in ("both", "first", "second"):
+        sec = _stability_sections(tmp_path / variant, variant=variant)
+        sec["generator"]["n"] = "256, 300"
+        sec["run"]["reps"] = 3
+        run_stability(load_config(_write_config(tmp_path / f"{variant}.ini", sec)))
+        artifacts[variant] = {
+            p.name: p.read_bytes() for p in (tmp_path / variant).glob("stability_*")
+        }
+    for variant in ("first", "second"):
+        for ext in ("csv", "json"):
+            name = f"stability_{variant}.{ext}"
+            assert artifacts["both"][name] == artifacts[variant][name]
+
+
+def test_stability_resume_runs_only_the_missing_variant(tmp_path, monkeypatch):
+    sec = _stability_sections(tmp_path / "o", variant="both")
+    sec["run"]["reps"] = 3
+    cfg = load_config(_write_config(tmp_path / "c.ini", sec))
+    run_stability(cfg)
+    out = tmp_path / "o"
+    first = (out / "stability_first.csv").read_bytes()
+    second = (out / "stability_second.csv").read_bytes()
+    for ext in ("csv", "json"):
+        (out / f"stability_second.{ext}").unlink()
+    calls = []
+    real = cli_harness.sgd_campaigns
+
+    def recording(variants, *args, **kwargs):
+        calls.append(tuple(variants))
+        return real(variants, *args, **kwargs)
+
+    monkeypatch.setattr(cli_harness, "sgd_campaigns", recording)
+    run_stability(cfg)
+    assert calls == [("second",)]
+    assert (out / "stability_first.csv").read_bytes() == first
+    assert (out / "stability_second.csv").read_bytes() == second
+    manifest = json.loads((out / "stability_manifest.json").read_text())
+    assert manifest["skipped"] == ["first"]
+    assert sorted(manifest["files"]) == ["first", "second"]
 
 
 def _phi_sections(out):

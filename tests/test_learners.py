@@ -35,7 +35,7 @@ def _lstsq(Z, y):
 
 def _sgd_pass(Z, y, cfg):
     """Final iterate of one projected SGD pass over (Z, y)."""
-    return sgd_trajectories(Z[None], y[None], cfg, [0], [{}])[0]
+    return sgd_trajectories(Z, y, [len(y)], cfg, [0], [{}])[0]
 
 
 # ------------------------------------------------- least squares (lam = 0)

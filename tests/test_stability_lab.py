@@ -21,6 +21,7 @@ from cvconf.stability_lab import (
     param_first_diff,
     param_second_diff,
     scaling_fit,
+    sgd_campaigns,
     sgd_first_diff_campaign,
     sgd_ratio_requirement,
     sgd_second_diff_campaign,
@@ -88,7 +89,7 @@ def test_param_first_diff_last_step_unrolls_to_gradient_gap():
     cfg = SgdConfig.for_ridge(4.0, a, radius_x=1.0, radius_theta=5.0)
     Z, y = bounded_regression_data(n, 3, radius_x=1.0, seed=11)
     z_new, y_new = _fresh_row(3, seed=12)
-    theta_prev = sgd_trajectories(Z[None, : n - 1], y[None, : n - 1], cfg, [0], [{}])[0]
+    theta_prev = sgd_trajectories(Z[: n - 1], y[: n - 1], [n - 1], cfg, [0], [{}])[0]
     g_old = -(y[n - 1] - Z[n - 1] @ theta_prev) * Z[n - 1] + cfg.lam * theta_prev
     g_new = -(y_new - z_new @ theta_prev) * z_new + cfg.lam * theta_prev
     expected = n**-a / cfg.smoothness * np.linalg.norm(g_old - g_new)
@@ -326,20 +327,96 @@ def test_campaigns_match_oracle_when_projection_fires_on_some_rows(order):
         np.testing.assert_array_equal(rep.samples[n], want[n])
 
 
+def _mixed_datasets(lengths, d=3, seed=60):
+    """Datasets of the given row counts, end to end, and each one alone."""
+    parts = [
+        bounded_regression_data(n, d, radius_x=1.0, seed=seed + j) for j, n in enumerate(lengths)
+    ]
+    Z = np.concatenate([Zj for Zj, _ in parts])
+    y = np.concatenate([yj for _, yj in parts])
+    return Z, y, parts
+
+
+@pytest.mark.parametrize("radius_theta", [1.0, 0.05])
+def test_sgd_trajectories_mixed_lengths_match_lone_passes(radius_theta):
+    lengths = [7, 30, 1, 30, 15]
+    cfg = SgdConfig.for_ridge(12.0, 0.6, radius_x=1.0, radius_theta=radius_theta)
+    Z, y, parts = _mixed_datasets(lengths)
+    row = _fresh_row(3, seed=70)
+    trial = [0, 0, 2, 1, 3, 2, 4, 1, 0]
+    replace = [{}, {6: row}, {}, {0: row, 29: row}, {12: row}, {0: row}, {}, {}, {3: row, 6: row}]
+    got = sgd_trajectories(Z, y, lengths, cfg, trial, replace)
+    for k, (j, rows) in enumerate(zip(trial, replace)):
+        Zj, yj = parts[j]
+        lone = sgd_trajectories(Zj, yj, [lengths[j]], cfg, [0], [rows])[0]
+        np.testing.assert_array_equal(got[k], lone)
+        np.testing.assert_array_equal(got[k], _scalar_path(Zj, yj, cfg, rows))
+    # the replacement at the last row of the shortest datasets took effect
+    assert not np.array_equal(got[0], got[1])
+    assert not np.array_equal(got[2], got[5])
+
+
+def test_sgd_trajectories_permuting_trajectories_permutes_result():
+    lengths = [9, 4, 12]
+    cfg = SgdConfig.for_ridge(12.0, 0.6, radius_x=1.0, radius_theta=1.0)
+    Z, y, _ = _mixed_datasets(lengths, seed=80)
+    row = _fresh_row(3, seed=81)
+    trial = [0, 1, 2, 2, 1, 0]
+    replace = [{}, {3: row}, {11: row}, {}, {}, {0: row, 8: row}]
+    got = sgd_trajectories(Z, y, lengths, cfg, trial, replace)
+    perm = [4, 2, 0, 5, 1, 3]
+    permuted = sgd_trajectories(
+        Z, y, lengths, cfg, [trial[k] for k in perm], [replace[k] for k in perm]
+    )
+    np.testing.assert_array_equal(permuted, got[perm])
+
+
+def test_sgd_trajectories_without_trajectories_returns_empty():
+    Z, y, cfg = _sgd_instance(16, lam=12.0)
+    out = sgd_trajectories(Z, y, [16], cfg, [], [])
+    assert out.shape == (0, 4)
+
+
 def test_sgd_trajectories_rejects_bad_layout():
     Z, y, cfg = _sgd_instance(16, lam=12.0)
-    Z, y = np.stack([Z, Z]), np.stack([y, y])
-    row = (Z[0, 0], y[0, 0])
+    Z, y = np.concatenate([Z, Z[:10]]), np.concatenate([y, y[:10]])
+    lengths = [16, 10]
+    row = (Z[0], y[0])
+    with pytest.raises(DomainError):  # a (T, n, d) stack, not rows end to end
+        sgd_trajectories(np.stack([Z, Z]), np.stack([y, y]), lengths, cfg, [0], [{}])
     with pytest.raises(DomainError):
-        sgd_trajectories(Z[0], y[0], cfg, [0], [{}])  # not a stack of trials
+        sgd_trajectories(Z, y, [16, 9], cfg, [0], [{}])  # lengths miss a row
     with pytest.raises(DomainError):
-        sgd_trajectories(Z, y, cfg, [0, 2], [{}, {}])  # no trial 2
+        sgd_trajectories(Z, y, [30, -4], cfg, [0], [{}])  # negative length
     with pytest.raises(DomainError):
-        sgd_trajectories(Z, y, cfg, [0, 1], [{}])  # one replacement dict short
+        sgd_trajectories(Z, y, lengths, cfg, [0, 2], [{}, {}])  # no dataset 2
     with pytest.raises(DomainError):
-        sgd_trajectories(Z, y, cfg, [0], [{16: row}])  # row index past n
+        sgd_trajectories(Z, y, lengths, cfg, [0, 1], [{}])  # one replacement dict short
     with pytest.raises(DomainError):
-        sgd_trajectories(Z, y, cfg, [0], [{3: (np.zeros(5), 0.0)}])  # wrong d
+        sgd_trajectories(Z, y, lengths, cfg, [0], [{16: row}])  # row index past n
+    with pytest.raises(DomainError):  # past its own dataset, inside the longest one
+        sgd_trajectories(Z, y, lengths, cfg, [0, 1], [{}, {10: row}])
+    with pytest.raises(DomainError):
+        sgd_trajectories(Z, y, lengths, cfg, [0], [{3: (np.zeros(5), 0.0)}])  # wrong d
+
+
+def test_sgd_campaigns_reject_repeated_sample_sizes():
+    with pytest.raises(DomainError, match="distinct"):
+        sgd_first_diff_campaign((256, 256, 512), 2, lam=1.6, seed=1)
+
+
+def test_sgd_campaigns_match_one_variant_campaigns():
+    grid, trials, d, seed = (3, 40, 97), 4, 3, 53
+    kw = dict(lam=12.0, step_exponent=0.6, d=d, seed=seed)
+    both = sgd_campaigns(("second", "first"), grid, trials, index_mode="tail", **kw)
+    first = sgd_first_diff_campaign(grid, trials, index_mode="tail", **kw)
+    second = sgd_second_diff_campaign(grid, trials, **kw)
+    for got, want in ((both["first"], first), (both["second"], second)):
+        assert got.summary() == want.summary()
+        for n in grid:
+            np.testing.assert_array_equal(got.samples[n], want.samples[n])
+    with pytest.raises(DomainError):
+        sgd_campaigns(("first", "first"), grid, trials, **kw)
 
 
 # -------------------------------------------------------- loss difference
