@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import multiprocessing
 import os
 import platform
 import statistics
@@ -45,6 +46,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
+from cvconf.cli_harness import _openblas_threads  # noqa: E402
 from cvconf.datamodel import write_json_atomic  # noqa: E402
 
 PAIRS = 10  # the fewest alternating pairs that can back a claimed gain
@@ -117,7 +119,10 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
 
 
 def environment() -> dict:
+    """The machine and libraries; ``fork_start_method`` says whether the phi
+    refits could run on their process pool."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    blas = _openblas_threads()
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -127,6 +132,8 @@ def environment() -> dict:
         "platform": platform.platform(),
         "blas_threads_env": {k: os.environ[k] for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
                              if k in os.environ},
+        "openblas_threads": blas[1]() if blas is not None else None,
+        "fork_start_method": "fork" in multiprocessing.get_all_start_methods(),
     }
 
 

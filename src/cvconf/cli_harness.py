@@ -752,44 +752,53 @@ def run_stability(cfg: ExperimentConfig) -> dict:
 
 def run_phi(cfg: ExperimentConfig) -> dict:
     """Hold-out variance estimates per n; artifacts of the same config are
-    skipped when present."""
-    out = _open_campaign(cfg, "phi")
-    variants = ("pair", "perturb") if cfg.variant == "both" else (cfg.variant,)
-    files: dict[str, dict] = {v: {} for v in variants}
-    skipped: list[str] = []
-    aggregates: dict[str, dict] = {v: {} for v in variants}
-    for n in cfg.n_list:
-        m = cfg.holdout_m or default_holdout_size(n)
-        prepared = None
-        for variant in variants:
-            csv_path = out / f"phi_{variant}_n{n}.csv"
-            json_path = csv_path.with_suffix(".json")
-            if csv_path.exists() and json_path.exists():
-                skipped.append(f"{variant}:{n}")
-            else:
-                if prepared is None:
-                    ds, _ = _generate(cfg, n, stable_subseed(cfg.seed, "phi", n))
-                    # the hold-out keeps the training feature width even
-                    # when d scales with n
-                    hold_ds, _ = _generate(
-                        cfg,
-                        m,
-                        stable_subseed(cfg.seed, "phi-holdout", n),
-                        d=cfg.d_for(n) if cfg.family == "sparse_linear" else None,
-                    )
-                    plan = make_folds(n, cfg.V)
-                    specs, _ = _build_bank(cfg, ds)
-                    prepared = (ds, plan, specs, HoldoutSet.from_dataset(hold_ds))
-                ds, plan, specs, holdout = prepared
-                if variant == "pair":
-                    est = phi_pair(ds, specs, plan, holdout)
+    skipped when present.
+
+    The replace-one refits run on ``threads`` forked workers (see
+    ``cv_engine.replace_one_cv_risks``), and BLAS runs on one thread for
+    the whole campaign, so the bytes written depend on neither count.
+    """
+    workers = _resolve_workers(cfg)
+    with _one_blas_thread("phi", workers):
+        out = _open_campaign(cfg, "phi")
+        variants = ("pair", "perturb") if cfg.variant == "both" else (cfg.variant,)
+        files: dict[str, dict] = {v: {} for v in variants}
+        skipped: list[str] = []
+        aggregates: dict[str, dict] = {v: {} for v in variants}
+        for n in cfg.n_list:
+            m = cfg.holdout_m or default_holdout_size(n)
+            prepared = None
+            for variant in variants:
+                csv_path = out / f"phi_{variant}_n{n}.csv"
+                json_path = csv_path.with_suffix(".json")
+                if csv_path.exists() and json_path.exists():
+                    skipped.append(f"{variant}:{n}")
                 else:
-                    est = phi_perturb(ds, specs, plan, holdout)
-                write_phi_csv(est, csv_path, n=n, seed=cfg.seed)
-            phi, _meta = read_phi_csv(csv_path)
-            files[variant][str(n)] = {"csv": csv_path.name, "json": json_path.name}
-            aggregates[variant][str(n)] = {"diag": [float(v) for v in np.diag(phi)]}
-    return _write_manifest(out, "phi", cfg, files=files, skipped=skipped, aggregates=aggregates)
+                    if prepared is None:
+                        ds, _ = _generate(cfg, n, stable_subseed(cfg.seed, "phi", n))
+                        # the hold-out keeps the training feature width even
+                        # when d scales with n
+                        hold_ds, _ = _generate(
+                            cfg,
+                            m,
+                            stable_subseed(cfg.seed, "phi-holdout", n),
+                            d=cfg.d_for(n) if cfg.family == "sparse_linear" else None,
+                        )
+                        plan = make_folds(n, cfg.V)
+                        specs, _ = _build_bank(cfg, ds)
+                        prepared = (ds, plan, specs, HoldoutSet.from_dataset(hold_ds))
+                    ds, plan, specs, holdout = prepared
+                    if variant == "pair":
+                        est = phi_pair(ds, specs, plan, holdout, workers=workers)
+                    else:
+                        est = phi_perturb(ds, specs, plan, holdout, workers=workers)
+                    write_phi_csv(est, csv_path, n=n, seed=cfg.seed)
+                phi, _meta = read_phi_csv(csv_path)
+                files[variant][str(n)] = {"csv": csv_path.name, "json": json_path.name}
+                aggregates[variant][str(n)] = {"diag": [float(v) for v in np.diag(phi)]}
+        return _write_manifest(
+            out, "phi", cfg, files=files, skipped=skipped, aggregates=aggregates
+        )
 
 
 # -------------------------------------------------------- one-shot commands

@@ -10,11 +10,16 @@ risks (``replace_one_cv_risks``, whose one-swap form is
 difference (``loss_first_diff``).  The lasso problems of all the sets
 are solved together by ``learners.lasso_bank``.  Replace-one
 recomputation reuses the one fold whose training rows are untouched
-and refits the others, reproducing a from-scratch run exactly.
+and refits the others, reproducing a from-scratch run exactly.  With
+``workers`` > 1, ``replace_one_cv_risks`` splits its swaps into
+contiguous chunks run by worker processes forked from the caller; they
+inherit the data and fits, so only chunk bounds go in and risk vectors
+come out, and the results are bitwise those of the in-process run.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
@@ -43,7 +48,12 @@ class FitError(RuntimeError):
         )
         self.fold = fold
         self.model = model
+        self.spec = spec
         self.cause = cause
+
+    def __reduce__(self):
+        # a worker process's failure reaches the caller pickled
+        return type(self), (self.fold, self.model, self.spec, self.cause)
 
 
 @dataclass(frozen=True)
@@ -271,6 +281,8 @@ def replace_one_cv_risks(
     plan: FoldPlan,
     swaps,
     cached: FoldFits,
+    *,
+    workers: int = 1,
 ) -> list[RiskVector]:
     """Risk vector after each replacement (i, (z, y)) in ``swaps``, each
     made on its own.
@@ -279,6 +291,14 @@ def replace_one_cv_risks(
     are reused; the V - 1 other folds of every swap are refitted in one
     fit call, one training set at a time.  Each result equals a full
     recomputation on the replaced data bit for bit.
+
+    With ``workers`` > 1 the swaps are split into min(workers, swaps)
+    contiguous chunks, each refitted in its own fit call by a worker
+    forked from this process (see ``_on_fork_pool``).  The kernel fits
+    every problem alone, so the results are bitwise the in-process ones,
+    and a failure raises FitError for the first failing (swap, fold,
+    model) in order.  With one worker or one swap, or where the
+    platform cannot fork, everything runs in this process.
     """
     specs = tuple(specs)
     if cached.plan is not plan and (cached.plan.n != plan.n or cached.plan.V != plan.V):
@@ -287,12 +307,26 @@ def replace_one_cv_risks(
         raise DomainError("cached fits were built for a different learner bank")
     if plan.n != dataset.n:
         raise DomainError(f"plan covers {plan.n} rows, dataset has {dataset.n}")
-    labels = tuple(spec.label() for spec in specs)
     swaps = [_swap(dataset, i, x_new) for i, x_new in swaps]
+    job = functools.partial(_risk_range, dataset, specs, plan, swaps, cached)
+    chunks = min(workers, len(swaps))
+    if chunks > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            bounds = [k * len(swaps) // chunks for k in range(chunks + 1)]
+            return _on_fork_pool(job, bounds)
+    return job(0, len(swaps))
+
+
+def _risk_range(dataset, specs, plan, swaps, cached, lo: int, hi: int) -> list[RiskVector]:
+    """Risk vectors of the checked swaps[lo:hi], refitted in one fit call."""
+    labels = tuple(spec.label() for spec in specs)
     trains = [plan.train_indices(v) for v in range(plan.V)]
+    chunk = swaps[lo:hi]
 
     def refitted():
-        for swap in swaps:
+        for swap in chunk:
             for v in range(plan.V):
                 if v != plan.fold_of[swap[0]]:
                     yield (v, *_rows(dataset, trains[v], swap))
@@ -306,8 +340,43 @@ def replace_one_cv_risks(
     return [
         risk(swap, [cached.fits[v] if v == plan.fold_of[swap[0]] else next(fitted)
                     for v in range(plan.V)])
-        for swap in swaps
+        for swap in chunk
     ]
+
+
+_forked_job = None  # set by _adopt in a pool worker only
+
+
+def _adopt(job) -> None:
+    global _forked_job
+    _forked_job = job
+
+
+def _run_forked(lo: int, hi: int) -> list[RiskVector]:
+    return _forked_job(lo, hi)
+
+
+def _on_fork_pool(job, bounds: list[int]) -> list[RiskVector]:
+    """``job(lo, hi)`` for each chunk [lo, hi) of ``bounds``, one forked
+    worker per chunk, concatenated in chunk order.
+
+    The workers get ``job`` through fork, never pickled, so only the
+    bounds go to them and only the chunks' risk vectors come back.
+    Results are read in chunk order, so the first failure raised is the
+    first in swap order.  The pool is joined before this returns, also
+    on an exception or an interrupt.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        len(bounds) - 1,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt,
+        initargs=(job,),
+    ) as pool:
+        futures = [pool.submit(_run_forked, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        return [risk for future in futures for risk in future.result()]
 
 
 def replace_one_cv_risk(

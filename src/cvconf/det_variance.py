@@ -17,7 +17,9 @@ shape:
 
 Both fit the bank once on the original data, get the risk vectors of
 all their replacements from one ``replace_one_cv_risks`` call, and share
-one accumulator.
+one accumulator.  Their ``workers`` keyword passes through to that call:
+above one, the refits run on that many forked worker processes, and the
+estimate is bitwise the same.
 They are exactly symmetric PSD by construction and scale as averages in
 the number of hold-out points used.
 """
@@ -177,6 +179,8 @@ def phi_pair(
     specs: Sequence[LearnerSpec],
     plan: FoldPlan,
     holdout: HoldoutSet,
+    *,
+    workers: int = 1,
 ) -> PhiEstimate:
     """Paired-difference variance estimate.
 
@@ -189,7 +193,7 @@ def phi_pair(
     specs, fits = _base_fits(dataset, specs, plan, holdout)
     n = dataset.features.shape[0]
     swaps = [(_PAIR_ROW, holdout.row(j)) for j in range(holdout.m)]
-    risks = replace_one_cv_risks(dataset, specs, plan, swaps, fits)
+    risks = replace_one_cv_risks(dataset, specs, plan, swaps, fits, workers=workers)
     pairs = zip(risks[0::2], risks[1::2])
     return _estimate("pair", (_PAIR_ROW,), specs, holdout, n**2 / holdout.m, pairs)
 
@@ -201,6 +205,7 @@ def phi_perturb(
     holdout: HoldoutSet,
     *,
     schedule: Sequence[int] | None = None,
+    workers: int = 1,
 ) -> PhiEstimate:
     """Multi-index variant: perturb a different row per hold-out point.
 
@@ -220,7 +225,7 @@ def phi_perturb(
     specs, fits = _base_fits(dataset, specs, plan, holdout)
     base = cv_risk(loss_matrix(dataset, fits, plan, "squared"))
     swaps = [(i, holdout.row(j)) for j, i in enumerate(schedule)]
-    risks = replace_one_cv_risks(dataset, specs, plan, swaps, fits)
+    risks = replace_one_cv_risks(dataset, specs, plan, swaps, fits, workers=workers)
     pairs = ((base, risk) for risk in risks)
     return _estimate("perturb", schedule, specs, holdout, n**2 / (2 * holdout.m), pairs)
 

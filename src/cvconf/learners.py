@@ -26,6 +26,10 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.iterations = iterations
 
+    def __reduce__(self):
+        # pickling calls __init__ again, so it needs both of its arguments
+        return type(self), (self.args[0], self.iterations)
+
 
 def _check_xy(features, response):
     Z = np.asarray(features, dtype=np.float64)

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import multiprocessing
 import subprocess
 import sys
 from pathlib import Path
@@ -725,6 +726,42 @@ def test_phi_campaign_rerun_bitwise(tmp_path):
     before = (tmp_path / "o" / "phi_perturb_n40.csv").read_bytes()
     run_phi(cfg)
     assert (tmp_path / "o" / "phi_perturb_n40.csv").read_bytes() == before
+
+
+def _phi_bytes(out, threads) -> dict[str, bytes]:
+    """The phi CSVs and JSONs of a mixed-bank campaign at two n."""
+    sec = _phi_sections(out)
+    sec["generator"].update(n="40, 60", d=4)
+    sec["learners"] = {"forward_steps": "0, 2", "ridge_lams": "0.1", "lasso": "doubling"}
+    sec["run"]["threads"] = threads
+    run_phi(load_config(_write_config(Path(f"{out}.ini"), sec)))
+    assert multiprocessing.active_children() == []
+    return {p.name: p.read_bytes() for p in sorted(Path(out).glob("phi_*_n*.*"))}
+
+
+def test_phi_bytes_do_not_depend_on_the_worker_count(tmp_path):
+    one = _phi_bytes(tmp_path / "one", 1)
+    assert len(one) == 8
+    assert _phi_bytes(tmp_path / "two", 2) == one
+
+
+def test_phi_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, monkeypatch, blas_threads):
+    seen = []
+    real = cli_harness.phi_pair
+
+    def phi_pair(*args, **kwargs):
+        seen.append(blas_threads())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_harness, "phi_pair", phi_pair)
+    set_threads = cli_harness._openblas_threads()[0]
+    set_threads(1)
+    want = _phi_bytes(tmp_path / "blas1", 1)
+    set_threads(2)
+    for threads in (1, 2):
+        assert _phi_bytes(tmp_path / f"blas2-{threads}", threads) == want
+        assert blas_threads() == 2
+    assert seen == [1] * 6  # two n per run
 
 
 def test_phi_resume_with_different_seed_raises(tmp_path):

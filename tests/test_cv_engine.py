@@ -1,5 +1,9 @@
 """Fold-wise fitting, held-out loss matrices, and risk vectors."""
 
+import multiprocessing
+import pickle
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +28,7 @@ from cvconf.simgen import SparseLinearGen, SeriesGen, gen_series, gen_sparse_lin
 # one feature, four rows; both fold-out slopes work out to 1.6
 HAND_Z = np.array([[1.0], [2.0], [3.0], [1.0]])
 HAND_Y = np.array([2.0, 3.0, 5.0, 1.0])
+FORK = "fork" in multiprocessing.get_all_start_methods()  # else replace-one runs in-process
 OLS = LearnerSpec("ridge", lam=0.0)  # least squares
 
 
@@ -252,6 +257,93 @@ def test_replace_one_cv_risks_reports_the_first_nonconvergence_in_order(monkeypa
         replace_one_cv_risks(ds, specs, plan, swaps, cached)
     assert isinstance(err.value.cause, ConvergenceError)
     assert (err.value.fold, err.value.model, err.value.cause.iterations) == want
+
+
+def test_fit_and_convergence_errors_survive_pickling():
+    spec = LearnerSpec("lasso", lam=0.01)
+    err = FitError(2, 3, spec, ConvergenceError("no convergence", 7))
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is FitError and str(back) == str(err)
+    assert (back.fold, back.model, back.spec) == (2, 3, spec)
+    assert type(back.cause) is ConvergenceError and back.cause.iterations == 7
+    assert str(back.cause) == "no convergence"
+
+
+def _swaps(rng, rows):
+    return [(i, (rng.normal(size=3), float(rng.normal()))) for i in rows]
+
+
+@pytest.fixture
+def pool_chunks(monkeypatch):
+    """The chunk bounds of every fork pool that replace_one_cv_risks starts."""
+    seen = []
+    real = cv_engine._on_fork_pool
+
+    def recording(job, bounds):
+        seen.append(list(bounds))
+        return real(job, bounds)
+
+    monkeypatch.setattr(cv_engine, "_on_fork_pool", recording)
+    yield seen
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "rows, workers, bounds",
+    [
+        ([0] * 7, 2, [[0, 3, 7]]),  # the pair layout: one row, replaced again and again
+        ([0, 6, 12, 18, 1, 7, 13], 2, [[0, 3, 7]]),  # the perturb layout: folds in turn
+        ([20, 3, 9], 4, [[0, 1, 2, 3]]),  # fewer swaps than workers
+        ([5], 2, []),  # one swap runs in-process
+    ],
+    ids=["pair-layout", "perturb-layout", "fewer-swaps-than-workers", "one-swap"],
+)
+def test_replace_one_cv_risks_on_a_pool_equal_in_process(pool_chunks, rows, workers, bounds):
+    rng, ds, plan, specs = _mixed_bank_instance()
+    if not FORK:
+        bounds = []
+    cached = fit_all_folds(ds, specs, plan)
+    swaps = _swaps(rng, rows)
+    want = replace_one_cv_risks(ds, specs, plan, swaps, cached)
+    got = replace_one_cv_risks(ds, specs, plan, swaps, cached, workers=workers)
+    assert pool_chunks == bounds
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.values, b.values)
+        assert (a.n, a.model_labels) == (b.n, b.model_labels)
+
+
+def test_pool_reports_the_in_process_nonconvergence(monkeypatch, pool_chunks):
+    rng, ds, plan, specs = _mixed_bank_instance()
+    cached = fit_all_folds(ds, specs, plan)
+    swaps = _swaps(rng, (20, 3, 9, 14))
+    forced = dict(tol=1e-14, max_iter=2)
+    monkeypatch.setattr(cv_engine, "lasso_bank", lambda *args: lasso_bank(*args, **forced))
+    errors = []
+    for workers in (1, 2):
+        with pytest.raises(FitError) as err:
+            replace_one_cv_risks(ds, specs, plan, swaps, cached, workers=workers)
+        assert isinstance(err.value.cause, ConvergenceError)
+        errors.append((err.value.fold, err.value.model, err.value.cause.iterations, str(err.value)))
+    assert errors[0] == errors[1]
+    assert pool_chunks == ([[0, 2, 4]] if FORK else [])
+
+
+def test_pool_raises_the_failure_of_the_first_chunk(monkeypatch, pool_chunks):
+    if not FORK:
+        pytest.skip("the platform cannot fork")
+    rng, ds, plan, specs = _mixed_bank_instance()
+    cached = fit_all_folds(ds, specs, plan)
+
+    def failing(*args):
+        lo = args[-2]
+        time.sleep(0.3 if lo == 0 else 0.0)  # the later chunk fails first
+        raise FitError(lo, 0, specs[0], ConvergenceError("forced", lo))
+
+    monkeypatch.setattr(cv_engine, "_risk_range", failing)
+    with pytest.raises(FitError) as err:
+        replace_one_cv_risks(ds, specs, plan, _swaps(rng, (1, 2, 3, 4)), cached, workers=2)
+    assert (err.value.fold, err.value.cause.iterations) == (0, 0)
 
 
 def test_fit_error_order_runs_across_families(monkeypatch):
