@@ -139,7 +139,7 @@ class ExperimentConfig:
     def d_for(self, n: int) -> int:
         d = n // 10 if self.d == "n/10" else int(self.d)
         if d < 1:
-            raise DomainError(f"resolved feature count {d} at n={n} is not positive")
+            raise ConfigError(f"resolved feature count {d} at n={n} is not positive")
         return d
 
     def bank_size(self) -> int:
@@ -207,6 +207,18 @@ class ExperimentConfig:
         if self.kind in needs_oracle or self.kind == "phi":
             if self.bank_size() < 1:
                 raise ConfigError(f"kind {self.kind} needs a non-empty learner bank")
+            # each n is folded and fitted; a rule broken at one n would fail every rep there
+            for n in self.n_list:
+                if n % self.V:
+                    raise ConfigError(f"V={self.V} must divide every n, got n={n}")
+                width = self.j_max if self.family == "series" else self.d_for(n)
+                if self.family == "sparse_linear" and self.s > width:
+                    raise ConfigError(f"need s <= d, got s={self.s}, d={width} at n={n}")
+                if any(k > width for k in (*self.forward_steps, *self.series_truncations)):
+                    raise ConfigError(
+                        f"forward steps and series truncations must be <= the {width} "
+                        f"features at n={n}"
+                    )
         if self.kind == "phi":
             if self.family == "bounded_regression":
                 raise ConfigError("kind phi needs the sparse_linear or series generator")

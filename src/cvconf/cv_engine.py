@@ -7,20 +7,21 @@ it on many training sets in one call: the V folds of a full run
 (``fit_all_folds``), the m x (V - 1) refitted folds of m replace-one
 risks (``replace_one_cv_risks``, whose one-swap form is
 ``replace_one_cv_risk``), and the two sets of a replace-one loss
-difference (``loss_first_diff``).  The lasso problems of all the sets
-are solved together by ``learners.lasso_bank``.  Replace-one
-recomputation reuses the one fold whose training rows are untouched
-and refits the others, reproducing a from-scratch run exactly.  With
-``workers`` > 1, ``replace_one_cv_risks`` splits its swaps into
-contiguous chunks run by worker processes forked from the caller; they
-inherit the data and fits, so only chunk bounds go in and risk vectors
-come out, and the results are bitwise those of the in-process run.
+difference (``loss_first_diff``).  Each entry validates the bank, and
+which specs share a fit is decided once per call.  The lasso problems
+of a batch of sets are solved together by ``learners.lasso_bank``.
+Replace-one recomputation reuses the one fold whose training rows are
+untouched and refits the others, reproducing a from-scratch run
+exactly.  With ``workers`` > 1, ``replace_one_cv_risks`` splits its
+swaps into contiguous chunks run by worker processes forked from the
+caller; they inherit the data and fits, so only chunk bounds go in
+and risk vectors come out, and the results are bitwise those of the
+in-process run.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -78,113 +79,79 @@ class RiskVector:
         return self.values.shape[0]
 
 
-class _LassoQueue:
-    """Lasso problems of a fit call waiting for one ``lasso_bank`` call.
-
-    Each queued training set adds its Z'Z/n and Z'y/n once, by the
-    formula fit_lasso uses on its own, and its problems read them
-    through an index.  The stack holds n // d grams of d x d for sets of
-    n rows, so it never outgrows the rows of one set; the kernel is
-    called when it is full.  Problems keep the order in which the fit
-    call meets them, so the first failure found is the first in that
-    order.
-    """
-
-    def __init__(self, n: int, d: int):
-        self.capacity = max(1, n // max(1, d))
-        self.grams = np.empty((self.capacity, d, d))
-        self.corrs = np.empty((self.capacity, d))
-        self.count = 0
-        # (gram slot, the set's row of fits, fold, spec, the spec's positions)
-        self.problems: list[tuple[int, list, int, LearnerSpec, list[int]]] = []
-
-    def add(self, row: list, v: int, Z: np.ndarray, y: np.ndarray, positions: dict) -> None:
-        """Queue a set's lasso specs, given with their positions in its row."""
-        n = Z.shape[0]
-        self.grams[self.count] = Z.T @ Z / n
-        self.corrs[self.count] = Z.T @ y / n
-        for spec, pos in positions.items():
-            self.problems.append((self.count, row, v, spec, pos))
-        self.count += 1
-
-    def flush(self) -> None:
-        """Fit every queued problem and place each fit in its set's row."""
-        if self.problems:
-            slots, _, _, specs, _ = zip(*self.problems)
-            lams = [spec.lam for spec in specs]
-            coefs, sweeps, ok = lasso_bank(
-                self.grams[: self.count], self.corrs[: self.count], slots, lams
-            )
-            for k, (_, row, v, spec, pos) in enumerate(self.problems):
-                try:
-                    model = _lasso_fit(coefs[k], sweeps[k], ok[k], spec.lam)
-                except ConvergenceError as exc:
-                    raise FitError(v, pos[0], spec, exc) from exc
-                for r in pos:
-                    row[r] = model
-        self.problems.clear()
-        self.count = 0
-
-
 def _fit_sets(specs: Sequence[LearnerSpec], sets):
     """Yield the fits of every spec on each training set (v, Z, y) of
-    ``sets``, in order.
+    ``sets``, in order; the caller has validated the specs.
 
-    ``sets`` may be a generator: each set's rows are used and dropped
-    before the next is built, and only its gram waits for the lasso
-    kernel.  A set's fits are yielded once all of them are made, so a
-    consumer can drop them before later sets are fitted.  Identical
-    specs of one set share one fit.  Every other family is fitted at
-    once; the lasso problems of all sets go through ``lasso_bank``
-    calls, each over the grams of as many sets as ``_LassoQueue`` holds.
-    The kernel fits each problem as fit_lasso would on its own, so
-    neither the sharing nor the batching changes a fit, and permuting
-    the bank permutes the fits exactly.  A failure
+    Identical specs share one fit, decided once for the call.  On each
+    set, the specs of other families than the lasso are fitted at once,
+    in the order they first appear; the set's rows are then dropped and
+    only its Z'Z/n and Z'y/n, by the formula fit_lasso uses on its own,
+    wait in a batch of at most n // d sets, so the batch never outgrows
+    one set's rows.  A full batch goes through one ``lasso_bank`` call
+    and its fits are then yielded, so a consumer can drop them before
+    later sets are fitted.  The kernel fits each problem as fit_lasso
+    would on its own, so neither the sharing nor the batching changes a
+    fit, and permuting the bank permutes the fits exactly.  A failure
     raises FitError for the first failing (set, model) in that order.
     """
-    waiting: deque[list] = deque()  # rows not yet yielded, in set order
-    queue: _LassoQueue | None = None
+    shared: dict[LearnerSpec, list[int]] = {}  # each distinct spec's positions
+    for r, spec in enumerate(specs):
+        shared.setdefault(spec, []).append(r)
+    lasso = [(spec, pos) for spec, pos in shared.items() if spec.family == "lasso"]
+    others = [(spec, pos) for spec, pos in shared.items() if spec.family != "lasso"]
+    batch: list[tuple] = []  # (v, row, gram, corr, lasso specs) of the waiting sets
     for v, Z, y in sets:
         row: list = [None] * len(specs)
-        waiting.append(row)
-        first: dict[LearnerSpec, int] = {}
-        lasso: dict[LearnerSpec, list[int]] = {}  # queued specs and their positions
-        failure = None
-        for r, spec in enumerate(specs):
-            if spec in lasso:
-                lasso[spec].append(r)
-            elif spec in first:
-                row[r] = row[first[spec]]
-            else:
-                first[spec] = r
-                try:
-                    if spec.family == "lasso":
-                        if not spec.lam >= 0:
-                            raise DomainError(f"lasso needs lam >= 0, got {spec.lam}")
-                        lasso[spec] = [r]
-                    else:
-                        row[r] = _fit_now(spec, Z, y)
-                except Exception as exc:
-                    failure = (r, spec, exc)
-                    break
-        if lasso:
-            queue = queue or _LassoQueue(*Z.shape)
-            queue.add(row, v, Z, y, lasso)
+        todo, failure = lasso, None
+        for spec, pos in others:
+            try:
+                model = _fit_now(spec, Z, y)
+            except Exception as exc:
+                # only lasso specs met before the failing one are in order before it
+                todo = [(s, p) for s, p in lasso if p[0] < pos[0]]
+                failure = (pos[0], spec, exc)
+                break
+            for r in pos:
+                row[r] = model
+        n, d = Z.shape
+        if todo:
+            batch.append((v, row, Z.T @ Z / n, Z.T @ y / n, todo))
         del Z, y  # the kernel needs only the gram
         if failure is not None:
-            if queue is not None:
-                queue.flush()  # a lasso failure earlier in the order comes first
+            _fit_batch(batch)  # a lasso failure earlier in the order comes first
             r, spec, exc = failure
             raise FitError(v, r, spec, exc) from exc
-        if queue is not None and queue.count == queue.capacity:
-            queue.flush()
-        if queue is None or not queue.problems:
-            while waiting:
-                yield tuple(waiting.popleft())
-    if queue is not None:
-        queue.flush()
-    while waiting:
-        yield tuple(waiting.popleft())
+        if not lasso:
+            yield tuple(row)
+        elif len(batch) == max(1, n // max(1, d)):
+            yield from _fit_batch(batch)
+            batch = []
+    yield from _fit_batch(batch)
+
+
+def _fit_batch(batch: list[tuple]) -> list[tuple]:
+    """Fit the lasso problems of every set of ``batch`` in one
+    ``lasso_bank`` call, place each fit in its set's row and return the
+    rows; the first failing (set, model) raises FitError."""
+    problems = [(k, spec, pos) for k, entry in enumerate(batch) for spec, pos in entry[4]]
+    if problems:
+        slots, lasso, _ = zip(*problems)
+        coefs, sweeps, ok = lasso_bank(
+            np.stack([entry[2] for entry in batch]),
+            np.stack([entry[3] for entry in batch]),
+            slots,
+            [spec.lam for spec in lasso],
+        )
+        for k, (slot, spec, pos) in enumerate(problems):
+            v, row = batch[slot][:2]
+            try:
+                model = _lasso_fit(coefs[k], sweeps[k], ok[k], spec.lam)
+            except ConvergenceError as exc:
+                raise FitError(v, pos[0], spec, exc) from exc
+            for r in pos:
+                row[r] = model
+    return [tuple(entry[1]) for entry in batch]
 
 
 def _fit_now(spec: LearnerSpec, Z: np.ndarray, y: np.ndarray) -> FittedModel:
@@ -218,11 +185,9 @@ def fit_all_folds(dataset: Dataset, specs: Sequence[LearnerSpec], plan: FoldPlan
         raise DomainError("dataset invalid: " + "; ".join(problems))
     if plan.n != dataset.n:
         raise DomainError(f"plan covers {plan.n} rows, dataset has {dataset.n}")
-    specs = tuple(specs)
+    specs = tuple(spec.validate() for spec in specs)
     if not specs:
         raise DomainError("need at least one learner spec")
-    for spec in specs:
-        spec.validate()
     sets = ((v, *_rows(dataset, plan.train_indices(v))) for v in range(plan.V))
     fits = tuple(_fit_sets(specs, sets))
     return FoldFits(fits=fits, specs=specs, plan=plan)
@@ -300,7 +265,7 @@ def replace_one_cv_risks(
     model) in order.  With one worker or one swap, or where the
     platform cannot fork, everything runs in this process.
     """
-    specs = tuple(specs)
+    specs = tuple(spec.validate() for spec in specs)
     if cached.plan is not plan and (cached.plan.n != plan.n or cached.plan.V != plan.V):
         raise DomainError("cached fits were built for a different fold plan")
     if cached.specs != specs:
@@ -324,24 +289,28 @@ def _risk_range(dataset, specs, plan, swaps, cached, lo: int, hi: int) -> list[R
     labels = tuple(spec.label() for spec in specs)
     trains = [plan.train_indices(v) for v in range(plan.V)]
     chunk = swaps[lo:hi]
-
-    def refitted():
-        for swap in chunk:
-            for v in range(plan.V):
-                if v != plan.fold_of[swap[0]]:
-                    yield (v, *_rows(dataset, trains[v], swap))
-
-    def risk(swap, fits):
-        values = _loss_values(dataset, fits, plan, swap)
-        return cv_risk(LossMatrix(values, plan, labels))
-
-    # a swap's fits are dropped before the next swap is fitted
-    fitted = _fit_sets(specs, refitted())
-    return [
-        risk(swap, [cached.fits[v] if v == plan.fold_of[swap[0]] else next(fitted)
-                    for v in range(plan.V)])
-        for swap in chunk
-    ]
+    refitted = _fit_sets(
+        specs,
+        (
+            (v, *_rows(dataset, trains[v], swap))
+            for swap in chunk
+            for v in range(plan.V)
+            if v != plan.fold_of[swap[0]]
+        ),
+    )
+    risks = []
+    for swap in chunk:
+        kept = plan.fold_of[swap[0]]
+        # the list is dropped with the call, so a swap's fits are gone
+        # before the next swap is fitted
+        values = _loss_values(
+            dataset,
+            [cached.fits[v] if v == kept else next(refitted) for v in range(plan.V)],
+            plan,
+            swap,
+        )
+        risks.append(cv_risk(LossMatrix(values, plan, labels)))
+    return risks
 
 
 _forked_job = None  # set by _adopt in a pool worker only
@@ -410,20 +379,15 @@ def loss_first_diff(
     training sets, so any learner family works.  The value is signed:
     loss(before) - loss(after).
     """
-    n = dataset.features.shape[0]
-    if not 0 <= eval_index < n:
-        raise DomainError(f"evaluation index {eval_index} outside [0, {n})")
-    if not 0 <= i < n:
-        raise DomainError(f"index {i} outside [0, {n})")
+    if not 0 <= eval_index < dataset.n:
+        raise DomainError(f"evaluation index {eval_index} outside [0, {dataset.n})")
+    swap = _swap(dataset, i, x_new)
     v0 = int(plan.fold_of[eval_index])
-    if int(plan.fold_of[i]) == v0:
+    if int(plan.fold_of[swap[0]]) == v0:
         raise DomainError(
             f"row {i} shares fold {v0} with the evaluation point; replace a training row"
         )
-    specs = tuple(specs)
-    for spec in specs:
-        spec.validate()
-    swap = _swap(dataset, i, x_new)
+    specs = tuple(spec.validate() for spec in specs)
     tr = plan.train_indices(v0)
     sets = [(v0, *_rows(dataset, tr)), (v0, *_rows(dataset, tr, swap))]
     before, after = _fit_sets(specs, sets)

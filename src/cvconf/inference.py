@@ -191,14 +191,13 @@ def simultaneous_band(
                 raise DomainError("provide z_hat, critical values or a seed for the quantile draw")
             critical = critical_values(risks, cov, (alpha,), seed=seed, draws=draws, sets=False)
         z = float(critical.band_z[critical.index(alpha, "band_z")])
-        kept = _band_coordinates(diag)
-        half = np.zeros_like(center)
-        half[kept] = scale[kept] * (z / np.sqrt(risks.n))
     else:
         z = float(z_hat)
         if z < 0.0:
             raise DomainError("injected critical value must be nonnegative")
-        half = scale * (z / np.sqrt(risks.n))
+    kept = _band_coordinates(diag)
+    half = np.zeros_like(center)
+    half[kept] = scale[kept] * (z / np.sqrt(risks.n))
     return BandSet(center - half, center + half, center, alpha, z, "simultaneous", risks.n)
 
 

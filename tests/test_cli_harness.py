@@ -163,6 +163,52 @@ def test_load_config_rejects_draws_below_sampler_floor(tmp_path):
     assert load_config(_write_config(tmp_path / "c.ini", sec)).draws == MIN_DRAWS
 
 
+# a config that breaks one of these rules at any n would fail every rep there
+
+
+def test_load_config_rejects_n_that_V_does_not_divide(tmp_path):
+    sec = _band_sections(tmp_path / "o")
+    sec["generator"]["n"] = "80, 102"
+    with pytest.raises(ConfigError, match="divide"):
+        load_config(_write_config(tmp_path / "c.ini", sec))
+
+
+def test_load_config_rejects_a_feature_width_below_one(tmp_path):
+    sec = _band_sections(tmp_path / "o")
+    sec["generator"].update(n="5, 80", d="n/10")
+    with pytest.raises(ConfigError, match="feature count 0"):
+        load_config(_write_config(tmp_path / "c.ini", sec))
+
+
+def test_load_config_rejects_more_signals_than_features(tmp_path):
+    sec = _band_sections(tmp_path / "o")
+    sec["generator"].update(s=5, d=4)
+    with pytest.raises(ConfigError, match="s <= d"):
+        load_config(_write_config(tmp_path / "c.ini", sec))
+    sec["generator"]["d"] = 5
+    assert load_config(_write_config(tmp_path / "c.ini", sec)).s == 5
+
+
+def test_load_config_rejects_steps_and_truncations_wider_than_the_features(tmp_path):
+    sec = _band_sections(tmp_path / "o", kind="fwd_pointwise")
+    sec["generator"]["d"] = 10
+    sec["learners"] = {"forward_steps": "3, 12"}
+    with pytest.raises(ConfigError, match="<= the 10 features"):
+        load_config(_write_config(tmp_path / "c.ini", sec))
+    sec["learners"] = {"forward_steps": "3, 10"}
+    assert load_config(_write_config(tmp_path / "c.ini", sec)).forward_steps == (3, 10)
+    # the series generator's width is j_max
+    phi = {
+        "generator": {"family": "series", "n": 40, "j_max": 8},
+        "learners": {"series_truncations": "2, 9"},
+        "run": {"kind": "phi", "V": 5, "reps": 1, "seed": 1, "out": tmp_path / "p"},
+    }
+    with pytest.raises(ConfigError, match="<= the 8 features"):
+        load_config(_write_config(tmp_path / "p.ini", phi))
+    phi["learners"]["series_truncations"] = "2, 8"
+    assert load_config(_write_config(tmp_path / "p.ini", phi)).series_truncations == (2, 8)
+
+
 def test_load_config_requires_kind(tmp_path):
     sec = _band_sections(tmp_path / "o")
     del sec["run"]["kind"]

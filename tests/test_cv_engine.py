@@ -22,7 +22,14 @@ from cvconf.cv_engine import (
     replace_one_cv_risks,
 )
 from cvconf.datamodel import Dataset, DomainError, LearnerSpec, LossMatrix, make_folds
-from cvconf.learners import ConvergenceError, fit_lasso, fit_ridge, lasso_bank
+from cvconf.learners import (
+    ConvergenceError,
+    fit_lasso,
+    fit_ridge,
+    lasso_bank,
+    lasso_grid,
+    lasso_grid_log,
+)
 from cvconf.simgen import SparseLinearGen, SeriesGen, gen_series, gen_sparse_linear
 
 # one feature, four rows; both fold-out slopes work out to 1.6
@@ -171,13 +178,8 @@ def test_replace_one_equals_from_scratch():
         assert np.array_equal(fast.values, slow.values)
 
 
-def test_replace_one_lasso_refits_share_one_gram_per_fold(monkeypatch):
-    rng = np.random.default_rng(13)
-    ds = Dataset(rng.normal(size=(20, 3)), rng.normal(size=20))
-    plan = make_folds(20, 4)
-    specs = [LearnerSpec("lasso", lam=lam) for lam in (0.3, 0.1, 0.03)]
-    specs.append(LearnerSpec("ridge", lam=0.5))
-    cached = fit_all_folds(ds, specs, plan)
+def _bank_calls(monkeypatch):
+    """(grams, gram index, penalties) of every lasso_bank call made."""
     calls = []
 
     def recording_bank(grams, corrs, gram_index, lams, *args):
@@ -185,6 +187,17 @@ def test_replace_one_lasso_refits_share_one_gram_per_fold(monkeypatch):
         return lasso_bank(grams, corrs, gram_index, lams, *args)
 
     monkeypatch.setattr(cv_engine, "lasso_bank", recording_bank)
+    return calls
+
+
+def test_replace_one_lasso_refits_share_one_gram_per_fold(monkeypatch):
+    rng = np.random.default_rng(13)
+    ds = Dataset(rng.normal(size=(20, 3)), rng.normal(size=20))
+    plan = make_folds(20, 4)
+    specs = [LearnerSpec("lasso", lam=lam) for lam in (0.3, 0.1, 0.03)]
+    specs.append(LearnerSpec("ridge", lam=0.5))
+    cached = fit_all_folds(ds, specs, plan)
+    calls = _bank_calls(monkeypatch)
     replace_one_cv_risk(ds, specs, plan, 6, (rng.normal(size=3), 0.4), cached)
     # three refitted folds, three lasso penalties each, one gram per fold
     assert calls == [(3, [0, 0, 0, 1, 1, 1, 2, 2, 2], [0.3, 0.1, 0.03] * 3)]
@@ -361,6 +374,69 @@ def test_fit_error_order_runs_across_families(monkeypatch):
             loss_first_diff(ds, specs, plan, 7, 1, (rng.normal(size=3), 0.5))
         assert (err.value.fold, err.value.model) == (1, model)
         assert isinstance(err.value.cause, cause)
+
+
+def test_fit_error_order_runs_across_the_sets_of_one_batch(monkeypatch):
+    # all 4 folds share one kernel call (18 // 3 = 6 grams fit): set 0's lasso
+    # fails there, set 1's least squares fails before that call is made
+    _, ds, plan, _ = _mixed_bank_instance()
+    specs = [OLS, LearnerSpec("lasso", lam=0.01)]
+    forced = dict(tol=1e-14, max_iter=2)
+    monkeypatch.setattr(cv_engine, "lasso_bank", lambda *args: lasso_bank(*args, **forced))
+    real, calls = cv_engine._fit_now, []
+
+    def fail_on_second_set(spec, Z, y):
+        calls.append(spec)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("forced")
+        return real(spec, Z, y)
+
+    monkeypatch.setattr(cv_engine, "_fit_now", fail_on_second_set)
+    with pytest.raises(FitError) as err:
+        fit_all_folds(ds, specs, plan)
+    assert (err.value.fold, err.value.model) == (0, 1)
+    assert isinstance(err.value.cause, ConvergenceError)
+    assert len(calls) == 2
+
+
+def test_replace_one_cv_risks_validates_specs_before_any_fit_or_fork(monkeypatch, pool_chunks):
+    # a hand-built FoldFits can carry a penalty that fit_all_folds refuses
+    rng, ds, plan, specs = _mixed_bank_instance()
+    cached = fit_all_folds(ds, specs, plan)
+    bad = (LearnerSpec("lasso", lam=float("nan")),) + cached.specs[1:]
+    hand = FoldFits(fits=cached.fits, specs=bad, plan=plan)
+    monkeypatch.setattr(cv_engine, "lasso_bank", None)  # a lasso fit would raise TypeError
+    for workers in (1, 2):
+        with pytest.raises(DomainError, match="lam >= 0"):
+            replace_one_cv_risks(ds, bad, plan, _swaps(rng, (1, 2, 3)), hand, workers=workers)
+    assert pool_chunks == []
+
+
+def test_kernel_calls_at_the_cvc_p50_shape(monkeypatch):
+    # n = 500, d = 20, the 50-penalty log lasso: 5 folds of 400 rows fit 20
+    # grams, so one call solves every problem of the run
+    ds, _ = gen_sparse_linear(SparseLinearGen(n=500, d=20, s=5, nu=1000.0, seed=3))
+    lams = lasso_grid_log(ds.features, ds.response, 50, 1e-3)
+    specs = [LearnerSpec("lasso", lam=float(lam)) for lam in lams]
+    calls = _bank_calls(monkeypatch)
+    fit_all_folds(ds, specs, make_folds(500, 5))
+    assert calls == [(5, [k for k in range(5) for _ in lams], [float(x) for x in lams] * 5)]
+
+
+def test_kernel_calls_at_the_phi_wide_shape(monkeypatch):
+    # n = 1000, d = 100, the 10-penalty doubling lasso among two other specs:
+    # 16 swaps of one row refit 64 folds of 800 rows, 8 grams to a call
+    ds, _ = gen_sparse_linear(SparseLinearGen(n=1000, d=100, s=5, nu=1000.0, seed=4))
+    lams = [float(lam) for lam in lasso_grid(ds.features, ds.response, 5)]
+    specs = [LearnerSpec("forward", steps=0), LearnerSpec("ridge", lam=0.1)]
+    specs += [LearnerSpec("lasso", lam=lam) for lam in lams]
+    plan = make_folds(1000, 5)
+    cached = fit_all_folds(ds, specs, plan)
+    rows, _ = gen_sparse_linear(SparseLinearGen(n=16, d=100, s=5, nu=1000.0, seed=5))
+    swaps = [(0, (rows.features[j], rows.response[j])) for j in range(16)]
+    calls = _bank_calls(monkeypatch)
+    replace_one_cv_risks(ds, specs, plan, swaps, cached)
+    assert calls == [(8, [k for k in range(8) for _ in lams], lams * 8)] * 8
 
 
 def test_loss_first_diff_lasso_bank_matches_two_fit_subtraction():

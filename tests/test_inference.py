@@ -88,6 +88,21 @@ def test_simultaneous_degenerate_coordinate_gets_zero_width():
     assert band.upper[0] > band.lower[0]
 
 
+def test_simultaneous_injected_z_keeps_sub_floor_coordinates_at_zero_width():
+    # 1e-13 lies below the variance floor, so its interval is a point for an
+    # injected z as for a drawn one
+    risks, cov = _risk([1.0, 2.0], n=100), _cov([4.0, 1e-13])
+    for band in (
+        simultaneous_band(risks, cov, alpha=0.1, z_hat=2.0),
+        simultaneous_band(risks, cov, alpha=0.1, seed=3),
+    ):
+        assert band.upper[1] == band.lower[1] == 2.0
+        assert band.upper[0] > band.lower[0]
+    # half-width sqrt(4) * 2 / sqrt(100) = 0.4 on the kept coordinate
+    injected = simultaneous_band(risks, cov, alpha=0.1, z_hat=2.0)
+    assert injected.upper[0] == pytest.approx(1.4)
+
+
 def test_simultaneous_all_degenerate_returns_point_band():
     band = simultaneous_band(_risk([0.2, 0.8]), _cov([0.0, 0.0]), alpha=0.1, seed=3)
     np.testing.assert_array_equal(band.lower, band.upper)
