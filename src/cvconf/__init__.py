@@ -21,7 +21,7 @@ from .datamodel import (
     load_dataset_csv,
     save_dataset_csv,
 )
-from .cv_engine import FoldFits, RiskVector, fit_all_folds, loss_matrix, cv_risk, loss_first_diff
+from .cv_engine import FoldFits, RiskVector, fit_all_folds, loss_matrix, cv_risk
 from .covariance import CovEstimate, aggregate_covariance, standardized_correlation
 from .gaussian_mc import max_quantiles
 from .inference import (
@@ -47,11 +47,9 @@ from .stability_lab import (
     StabilityReport,
     param_first_diff,
     param_second_diff,
-    scaling_fit,
     sgd_campaigns,
     sgd_first_diff_campaign,
     sgd_second_diff_campaign,
-    diff_loss_stability_probe,
 )
 from .cli_harness import ExperimentConfig, load_config
 
@@ -96,12 +94,9 @@ __all__ = [
     "StabilityReport",
     "param_first_diff",
     "param_second_diff",
-    "loss_first_diff",
-    "scaling_fit",
     "sgd_campaigns",
     "sgd_first_diff_campaign",
     "sgd_second_diff_campaign",
-    "diff_loss_stability_probe",
     "ExperimentConfig",
     "load_config",
 ]

@@ -219,6 +219,12 @@ class ExperimentConfig:
                         f"forward steps and series truncations must be <= the {width} "
                         f"features at n={n}"
                     )
+                if self.kind in needs_oracle and n < 2 * self.V:
+                    # the fold covariance needs two rows in every fold
+                    raise ConfigError(
+                        f"kind {self.kind} needs folds of at least 2 rows (n >= 2V), "
+                        f"got n={n}, V={self.V}"
+                    )
         if self.kind == "phi":
             if self.family == "bounded_regression":
                 raise ConfigError("kind phi needs the sparse_linear or series generator")

@@ -6,9 +6,8 @@ Every fit of the bank goes through one path, ``_fit_sets``, which fits
 it on many training sets in one call: the V folds of a full run
 (``fit_all_folds``), the m x (V - 1) refitted folds of m replace-one
 risks (``replace_one_cv_risks``, whose one-swap form is
-``replace_one_cv_risk``), and the two sets of a replace-one loss
-difference (``loss_first_diff``).  Each entry validates the bank, and
-which specs share a fit is decided once per call.  The lasso problems
+``replace_one_cv_risk``).  Each entry validates the bank, and which
+specs share a fit is decided once per call.  The lasso problems
 of a batch of sets are solved together by ``learners.lasso_bank``.
 Replace-one recomputation reuses the one fold whose training rows are
 untouched and refits the others, reproducing a from-scratch run
@@ -361,41 +360,6 @@ def replace_one_cv_risk(
     form of replace_one_cv_risks.  ``losses`` must be "squared"."""
     _check_squared(losses)
     return replace_one_cv_risks(dataset, specs, plan, [(i, x_new)], cached)[0]
-
-
-def loss_first_diff(
-    dataset: Dataset,
-    specs: Sequence[LearnerSpec],
-    plan: FoldPlan,
-    eval_index: int,
-    i: int,
-    x_new,
-) -> np.ndarray:
-    """Per-model change in the squared loss at one evaluation point when
-    training row i is replaced.
-
-    The evaluation row's own fold is held out; i must lie in the training
-    complement.  Both fits are fresh, made in one fit call over the two
-    training sets, so any learner family works.  The value is signed:
-    loss(before) - loss(after).
-    """
-    if not 0 <= eval_index < dataset.n:
-        raise DomainError(f"evaluation index {eval_index} outside [0, {dataset.n})")
-    swap = _swap(dataset, i, x_new)
-    v0 = int(plan.fold_of[eval_index])
-    if int(plan.fold_of[swap[0]]) == v0:
-        raise DomainError(
-            f"row {i} shares fold {v0} with the evaluation point; replace a training row"
-        )
-    specs = tuple(spec.validate() for spec in specs)
-    tr = plan.train_indices(v0)
-    sets = [(v0, *_rows(dataset, tr)), (v0, *_rows(dataset, tr, swap))]
-    before, after = _fit_sets(specs, sets)
-    z0 = dataset.features[eval_index][None, :]
-    y0 = float(dataset.response[eval_index])
-    return np.array(
-        [((y0 - b.predict(z0)) ** 2 - (y0 - a.predict(z0)) ** 2)[0] for b, a in zip(before, after)]
-    )
 
 
 def average_fitted_risk_oracle(fold_fits: FoldFits, truth) -> np.ndarray:

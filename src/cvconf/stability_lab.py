@@ -2,20 +2,18 @@
 
 The asymptotic story for cross-validated risks leans on stability
 hypotheses: replacing one training sample moves the fitted parameter by
-O(n^-a), moves it by roughly O(n^-2a log n) after a second replacement,
-and moves evaluated losses by O(n^-1/2)-scaled amounts.  This module
-measures those movements directly.  For single-pass projected SGD the
-first-order movement has a fully deterministic bound (2L / beta) n^-a
-whose step-ratio precondition we enforce rather than assume; everything
-else is Monte Carlo: run trials over an n-grid, take a max or quantile
-per n, and fit a log-log slope.
+O(n^-a), and moves it by roughly O(n^-2a log n) after a second
+replacement.  This module measures those movements directly for
+single-pass projected SGD on the ridge objective.  The first-order
+movement has a fully deterministic bound (2L / beta) n^-a whose
+step-ratio precondition we enforce rather than assume; everything else
+is Monte Carlo: run trials over an n-grid, take the median per n, and
+fit a log-log slope.
 
 Every probe measures one replacement difference: with m distinct rows
 replaced, the subsets S of the replacements, in the order (), (0,),
-(1,), (0, 1), give 2^m datasets, and the probe takes the alternating sum
-over S of (-1)^|S| times the final iterate (then its norm) or the loss
-difference (then its absolute value).  The SGD campaigns run the ridge
-objective.
+(1,), (0, 1), give 2^m datasets, and the probe takes the norm of the
+alternating sum over S of (-1)^|S| times the final iterate.
 
 Trials are driven by derived substreams keyed by (purpose, n, trial), so
 any subset of a campaign can be replayed in isolation and the trial
@@ -35,36 +33,26 @@ from typing import Sequence
 
 import numpy as np
 
-from .cv_engine import loss_first_diff  # re-exported; it refits through cv_engine's fold path
 from .datamodel import DomainError, _jsonable, write_csv_atomic, write_json_atomic
-from .learners import SgdConfig, fit_series, row_norms, sgd_trajectories
-from .simgen import SeriesGen, derive_substream, gen_series
+from .learners import SgdConfig, row_norms, sgd_trajectories
+from .simgen import derive_substream
 
 __all__ = [
     "StabilityPreconditionError",
-    "ScalingFitError",
-    "ScalingFit",
     "StabilityReport",
     "sgd_ratio_requirement",
     "check_sgd_precondition",
     "param_first_diff",
     "param_second_diff",
-    "loss_first_diff",
-    "scaling_fit",
     "bounded_regression_data",
     "sgd_campaigns",
     "sgd_first_diff_campaign",
     "sgd_second_diff_campaign",
-    "diff_loss_stability_probe",
 ]
 
 
 class StabilityPreconditionError(DomainError):
     """The step-ratio precondition fails, so the stability bound is not claimed."""
-
-
-class ScalingFitError(ValueError):
-    """Log-log fit impossible (degenerate statistics)."""
 
 
 def sgd_ratio_requirement(n: int, a: float) -> float:
@@ -212,7 +200,7 @@ def param_second_diff(
     return _one_trial_diff(features, response, config, (i, zi_new, yi_new), (j, zj_new, yj_new))
 
 
-# ------------------------------------------------------------ scaling fit
+# -------------------------------------------------------------- slope fit
 
 
 def _loglog_line(grid, stats) -> tuple[float, float, float]:
@@ -228,54 +216,6 @@ def _loglog_line(grid, stats) -> tuple[float, float, float]:
     return slope, intercept, math.sqrt(sigma2 / sxx)
 
 
-@dataclass(frozen=True)
-class ScalingFit:
-    """Least-squares line through (log n, log statistic)."""
-
-    slope: float
-    intercept: float
-    stderr: float
-    statistic: str
-    n_grid: tuple[int, ...]
-    values: tuple[float, ...]
-
-
-def scaling_fit(samples: dict[int, np.ndarray], statistic="max") -> ScalingFit:
-    """Fit log(statistic of |samples|) against log(n).
-
-    ``statistic`` is "max" or a quantile level in (0, 1).  Needs at least
-    3 grid points and 30 samples per point; raises ``ScalingFitError``
-    when any per-n statistic is zero (no power law to fit).
-    """
-    if isinstance(statistic, str):
-        if statistic != "max":
-            raise DomainError(f"statistic must be 'max' or a quantile level, got {statistic!r}")
-    elif not 0.0 < float(statistic) < 1.0:
-        raise DomainError(f"quantile level must lie in (0, 1), got {statistic}")
-    grid = sorted(int(n) for n in samples)
-    if len(grid) < 3:
-        raise DomainError(f"need at least 3 grid points, got {len(grid)}")
-    stats = []
-    for n in grid:
-        vals = np.abs(np.asarray(samples[n], dtype=np.float64))
-        if vals.size < 30:
-            raise DomainError(f"need at least 30 samples per grid point, got {vals.size} at n={n}")
-        s = float(np.max(vals)) if statistic == "max" else float(np.quantile(vals, float(statistic)))
-        if s <= 0.0:
-            raise ScalingFitError(f"statistic at n={n} is zero; nothing to fit")
-        stats.append(s)
-    slope, intercept, stderr = _loglog_line(grid, stats)
-    label = "max" if statistic == "max" else f"q{float(statistic):g}"
-    return ScalingFit(
-        slope=slope,
-        intercept=intercept,
-        stderr=stderr,
-        statistic=label,
-        n_grid=tuple(grid),
-        values=tuple(stats),
-    )
-
-
 # ---------------------------------------------------------------- reports
 
 
@@ -286,9 +226,8 @@ class StabilityReport:
     ``samples[n]`` holds the per-trial norms, ``bounds[n]`` the
     deterministic bound when one is claimed (first-order SGD only), and
     ``violations[n]`` how many trials exceeded it.  ``slope`` is the
-    log-log fit of the per-n medians when the grid supports one.  Loss-
-    and risk-level proxies are housed in ``extras`` by the probes that
-    compute them.
+    log-log fit of the per-n medians when the grid supports one.
+    ``extras`` records the campaign's settings.
     """
 
     kind: str
@@ -555,101 +494,3 @@ def sgd_second_diff_campaign(
         d=d,
         seed=seed,
     )["second"]
-
-
-# ------------------------------------------------------------------ probe
-
-
-def diff_loss_stability_probe(
-    j_r: int,
-    j_s: int,
-    n_grid: Sequence[int],
-    trials: int,
-    *,
-    decay: float = 2.0,
-    noise_sd: float = 1.0,
-    seed: int = 0,
-) -> StabilityReport:
-    """Stability diagnostics for the difference of two series-model losses.
-
-    For each n and trial: draw series data plus three fresh rows (one
-    evaluation point, two replacements), evaluate the loss difference of
-    the two truncated fits at the evaluation point, and record its value,
-    its first difference under one replacement, and its second difference
-    under both.  Extras hold per-n variances and the standardized ratios
-    sqrt(n) * median|first| / sd and n * median|second| / sd.  A config
-    whose truncations do not separate (or whose scaling product reaches
-    n) is flagged but still measured.
-    """
-    if j_r < 1 or j_s < 1:
-        raise DomainError("truncation levels must be >= 1")
-    if j_r > j_s:
-        raise DomainError("the smaller model must come first (j_r <= j_s)")
-    n_grid = _grid(n_grid)
-    if trials < 2:
-        raise DomainError("need at least two trials for a variance")
-    condition = {n: j_s * j_r ** (decay / 2.0) / n for n in n_grid}
-    flagged = (j_r == j_s) or any(c >= 1.0 for c in condition.values())
-    samples: dict[int, np.ndarray] = {}
-    second: dict[int, np.ndarray] = {}
-    var_by_n: dict[int, float] = {}
-    ratio_first: dict[int, float] = {}
-    ratio_second: dict[int, float] = {}
-    subsets = _subsets(2)
-    for n in n_grid:
-        firsts = np.empty(trials)
-        seconds = np.empty(trials)
-        ldiffs = np.empty(trials)
-        for t in range(trials):
-            rng = derive_substream(seed, "loss-diff", n, t)
-            cfg = SeriesGen(
-                n=n + 3,
-                j_max=j_s,
-                decay=decay,
-                noise_sd=noise_sd,
-                seed=int(rng.integers(2**62)),
-            )
-            ds, _ = gen_series(cfg)
-            Z, y = ds.features[:n], ds.response[:n]
-            z0, y0 = ds.features[n], float(ds.response[n])
-            i = int(rng.integers(n))
-            j = i
-            while j == i:
-                j = int(rng.integers(n))
-
-            def ldiff(Zt, yt):
-                pred_r = float(z0 @ fit_series(Zt, yt, j_r).coef)
-                pred_s = float(z0 @ fit_series(Zt, yt, j_s).coef)
-                return (y0 - pred_r) ** 2 - (y0 - pred_s) ** 2
-
-            # replacement b writes data row n + 1 + b over training row (i, j)[b]
-            rows = (i, j)
-            by_subset = []
-            for subset in subsets:
-                Zs, ys = Z.copy(), y.copy()
-                for b in subset:
-                    Zs[rows[b]], ys[rows[b]] = ds.features[n + 1 + b], ds.response[n + 1 + b]
-                by_subset.append(ldiff(Zs, ys))
-            ldiffs[t] = by_subset[0]
-            firsts[t] = abs(_alternating_sum(by_subset[:2], subsets[:2]))
-            seconds[t] = abs(_alternating_sum(by_subset, subsets))
-        samples[n] = firsts
-        second[n] = seconds
-        var = float(np.var(ldiffs, ddof=1))
-        var_by_n[n] = var
-        sd = math.sqrt(var) if var > 0 else float("nan")
-        ratio_first[n] = math.sqrt(n) * float(np.median(firsts)) / sd if var > 0 else float("nan")
-        ratio_second[n] = n * float(np.median(seconds)) / sd if var > 0 else float("nan")
-    extras = {
-        "j_r": j_r,
-        "j_s": j_s,
-        "decay": decay,
-        "noise_sd": noise_sd,
-        "var_by_n": var_by_n,
-        "ratio_first": ratio_first,
-        "ratio_second": ratio_second,
-        "second_medians": {n: float(np.median(second[n])) for n in n_grid},
-        "condition": condition,
-        "flagged_out_of_regime": flagged,
-    }
-    return _report("loss-diff", n_grid, samples, seed, extras)

@@ -32,6 +32,8 @@ from cvconf.inference import check_coverage, cvc_set
 from cvconf.learners import lasso_grid
 from cvconf.simgen import SparseLinearGen, gen_sparse_linear, stable_subseed
 
+REPO = Path(__file__).parents[1]
+
 
 def _write_config(path, sections):
     lines = []
@@ -171,6 +173,30 @@ def test_load_config_rejects_n_that_V_does_not_divide(tmp_path):
     sec["generator"]["n"] = "80, 102"
     with pytest.raises(ConfigError, match="divide"):
         load_config(_write_config(tmp_path / "c.ini", sec))
+
+
+@pytest.mark.parametrize("kind", ["band_coverage", "fwd_pointwise", "cvc_size"])
+def test_load_config_rejects_folds_of_one_row(tmp_path, kind):
+    # every rep would fail in the fold covariance; phi computes none
+    sec = _band_sections(tmp_path / "o", kind=kind)
+    sec["generator"].update(n=5, d=2, s=1)
+    sec["learners"] = {"lasso": "none", "ridge_lams": "0, 1"}
+    with pytest.raises(ConfigError, match="at least 2 rows"):
+        load_config(_write_config(tmp_path / "c.ini", sec))
+    sec["generator"]["n"] = 10
+    assert load_config(_write_config(tmp_path / "c.ini", sec)).n_list == (10,)
+    sec["generator"]["n"] = 5
+    sec["run"]["kind"] = "phi"
+    assert load_config(_write_config(tmp_path / "c.ini", sec)).V == 5
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(REPO.glob("scripts/configs/*.ini")) + sorted(REPO.glob("bench/configs/*.ini")),
+    ids=lambda path: f"{path.parent.parent.name}/{path.name}",
+)
+def test_shipped_configs_load(path):
+    load_config(path)  # validated on load
 
 
 def test_load_config_rejects_a_feature_width_below_one(tmp_path):

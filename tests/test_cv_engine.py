@@ -16,7 +16,6 @@ from cvconf.cv_engine import (
     average_fitted_risk_oracle,
     cv_risk,
     fit_all_folds,
-    loss_first_diff,
     loss_matrix,
     replace_one_cv_risk,
     replace_one_cv_risks,
@@ -360,7 +359,7 @@ def test_pool_raises_the_failure_of_the_first_chunk(monkeypatch, pool_chunks):
 
 
 def test_fit_error_order_runs_across_families(monkeypatch):
-    rng, ds, plan, _ = _mixed_bank_instance()
+    _, ds, plan, _ = _mixed_bank_instance()
     lasso = LearnerSpec("lasso", lam=0.01)
     too_many = LearnerSpec("forward", steps=5)  # more steps than the 3 features
     forced = dict(tol=1e-14, max_iter=2)
@@ -371,8 +370,8 @@ def test_fit_error_order_runs_across_families(monkeypatch):
         ([OLS, lasso, too_many], 1, ConvergenceError),
     ):
         with pytest.raises(FitError) as err:
-            loss_first_diff(ds, specs, plan, 7, 1, (rng.normal(size=3), 0.5))
-        assert (err.value.fold, err.value.model) == (1, model)
+            fit_all_folds(ds, specs, plan)
+        assert (err.value.fold, err.value.model) == (0, model)
         assert isinstance(err.value.cause, cause)
 
 
@@ -439,26 +438,6 @@ def test_kernel_calls_at_the_phi_wide_shape(monkeypatch):
     assert calls == [(8, [k for k in range(8) for _ in lams], lams * 8)] * 8
 
 
-def test_loss_first_diff_lasso_bank_matches_two_fit_subtraction():
-    rng = np.random.default_rng(14)
-    ds = Dataset(rng.normal(size=(15, 3)), rng.normal(size=15))
-    plan = make_folds(15, 3)
-    lams = (0.4, 0.1, 0.02)
-    specs = [LearnerSpec("lasso", lam=lam) for lam in lams]
-    z_new, y_new = np.array([0.3, -0.8, 1.2]), -0.5
-    ev, i = 1, 11
-    out = loss_first_diff(ds, specs, plan, ev, i, (z_new, y_new))
-    tr = plan.train_indices(int(plan.fold_of[ev]))
-    ds2 = ds.replace_row(i, z_new, y_new)
-    for r, lam in enumerate(lams):
-        base = fit_lasso(ds.features[tr], ds.response[tr], lam)
-        pert = fit_lasso(ds2.features[tr], ds2.response[tr], lam)
-        l0 = (ds.response[ev] - base.predict(ds.features[[ev]])[0]) ** 2
-        l1 = (ds.response[ev] - pert.predict(ds.features[[ev]])[0]) ** 2
-        assert out[r] == l0 - l1
-    assert np.any(out != 0.0)
-
-
 def test_replace_one_cv_risk_refuses_losses_other_than_squared():
     rng = np.random.default_rng(16)
     ds = Dataset(rng.normal(size=(8, 2)), rng.normal(size=8))
@@ -474,16 +453,22 @@ def test_replace_one_cv_risk_refuses_losses_other_than_squared():
             replace_one_cv_risk(ds, specs, plan, 3, x_new, cached, losses)
 
 
-def test_loss_first_diff_validates_specs_before_fitting():
+def test_fit_all_folds_validates_specs_before_fitting(monkeypatch):
     # a NaN penalty or a series spec without truncation is a DomainError
-    # before any fit, not a NaN difference or a failure inside the fit
+    # before any fit, not a NaN fit or a FitError from inside the fold loop
     rng = np.random.default_rng(17)
     ds = Dataset(rng.normal(size=(12, 3)), rng.normal(size=12))
     plan = make_folds(12, 3)
-    x_new = (rng.normal(size=3), 0.5)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran before the specs were validated")
+
+    monkeypatch.setattr(cv_engine, "_fit_now", no_fit)
+    monkeypatch.setattr(cv_engine, "lasso_bank", no_fit)
+    good = [LearnerSpec("ridge", lam=0.5), LearnerSpec("lasso", lam=0.1)]
     for bad in (LearnerSpec("ridge", lam=float("nan")), LearnerSpec("series")):
         with pytest.raises(DomainError):
-            loss_first_diff(ds, [LearnerSpec("ridge", lam=0.5), bad], plan, 0, 6, x_new)
+            fit_all_folds(ds, [*good, bad], plan)
 
 
 def test_replace_one_rejects_bad_index():

@@ -1,26 +1,23 @@
-"""Replace-one stability probes and scaling-law fits."""
+"""Replace-one stability probes and their log-log slope fits."""
 
 import json
 
 import numpy as np
 import pytest
 
-from cvconf.datamodel import Dataset, DomainError, LearnerSpec, make_folds
-from cvconf.learners import SgdConfig, fit_ridge, fit_series, sgd_trajectories
-from cvconf.simgen import SeriesGen, derive_substream, gen_series
+from cvconf.datamodel import DomainError
+from cvconf.learners import SgdConfig, sgd_trajectories
+from cvconf.simgen import derive_substream
 from cvconf.stability_lab import (
     _bounded_rows,
     _draw_index,
-    ScalingFitError,
+    _report,
     StabilityPreconditionError,
     StabilityReport,
     bounded_regression_data,
     check_sgd_precondition,
-    diff_loss_stability_probe,
-    loss_first_diff,
     param_first_diff,
     param_second_diff,
-    scaling_fit,
     sgd_campaigns,
     sgd_first_diff_campaign,
     sgd_ratio_requirement,
@@ -137,42 +134,29 @@ def test_param_second_diff_requires_distinct_indices():
         param_second_diff(Z, y, cfg, 7, 7, z_new, y_new, z_new, y_new)
 
 
-# ------------------------------------------------------------ scaling fit
+# -------------------------------------------------------------- slope fit
 
 
 def _power_law_samples(c, exponent, grid, count=30):
     return {n: np.full(count, c * float(n) ** exponent) for n in grid}
 
 
-def test_scaling_fit_recovers_exact_power_laws():
+def test_report_fits_exact_power_laws():
     grid = (100, 200, 400, 800)
-    fit = scaling_fit(_power_law_samples(3.0, -0.5, grid), statistic="max")
-    assert fit.slope == pytest.approx(-0.5, abs=1e-10)
-    assert fit.stderr == pytest.approx(0.0, abs=1e-8)
-    assert fit.intercept == pytest.approx(np.log(3.0), abs=1e-9)
-    fit = scaling_fit(_power_law_samples(0.2, -1.5, grid), statistic=0.5)
-    assert fit.slope == pytest.approx(-1.5, abs=1e-10)
+    rep = _report("exact", grid, _power_law_samples(3.0, -0.5, grid), 0, {})
+    assert rep.slope == pytest.approx(-0.5, abs=1e-10)
+    assert rep.slope_stderr == pytest.approx(0.0, abs=1e-8)
+    assert rep.intercept == pytest.approx(np.log(3.0), abs=1e-9)
+    rep = _report("exact", grid, _power_law_samples(0.2, -1.5, grid), 0, {})
+    assert rep.slope == pytest.approx(-1.5, abs=1e-10)
 
 
-def test_scaling_fit_quantile_statistic_uses_requested_quantile():
+def test_report_fits_no_slope_through_a_zero_median():
     grid = (100, 200, 400)
-    samples = {n: np.concatenate([np.full(25, 1.0 / n), np.full(25, 10.0 / n)]) for n in grid}
-    fit_med = scaling_fit(samples, statistic=0.25)
-    assert fit_med.slope == pytest.approx(-1.0, abs=1e-10)
-
-
-def test_scaling_fit_input_validation():
-    grid = (100, 200)
-    with pytest.raises(DomainError):
-        scaling_fit(_power_law_samples(1.0, -0.5, grid))  # too few grid points
-    few = {n: np.full(10, 1.0) for n in (100, 200, 400)}
-    with pytest.raises(DomainError):
-        scaling_fit(few)  # too few samples per grid point
-    zeros = {n: np.zeros(30) for n in (100, 200, 400)}
-    with pytest.raises(ScalingFitError):
-        scaling_fit(zeros)
-    with pytest.raises(DomainError):
-        scaling_fit(_power_law_samples(1.0, -0.5, (100, 200, 400)), statistic=1.5)
+    samples = _power_law_samples(3.0, -0.5, grid)
+    samples[200] = np.concatenate([np.zeros(16), np.ones(14)])
+    rep = _report("zero", grid, samples, 0, {})
+    assert rep.slope is None and rep.intercept is None and rep.slope_stderr is None
 
 
 # -------------------------------------------------------------- campaigns
@@ -417,142 +401,6 @@ def test_sgd_campaigns_match_one_variant_campaigns():
             np.testing.assert_array_equal(got.samples[n], want.samples[n])
     with pytest.raises(DomainError):
         sgd_campaigns(("first", "first"), grid, trials, **kw)
-
-
-# -------------------------------------------------------- loss difference
-
-
-def test_loss_first_diff_zero_for_training_independent_model():
-    rng = np.random.default_rng(41)
-    ds = Dataset(rng.normal(size=(12, 3)), rng.normal(size=12))
-    plan = make_folds(12, 3)
-    out = loss_first_diff(
-        ds, [LearnerSpec(family="forward", steps=0)], plan, 0, 6, (np.zeros(3), 5.0)
-    )
-    assert out.shape == (1,)
-    assert out[0] == 0.0
-
-
-def test_loss_first_diff_identity_replacement_zero():
-    rng = np.random.default_rng(42)
-    ds = Dataset(rng.normal(size=(12, 3)), rng.normal(size=12))
-    plan = make_folds(12, 3)
-    out = loss_first_diff(
-        ds, [LearnerSpec(family="ridge", lam=0.5)], plan, 1, 7, (ds.features[7], ds.response[7])
-    )
-    assert out[0] == 0.0
-
-
-def test_loss_first_diff_matches_two_fit_subtraction():
-    rng = np.random.default_rng(43)
-    ds = Dataset(rng.normal(size=(6, 2)), rng.normal(size=6))
-    plan = make_folds(6, 2)  # folds {0,1,2}, {3,4,5}
-    z_new = np.array([0.4, -1.1])
-    y_new = 0.9
-    out = loss_first_diff(ds, [LearnerSpec(family="ridge", lam=0.7)], plan, 0, 4, (z_new, y_new))
-    train = [3, 4, 5]
-    base = fit_ridge(ds.features[train], ds.response[train], 0.7)
-    Z2, y2 = ds.features.copy(), ds.response.copy()
-    Z2[4], y2[4] = z_new, y_new
-    pert = fit_ridge(Z2[train], y2[train], 0.7)
-    l0 = (ds.response[0] - base.predict(ds.features[[0]])[0]) ** 2
-    l1 = (ds.response[0] - pert.predict(ds.features[[0]])[0]) ** 2
-    assert out[0] == pytest.approx(l0 - l1, rel=1e-12)
-
-
-def test_loss_first_diff_sign_flips_under_swap():
-    rng = np.random.default_rng(44)
-    ds = Dataset(rng.normal(size=(12, 3)), rng.normal(size=12))
-    plan = make_folds(12, 3)
-    spec = [LearnerSpec(family="ridge", lam=0.3)]
-    z_new = np.array([0.2, 0.1, -0.5])
-    fwd = loss_first_diff(ds, spec, plan, 0, 8, (z_new, 1.5))
-    ds2 = ds.replace_row(8, z_new, 1.5)
-    back = loss_first_diff(ds2, spec, plan, 0, 8, (ds.features[8], ds.response[8]))
-    assert fwd[0] == pytest.approx(-back[0], rel=1e-12)
-
-
-def test_loss_first_diff_rejects_index_in_evaluation_fold():
-    rng = np.random.default_rng(45)
-    ds = Dataset(rng.normal(size=(12, 3)), rng.normal(size=12))
-    plan = make_folds(12, 3)
-    with pytest.raises(DomainError):
-        loss_first_diff(ds, [LearnerSpec(family="ridge", lam=0.0)], plan, 0, 2, (np.zeros(3), 0.0))
-
-
-# ------------------------------------------------------------------ probe
-
-
-@pytest.mark.filterwarnings("ignore:series truncation")
-def test_probe_equal_truncations_all_zero():
-    rep = diff_loss_stability_probe(4, 4, (100, 200, 400), trials=10, seed=3)
-    for n in rep.n_grid:
-        np.testing.assert_array_equal(rep.samples[n], np.zeros(10))
-    assert rep.slope is None
-    assert rep.extras["flagged_out_of_regime"]
-
-
-def test_probe_variance_matches_analytic_target():
-    j_r, j_s, decay, sd = 2, 8, 2.0, 1.0
-    grid = (200, 400, 800)
-    rep = diff_loss_stability_probe(j_r, j_s, grid, trials=80, seed=9, decay=decay, noise_sd=sd)
-    beta_sq = sum(float(j) ** (-(1 + decay)) for j in range(j_r + 1, j_s + 1))
-    for n in grid:
-        target = 4 * sd**2 * (beta_sq + (j_s - j_r) * sd**2 / n)
-        assert target / 4 <= rep.extras["var_by_n"][n] <= 4 * target
-    assert not rep.extras["flagged_out_of_regime"]
-
-
-def test_probe_standardized_ratio_trends_down():
-    # the ratio halves-ish from n=200 to n=800; 400 trials tame the
-    # heavy-tailed variance estimate in the denominator
-    rep = diff_loss_stability_probe(2, 8, (200, 400, 800), trials=400, seed=1)
-    ratios = [rep.extras["ratio_first"][n] for n in rep.n_grid]
-    assert ratios[-1] <= ratios[0]
-
-
-def _oracle_probe(j_r, j_s, n_grid, trials, decay, noise_sd, seed):
-    """Per-n first and second loss differences, each trial drawn as the
-    probe draws it and each replaced dataset copied and written by hand."""
-    firsts, seconds = {}, {}
-    for n in n_grid:
-        firsts[n], seconds[n] = np.empty(trials), np.empty(trials)
-        for t in range(trials):
-            rng = derive_substream(seed, "loss-diff", n, t)
-            gen = SeriesGen(
-                n=n + 3, j_max=j_s, decay=decay, noise_sd=noise_sd, seed=int(rng.integers(2**62))
-            )
-            ds, _ = gen_series(gen)
-            Z, y = ds.features[:n], ds.response[:n]
-            z0, y0 = ds.features[n], float(ds.response[n])
-            i = int(rng.integers(n))
-            j = i
-            while j == i:
-                j = int(rng.integers(n))
-            Zi, yi = Z.copy(), y.copy()
-            Zi[i], yi[i] = ds.features[n + 1], ds.response[n + 1]
-            Zj, yj = Z.copy(), y.copy()
-            Zj[j], yj[j] = ds.features[n + 2], ds.response[n + 2]
-            Zij, yij = Zi.copy(), yi.copy()
-            Zij[j], yij[j] = ds.features[n + 2], ds.response[n + 2]
-            ld = []
-            for Zt, yt in ((Z, y), (Zi, yi), (Zj, yj), (Zij, yij)):
-                pred_r = float(z0 @ fit_series(Zt, yt, j_r).coef)
-                pred_s = float(z0 @ fit_series(Zt, yt, j_s).coef)
-                ld.append((y0 - pred_r) ** 2 - (y0 - pred_s) ** 2)
-            firsts[n][t] = abs(ld[0] - ld[1])
-            seconds[n][t] = abs(ld[0] - ld[1] - ld[2] + ld[3])
-    return firsts, seconds
-
-
-def test_probe_matches_scalar_oracle():
-    grid, trials, decay, sd, seed = (40, 80, 160), 7, 2.0, 1.0, 14
-    rep = diff_loss_stability_probe(2, 8, grid, trials, decay=decay, noise_sd=sd, seed=seed)
-    firsts, seconds = _oracle_probe(2, 8, grid, trials, decay, sd, seed)
-    for n in grid:
-        np.testing.assert_array_equal(rep.samples[n], firsts[n])
-        assert rep.extras["second_medians"][n] == float(np.median(seconds[n]))
-    assert np.all(rep.samples[grid[0]] > 0.0)
 
 
 # --------------------------------------------------------------------- io
