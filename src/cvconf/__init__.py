@@ -35,7 +35,7 @@ from .inference import (
     cvc_set,
     check_coverage,
 )
-from .simgen import SparseLinearGen, SeriesGen, gen_sparse_linear, gen_series, derive_substream
+from .simgen import SparseLinearGen, gen_sparse_linear, derive_substream
 from .det_variance import (
     HoldoutSet,
     PhiEstimate,
@@ -82,9 +82,7 @@ __all__ = [
     "cvc_set",
     "check_coverage",
     "SparseLinearGen",
-    "SeriesGen",
     "gen_sparse_linear",
-    "gen_series",
     "derive_substream",
     "HoldoutSet",
     "PhiEstimate",

@@ -56,8 +56,8 @@ from .inference import (
     pointwise_band,
     simultaneous_band,
 )
-from .learners import lasso_grid, lasso_grid_log
-from .simgen import SeriesGen, SparseLinearGen, gen_series, gen_sparse_linear, stable_subseed
+from .learners import DOUBLING_GRID_POINTS, lasso_grid, lasso_grid_log
+from .simgen import SparseLinearGen, gen_sparse_linear, stable_subseed
 from .stability_lab import sgd_campaigns
 
 __all__ = [
@@ -110,9 +110,6 @@ class ExperimentConfig:
     d: int | str = 20
     s: int = 5
     nu: float = 1000.0
-    j_max: int = 8
-    decay: float = 2.0
-    noise_sd: float = 1.0
     radius_x: float = 1.0
     # learner bank
     lasso: str = "none"
@@ -120,7 +117,6 @@ class ExperimentConfig:
     lasso_ratio: float = 1e-3
     forward_steps: tuple[int, ...] = ()
     ridge_lams: tuple[float, ...] = ()
-    series_truncations: tuple[int, ...] = ()
     sgd_lam: float = 1.6
     sgd_a: float = 0.6
     sgd_radius_theta: float = 1.0
@@ -143,18 +139,13 @@ class ExperimentConfig:
         return d
 
     def bank_size(self) -> int:
-        lasso = {"none": 0, "log": self.lasso_count, "doubling": 10}[self.lasso]
-        return (
-            len(self.forward_steps)
-            + len(self.ridge_lams)
-            + len(self.series_truncations)
-            + lasso
-        )
+        lasso = {"none": 0, "log": self.lasso_count, "doubling": DOUBLING_GRID_POINTS}[self.lasso]
+        return len(self.forward_steps) + len(self.ridge_lams) + lasso
 
     def validate(self) -> "ExperimentConfig":
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.family not in ("sparse_linear", "series", "bounded_regression"):
+        if self.family not in ("sparse_linear", "bounded_regression"):
             raise ConfigError(f"unknown generator family {self.family!r}")
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ConfigError(f"n must be a list of positive sizes, got {self.n_list}")
@@ -167,8 +158,6 @@ class ExperimentConfig:
             raise ConfigError(f"need d >= 1, got {self.d}")
         if self.s < 1 or not self.nu > 0:
             raise ConfigError(f"need s >= 1 and nu > 0, got s={self.s}, nu={self.nu}")
-        if self.j_max < 1 or not self.decay > 0 or self.noise_sd < 0:
-            raise ConfigError("series generator needs j_max >= 1, decay > 0, noise_sd >= 0")
         if not self.radius_x > 0:
             raise ConfigError(f"need radius_x > 0, got {self.radius_x}")
         if self.lasso not in ("none", "log", "doubling"):
@@ -179,8 +168,6 @@ class ExperimentConfig:
             raise ConfigError("forward steps must be >= 0")
         if any(lam < 0 for lam in self.ridge_lams):
             raise ConfigError("ridge penalties must be >= 0")
-        if any(J < 1 for J in self.series_truncations):
-            raise ConfigError("series truncations must be >= 1")
         if self.V < 2:
             raise ConfigError(f"need V >= 2, got {self.V}")
         if not self.alphas or any(not 0 < a < 1 for a in self.alphas):
@@ -199,26 +186,22 @@ class ExperimentConfig:
             raise ConfigError(f"holdout_m must be 0 (auto) or even, got {self.holdout_m}")
 
         needs_oracle = ("band_coverage", "fwd_pointwise", "cvc_size")
-        if self.kind in needs_oracle and self.family != "sparse_linear":
-            raise ConfigError(
-                f"kind {self.kind} needs the sparse_linear generator (its risk "
-                f"oracle), got {self.family!r}"
-            )
-        if self.kind in needs_oracle or self.kind == "phi":
+        if self.kind != "stability":
+            if self.family != "sparse_linear":
+                raise ConfigError(
+                    f"kind {self.kind} needs the sparse_linear generator, got {self.family!r}"
+                )
             if self.bank_size() < 1:
                 raise ConfigError(f"kind {self.kind} needs a non-empty learner bank")
             # each n is folded and fitted; a rule broken at one n would fail every rep there
             for n in self.n_list:
                 if n % self.V:
                     raise ConfigError(f"V={self.V} must divide every n, got n={n}")
-                width = self.j_max if self.family == "series" else self.d_for(n)
-                if self.family == "sparse_linear" and self.s > width:
+                width = self.d_for(n)
+                if self.s > width:
                     raise ConfigError(f"need s <= d, got s={self.s}, d={width} at n={n}")
-                if any(k > width for k in (*self.forward_steps, *self.series_truncations)):
-                    raise ConfigError(
-                        f"forward steps and series truncations must be <= the {width} "
-                        f"features at n={n}"
-                    )
+                if any(k > width for k in self.forward_steps):
+                    raise ConfigError(f"forward steps must be <= the {width} features at n={n}")
                 if self.kind in needs_oracle and n < 2 * self.V:
                     # the fold covariance needs two rows in every fold
                     raise ConfigError(
@@ -226,8 +209,6 @@ class ExperimentConfig:
                         f"got n={n}, V={self.V}"
                     )
         if self.kind == "phi":
-            if self.family == "bounded_regression":
-                raise ConfigError("kind phi needs the sparse_linear or series generator")
             if self.variant not in ("pair", "perturb", "both"):
                 raise ConfigError(f"phi variant must be pair|perturb|both, got {self.variant!r}")
         if self.kind == "stability":
@@ -278,9 +259,6 @@ _SECTION_KEYS: dict[str, dict[str, tuple[str, Callable]]] = {
         "d": ("d", _parse_d),
         "s": ("s", _parse_int),
         "nu": ("nu", _parse_float),
-        "j_max": ("j_max", _parse_int),
-        "decay": ("decay", _parse_float),
-        "noise_sd": ("noise_sd", _parse_float),
         "radius_x": ("radius_x", _parse_float),
     },
     "learners": {
@@ -289,7 +267,6 @@ _SECTION_KEYS: dict[str, dict[str, tuple[str, Callable]]] = {
         "lasso_ratio": ("lasso_ratio", _parse_float),
         "forward_steps": ("forward_steps", _parse_ints),
         "ridge_lams": ("ridge_lams", _parse_floats),
-        "series_truncations": ("series_truncations", _parse_ints),
         "sgd_lam": ("sgd_lam", _parse_float),
         "sgd_a": ("sgd_a", _parse_float),
         "sgd_radius_theta": ("sgd_radius_theta", _parse_float),
@@ -320,7 +297,10 @@ def load_config(path, **overrides) -> ExperimentConfig:
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
-    read = parser.read(str(path))
+    try:
+        read = parser.read(str(path))
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     fields: dict = {}
@@ -362,9 +342,6 @@ def _build_bank(cfg: ExperimentConfig, dataset: Dataset):
     for lam in cfg.ridge_lams:
         specs.append(LearnerSpec(family="ridge", lam=lam))
         labels.append(f"ridge:{lam:g}")
-    for J in cfg.series_truncations:
-        specs.append(LearnerSpec(family="series", truncation=J))
-        labels.append(f"series:{J}")
     if cfg.lasso == "log":
         lams = lasso_grid_log(dataset.features, dataset.response, cfg.lasso_count, cfg.lasso_ratio)
     elif cfg.lasso == "doubling":
@@ -383,10 +360,6 @@ def _generate(cfg: ExperimentConfig, n: int, seed: int, *, d: int | None = None)
     if cfg.family == "sparse_linear":
         width = cfg.d_for(n) if d is None else d
         return gen_sparse_linear(SparseLinearGen(n=n, d=width, s=cfg.s, nu=cfg.nu, seed=seed))
-    if cfg.family == "series":
-        return gen_series(
-            SeriesGen(n=n, j_max=cfg.j_max, decay=cfg.decay, noise_sd=cfg.noise_sd, seed=seed)
-        )
     raise DomainError(f"generator family {cfg.family!r} cannot produce datasets here")
 
 
@@ -587,7 +560,9 @@ def _check_resume(out: Path, kind: str, cfg: ExperimentConfig) -> None:
         return
     old = json.loads(path.read_text()).get("config") or {}
     new = _science_fields(cfg)
-    keys = (old.keys() | new.keys()) - ({"reps"} if kind in _REP_WORKERS else set())
+    # a key the config no longer has cannot change an output, so only the
+    # current keys are compared
+    keys = new.keys() - ({"reps"} if kind in _REP_WORKERS else set())
     differ = sorted(k for k in keys if old.get(k) != new.get(k))
     if differ:
         raise ConfigError(
@@ -800,7 +775,7 @@ def run_phi(cfg: ExperimentConfig) -> dict:
                             cfg,
                             m,
                             stable_subseed(cfg.seed, "phi-holdout", n),
-                            d=cfg.d_for(n) if cfg.family == "sparse_linear" else None,
+                            d=cfg.d_for(n),
                         )
                         plan = make_folds(n, cfg.V)
                         specs, _ = _build_bank(cfg, ds)

@@ -35,7 +35,7 @@ from .datamodel import (
     LossMatrix,
     validate_dataset,
 )
-from .learners import ConvergenceError, _lasso_fit, fit_forward, fit_ridge, fit_series, lasso_bank
+from .learners import ConvergenceError, _lasso_fit, fit_forward, fit_ridge, lasso_bank
 from .simgen import SparseLinearTruth
 
 
@@ -159,8 +159,6 @@ def _fit_now(spec: LearnerSpec, Z: np.ndarray, y: np.ndarray) -> FittedModel:
         return fit_ridge(Z, y, spec.lam)
     if spec.family == "forward":
         return fit_forward(Z, y, spec.steps)
-    if spec.family == "series":
-        return fit_series(Z, y, spec.truncation)
     raise DomainError(f"unknown learner family {spec.family!r}")
 
 
@@ -367,7 +365,7 @@ def average_fitted_risk_oracle(fold_fits: FoldFits, truth) -> np.ndarray:
     covariance Gaussian design under squared loss:
     noise variance plus the squared coefficient error of each fold fit.
     """
-    if not isinstance(truth, SparseLinearTruth) or truth.design != "gaussian-identity":
+    if not isinstance(truth, SparseLinearTruth):
         raise DomainError(
             "risk oracle only supports the identity-covariance Gaussian design"
         )

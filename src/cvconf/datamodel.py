@@ -30,7 +30,7 @@ class DatasetFormatError(ValueError):
     """A dataset file does not follow the expected CSV layout."""
 
 
-LEARNER_FAMILIES = ("ridge", "lasso", "forward", "series")
+LEARNER_FAMILIES = ("ridge", "lasso", "forward")
 
 
 def _jsonable(obj):
@@ -219,14 +219,12 @@ class LearnerSpec:
 
     Only the fields relevant to ``family`` are consulted: ``lam`` for
     ridge and lasso (ridge at lam = 0 is least squares), ``steps`` for
-    forward selection, ``truncation`` for the series estimator.  Every
-    candidate is scored under squared loss.
+    forward selection.  Every candidate is scored under squared loss.
     """
 
     family: str
     lam: float = 0.0
     steps: int | None = None
-    truncation: int | None = None
 
     def validate(self) -> "LearnerSpec":
         if self.family not in LEARNER_FAMILIES:
@@ -236,9 +234,6 @@ class LearnerSpec:
         if self.family == "forward":
             if self.steps is None or self.steps < 0:
                 raise DomainError(f"forward needs steps >= 0, got {self.steps}")
-        if self.family == "series":
-            if self.truncation is None or self.truncation < 1:
-                raise DomainError(f"series needs truncation >= 1, got {self.truncation}")
         return self
 
     def label(self) -> str:
@@ -246,8 +241,6 @@ class LearnerSpec:
             return f"{self.family}:{self.lam:.6g}"
         if self.family == "forward":
             return f"forward:{self.steps}"
-        if self.family == "series":
-            return f"series:{self.truncation}"
         return self.family
 
 

@@ -204,10 +204,10 @@ def phi_perturb(
     plan: FoldPlan,
     holdout: HoldoutSet,
     *,
-    schedule: Sequence[int] | None = None,
     workers: int = 1,
 ) -> PhiEstimate:
-    """Multi-index variant: perturb a different row per hold-out point.
+    """Multi-index variant: hold-out point j replaces row j mod n
+    (``default_perturb_schedule``).
 
     Accumulates outer products of (baseline risks - perturbed risks) over
     the whole hold-out set and scales by n^2 / (2 m).
@@ -215,13 +215,7 @@ def phi_perturb(
     if holdout.m < 1:
         raise DomainError("perturb variant needs m >= 1")
     n = dataset.features.shape[0]
-    if schedule is None:
-        schedule = default_perturb_schedule(n, holdout.m)
-    schedule = tuple(int(i) for i in schedule)
-    if len(schedule) != holdout.m:
-        raise DomainError(f"schedule length {len(schedule)} != m = {holdout.m}")
-    if any(not 0 <= i < n for i in schedule):
-        raise DomainError("schedule indices must lie in [0, n)")
+    schedule = default_perturb_schedule(n, holdout.m)
     specs, fits = _base_fits(dataset, specs, plan, holdout)
     base = cv_risk(loss_matrix(dataset, fits, plan, "squared"))
     swaps = [(i, holdout.row(j)) for j, i in enumerate(schedule)]

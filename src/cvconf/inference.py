@@ -275,6 +275,11 @@ def cvc_set(
     n, p = lm.n, lm.p
     if critical is not None:
         seed = critical.seed
+        if critical.z_alpha is not None and critical.z_alpha.shape[1] != p:
+            raise DomainError(
+                f"critical values were drawn for {critical.z_alpha.shape[1]} candidates, "
+                f"but the loss matrix has {p}"
+            )
     if n < 2 * lm.plan.V:
         raise DomainError(f"need n >= 2V for within-fold covariances, got n={n}, V={lm.plan.V}")
     if p == 1:

@@ -1,5 +1,5 @@
 """Learner bank: ridge (least squares at lam = 0), lasso, forward
-selection, single-pass SGD, and truncated series regression.
+selection and single-pass SGD.
 
 All fitting functions are pure: identical inputs give identical
 outputs, with no dependence on global RNG or iteration order beyond
@@ -203,9 +203,12 @@ def lasso_max_lam(features, response) -> float:
     return float(np.abs(Z.T @ y).max() / Z.shape[0])
 
 
+DOUBLING_GRID_POINTS = 10
+
+
 def lasso_grid(features, response, V: int) -> np.ndarray:
-    """Ten-point descending penalty grid lam_max * 2^i / sqrt(1 - 1/V)
-    for i = 0, -1, ..., -9.
+    """Descending penalty grid lam_max * 2^i / sqrt(1 - 1/V) for
+    i = 0, -1, ..., 1 - DOUBLING_GRID_POINTS.
 
     The common rescale factor compensates for training folds holding
     only a (1 - 1/V) share of the rows.
@@ -216,7 +219,7 @@ def lasso_grid(features, response, V: int) -> np.ndarray:
     if lam_max == 0:
         raise DomainError("degenerate problem: Z'y is identically zero")
     scale = lam_max / math.sqrt(1 - 1 / V)
-    return scale * 2.0 ** -np.arange(10, dtype=np.float64)
+    return scale * 2.0 ** -np.arange(DOUBLING_GRID_POINTS, dtype=np.float64)
 
 
 def lasso_grid_log(features, response, count: int = 50, floor_ratio: float = 1e-3) -> np.ndarray:
@@ -421,24 +424,3 @@ def sgd_trajectories(features, response, lengths, config: SgdConfig, trial, repl
     out = np.empty_like(theta)
     out[order] = theta
     return out
-
-
-# ------------------------------------------------------------------ series
-
-
-def fit_series(features, response, truncation: int) -> FittedModel:
-    """Moment estimator beta_j = mean(y * z_j) for j below the
-    truncation, zero beyond.
-
-    Valid when features are centered with unit variance, as produced by
-    the series generator.
-    """
-    Z, y = _check_xy(features, response)
-    J = truncation
-    if J is None or J < 1:
-        raise DomainError(f"need truncation >= 1, got {J}")
-    if J > Z.shape[1]:
-        raise DomainError(f"truncation {J} exceeds feature count {Z.shape[1]}")
-    coef = np.zeros(Z.shape[1])
-    coef[:J] = (Z[:, :J] * y[:, None]).mean(axis=0)
-    return FittedModel(family="series", coef=coef, support=tuple(range(J)))

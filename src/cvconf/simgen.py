@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,25 +68,6 @@ class SparseLinearGen:
 class SparseLinearTruth:
     beta: np.ndarray
     noise_var: float
-    design: str = "gaussian-identity"
-
-
-@dataclass(frozen=True)
-class SeriesGen:
-    """Polynomial-decay coefficient sequence over iid standard normal features."""
-
-    n: int
-    j_max: int
-    decay: float
-    noise_sd: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class SeriesTruth:
-    beta: np.ndarray
-    noise_sd: float
-    tail_energy_ratio: float
 
 
 def gen_sparse_linear(cfg: SparseLinearGen) -> tuple[Dataset, SparseLinearTruth]:
@@ -107,41 +87,3 @@ def gen_sparse_linear(cfg: SparseLinearGen) -> tuple[Dataset, SparseLinearTruth]
     if noise_var > 0:
         response = response + math.sqrt(noise_var) * rng.standard_normal(cfg.n)
     return Dataset(features, response), SparseLinearTruth(beta, noise_var)
-
-
-def series_tail_energy_ratio(j_max: int, decay: float) -> float:
-    """Upper bound on tail coefficient energy relative to kept energy.
-
-    Uses the integral bound sum_{j>J} j^{-(1+a)} <= J^{-a} / a.
-    """
-    kept = sum(float(j) ** -(1 + decay) for j in range(1, j_max + 1))
-    tail = float(j_max) ** (-decay) / decay
-    return tail / kept
-
-
-def gen_series(cfg: SeriesGen) -> tuple[Dataset, SeriesTruth]:
-    """Draw Y = sum_j beta_j Z_j + eps with beta_j = j^{-(1+a)/2}."""
-    if cfg.n < 1:
-        raise DomainError(f"need n >= 1, got {cfg.n}")
-    if cfg.j_max < 1:
-        raise DomainError(f"need j_max >= 1, got {cfg.j_max}")
-    if not cfg.decay > 0:
-        raise DomainError(f"need decay > 0, got {cfg.decay}")
-    if cfg.noise_sd < 0:
-        raise DomainError(f"need noise_sd >= 0, got {cfg.noise_sd}")
-    js = np.arange(1, cfg.j_max + 1, dtype=np.float64)
-    beta = js ** (-(1 + cfg.decay) / 2)
-    ratio = series_tail_energy_ratio(cfg.j_max, cfg.decay)
-    if ratio >= 0.01:
-        warnings.warn(
-            f"series truncation keeps too little energy: tail/kept = {ratio:.3g} "
-            f"at j_max={cfg.j_max}, decay={cfg.decay}; increase j_max",
-            UserWarning,
-            stacklevel=2,
-        )
-    rng = derive_substream(cfg.seed, "series")
-    features = rng.standard_normal((cfg.n, cfg.j_max))
-    response = features @ beta
-    if cfg.noise_sd > 0:
-        response = response + cfg.noise_sd * rng.standard_normal(cfg.n)
-    return Dataset(features, response), SeriesTruth(beta, cfg.noise_sd, ratio)

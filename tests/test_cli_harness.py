@@ -1,8 +1,10 @@
 """Config-driven experiment harness: parsing, campaigns, CSV/JSON emission."""
 
+import dataclasses
 import json
 import logging
 import multiprocessing
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +35,9 @@ from cvconf.learners import lasso_grid
 from cvconf.simgen import SparseLinearGen, gen_sparse_linear, stable_subseed
 
 REPO = Path(__file__).parents[1]
+SHIPPED_CONFIGS = sorted(REPO.glob("scripts/configs/*.ini")) + sorted(
+    REPO.glob("bench/configs/*.ini")
+)
 
 
 def _write_config(path, sections):
@@ -112,10 +117,35 @@ def test_load_config_d_rule(tmp_path):
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
-    sec = _band_sections(tmp_path / "o")
-    sec["run"]["bogus"] = 1
-    with pytest.raises(DomainError):
-        load_config(_write_config(tmp_path / "c.ini", sec))
+    # the series generator's keys are gone with it
+    for section, key in (
+        ("run", "bogus"),
+        ("generator", "j_max"),
+        ("generator", "decay"),
+        ("generator", "noise_sd"),
+        ("learners", "series_truncations"),
+    ):
+        sec = _band_sections(tmp_path / "o")
+        sec[section][key] = 1
+        with pytest.raises(ConfigError, match=key):
+            load_config(_write_config(tmp_path / "c.ini", sec))
+
+
+def test_load_config_wraps_a_malformed_file(tmp_path):
+    twice = tmp_path / "twice.ini"
+    twice.write_text("[run]\nkind = band_coverage\nkind = cvc_size\n")
+    headless = tmp_path / "headless.ini"
+    headless.write_text("kind = band_coverage\n[run]\nreps = 2\n")
+    for path in (twice, headless):
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            load_config(path)
+
+
+def test_config_keys_and_fields_agree():
+    # every key sets a field, and every field has exactly one key
+    targets = [field for keys in cli_harness._SECTION_KEYS.values() for field, _ in keys.values()]
+    fields = [field.name for field in dataclasses.fields(ExperimentConfig)]
+    assert sorted(targets) == sorted(fields)
 
 
 def test_load_config_rejects_unknown_section(tmp_path):
@@ -191,12 +221,24 @@ def test_load_config_rejects_folds_of_one_row(tmp_path, kind):
 
 
 @pytest.mark.parametrize(
-    "path",
-    sorted(REPO.glob("scripts/configs/*.ini")) + sorted(REPO.glob("bench/configs/*.ini")),
-    ids=lambda path: f"{path.parent.parent.name}/{path.name}",
+    "path", SHIPPED_CONFIGS, ids=lambda path: f"{path.parent.parent.name}/{path.name}"
 )
 def test_shipped_configs_load(path):
     load_config(path)  # validated on load
+
+
+def test_bank_size_counts_the_built_bank():
+    # _rows_per_rep trusts bank_size to tell complete fwd_pointwise reps on resume
+    checked = 0
+    for path in SHIPPED_CONFIGS:
+        cfg = load_config(path)
+        if cfg.kind == "stability":
+            continue
+        for n in cfg.n_list:
+            specs, labels = cli_harness._build_bank(cfg, cli_harness._one_shot_dataset(cfg, n))
+            assert cfg.bank_size() == len(specs) == len(labels), (path.name, n)
+            checked += 1
+    assert checked >= 6
 
 
 def test_load_config_rejects_a_feature_width_below_one(tmp_path):
@@ -215,7 +257,7 @@ def test_load_config_rejects_more_signals_than_features(tmp_path):
     assert load_config(_write_config(tmp_path / "c.ini", sec)).s == 5
 
 
-def test_load_config_rejects_steps_and_truncations_wider_than_the_features(tmp_path):
+def test_load_config_rejects_forward_steps_wider_than_the_features(tmp_path):
     sec = _band_sections(tmp_path / "o", kind="fwd_pointwise")
     sec["generator"]["d"] = 10
     sec["learners"] = {"forward_steps": "3, 12"}
@@ -223,16 +265,6 @@ def test_load_config_rejects_steps_and_truncations_wider_than_the_features(tmp_p
         load_config(_write_config(tmp_path / "c.ini", sec))
     sec["learners"] = {"forward_steps": "3, 10"}
     assert load_config(_write_config(tmp_path / "c.ini", sec)).forward_steps == (3, 10)
-    # the series generator's width is j_max
-    phi = {
-        "generator": {"family": "series", "n": 40, "j_max": 8},
-        "learners": {"series_truncations": "2, 9"},
-        "run": {"kind": "phi", "V": 5, "reps": 1, "seed": 1, "out": tmp_path / "p"},
-    }
-    with pytest.raises(ConfigError, match="<= the 8 features"):
-        load_config(_write_config(tmp_path / "p.ini", phi))
-    phi["learners"]["series_truncations"] = "2, 8"
-    assert load_config(_write_config(tmp_path / "p.ini", phi)).series_truncations == (2, 8)
 
 
 def test_load_config_requires_kind(tmp_path):
@@ -327,6 +359,28 @@ def test_band_coverage_resume_with_different_draws_raises(tmp_path):
     with pytest.raises(ConfigError, match="draws"):
         run_band_coverage(other)
     assert (out / "band_coverage_n80.csv").read_bytes() == before
+
+
+def test_resume_compares_only_the_keys_the_config_has(tmp_path):
+    out = tmp_path / "o"
+    run_band_coverage(load_config(_write_config(tmp_path / "a.ini", _band_sections(out, reps=2))))
+    manifest = out / "band_coverage_manifest.json"
+    blob = json.loads(manifest.read_text())
+    # the removed series keys at their last defaults, as older manifests carry them
+    blob["config"].update(j_max=8, decay=2.0, noise_sd=1.0, series_truncations=[])
+    manifest.write_text(json.dumps(blob))
+    first_two = (out / "band_coverage_n80.csv").read_text().splitlines()[1:3]
+    cfg3 = load_config(_write_config(tmp_path / "b.ini", _band_sections(out, reps=3)))
+    run_band_coverage(cfg3)
+    assert (out / "band_coverage_n80.csv").read_text().splitlines()[1:3] == first_two
+    assert json.loads(manifest.read_text())["resumed_reps"]["80"] == 2
+    # a key the config still has is compared as before
+    current = json.loads(manifest.read_text())
+    for key, value in (("d", 7), ("family", "series")):
+        changed = {**current, "config": {**current["config"], key: value}}
+        manifest.write_text(json.dumps(changed))
+        with pytest.raises(ConfigError, match=f"differs in {key};"):
+            run_band_coverage(cfg3)
 
 
 def test_band_coverage_full_rerun_is_bitwise_stable(tmp_path):
@@ -927,10 +981,12 @@ def test_main_kind_mismatch_errors(tmp_path):
 
 
 def test_main_rejects_band_kind_for_series_generator(tmp_path):
+    # bounded_regression has no risk oracle; series is no longer a generator
     sec = _band_sections(tmp_path / "o")
-    sec["generator"] = {"family": "series", "n": 80, "j_max": 8, "decay": 2.0, "noise_sd": 1.0}
-    with pytest.raises(DomainError):
-        load_config(_write_config(tmp_path / "c.ini", sec))
+    for family in ("bounded_regression", "series"):
+        sec["generator"] = {"family": family, "n": 80}
+        with pytest.raises(ConfigError, match=family):
+            load_config(_write_config(tmp_path / "c.ini", sec))
 
 
 def test_resolve_workers_counts_the_affinity_mask(monkeypatch):

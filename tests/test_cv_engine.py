@@ -29,7 +29,7 @@ from cvconf.learners import (
     lasso_grid,
     lasso_grid_log,
 )
-from cvconf.simgen import SparseLinearGen, SeriesGen, gen_series, gen_sparse_linear
+from cvconf.simgen import SparseLinearGen, gen_sparse_linear
 
 # one feature, four rows; both fold-out slopes work out to 1.6
 HAND_Z = np.array([[1.0], [2.0], [3.0], [1.0]])
@@ -72,7 +72,7 @@ def test_fit_all_folds_wraps_failures_with_location():
     rng = np.random.default_rng(2)
     ds = Dataset(rng.normal(size=(8, 3)), rng.normal(size=8))
     plan = make_folds(8, 2)
-    bad = LearnerSpec("series", truncation=5)  # wider than the data
+    bad = LearnerSpec("forward", steps=5)  # wider than the data
     with pytest.raises(FitError) as err:
         fit_all_folds(ds, [OLS, bad], plan)
     assert err.value.fold == 0 and err.value.model == 1
@@ -454,7 +454,7 @@ def test_replace_one_cv_risk_refuses_losses_other_than_squared():
 
 
 def test_fit_all_folds_validates_specs_before_fitting(monkeypatch):
-    # a NaN penalty or a series spec without truncation is a DomainError
+    # a NaN penalty or a forward spec without steps is a DomainError
     # before any fit, not a NaN fit or a FitError from inside the fold loop
     rng = np.random.default_rng(17)
     ds = Dataset(rng.normal(size=(12, 3)), rng.normal(size=12))
@@ -466,7 +466,7 @@ def test_fit_all_folds_validates_specs_before_fitting(monkeypatch):
     monkeypatch.setattr(cv_engine, "_fit_now", no_fit)
     monkeypatch.setattr(cv_engine, "lasso_bank", no_fit)
     good = [LearnerSpec("ridge", lam=0.5), LearnerSpec("lasso", lam=0.1)]
-    for bad in (LearnerSpec("ridge", lam=float("nan")), LearnerSpec("series")):
+    for bad in (LearnerSpec("ridge", lam=float("nan")), LearnerSpec("forward")):
         with pytest.raises(DomainError):
             fit_all_folds(ds, [*good, bad], plan)
 
@@ -518,12 +518,9 @@ def test_fitted_risk_oracle_agrees_with_monte_carlo():
     assert abs(losses.mean() - oracle) <= 3 * se
 
 
-@pytest.mark.filterwarnings("ignore:series truncation")
 def test_fitted_risk_oracle_refuses_unknown_design():
-    cfg = SeriesGen(n=20, j_max=4, decay=2.0, noise_sd=0.3, seed=11)
-    ds, truth = gen_series(cfg)
+    ds, truth = gen_sparse_linear(SparseLinearGen(n=20, d=4, s=2, nu=10.0, seed=11))
     plan = make_folds(20, 4)
-    fits = fit_all_folds(ds, [LearnerSpec("series", truncation=2)], plan)
+    fits = fit_all_folds(ds, [LearnerSpec("ridge", lam=0.1)], plan)
     with pytest.raises(DomainError):
-        average_fitted_risk_oracle(fits, truth)
-
+        average_fitted_risk_oracle(fits, (truth.beta, truth.noise_var))

@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from cvconf import det_variance
 from cvconf.cv_engine import cv_risk, fit_all_folds, loss_matrix
 from cvconf.datamodel import Dataset, DomainError, LearnerSpec, make_folds
 from cvconf.det_variance import (
@@ -134,28 +133,6 @@ def test_phi_symmetric_nonnegative_diagonal():
 
 
 # ----------------------------------------------------------------- perturb
-
-
-def test_phi_perturb_schedule_validation():
-    ds, _ = _instance()
-    plan = make_folds(60, 5)
-    hold = _holdout(4)
-    with pytest.raises(DomainError):
-        phi_perturb(ds, [ZERO_FIT], plan, hold, schedule=(0, 1, 2))  # wrong length
-    with pytest.raises(DomainError):
-        phi_perturb(ds, [ZERO_FIT], plan, hold, schedule=(0, 1, 2, 60))  # out of range
-
-
-def test_phi_perturb_rejects_a_bad_schedule_before_fitting(monkeypatch):
-    ds, _ = _instance()
-    plan = make_folds(60, 5)
-    hold = _holdout(4)
-    fitted = []
-    monkeypatch.setattr(det_variance, "fit_all_folds", lambda *args: fitted.append(args))
-    for schedule in ((0, 1, 2), (0, 1, 2, 60), (0, -1, 2, 3)):
-        with pytest.raises(DomainError):
-            phi_perturb(ds, [ZERO_FIT], plan, hold, schedule=schedule)
-    assert fitted == []
 
 
 def test_phi_perturb_training_independent_matches_loss_differences():

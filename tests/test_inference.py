@@ -497,6 +497,16 @@ def test_shared_call_parts_must_be_asked_for():
         critical_values(risks, cov, (), seed=1)
 
 
+def test_cvc_refuses_critical_values_of_another_candidate_count():
+    rng = np.random.default_rng(61)
+    narrow, wide = _random_loss(rng, 40, 10, V=4), _random_loss(rng, 40, 12, V=4)
+    for lm, other in ((wide, narrow), (narrow, wide)):
+        risks, cov = cv_risk(other), aggregate_covariance(other)
+        critical = critical_values(risks, cov, (0.1,), seed=1, draws=2000)
+        with pytest.raises(DomainError, match=f"for {other.p} candidates.* has {lm.p}"):
+            cvc_set(lm, 0.1, critical=critical)
+
+
 def test_shared_call_draws_nothing_when_no_column_is_needed(monkeypatch):
     monkeypatch.setattr(inference, "max_quantiles", _raising_sampler)
     risks = _risk([0.2, 0.8])

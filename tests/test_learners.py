@@ -12,7 +12,6 @@ from cvconf.learners import (
     fit_forward,
     fit_lasso,
     fit_ridge,
-    fit_series,
     lasso_bank,
     lasso_grid,
     lasso_grid_log,
@@ -431,58 +430,3 @@ def test_sgd_projection_keeps_iterates_in_ball():
     Z = rng.normal(size=(50, 3))
     y = 10.0 * rng.normal(size=50)
     assert np.linalg.norm(_sgd_pass(Z, y, cfg)) <= cfg.radius_theta + 1e-12
-
-
-# ---------------------------------------------------------------- series
-
-
-def test_series_single_row():
-    Z = np.array([[3.0, 4.0]])
-    y = np.array([2.0])
-    m = fit_series(Z, y, 2)
-    np.testing.assert_allclose(m.coef, [6.0, 8.0])
-
-
-def test_series_truncation_zeroes_tail():
-    Z = np.array([[3.0, 4.0], [1.0, -1.0]])
-    y = np.array([2.0, 1.0])
-    m = fit_series(Z, y, 1)
-    assert m.coef[1] == 0.0
-    assert m.coef[0] == pytest.approx((6.0 + 1.0) / 2)
-
-
-@pytest.mark.filterwarnings("ignore:series truncation")
-def test_series_estimates_converge_to_truth():
-    from cvconf.simgen import SeriesGen, gen_series
-
-    cfg = SeriesGen(n=40_000, j_max=6, decay=2.0, noise_sd=0.5, seed=21)
-    ds, truth = gen_series(cfg)
-    m = fit_series(ds.features, ds.response, 6)
-    prods = ds.features * ds.response[:, None]
-    se = prods.std(axis=0) / np.sqrt(cfg.n)
-    assert np.all(np.abs(m.coef - truth.beta) <= 5 * se)
-
-
-def test_series_rejects_truncation_beyond_width():
-    Z = np.ones((4, 3))
-    with pytest.raises(DomainError):
-        fit_series(Z, np.ones(4), 4)
-
-
-@pytest.mark.parametrize("truncation", [0, None])
-def test_series_rejects_missing_or_zero_truncation(truncation):
-    with pytest.raises(DomainError):
-        fit_series(np.ones((4, 3)), np.ones(4), truncation)
-
-
-@given(st.integers(0, 100))
-@settings(max_examples=30, deadline=None)
-def test_series_linear_in_response(seed):
-    rng = np.random.default_rng(seed)
-    Z = rng.normal(size=(12, 3))
-    y1 = rng.normal(size=12)
-    y2 = rng.normal(size=12)
-    a, b = 2.0, -0.5
-    lhs = fit_series(Z, a * y1 + b * y2, 2).coef
-    rhs = a * fit_series(Z, y1, 2).coef + b * fit_series(Z, y2, 2).coef
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)

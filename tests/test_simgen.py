@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from cvconf.datamodel import DomainError
-from cvconf.simgen import (
-    SeriesGen,
-    SparseLinearGen,
-    derive_substream,
-    gen_series,
-    gen_sparse_linear,
-)
+from cvconf.simgen import SparseLinearGen, derive_substream, gen_sparse_linear
 
 
 def test_sparse_linear_noise_variance_rule():
@@ -56,39 +50,6 @@ def test_sparse_linear_domain_checks():
         gen_sparse_linear(SparseLinearGen(n=10, d=3, s=0, nu=1.0, seed=0))
     with pytest.raises(DomainError):
         gen_sparse_linear(SparseLinearGen(n=10, d=3, s=2, nu=0.0, seed=0))
-
-
-def test_series_coefficients_exact():
-    cfg = SeriesGen(n=20, j_max=8, decay=1.0, noise_sd=0.5, seed=2)
-    with pytest.warns(UserWarning):
-        _, truth = gen_series(cfg)
-    assert truth.beta[0] == 1.0
-    # coefficient j is j ** (-(1 + decay) / 2), so the 4-vs-2 ratio halves once
-    assert truth.beta[3] / truth.beta[1] == pytest.approx(2.0 ** (-(1 + cfg.decay) / 2))
-    expected = np.array([float(j) ** (-(1 + cfg.decay) / 2) for j in range(1, 9)])
-    np.testing.assert_allclose(truth.beta, expected, rtol=0, atol=0)
-
-
-def test_series_response_variance():
-    cfg = SeriesGen(n=150_000, j_max=12, decay=2.0, noise_sd=0.7, seed=5)
-    ds, truth = gen_series(cfg)
-    target = float(truth.beta @ truth.beta) + cfg.noise_sd**2
-    y = ds.response
-    centred_sq = (y - y.mean()) ** 2
-    se = centred_sq.std() / np.sqrt(cfg.n)
-    assert abs(centred_sq.mean() - target) < 5 * se
-
-
-def test_series_tail_energy_report():
-    # slow decay with tiny j_max leaves > 1% of the energy in the tail
-    small = SeriesGen(n=10, j_max=2, decay=0.1, noise_sd=0.1, seed=0)
-    with pytest.warns(UserWarning):
-        _, truth = gen_series(small)
-    assert truth.tail_energy_ratio >= 0.01
-
-    big = SeriesGen(n=10, j_max=64, decay=2.0, noise_sd=0.1, seed=0)
-    _, truth2 = gen_series(big)
-    assert truth2.tail_energy_ratio < 0.01
 
 
 def test_derive_substream_deterministic_and_distinct():
