@@ -18,7 +18,6 @@ from .datamodel import (
     FittedModel,
     make_folds,
     validate_dataset,
-    load_dataset_csv,
     save_dataset_csv,
 )
 from .cv_engine import FoldFits, RiskVector, fit_all_folds, loss_matrix, cv_risk
@@ -48,8 +47,6 @@ from .stability_lab import (
     param_first_diff,
     param_second_diff,
     sgd_campaigns,
-    sgd_first_diff_campaign,
-    sgd_second_diff_campaign,
 )
 from .cli_harness import ExperimentConfig, load_config
 
@@ -61,7 +58,6 @@ __all__ = [
     "FittedModel",
     "make_folds",
     "validate_dataset",
-    "load_dataset_csv",
     "save_dataset_csv",
     "FoldFits",
     "RiskVector",
@@ -93,8 +89,6 @@ __all__ = [
     "param_first_diff",
     "param_second_diff",
     "sgd_campaigns",
-    "sgd_first_diff_campaign",
-    "sgd_second_diff_campaign",
     "ExperimentConfig",
     "load_config",
 ]

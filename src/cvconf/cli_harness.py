@@ -56,9 +56,9 @@ from .inference import (
     pointwise_band,
     simultaneous_band,
 )
-from .learners import DOUBLING_GRID_POINTS, lasso_grid, lasso_grid_log
+from .learners import DOUBLING_GRID_POINTS, SgdConfig, lasso_grid, lasso_grid_log
 from .simgen import SparseLinearGen, gen_sparse_linear, stable_subseed
-from .stability_lab import sgd_campaigns
+from .stability_lab import check_sgd_precondition, sgd_campaigns
 
 __all__ = [
     "BASE_COLUMNS",
@@ -222,6 +222,15 @@ class ExperimentConfig:
                 )
             if not self.sgd_lam > 0 or not 0 < self.sgd_a < 1 or not self.sgd_radius_theta > 0:
                 raise ConfigError("stability needs sgd_lam > 0, sgd_a in (0,1), radius > 0")
+            # sgd_campaigns would refuse such an n only after the manifest is written
+            sgd = SgdConfig.for_ridge(
+                self.sgd_lam, self.sgd_a, self.radius_x, self.sgd_radius_theta
+            )
+            for n in self.n_list:
+                try:
+                    check_sgd_precondition(sgd, n)
+                except DomainError as exc:
+                    raise ConfigError(f"kind stability cannot run at n={n}: {exc}") from exc
         return self
 
 
@@ -628,11 +637,20 @@ def _in_rep_order(done: dict[int, list[list[str]]]) -> list[list[str]]:
 def _run_replicated(cfg: ExperimentConfig, kind: str) -> dict:
     """Futures are consumed in rep order, and after each one the n's CSV is
     rewritten with every replication done so far: an interrupted run keeps
-    what it finished, and no output depends on the order reps complete in."""
-    out = _open_campaign(cfg, kind)
-    worker = _REP_WORKERS[kind]
+    what it finished, and no output depends on the order reps complete in.
+    A resume may extend ``reps`` but not cut off a completed replication."""
     header = _columns(kind)
     per_rep = _rows_per_rep(cfg)
+    paths = {n: Path(cfg.out) / f"{kind}_n{n}.csv" for n in cfg.n_list}
+    kept = {n: _read_completed(path, header, per_rep) for n, path in paths.items()}
+    for n, keep in kept.items():
+        if keep and max(keep) >= cfg.reps:
+            raise ConfigError(
+                f"{paths[n]} holds completed replication {max(keep)}, past reps={cfg.reps}; "
+                "a resume may extend reps, never shrink it"
+            )
+    out = _open_campaign(cfg, kind)
+    worker = _REP_WORKERS[kind]
     files: dict[str, str] = {}
     failures: dict[str, list] = {}
     completed: dict[str, int] = {}
@@ -641,10 +659,7 @@ def _run_replicated(cfg: ExperimentConfig, kind: str) -> dict:
     workers = _resolve_workers(cfg)
     with _one_blas_thread(kind, workers):
         for n in cfg.n_list:
-            key = str(n)
-            path = out / f"{kind}_n{n}.csv"
-            keep = _read_completed(path, header, per_rep)
-            done = {rep: rows for rep, rows in keep.items() if rep < cfg.reps}
+            key, path, done = str(n), paths[n], kept[n]
             resumed[key] = len(done)
             todo = [rep for rep in range(cfg.reps) if rep not in done]
             fails: list[dict] = []

@@ -3,9 +3,9 @@
 The estimate for each fold is the empirical covariance of that fold's
 loss rows (two-pass centering, divisor fold size minus one), and the
 global estimate is the plain average over folds.  Standardization to a
-correlation matrix drops coordinates whose variance sits below a
-relative floor, so exactly duplicated candidates cannot poison the
-Gaussian sampling step downstream.
+correlation matrix keeps the coordinates of positive variance;
+duplicated candidates cost the Gaussian draws nothing, because
+``gaussian_mc`` factors the correlation to its numerical rank.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ class DegenerateFoldError(ValueError):
 
 
 class EmptyProblemError(ValueError):
-    """Every coordinate fell below the variance floor."""
+    """No coordinate has positive variance."""
 
 
 @dataclass(frozen=True)
@@ -60,20 +60,18 @@ def variance_floor(lambda_diag: np.ndarray) -> float:
     return 1e-12 * max(float(np.max(lambda_diag)), 1.0)
 
 
-def standardized_correlation(cov: CovEstimate, floor: float | None = None):
-    """Correlation matrix over coordinates whose variance clears the floor.
+def standardized_correlation(cov: CovEstimate):
+    """Correlation matrix over coordinates of positive variance.
 
     Returns (corr, kept, dropped): corr is k x k over the kept
     coordinates with a unit diagonal and entries clipped to [-1, 1];
     kept and dropped are index arrays into the original ordering.
     """
     diag = np.asarray(cov.lambda_diag, dtype=np.float64)
-    if floor is None:
-        floor = variance_floor(diag)
-    kept = np.flatnonzero(diag > floor)
-    dropped = np.flatnonzero(diag <= floor)
+    kept = np.flatnonzero(diag > 0.0)
+    dropped = np.flatnonzero(diag <= 0.0)
     if kept.size == 0:
-        raise EmptyProblemError("all coordinates fall below the variance floor")
+        raise EmptyProblemError("no coordinate has positive variance")
     sub = cov.sigma[np.ix_(kept, kept)]
     inv_scale = 1.0 / np.sqrt(diag[kept])
     corr = sub * inv_scale[:, None] * inv_scale[None, :]

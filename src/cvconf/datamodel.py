@@ -7,7 +7,6 @@ n matches the textbook 1-based prescription {n(v-1)/V+1, ..., nv/V}.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -24,10 +23,6 @@ class DomainError(ValueError):
 
 class DivisibilityError(DomainError):
     """Strict fold construction requires V to divide n."""
-
-
-class DatasetFormatError(ValueError):
-    """A dataset file does not follow the expected CSV layout."""
 
 
 LEARNER_FAMILIES = ("ridge", "lasso", "forward")
@@ -256,10 +251,6 @@ class FittedModel:
     def __post_init__(self):
         object.__setattr__(self, "coef", _as_float_array(self.coef, "coef", 1))
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        features = np.asarray(features, dtype=np.float64)
-        return features @ self.coef
-
 
 def save_dataset_csv(dataset: Dataset, path) -> None:
     """Write ``y,z1,...,zd`` rows in full decimal precision."""
@@ -269,41 +260,3 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
         for y, row in zip(dataset.response, dataset.features)
     )
     write_csv_atomic(path, [header, *rows])
-
-
-def load_dataset_csv(path) -> Dataset:
-    """Read a dataset written by :func:`save_dataset_csv`.
-
-    The header must contain a ``y`` column and feature columns named
-    ``z1..zd``; every row must provide every field.
-    """
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError(f"{path} is empty")
-        if "y" not in header:
-            raise DatasetFormatError(f"{path} has no 'y' column")
-        expected = {f"z{j + 1}" for j in range(len(header) - 1)}
-        seen = set(header) - {"y"}
-        if seen != expected:
-            raise DatasetFormatError(
-                f"{path} feature columns {sorted(seen)} are not z1..z{len(header) - 1}"
-            )
-        y_col = header.index("y")
-        z_cols = [header.index(f"z{j + 1}") for j in range(len(header) - 1)]
-        ys: list[float] = []
-        zs: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header) or any(cell.strip() == "" for cell in row):
-                raise DatasetFormatError(f"{path} line {lineno}: missing fields")
-            try:
-                ys.append(float(row[y_col]))
-                zs.append([float(row[c]) for c in z_cols])
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path} line {lineno}: {exc}") from exc
-    if not ys:
-        raise DatasetFormatError(f"{path} has a header but no rows")
-    return Dataset(np.asarray(zs), np.asarray(ys))

@@ -190,6 +190,11 @@ def simultaneous_band(
             if seed is None:
                 raise DomainError("provide z_hat, critical values or a seed for the quantile draw")
             critical = critical_values(risks, cov, (alpha,), seed=seed, draws=draws, sets=False)
+        if critical.p != center.shape[0]:
+            raise DomainError(
+                f"critical values were drawn for {critical.p} candidates, "
+                f"but the band has {center.shape[0]}"
+            )
         z = float(critical.band_z[critical.index(alpha, "band_z")])
     else:
         z = float(z_hat)
@@ -275,9 +280,9 @@ def cvc_set(
     n, p = lm.n, lm.p
     if critical is not None:
         seed = critical.seed
-        if critical.z_alpha is not None and critical.z_alpha.shape[1] != p:
+        if critical.p != p:
             raise DomainError(
-                f"critical values were drawn for {critical.z_alpha.shape[1]} candidates, "
+                f"critical values were drawn for {critical.p} candidates, "
                 f"but the loss matrix has {p}"
             )
     if n < 2 * lm.plan.V:
@@ -370,7 +375,8 @@ def _comparison_columns(cov, kept, positive, sd, rows):
 class CriticalValues:
     """Every critical value of one problem at each of ``alphas``, from one draw.
 
-    Row i of each array belongs to ``alphas[i]``.  ``band_z`` holds the
+    Row i of each array belongs to ``alphas[i]``, and ``p`` is the
+    number of candidates they were drawn for.  ``band_z`` holds the
     simultaneous band's z (0 when every coordinate is degenerate), and
     ``z_alpha`` and ``decided`` the screened set's per-candidate values
     and labels as in ``ModelConfidenceSet``; each is None when it was not
@@ -380,6 +386,7 @@ class CriticalValues:
     """
 
     alphas: tuple[float, ...]
+    p: int
     band_z: np.ndarray | None
     z_alpha: np.ndarray | None
     decided: tuple[tuple[str, ...], ...] | None
@@ -453,7 +460,7 @@ def critical_values(
         drawn = np.flatnonzero((decided == "drawn").any(axis=0))
     rank = 0
     if band.size or drawn.size:
-        corr, kept, _ = standardized_correlation(cov, floor=0.0)
+        corr, kept, _ = standardized_correlation(cov)
         select = np.zeros((kept.size, band.size))
         select[np.searchsorted(kept, band), np.arange(band.size)] = 1.0
         linear, starts = select, None
@@ -479,6 +486,7 @@ def critical_values(
             z_alpha[:, drawn] = np.where(here, q[:, 1 if nb else 0 :], z_alpha[:, drawn])
     return CriticalValues(
         alphas=alphas,
+        p=p,
         band_z=band_z,
         z_alpha=z_alpha,
         decided=None if decided is None else tuple(tuple(row) for row in decided),

@@ -19,8 +19,7 @@ Trials are driven by derived substreams keyed by (purpose, n, trial), so
 any subset of a campaign can be replayed in isolation and the trial
 order never matters.  ``sgd_campaigns`` draws every trial of every n of
 every requested variant into one flat buffer of rows, then steps all of
-their trajectories in one call of ``learners.sgd_trajectories``; the
-one-variant campaign functions are its single-variant calls.
+their trajectories in one call of ``learners.sgd_trajectories``.
 """
 
 from __future__ import annotations
@@ -44,10 +43,7 @@ __all__ = [
     "check_sgd_precondition",
     "param_first_diff",
     "param_second_diff",
-    "bounded_regression_data",
     "sgd_campaigns",
-    "sgd_first_diff_campaign",
-    "sgd_second_diff_campaign",
 ]
 
 
@@ -281,18 +277,9 @@ class StabilityReport:
 # -------------------------------------------------------------- campaigns
 
 
-def bounded_regression_data(n: int, d: int, radius_x: float, seed: int):
-    """Regression rows whose features and responses respect the radius bound.
-
-    Features are uniform in the radius ball; responses are squashed into
-    [-radius, radius] around a fixed unit-coefficient signal, keeping the
-    SGD curvature constants honest for any generated row.
-    """
-    rng = derive_substream(seed, "bounded-regression")
-    return _bounded_rows(rng, n, d, radius_x)
-
-
 def _bounded_rows(rng: np.random.Generator, n: int, d: int, radius_x: float):
+    """Rows with features uniform in the radius ball and responses squashed
+    into [-radius, radius], as the SGD curvature constants assume."""
     if n < 1 or d < 1 or radius_x <= 0:
         raise DomainError("need positive n, d, and radius")
     raw = rng.standard_normal((n, d))
@@ -399,10 +386,14 @@ def sgd_campaigns(
 ) -> dict[str, StabilityReport]:
     """The ridge SGD campaigns named in ``variants``, "first" and/or
     "second", with every trajectory of every variant stepped in one
-    kernel call.
+    kernel call; each report fits the slope of its per-n medians when
+    the grid has at least 3 points.
 
-    Each report is the one its campaign function below returns;
-    ``index_mode`` applies to the first-order campaign only.
+    A "first" trial draws fresh data, a replacement row and an index
+    (``index_mode`` "uniform", or "tail" for slope studies), and its
+    movement is compared to the deterministic bound (2L / beta) n^-a.
+    "second" draws tail-window indices and claims no bound (the rate
+    holds up to a log factor).
     """
     plans = {"first": ("sgd-first", 1, index_mode), "second": ("sgd-second", 2, "tail")}
     variants = tuple(variants)
@@ -430,67 +421,3 @@ def sgd_campaigns(
         else:
             reports[variant] = _report("sgd-second-diff", n_grid, by_n, seed, dict(extras))
     return reports
-
-
-def sgd_first_diff_campaign(
-    n_grid: Sequence[int],
-    trials: int,
-    *,
-    lam: float,
-    step_exponent: float = 0.6,
-    radius_x: float = 1.0,
-    radius_theta: float = 1.0,
-    d: int = 4,
-    seed: int = 0,
-    index_mode: str = "uniform",
-) -> StabilityReport:
-    """First-order movement trials of ridge SGD across an n-grid.
-
-    Every trial draws fresh data, a replacement row, and an index
-    (uniform, or from the tail window for slope studies), then measures
-    the parameter movement and compares it to the deterministic bound
-    (2L / beta) n^-a.  The slope of per-n medians is fitted whenever the
-    grid has at least 3 points.
-    """
-    return sgd_campaigns(
-        ("first",),
-        n_grid,
-        trials,
-        lam=lam,
-        step_exponent=step_exponent,
-        radius_x=radius_x,
-        radius_theta=radius_theta,
-        d=d,
-        seed=seed,
-        index_mode=index_mode,
-    )["first"]
-
-
-def sgd_second_diff_campaign(
-    n_grid: Sequence[int],
-    trials: int,
-    *,
-    lam: float,
-    step_exponent: float = 0.6,
-    radius_x: float = 1.0,
-    radius_theta: float = 1.0,
-    d: int = 4,
-    seed: int = 0,
-) -> StabilityReport:
-    """Second-order movement trials of ridge SGD; indices drawn from the
-    tail window.
-
-    No deterministic bound is claimed (the guarantee is a rate up to a
-    log factor), so the report carries samples and the fitted slope only.
-    """
-    return sgd_campaigns(
-        ("second",),
-        n_grid,
-        trials,
-        lam=lam,
-        step_exponent=step_exponent,
-        radius_x=radius_x,
-        radius_theta=radius_theta,
-        d=d,
-        seed=seed,
-    )["second"]

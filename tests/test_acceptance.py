@@ -25,7 +25,7 @@ from cvconf.gaussian_mc import max_quantiles
 from cvconf.inference import cvc_set, naive_set, simultaneous_band
 from cvconf.learners import fit_lasso, lasso_max_lam
 from cvconf.simgen import SparseLinearGen, gen_sparse_linear
-from cvconf.stability_lab import sgd_first_diff_campaign, sgd_second_diff_campaign
+from cvconf.stability_lab import sgd_campaigns
 
 
 class _gate:
@@ -197,7 +197,8 @@ def test_gate_4_confidence_set_campaign(tmp_path):
 
 def test_gate_5_sgd_first_order_deterministic_bound():
     with _gate(5, "SGD replace-one bound holds in 200/200 trials"):
-        report = sgd_first_diff_campaign(
+        report = sgd_campaigns(
+            ("first",),
             (4096,),
             200,
             lam=0.6,
@@ -207,7 +208,7 @@ def test_gate_5_sgd_first_order_deterministic_bound():
             d=4,
             seed=41,
             index_mode="uniform",
-        )
+        )["first"]
         assert len(report.samples[4096]) == 200
         assert report.violations[4096] == 0
         assert max(report.samples[4096]) <= report.bounds[4096] * (1 + 1e-9)
@@ -219,7 +220,8 @@ def test_gate_5_sgd_first_order_deterministic_bound():
 def test_gate_6_sgd_second_order_scaling():
     with _gate(6, "second-order differences shrink like n^(-2a)"):
         a = 0.6
-        report = sgd_second_diff_campaign(
+        report = sgd_campaigns(
+            ("second",),
             (256, 512, 1024, 2048, 4096, 8192),
             60,
             lam=1.6,
@@ -228,7 +230,7 @@ def test_gate_6_sgd_second_order_scaling():
             radius_theta=1.0,
             d=4,
             seed=42,
-        )
+        )["second"]
         assert report.slope is not None
         assert -2 * a - 0.2 <= report.slope <= -2 * a + 0.4, report.slope
 

@@ -27,7 +27,7 @@ from cvconf.cli_harness import (
     run_stability,
 )
 from cvconf.cv_engine import cv_risk, fit_all_folds, loss_matrix
-from cvconf.datamodel import DomainError, LearnerSpec, load_dataset_csv, make_folds
+from cvconf.datamodel import Dataset, DomainError, LearnerSpec, make_folds
 from cvconf.det_variance import HoldoutSet, phi_pair
 from cvconf.gaussian_mc import MIN_DRAWS
 from cvconf.inference import check_coverage, cvc_set
@@ -227,6 +227,44 @@ def test_shipped_configs_load(path):
     load_config(path)  # validated on load
 
 
+SCRIPT_RUNS = [
+    match.groups()
+    for script in sorted(REPO.glob("scripts/*.sh"))
+    for match in re.finditer(r"python3 -m cvconf (\S+) +--config (\S+)", script.read_text())
+]
+
+
+def test_shipped_scripts_run_the_configs_they_name():
+    kinds = {
+        "coverage": "band_coverage",
+        "fwd": "fwd_pointwise",
+        "cvc-size": "cvc_size",
+        "stability": "stability",
+        "phi": "phi",
+    }
+    assert len(SCRIPT_RUNS) >= 8
+    for command, config in SCRIPT_RUNS:
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0, command
+        cfg = load_config(REPO / config)
+        if command in kinds:
+            assert cfg.kind == kinds[command], (command, config)
+
+
+def test_load_config_rejects_a_stability_precondition_that_fails_at_some_n(tmp_path):
+    # the campaign would write its manifest, then refuse to run
+    sec = _stability_sections(tmp_path / "o")
+    sec["learners"]["sgd_lam"] = 0.1
+    with pytest.raises(ConfigError, match="n=256.*gamma/beta"):
+        load_config(_write_config(tmp_path / "c.ini", sec))
+    sec = _stability_sections(tmp_path / "o")
+    sec["generator"]["n"] = "1, 256"
+    with pytest.raises(ConfigError, match="n=1.*n >= 2"):
+        load_config(_write_config(tmp_path / "c.ini", sec))
+    assert not (tmp_path / "o").exists()
+
+
 def test_bank_size_counts_the_built_bank():
     # _rows_per_rep trusts bank_size to tell complete fwd_pointwise reps on resume
     checked = 0
@@ -349,6 +387,18 @@ def test_band_coverage_resumes_completed_reps(tmp_path):
     assert _strip_ms(out / "band_coverage_n80.csv") == _strip_ms(
         tmp_path / "f" / "band_coverage_n80.csv"
     )
+
+
+def test_band_coverage_resume_with_fewer_reps_raises(tmp_path):
+    out = tmp_path / "o"
+    sec = _band_sections(out)
+    sec["generator"]["n"] = "60, 80"
+    run_band_coverage(load_config(_write_config(tmp_path / "a.ini", sec)))
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    sec["run"]["reps"] = 1
+    with pytest.raises(ConfigError, match="replication 2, past reps=1"):
+        run_band_coverage(load_config(_write_config(tmp_path / "b.ini", sec)))
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_band_coverage_resume_with_different_draws_raises(tmp_path):
@@ -907,12 +957,12 @@ def test_phi_resume_with_different_seed_raises(tmp_path):
 def test_main_gen_writes_dataset(tmp_path):
     p = _write_config(tmp_path / "c.ini", _band_sections(tmp_path / "o"))
     assert main(["gen", "--config", str(p), "--out", str(tmp_path / "g")]) == 0
-    ds = load_dataset_csv(tmp_path / "g" / "dataset_n80.csv")
-    assert ds.features.shape == (80, 6)
+    table = np.loadtxt(tmp_path / "g" / "dataset_n80.csv", delimiter=",", skiprows=1)
+    assert table.shape == (80, 7)
     want, _ = gen_sparse_linear(
         SparseLinearGen(n=80, d=6, s=2, nu=50, seed=stable_subseed(11, "gen", 80))
     )
-    np.testing.assert_allclose(ds.features, want.features, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(table[:, 1:], want.features, rtol=0, atol=1e-12)
 
 
 def test_main_band_and_cvc_one_shots(tmp_path):
@@ -934,7 +984,8 @@ def test_one_shots_share_the_exported_dataset(tmp_path):
     p = _write_config(tmp_path / "c.ini", _band_sections(tmp_path / "o"))
     assert main(["gen", "--config", str(p)]) == 0
     assert main(["band", "--config", str(p)]) == 0
-    ds = load_dataset_csv(tmp_path / "o" / "dataset_n80.csv")
+    table = np.loadtxt(tmp_path / "o" / "dataset_n80.csv", delimiter=",", skiprows=1)
+    ds = Dataset(table[:, 1:], table[:, 0])
     specs, _ = cli_harness._build_bank(load_config(p), ds)
     plan = make_folds(80, 5)
     risks = cv_risk(loss_matrix(ds, fit_all_folds(ds, specs, plan), plan, "squared"))

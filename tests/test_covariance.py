@@ -121,6 +121,14 @@ def test_standardized_correlation_drops_floored_coordinates():
     np.testing.assert_allclose(np.diag(corr), 1.0)
 
 
+def test_standardized_correlation_keeps_tiny_positive_variances():
+    sigma = np.diag([1.0, 1e-14])
+    est = CovEstimate(sigma=sigma, lambda_diag=np.diag(sigma))
+    corr, kept, dropped = standardized_correlation(est)
+    assert kept.tolist() == [0, 1] and dropped.size == 0
+    np.testing.assert_allclose(corr, np.eye(2))
+
+
 def test_standardized_correlation_empty_problem():
     est = CovEstimate(sigma=np.zeros((2, 2)), lambda_diag=np.zeros(2))
     with pytest.raises(EmptyProblemError):

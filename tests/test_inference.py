@@ -324,7 +324,7 @@ def test_cvc_pairwise_critical_values_identity_sigma():
 def _draw_candidates(cov, rows, alpha, draws, seed):
     """The drawn critical values of candidates ``rows``, drawing all of them
     on the stream and factor that ``critical_values`` uses."""
-    corr, kept, _ = standardized_correlation(cov, floor=0.0)
+    corr, kept, _ = standardized_correlation(cov)
     positive, sd = _comparisons(cov)
     W, counts = _comparison_columns(cov, kept, positive, sd, rows)
     starts = np.cumsum(counts) - counts
@@ -357,7 +357,7 @@ def test_cvc_drawn_candidates_match_drawing_every_candidate():
 
 def _elementwise_pairwise_quantiles(cov, rows, alpha, draws, seed):
     """Reference: the statistic built elementwise as (X_r - X_s) * weight + mask."""
-    corr, kept, _ = standardized_correlation(cov, floor=0.0)
+    corr, kept, _ = standardized_correlation(cov)
     positive, sd = _comparisons(cov)
     p = cov.sigma.shape[0]
     scale = np.sqrt(cov.lambda_diag[kept])
@@ -505,6 +505,17 @@ def test_cvc_refuses_critical_values_of_another_candidate_count():
         critical = critical_values(risks, cov, (0.1,), seed=1, draws=2000)
         with pytest.raises(DomainError, match=f"for {other.p} candidates.* has {lm.p}"):
             cvc_set(lm, 0.1, critical=critical)
+
+
+def test_band_refuses_critical_values_of_another_candidate_count():
+    rng = np.random.default_rng(61)
+    narrow, wide = _random_loss(rng, 40, 2, V=4), _random_loss(rng, 40, 12, V=4)
+    for lm, other in ((wide, narrow), (narrow, wide)):
+        critical = critical_values(
+            cv_risk(other), aggregate_covariance(other), (0.1,), seed=1, draws=2000
+        )
+        with pytest.raises(DomainError, match=f"for {other.p} candidates.* has {lm.p}"):
+            simultaneous_band(cv_risk(lm), aggregate_covariance(lm), 0.1, critical=critical)
 
 
 def test_shared_call_draws_nothing_when_no_column_is_needed(monkeypatch):

@@ -14,25 +14,22 @@ from cvconf.stability_lab import (
     _report,
     StabilityPreconditionError,
     StabilityReport,
-    bounded_regression_data,
     check_sgd_precondition,
     param_first_diff,
     param_second_diff,
     sgd_campaigns,
-    sgd_first_diff_campaign,
     sgd_ratio_requirement,
-    sgd_second_diff_campaign,
 )
 
 
 def _sgd_instance(n, lam, a=0.6, d=4, seed=0, radius_theta=1.0):
     cfg = SgdConfig.for_ridge(lam, a, radius_x=1.0, radius_theta=radius_theta)
-    Z, y = bounded_regression_data(n, d, radius_x=1.0, seed=seed)
+    Z, y = _bounded_rows(derive_substream(seed, "bounded-regression"), n, d, 1.0)
     return Z, y, cfg
 
 
 def _fresh_row(d, seed, radius_x=1.0):
-    Z, y = bounded_regression_data(1, d, radius_x=radius_x, seed=seed)
+    Z, y = _bounded_rows(derive_substream(seed, "bounded-regression"), 1, d, radius_x)
     return Z[0], float(y[0])
 
 
@@ -73,7 +70,7 @@ def test_param_first_diff_within_deterministic_bound():
     cfg = SgdConfig.for_ridge(lam, a, radius_x=1.0, radius_theta=1.0)
     bound = 2 * cfg.lipschitz / cfg.smoothness * n ** (-a)
     rng = derive_substream(7, "bound-trials")
-    Z, y = bounded_regression_data(n, 4, radius_x=1.0, seed=3)
+    Z, y = _bounded_rows(derive_substream(3, "bounded-regression"), n, 4, 1.0)
     for trial in range(30):
         i = int(rng.integers(n))
         z_new, y_new = _fresh_row(4, seed=1000 + trial)
@@ -84,7 +81,7 @@ def test_param_first_diff_within_deterministic_bound():
 def test_param_first_diff_last_step_unrolls_to_gradient_gap():
     n, a = 64, 0.6
     cfg = SgdConfig.for_ridge(4.0, a, radius_x=1.0, radius_theta=5.0)
-    Z, y = bounded_regression_data(n, 3, radius_x=1.0, seed=11)
+    Z, y = _bounded_rows(derive_substream(11, "bounded-regression"), n, 3, 1.0)
     z_new, y_new = _fresh_row(3, seed=12)
     theta_prev = sgd_trajectories(Z[: n - 1], y[: n - 1], [n - 1], cfg, [0], [{}])[0]
     g_old = -(y[n - 1] - Z[n - 1] @ theta_prev) * Z[n - 1] + cfg.lam * theta_prev
@@ -163,14 +160,15 @@ def test_report_fits_no_slope_through_a_zero_median():
 
 
 def test_sgd_first_diff_campaign_unit_scale():
-    rep = sgd_first_diff_campaign(
+    rep = sgd_campaigns(
+        ("first",),
         (256, 512, 1024),
         trials=25,
         lam=1.6,
         step_exponent=0.6,
         seed=5,
         index_mode="tail",
-    )
+    )["first"]
     assert rep.kind == "sgd-first-diff"
     assert rep.n_grid == (256, 512, 1024)
     for n in rep.n_grid:
@@ -182,21 +180,22 @@ def test_sgd_first_diff_campaign_unit_scale():
 
 
 def test_sgd_first_diff_campaign_uniform_mode_zero_violations():
-    rep = sgd_first_diff_campaign(
-        (256,), trials=20, lam=1.6, step_exponent=0.6, seed=6, index_mode="uniform"
-    )
+    rep = sgd_campaigns(
+        ("first",), (256,), trials=20, lam=1.6, step_exponent=0.6, seed=6, index_mode="uniform"
+    )["first"]
     assert rep.violations[256] == 0
     assert rep.slope is None  # one grid point: no fit
 
 
 def test_sgd_second_diff_campaign_scales_faster():
-    rep = sgd_second_diff_campaign(
+    rep = sgd_campaigns(
+        ("second",),
         (256, 512, 1024),
         trials=15,
         lam=1.6,
         step_exponent=0.6,
         seed=7,
-    )
+    )["second"]
     assert rep.kind == "sgd-second-diff"
     assert all(np.all(rep.samples[n] >= 0.0) for n in rep.n_grid)
     assert rep.slope <= -0.7  # second differences decay faster than first
@@ -276,9 +275,9 @@ def test_first_diff_campaign_matches_scalar_oracle(index_mode):
     grid, trials, d, seed = (2, 3, 40, 97), 12, 3, 50
     cfg = SgdConfig.for_ridge(12.0, 0.6, radius_x=1.0, radius_theta=1.0)
     want, drawn, _ = _oracle_campaign(1, grid, trials, cfg, d, seed, index_mode)
-    rep = sgd_first_diff_campaign(
-        grid, trials, lam=12.0, step_exponent=0.6, d=d, seed=seed, index_mode=index_mode
-    )
+    rep = sgd_campaigns(
+        ("first",), grid, trials, lam=12.0, step_exponent=0.6, d=d, seed=seed, index_mode=index_mode
+    )["first"]
     for n in grid:
         np.testing.assert_array_equal(rep.samples[n], want[n])
     # replacements at the first and the last row both occur
@@ -290,7 +289,9 @@ def test_second_diff_campaign_matches_scalar_oracle():
     grid, trials, d, seed = (2, 5, 64, 130), 10, 3, 51
     cfg = SgdConfig.for_ridge(12.0, 0.6, radius_x=1.0, radius_theta=1.0)
     want, drawn, _ = _oracle_campaign(2, grid, trials, cfg, d, seed)
-    rep = sgd_second_diff_campaign(grid, trials, lam=12.0, step_exponent=0.6, d=d, seed=seed)
+    rep = sgd_campaigns(
+        ("second",), grid, trials, lam=12.0, step_exponent=0.6, d=d, seed=seed
+    )["second"]
     for n in grid:
         np.testing.assert_array_equal(rep.samples[n], want[n])
     assert any(i > j for _, i, j in drawn) and any(i < j for _, i, j in drawn)
@@ -304,9 +305,10 @@ def test_campaigns_match_oracle_when_projection_fires_on_some_rows(order):
     cfg = SgdConfig.for_ridge(2.0, 0.6, radius_x=1.0, radius_theta=radius)
     want, _, fired = _oracle_campaign(order, grid, trials, cfg, d, seed, "uniform")
     assert _mixed_projection_step(fired)
-    campaign = sgd_first_diff_campaign if order == 1 else sgd_second_diff_campaign
-    kw = {"index_mode": "uniform"} if order == 1 else {}
-    rep = campaign(grid, trials, lam=2.0, radius_theta=radius, d=d, seed=seed, **kw)
+    variant = "first" if order == 1 else "second"
+    rep = sgd_campaigns(
+        (variant,), grid, trials, lam=2.0, radius_theta=radius, d=d, seed=seed, index_mode="uniform"
+    )[variant]
     for n in grid:
         np.testing.assert_array_equal(rep.samples[n], want[n])
 
@@ -314,7 +316,8 @@ def test_campaigns_match_oracle_when_projection_fires_on_some_rows(order):
 def _mixed_datasets(lengths, d=3, seed=60):
     """Datasets of the given row counts, end to end, and each one alone."""
     parts = [
-        bounded_regression_data(n, d, radius_x=1.0, seed=seed + j) for j, n in enumerate(lengths)
+        _bounded_rows(derive_substream(seed + j, "bounded-regression"), n, d, 1.0)
+        for j, n in enumerate(lengths)
     ]
     Z = np.concatenate([Zj for Zj, _ in parts])
     y = np.concatenate([yj for _, yj in parts])
@@ -386,15 +389,15 @@ def test_sgd_trajectories_rejects_bad_layout():
 
 def test_sgd_campaigns_reject_repeated_sample_sizes():
     with pytest.raises(DomainError, match="distinct"):
-        sgd_first_diff_campaign((256, 256, 512), 2, lam=1.6, seed=1)
+        sgd_campaigns(("first",), (256, 256, 512), 2, lam=1.6, seed=1)
 
 
 def test_sgd_campaigns_match_one_variant_campaigns():
     grid, trials, d, seed = (3, 40, 97), 4, 3, 53
     kw = dict(lam=12.0, step_exponent=0.6, d=d, seed=seed)
     both = sgd_campaigns(("second", "first"), grid, trials, index_mode="tail", **kw)
-    first = sgd_first_diff_campaign(grid, trials, index_mode="tail", **kw)
-    second = sgd_second_diff_campaign(grid, trials, **kw)
+    first = sgd_campaigns(("first",), grid, trials, index_mode="tail", **kw)["first"]
+    second = sgd_campaigns(("second",), grid, trials, **kw)["second"]
     for got, want in ((both["first"], first), (both["second"], second)):
         assert got.summary() == want.summary()
         for n in grid:
@@ -418,9 +421,15 @@ def test_report_validate_rejects_non_finite_samples(bad):
 
 
 def test_report_round_trips_through_csv_and_json(tmp_path):
-    rep = sgd_first_diff_campaign(
-        (128, 256, 512), trials=30, lam=2.5, step_exponent=0.6, seed=13, index_mode="tail"
-    )
+    rep = sgd_campaigns(
+        ("first",),
+        (128, 256, 512),
+        trials=30,
+        lam=2.5,
+        step_exponent=0.6,
+        seed=13,
+        index_mode="tail",
+    )["first"]
     csv_path = tmp_path / "campaign.csv"
     json_path = tmp_path / "campaign.json"
     rep.write_csv(csv_path)
