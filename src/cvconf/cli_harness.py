@@ -21,10 +21,11 @@ import json
 import logging
 import os
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -145,8 +146,6 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.family not in ("sparse_linear", "bounded_regression"):
-            raise ConfigError(f"unknown generator family {self.family!r}")
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ConfigError(f"n must be a list of positive sizes, got {self.n_list}")
         if len(set(self.n_list)) != len(self.n_list):
@@ -185,7 +184,6 @@ class ExperimentConfig:
         if self.holdout_m < 0 or self.holdout_m % 2:
             raise ConfigError(f"holdout_m must be 0 (auto) or even, got {self.holdout_m}")
 
-        needs_oracle = ("band_coverage", "fwd_pointwise", "cvc_size")
         if self.kind != "stability":
             if self.family != "sparse_linear":
                 raise ConfigError(
@@ -202,7 +200,7 @@ class ExperimentConfig:
                     raise ConfigError(f"need s <= d, got s={self.s}, d={width} at n={n}")
                 if any(k > width for k in self.forward_steps):
                     raise ConfigError(f"forward steps must be <= the {width} features at n={n}")
-                if self.kind in needs_oracle and n < 2 * self.V:
+                if self.kind in _REP_WORKERS and n < 2 * self.V:
                     # the fold covariance needs two rows in every fold
                     raise ConfigError(
                         f"kind {self.kind} needs folds of at least 2 rows (n >= 2V), "
@@ -234,66 +232,43 @@ class ExperimentConfig:
         return self
 
 
-def _parse_int(text: str) -> int:
-    return int(text.strip())
+def _items(parse):
+    return lambda text: tuple(parse(t) for t in text.split(",") if t.strip())
 
 
-def _parse_float(text: str) -> float:
-    return float(text.strip())
+def _int_or_str(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return text.strip()
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    items = [t.strip() for t in text.split(",") if t.strip()]
-    return tuple(int(t) for t in items)
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    items = [t.strip() for t in text.split(",") if t.strip()]
-    return tuple(float(t) for t in items)
-
-
-def _parse_str(text: str) -> str:
-    return text.strip()
-
-
-def _parse_d(text: str):
-    text = text.strip()
-    return text if text == "n/10" else int(text)
-
-
-_SECTION_KEYS: dict[str, dict[str, tuple[str, Callable]]] = {
-    "generator": {
-        "family": ("family", _parse_str),
-        "n": ("n_list", _parse_ints),
-        "d": ("d", _parse_d),
-        "s": ("s", _parse_int),
-        "nu": ("nu", _parse_float),
-        "radius_x": ("radius_x", _parse_float),
-    },
-    "learners": {
-        "lasso": ("lasso", _parse_str),
-        "lasso_count": ("lasso_count", _parse_int),
-        "lasso_ratio": ("lasso_ratio", _parse_float),
-        "forward_steps": ("forward_steps", _parse_ints),
-        "ridge_lams": ("ridge_lams", _parse_floats),
-        "sgd_lam": ("sgd_lam", _parse_float),
-        "sgd_a": ("sgd_a", _parse_float),
-        "sgd_radius_theta": ("sgd_radius_theta", _parse_float),
-    },
-    "run": {
-        "kind": ("kind", _parse_str),
-        "V": ("V", _parse_int),
-        "alphas": ("alphas", _parse_floats),
-        "reps": ("reps", _parse_int),
-        "draws": ("draws", _parse_int),
-        "seed": ("seed", _parse_int),
-        "out": ("out", _parse_str),
-        "threads": ("threads", _parse_int),
-        "variant": ("variant", _parse_str),
-        "index_mode": ("index_mode", _parse_str),
-        "holdout_m": ("holdout_m", _parse_int),
-    },
+# config values are parsed by the declared type of their field
+_PARSERS = {
+    str: str.strip,
+    int: int,
+    float: float,
+    int | str: _int_or_str,
+    tuple[int, ...]: _items(int),
+    tuple[float, ...]: _items(float),
 }
+
+_SECTION_KEYS = {
+    "generator": ("family", "n", "d", "s", "nu", "radius_x"),
+    "learners": (
+        "lasso", "lasso_count", "lasso_ratio", "forward_steps", "ridge_lams", "sgd_lam", "sgd_a",
+        "sgd_radius_theta",
+    ),
+    "run": (
+        "kind", "V", "alphas", "reps", "draws", "seed", "out", "threads", "variant", "index_mode",
+        "holdout_m",
+    ),
+}
+
+
+def _field_of(key: str) -> str:
+    """The ExperimentConfig field a config key sets."""
+    return "n_list" if key == "n" else key
 
 
 def load_config(path, **overrides) -> ExperimentConfig:
@@ -312,17 +287,17 @@ def load_config(path, **overrides) -> ExperimentConfig:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    types = typing.get_type_hints(ExperimentConfig)
     fields: dict = {}
     for section in parser.sections():
         if section not in _SECTION_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
-        known = _SECTION_KEYS[section]
         for key, raw in parser.items(section):
-            if key not in known:
+            if key not in _SECTION_KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            field, parse = known[key]
+            field = _field_of(key)
             try:
-                fields[field] = parse(raw)
+                fields[field] = _PARSERS[types[field]](raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r} in [{section}]: {exc}") from exc
     if "kind" not in fields:
@@ -360,8 +335,6 @@ def _build_bank(cfg: ExperimentConfig, dataset: Dataset):
     for idx, lam in enumerate(lams):
         specs.append(LearnerSpec(family="lasso", lam=float(lam)))
         labels.append(f"lasso[{idx}]")
-    if not specs:
-        raise DomainError("the configured learner bank is empty")
     return tuple(specs), tuple(labels)
 
 
@@ -377,16 +350,21 @@ def _rep_seed(cfg: ExperimentConfig, n: int, rep: int) -> int:
     return stable_subseed(cfg.seed, cfg.kind, n, rep)
 
 
-def _rep_problem(cfg: ExperimentConfig, n: int, rep: int):
-    data_seed = _rep_seed(cfg, n, rep)
-    q_seed = stable_subseed(cfg.seed, cfg.kind + "-quantile", n, rep)
+def _fitted_problem(cfg: ExperimentConfig, n: int, data_seed: int):
+    """Generate the dataset of ``data_seed`` at ``n``, fit the bank on its
+    V folds and score it: (labels, loss matrix, fold fits, truth)."""
     ds, truth = _generate(cfg, n, data_seed)
     plan = make_folds(n, cfg.V)
     specs, labels = _build_bank(cfg, ds)
     fits = fit_all_folds(ds, specs, plan)
-    lm = loss_matrix(ds, fits, plan, "squared")
-    target = average_fitted_risk_oracle(fits, truth)
-    return data_seed, q_seed, labels, lm, target
+    return labels, loss_matrix(ds, fits, plan, "squared"), fits, truth
+
+
+def _rep_problem(cfg: ExperimentConfig, n: int, rep: int):
+    """(quantile seed, labels, loss matrix, oracle risks) of one replication."""
+    q_seed = stable_subseed(cfg.seed, cfg.kind + "-quantile", n, rep)
+    labels, lm, fits, truth = _fitted_problem(cfg, n, _rep_seed(cfg, n, rep))
+    return q_seed, labels, lm, average_fitted_risk_oracle(fits, truth)
 
 
 def _resolve_workers(cfg: ExperimentConfig) -> int:
@@ -442,7 +420,7 @@ def _one_blas_thread(kind: str, workers: int):
 
 
 def _band_rows(cfg: ExperimentConfig, n: int, rep: int):
-    data_seed, q_seed, _, lm, target = _rep_problem(cfg, n, rep)
+    q_seed, _, lm, target = _rep_problem(cfg, n, rep)
     risks, cov = cv_risk(lm), aggregate_covariance(lm)
     critical = critical_values(risks, cov, cfg.alphas, seed=q_seed, draws=cfg.draws, sets=False)
     rows = []
@@ -451,8 +429,6 @@ def _band_rows(cfg: ExperimentConfig, n: int, rep: int):
         pw = pointwise_band(risks, cov, alpha)
         rows.append(
             {
-                "rep": str(rep),
-                "seed": str(data_seed),
                 "alpha": repr(float(alpha)),
                 "covered": str(int(check_coverage(band, target))),
                 "size_naive": str(len(naive_set(band).members)),
@@ -463,7 +439,7 @@ def _band_rows(cfg: ExperimentConfig, n: int, rep: int):
 
 
 def _cvc_rows(cfg: ExperimentConfig, n: int, rep: int):
-    data_seed, q_seed, _, lm, target = _rep_problem(cfg, n, rep)
+    q_seed, _, lm, target = _rep_problem(cfg, n, rep)
     risks, cov = cv_risk(lm), aggregate_covariance(lm)
     critical = critical_values(risks, cov, cfg.alphas, seed=q_seed, draws=cfg.draws)
     rows = []
@@ -473,8 +449,6 @@ def _cvc_rows(cfg: ExperimentConfig, n: int, rep: int):
         cvc = cvc_set(lm, alpha, critical=critical)
         rows.append(
             {
-                "rep": str(rep),
-                "seed": str(data_seed),
                 "alpha": repr(float(alpha)),
                 "covered": str(int(check_coverage(cvc, target))),
                 "size_naive": str(len(base.members)),
@@ -486,22 +460,14 @@ def _cvc_rows(cfg: ExperimentConfig, n: int, rep: int):
 
 
 def _fwd_rows(cfg: ExperimentConfig, n: int, rep: int):
-    data_seed, _, labels, lm, target = _rep_problem(cfg, n, rep)
+    _, labels, lm, target = _rep_problem(cfg, n, rep)
     risks, cov = cv_risk(lm), aggregate_covariance(lm)
     rows = []
     for alpha in cfg.alphas:
         pw = pointwise_band(risks, cov, alpha)
         for r, label in enumerate(labels):
             hit = pw.lower[r] <= target[r] <= pw.upper[r]
-            rows.append(
-                {
-                    "rep": str(rep),
-                    "seed": str(data_seed),
-                    "alpha": repr(float(alpha)),
-                    "covered": str(int(hit)),
-                    "model": label,
-                }
-            )
+            rows.append({"alpha": repr(float(alpha)), "covered": str(int(hit)), "model": label})
     return rows
 
 
@@ -531,21 +497,32 @@ def _read_completed(path: Path, header: Sequence[str], per_rep: int) -> dict[int
             f"existing output {path} has a different schema; use a fresh directory"
         )
     groups: dict[int, list] = {}
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         cells = line.split(",")
+        if len(cells) != len(header) or not cells[0].isdecimal():
+            # a torn row would be kept as completed and break the aggregates
+            raise ConfigError(
+                f"{path} line {number} is not a row of {len(header)} cells with an "
+                "integer rep; use a fresh directory"
+            )
         groups.setdefault(int(cells[0]), []).append(cells)
     return {rep: rows for rep, rows in groups.items() if len(rows) == per_rep}
 
 
 def _timed_lines(worker, cfg, n, rep) -> list[list[str]]:
-    """CSV rows of one replication, cells in header order ("" if absent)."""
+    """CSV rows of one replication, cells in header order ("" if absent).
+
+    ``worker`` returns each row's own cells; the cells every row of the
+    replication shares (its rep, data seed and wall time) are set here.
+    """
     t0 = time.perf_counter()
     rows = worker(cfg, n, rep)
     ms = repr((time.perf_counter() - t0) * 1e3)
+    shared = {"rep": str(rep), "seed": str(_rep_seed(cfg, n, rep)), "ms_elapsed": ms}
     columns = _columns(cfg.kind)
-    return [[{**row, "ms_elapsed": ms}.get(col, "") for col in columns] for row in rows]
+    return [[{**row, **shared}.get(col, "") for col in columns] for row in rows]
 
 
 def _science_fields(cfg: ExperimentConfig) -> dict:
@@ -599,6 +576,18 @@ def _open_campaign(cfg: ExperimentConfig, kind: str) -> Path:
     return out
 
 
+# each manifest aggregate of a kind, and the CSV column it averages
+_MEANS = {
+    "band_coverage": {
+        "coverage": "covered", "mean_size_naive": "size_naive", "coverage_pw": "covered_pw",
+    },
+    "cvc_size": {
+        "coverage": "covered", "mean_size_naive": "size_naive", "mean_size_cvc": "size_cvc",
+        "coverage_naive": "covered_naive",
+    },
+}
+
+
 def _aggregate_rows(kind: str, rows: list[dict]) -> dict:
     by_alpha: dict[str, list[dict]] = {}
     for row in rows:
@@ -616,17 +605,10 @@ def _aggregate_rows(kind: str, rows: list[dict]) -> dict:
                 },
             }
             continue
-        agg = {
-            "reps": len(group),
-            "coverage": float(np.mean([int(r["covered"]) for r in group])),
-            "mean_size_naive": float(np.mean([int(r["size_naive"]) for r in group])),
+        out[alpha] = {"reps": len(group)} | {
+            name: float(np.mean([int(r[column]) for r in group]))
+            for name, column in _MEANS[kind].items()
         }
-        if kind == "band_coverage":
-            agg["coverage_pw"] = float(np.mean([int(r["covered_pw"]) for r in group]))
-        if kind == "cvc_size":
-            agg["mean_size_cvc"] = float(np.mean([int(r["size_cvc"]) for r in group]))
-            agg["coverage_naive"] = float(np.mean([int(r["covered_naive"]) for r in group]))
-        out[alpha] = agg
     return out
 
 
@@ -758,6 +740,16 @@ def run_stability(cfg: ExperimentConfig) -> dict:
     )
 
 
+def _phi_problem(cfg: ExperimentConfig, n: int):
+    """(dataset, specs, folds, hold-out set) of the phi campaign at ``n``."""
+    ds, _ = _generate(cfg, n, stable_subseed(cfg.seed, "phi", n))
+    m = cfg.holdout_m or default_holdout_size(n)
+    # the hold-out keeps the training feature width even when d scales with n
+    hold_ds, _ = _generate(cfg, m, stable_subseed(cfg.seed, "phi-holdout", n), d=cfg.d_for(n))
+    specs, _ = _build_bank(cfg, ds)
+    return ds, specs, make_folds(n, cfg.V), HoldoutSet.from_dataset(hold_ds)
+
+
 def run_phi(cfg: ExperimentConfig) -> dict:
     """Hold-out variance estimates per n; artifacts of the same config are
     skipped when present.
@@ -774,71 +766,44 @@ def run_phi(cfg: ExperimentConfig) -> dict:
         skipped: list[str] = []
         aggregates: dict[str, dict] = {v: {} for v in variants}
         for n in cfg.n_list:
-            m = cfg.holdout_m or default_holdout_size(n)
-            prepared = None
+            csvs = {v: out / f"phi_{v}_n{n}.csv" for v in variants}
+            jsons = {v: path.with_suffix(".json") for v, path in csvs.items()}
+            missing = [v for v in variants if not (csvs[v].exists() and jsons[v].exists())]
+            skipped += [f"{v}:{n}" for v in variants if v not in missing]
+            if missing:
+                ds, specs, plan, holdout = _phi_problem(cfg, n)
+                for variant in missing:
+                    estimate = phi_pair if variant == "pair" else phi_perturb
+                    est = estimate(ds, specs, plan, holdout, workers=workers)
+                    write_phi_csv(est, csvs[variant], n=n, seed=cfg.seed)
             for variant in variants:
-                csv_path = out / f"phi_{variant}_n{n}.csv"
-                json_path = csv_path.with_suffix(".json")
-                if csv_path.exists() and json_path.exists():
-                    skipped.append(f"{variant}:{n}")
-                else:
-                    if prepared is None:
-                        ds, _ = _generate(cfg, n, stable_subseed(cfg.seed, "phi", n))
-                        # the hold-out keeps the training feature width even
-                        # when d scales with n
-                        hold_ds, _ = _generate(
-                            cfg,
-                            m,
-                            stable_subseed(cfg.seed, "phi-holdout", n),
-                            d=cfg.d_for(n),
-                        )
-                        plan = make_folds(n, cfg.V)
-                        specs, _ = _build_bank(cfg, ds)
-                        prepared = (ds, plan, specs, HoldoutSet.from_dataset(hold_ds))
-                    ds, plan, specs, holdout = prepared
-                    if variant == "pair":
-                        est = phi_pair(ds, specs, plan, holdout, workers=workers)
-                    else:
-                        est = phi_perturb(ds, specs, plan, holdout, workers=workers)
-                    write_phi_csv(est, csv_path, n=n, seed=cfg.seed)
-                phi, _meta = read_phi_csv(csv_path)
-                files[variant][str(n)] = {"csv": csv_path.name, "json": json_path.name}
+                phi, _meta = read_phi_csv(csvs[variant])
+                files[variant][str(n)] = {"csv": csvs[variant].name, "json": jsons[variant].name}
                 aggregates[variant][str(n)] = {"diag": [float(v) for v in np.diag(phi)]}
-        return _write_manifest(
-            out, "phi", cfg, files=files, skipped=skipped, aggregates=aggregates
-        )
+        return _write_manifest(out, "phi", cfg, files=files, skipped=skipped, aggregates=aggregates)
 
 
 # -------------------------------------------------------- one-shot commands
 
 
-def _one_shot_dataset(cfg: ExperimentConfig, n: int) -> Dataset:
-    """The dataset every one-shot command (``gen``, ``band``, ``cvc``) of
-    one config sees at ``n``."""
-    ds, _ = _generate(cfg, n, stable_subseed(cfg.seed, "gen", n))
-    return ds
+def _one_shot_seed(cfg: ExperimentConfig, n: int) -> int:
+    """The data seed every one-shot command (``gen``, ``band``, ``cvc``) of
+    one config uses at ``n``."""
+    return stable_subseed(cfg.seed, "gen", n)
 
 
-def _one_shot(cfg: ExperimentConfig, command: str) -> Path:
+def _one_shot(cfg: ExperimentConfig, command: str) -> None:
     """``band`` or ``cvc``: simultaneous bands or CVC sets, one per alpha,
     on one generated dataset, written to ``<command>.json``."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     n = cfg.n_list[0]
-    ds = _one_shot_dataset(cfg, n)
-    plan = make_folds(n, cfg.V)
-    specs, labels = _build_bank(cfg, ds)
-    lm = loss_matrix(ds, fit_all_folds(ds, specs, plan), plan, "squared")
+    labels, lm, _, _ = _fitted_problem(cfg, n, _one_shot_seed(cfg, n))
     q_seed = stable_subseed(cfg.seed, command + "-quantile", n)
     risks, cov = cv_risk(lm), aggregate_covariance(lm)
     critical = critical_values(
-        risks,
-        cov,
-        cfg.alphas,
-        seed=q_seed,
-        draws=cfg.draws,
-        bands=command == "band",
-        sets=command == "cvc",
+        risks, cov, cfg.alphas, seed=q_seed, draws=cfg.draws,
+        bands=command == "band", sets=command == "cvc",
     )
     if command == "band":
         key, item = "bands", "band"
@@ -849,27 +814,16 @@ def _one_shot(cfg: ExperimentConfig, command: str) -> Path:
     entries = [
         {"alpha": float(alpha), item: res.to_dict()} for alpha, res in zip(cfg.alphas, results)
     ]
-    path = out / f"{command}.json"
-    blob = {
-        "n": n,
-        "seed": cfg.seed,
-        "draws": cfg.draws,
-        "rank": critical.rank,
-        "labels": list(labels),
-        key: entries,
-    }
-    return write_json_atomic(path, blob)
+    blob = {"n": n, "seed": cfg.seed, "draws": cfg.draws, "rank": critical.rank}
+    write_json_atomic(out / f"{command}.json", {**blob, "labels": list(labels), key: entries})
 
 
-def _one_shot_gen(cfg: ExperimentConfig) -> list[Path]:
+def _one_shot_gen(cfg: ExperimentConfig) -> None:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
     for n in cfg.n_list:
-        path = out / f"dataset_n{n}.csv"
-        save_dataset_csv(_one_shot_dataset(cfg, n), path)
-        paths.append(path)
-    return paths
+        ds, _ = _generate(cfg, n, _one_shot_seed(cfg, n))
+        save_dataset_csv(ds, out / f"dataset_n{n}.csv")
 
 
 # -------------------------------------------------------------------- CLI

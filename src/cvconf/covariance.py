@@ -27,10 +27,13 @@ class EmptyProblemError(ValueError):
 
 @dataclass(frozen=True)
 class CovEstimate:
-    """Fold-averaged covariance (sigma) and its diagonal (lambda_diag)."""
+    """Fold-averaged covariance (sigma); ``lambda_diag`` is its diagonal."""
 
     sigma: np.ndarray
-    lambda_diag: np.ndarray
+
+    @property
+    def lambda_diag(self) -> np.ndarray:
+        return np.diag(self.sigma)
 
 
 def fold_covariance(lm: LossMatrix, v: int) -> np.ndarray:
@@ -47,12 +50,12 @@ def fold_covariance(lm: LossMatrix, v: int) -> np.ndarray:
 
 
 def aggregate_covariance(lm: LossMatrix) -> CovEstimate:
-    """Average the fold covariances and record the diagonal."""
+    """Average the fold covariances."""
     sigma = fold_covariance(lm, 0)
     for v in range(1, lm.plan.V):
         sigma = sigma + fold_covariance(lm, v)
     sigma = sigma / lm.plan.V
-    return CovEstimate(sigma=sigma, lambda_diag=np.diag(sigma).copy())
+    return CovEstimate(sigma=sigma)
 
 
 def variance_floor(lambda_diag: np.ndarray) -> float:

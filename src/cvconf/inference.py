@@ -13,9 +13,9 @@ and the screened set's critical values at every alpha from one draw.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .covariance import (
     CovEstimate,
@@ -27,6 +27,8 @@ from .cv_engine import RiskVector, cv_risk
 from .datamodel import DomainError, LossMatrix, _jsonable
 from .gaussian_mc import DEFAULT_DRAWS, max_quantiles
 from .simgen import derive_substream
+
+_normal_quantile = NormalDist().inv_cdf
 
 __all__ = [
     "BandSet",
@@ -215,7 +217,7 @@ def pointwise_band(risks: RiskVector, cov: CovEstimate, alpha: float) -> BandSet
         raise DomainError("risk vector and covariance diagonal disagree on p")
     if risks.n < 2:
         raise DomainError("need at least two observations")
-    z = float(ndtri(1.0 - alpha / 2.0))
+    z = _normal_quantile(1.0 - alpha / 2.0)
     half = np.sqrt(diag) * (z / np.sqrt(risks.n))
     return BandSet(center - half, center + half, center, alpha, z, "pointwise", risks.n)
 
@@ -453,7 +455,8 @@ def critical_values(
         positive, sd, _, rows, max_stat = _screen(risks, cov)
         k = positive[rows].sum(axis=1)
         for i, alpha in enumerate(alphas):
-            lo, hi = ndtri(1.0 - alpha), ndtri(1.0 - alpha / k)
+            lo = _normal_quantile(1.0 - alpha)
+            hi = np.array([_normal_quantile(q) for q in (1.0 - alpha / k).tolist()])
             low, high = max_stat[rows] <= lo, max_stat[rows] > hi
             z_alpha[i, rows] = np.where(low, lo, hi)
             decided[i, rows] = np.where(low, "low", np.where(high, "high", "drawn"))

@@ -278,52 +278,47 @@ def fit_forward(features, response, steps: int) -> FittedModel:
 
 @dataclass(frozen=True)
 class SgdConfig:
-    """Curvature constants for projected SGD on the ridge objective
-    (1/2)(y - z'theta)^2 + (lam/2)||theta||^2.
+    """Projected SGD on the ridge objective (1/2)(y - z'theta)^2 + (lam/2)||theta||^2.
 
-    The step size is t^{-step_exponent} / smoothness; admissibility
-    requires strong_convexity <= smoothness so every step satisfies
-    alpha_t <= 2 / (smoothness + strong_convexity).  The guarantees the
-    constants encode assume every data row (y, z) lies in the
-    radius_x ball; projection keeps iterates in the radius_theta ball.
+    The step size is t^{-step_exponent} / smoothness.  The curvature
+    constants follow from lam and the radii: strong convexity lam,
+    smoothness radius_x^2 + lam, and the Lipschitz constant of the loss
+    on the radius_theta ball.  Since lam <= smoothness, every step
+    satisfies alpha_t <= 2 / (smoothness + strong_convexity).  The
+    guarantees assume every data row (y, z) lies in the radius_x ball;
+    projection keeps iterates in the radius_theta ball.
     """
 
     lam: float
     step_exponent: float
-    strong_convexity: float
-    smoothness: float
-    lipschitz: float
     radius_x: float
     radius_theta: float
+
+    @property
+    def strong_convexity(self) -> float:
+        return self.lam
+
+    @property
+    def smoothness(self) -> float:
+        return self.radius_x**2 + self.lam
+
+    @property
+    def lipschitz(self) -> float:
+        return self.radius_x**2 * (1 + self.radius_theta) + self.lam * self.radius_theta
 
     def validate(self) -> "SgdConfig":
         if not 0 < self.step_exponent < 1:
             raise DomainError(f"step exponent must lie in (0, 1), got {self.step_exponent}")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise DomainError(f"need lam >= 0, got {self.lam}")
-        for name in ("smoothness", "lipschitz", "radius_x", "radius_theta"):
+        for name in ("radius_x", "radius_theta"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"need {name} > 0, got {getattr(self, name)}")
-        if self.strong_convexity < 0:
-            raise DomainError(f"need strong_convexity >= 0, got {self.strong_convexity}")
-        if self.strong_convexity > self.smoothness:
-            raise DomainError(
-                "step size admissibility needs strong_convexity <= smoothness, "
-                f"got {self.strong_convexity} > {self.smoothness}"
-            )
         return self
 
     @classmethod
     def for_ridge(cls, lam, step_exponent, radius_x, radius_theta):
-        return cls(
-            lam=lam,
-            step_exponent=step_exponent,
-            strong_convexity=lam,
-            smoothness=radius_x**2 + lam,
-            lipschitz=radius_x**2 * (1 + radius_theta) + lam * radius_theta,
-            radius_x=radius_x,
-            radius_theta=radius_theta,
-        ).validate()
+        return cls(lam, step_exponent, radius_x, radius_theta).validate()
 
 
 def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import multiprocessing
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -142,10 +143,14 @@ def test_load_config_wraps_a_malformed_file(tmp_path):
 
 
 def test_config_keys_and_fields_agree():
-    # every key sets a field, and every field has exactly one key
-    targets = [field for keys in cli_harness._SECTION_KEYS.values() for field, _ in keys.values()]
+    # every key sets a field, every field has exactly one key, and every
+    # field's declared type has a parser
+    keys = [key for keys in cli_harness._SECTION_KEYS.values() for key in keys]
+    targets = [cli_harness._field_of(key) for key in keys]
     fields = [field.name for field in dataclasses.fields(ExperimentConfig)]
     assert sorted(targets) == sorted(fields)
+    types = typing.get_type_hints(ExperimentConfig)
+    assert all(types[field] in cli_harness._PARSERS for field in fields)
 
 
 def test_load_config_rejects_unknown_section(tmp_path):
@@ -273,7 +278,8 @@ def test_bank_size_counts_the_built_bank():
         if cfg.kind == "stability":
             continue
         for n in cfg.n_list:
-            specs, labels = cli_harness._build_bank(cfg, cli_harness._one_shot_dataset(cfg, n))
+            ds, _ = cli_harness._generate(cfg, n, cli_harness._one_shot_seed(cfg, n))
+            specs, labels = cli_harness._build_bank(cfg, ds)
             assert cfg.bank_size() == len(specs) == len(labels), (path.name, n)
             checked += 1
     assert checked >= 6
@@ -399,6 +405,22 @@ def test_band_coverage_resume_with_fewer_reps_raises(tmp_path):
     with pytest.raises(ConfigError, match="replication 2, past reps=1"):
         run_band_coverage(load_config(_write_config(tmp_path / "b.ini", sec)))
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_band_coverage_resume_over_a_torn_row_raises(tmp_path):
+    # a row cut short, or one whose rep is not an integer, is refused
+    # before any work, and every file is left as it was
+    out = tmp_path / "o"
+    run_band_coverage(load_config(_write_config(tmp_path / "a.ini", _band_sections(out, reps=2))))
+    path = out / "band_coverage_n80.csv"
+    lines = path.read_text().splitlines()
+    for bad in (",".join(lines[2].split(",")[:3]), "x" + lines[2]):
+        path.write_text("\n".join([*lines[:2], bad]) + "\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        cfg = load_config(_write_config(tmp_path / "b.ini", _band_sections(out, reps=3)))
+        with pytest.raises(ConfigError, match=f"{path.name} line 3"):
+            run_band_coverage(cfg)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_band_coverage_resume_with_different_draws_raises(tmp_path):

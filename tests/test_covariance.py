@@ -106,7 +106,7 @@ def test_per_fold_constant_shift_leaves_covariance_unchanged():
 
 
 def test_standardized_correlation_hand_case():
-    est = CovEstimate(sigma=np.array([[4.0, 2.0], [2.0, 1.0]]), lambda_diag=np.array([4.0, 1.0]))
+    est = CovEstimate(sigma=np.array([[4.0, 2.0], [2.0, 1.0]]))
     corr, kept, dropped = standardized_correlation(est)
     np.testing.assert_allclose(corr, np.ones((2, 2)), atol=1e-14)
     assert kept.tolist() == [0, 1] and dropped.size == 0
@@ -114,7 +114,7 @@ def test_standardized_correlation_hand_case():
 
 def test_standardized_correlation_drops_floored_coordinates():
     sigma = np.diag([1.0, 0.0, 2.0])
-    est = CovEstimate(sigma=sigma, lambda_diag=np.diag(sigma))
+    est = CovEstimate(sigma=sigma)
     corr, kept, dropped = standardized_correlation(est)
     assert kept.tolist() == [0, 2]
     assert dropped.tolist() == [1]
@@ -123,14 +123,14 @@ def test_standardized_correlation_drops_floored_coordinates():
 
 def test_standardized_correlation_keeps_tiny_positive_variances():
     sigma = np.diag([1.0, 1e-14])
-    est = CovEstimate(sigma=sigma, lambda_diag=np.diag(sigma))
+    est = CovEstimate(sigma=sigma)
     corr, kept, dropped = standardized_correlation(est)
     assert kept.tolist() == [0, 1] and dropped.size == 0
     np.testing.assert_allclose(corr, np.eye(2))
 
 
 def test_standardized_correlation_empty_problem():
-    est = CovEstimate(sigma=np.zeros((2, 2)), lambda_diag=np.zeros(2))
+    est = CovEstimate(sigma=np.zeros((2, 2)))
     with pytest.raises(EmptyProblemError):
         standardized_correlation(est)
 

@@ -389,19 +389,15 @@ def test_sgd_config_constant_derivation_ridge():
     assert cfg.lipschitz == pytest.approx(1.5**2 * (1 + 2.0) + 0.5 * 2.0)
 
 
-def test_sgd_config_rejects_gamma_above_beta():
-    cfg = SgdConfig(lam=0.5, step_exponent=0.5, strong_convexity=2.0, smoothness=1.5,
-                    lipschitz=4.0, radius_x=1.0, radius_theta=2.0)
-    with pytest.raises(DomainError, match="strong_convexity <= smoothness"):
-        cfg.validate()
-    # gamma == beta is admissible
-    SgdConfig(lam=0.5, step_exponent=0.5, strong_convexity=1.5, smoothness=1.5,
-              lipschitz=4.0, radius_x=1.0, radius_theta=2.0).validate()
-
-
 def test_sgd_config_rejects_bad_exponent():
     with pytest.raises(DomainError):
         SgdConfig.for_ridge(lam=0.5, step_exponent=1.0, radius_x=1.0, radius_theta=1.0).validate()
+
+
+def test_sgd_config_rejects_a_penalty_that_is_not_a_number():
+    # the derived constants would be NaN, and every comparison with them false
+    with pytest.raises(DomainError, match="lam >= 0"):
+        SgdConfig.for_ridge(lam=float("nan"), step_exponent=0.6, radius_x=1.0, radius_theta=1.0)
 
 
 def test_sgd_one_step_ridge_closed_form():
