@@ -20,6 +20,7 @@ import functools
 import json
 import logging
 import os
+import sys
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -792,11 +793,28 @@ def _one_shot_seed(cfg: ExperimentConfig, n: int) -> int:
     return stable_subseed(cfg.seed, "gen", n)
 
 
+# the kinds each one-shot command refuses: a stability config's rows are
+# drawn inside its campaign, and phi and stability configs set no alphas
+# or draws for a band or a set
+_ONE_SHOT_REFUSES = {
+    "gen": ("stability",), "band": ("phi", "stability"), "cvc": ("phi", "stability"),
+}
+
+
+def _one_shot_out(cfg: ExperimentConfig, command: str) -> Path:
+    """Refuse a config of a kind ``command`` cannot run, before any file
+    is written; then make the output directory."""
+    if cfg.kind in _ONE_SHOT_REFUSES[command]:
+        raise ConfigError(f"{command} cannot run a config of kind {cfg.kind!r}")
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _one_shot(cfg: ExperimentConfig, command: str) -> None:
     """``band`` or ``cvc``: simultaneous bands or CVC sets, one per alpha,
     on one generated dataset, written to ``<command>.json``."""
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _one_shot_out(cfg, command)
     n = cfg.n_list[0]
     labels, lm, _, _ = _fitted_problem(cfg, n, _one_shot_seed(cfg, n))
     q_seed = stable_subseed(cfg.seed, command + "-quantile", n)
@@ -819,8 +837,7 @@ def _one_shot(cfg: ExperimentConfig, command: str) -> None:
 
 
 def _one_shot_gen(cfg: ExperimentConfig) -> None:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _one_shot_out(cfg, "gen")
     for n in cfg.n_list:
         ds, _ = _generate(cfg, n, _one_shot_seed(cfg, n))
         save_dataset_csv(ds, out / f"dataset_n{n}.csv")
@@ -839,6 +856,8 @@ _CAMPAIGNS = {
 
 
 def main(argv=None) -> int:
+    """Run one command; a refused config or input prints
+    ``cvconf: error: <message>`` on stderr and returns 2."""
     parser = argparse.ArgumentParser(
         prog="cvconf",
         description="Seeded cross-validation inference experiments from config files.",
@@ -853,13 +872,17 @@ def main(argv=None) -> int:
         p.add_argument("--threads", type=int, help="override the worker count (0 = auto)")
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
-    cfg = load_config(
-        args.config, seed=args.seed, out=args.out, reps=args.reps, threads=args.threads
-    )
-    if args.command in _CAMPAIGNS:
-        _CAMPAIGNS[args.command](cfg)
-    elif args.command in ("band", "cvc"):
-        _one_shot(cfg, args.command)
-    else:
-        _one_shot_gen(cfg)
+    try:
+        cfg = load_config(
+            args.config, seed=args.seed, out=args.out, reps=args.reps, threads=args.threads
+        )
+        if args.command in _CAMPAIGNS:
+            _CAMPAIGNS[args.command](cfg)
+        elif args.command in ("band", "cvc"):
+            _one_shot(cfg, args.command)
+        else:
+            _one_shot_gen(cfg)
+    except DomainError as exc:
+        print(f"cvconf: error: {exc}", file=sys.stderr)
+        return 2
     return 0

@@ -35,7 +35,7 @@ from .datamodel import (
     LossMatrix,
     validate_dataset,
 )
-from .learners import ConvergenceError, _lasso_fit, fit_forward, fit_ridge, lasso_bank
+from .learners import ConvergenceError, _lasso_fit, _ridge_solve, fit_forward, fit_ridge, lasso_bank
 from .simgen import SparseLinearTruth
 
 
@@ -82,30 +82,35 @@ def _fit_sets(specs: Sequence[LearnerSpec], sets):
     """Yield the fits of every spec on each training set (v, Z, y) of
     ``sets``, in order; the caller has validated the specs.
 
-    Identical specs share one fit, decided once for the call.  On each
-    set, the specs of other families than the lasso are fitted at once,
-    in the order they first appear; the set's rows are then dropped and
-    only its Z'Z/n and Z'y/n, by the formula fit_lasso uses on its own,
-    wait in a batch of at most n // d sets, so the batch never outgrows
-    one set's rows.  A full batch goes through one ``lasso_bank`` call
-    and its fits are then yielded, so a consumer can drop them before
-    later sets are fitted.  The kernel fits each problem as fit_lasso
-    would on its own, so neither the sharing nor the batching changes a
-    fit, and permuting the bank permutes the fits exactly.  A failure
-    raises FitError for the first failing (set, model) in that order.
+    Identical specs share one fit, decided once for the call.  Each
+    set's Z'Z/n and Z'y/n, by the formula fit_lasso and fit_ridge use on
+    their own, are computed once when the bank has a lasso spec or a
+    ridge penalty > 0.  On each set, the specs of other families than
+    the lasso are fitted at once, in the order they first appear; the
+    set's rows are then dropped and only its gram waits in a batch of
+    at most n // d sets, so the batch never outgrows one set's rows.  A
+    full batch goes through one ``lasso_bank`` call and its fits are then
+    yielded, so a consumer can drop them before later sets are fitted.
+    The kernel fits each problem as fit_lasso would on its own, so
+    neither the sharing nor the batching changes a fit, and permuting
+    the bank permutes the fits exactly.  A failure raises FitError for
+    the first failing (set, model) in that order.
     """
     shared: dict[LearnerSpec, list[int]] = {}  # each distinct spec's positions
     for r, spec in enumerate(specs):
         shared.setdefault(spec, []).append(r)
     lasso = [(spec, pos) for spec, pos in shared.items() if spec.family == "lasso"]
     others = [(spec, pos) for spec, pos in shared.items() if spec.family != "lasso"]
+    needs_gram = bool(lasso) or any(s.family == "ridge" and s.lam > 0 for s, _ in others)
     batch: list[tuple] = []  # (v, row, gram, corr, lasso specs) of the waiting sets
     for v, Z, y in sets:
+        n, d = Z.shape
+        gram, corr = (Z.T @ Z / n, Z.T @ y / n) if needs_gram else (None, None)
         row: list = [None] * len(specs)
         todo, failure = lasso, None
         for spec, pos in others:
             try:
-                model = _fit_now(spec, Z, y)
+                model = _fit_now(spec, Z, y, gram, corr)
             except Exception as exc:
                 # only lasso specs met before the failing one are in order before it
                 todo = [(s, p) for s, p in lasso if p[0] < pos[0]]
@@ -113,9 +118,8 @@ def _fit_sets(specs: Sequence[LearnerSpec], sets):
                 break
             for r in pos:
                 row[r] = model
-        n, d = Z.shape
         if todo:
-            batch.append((v, row, Z.T @ Z / n, Z.T @ y / n, todo))
+            batch.append((v, row, gram, corr, todo))
         del Z, y  # the kernel needs only the gram
         if failure is not None:
             _fit_batch(batch)  # a lasso failure earlier in the order comes first
@@ -153,9 +157,13 @@ def _fit_batch(batch: list[tuple]) -> list[tuple]:
     return [tuple(entry[1]) for entry in batch]
 
 
-def _fit_now(spec: LearnerSpec, Z: np.ndarray, y: np.ndarray) -> FittedModel:
-    """Fit one spec of a family other than the lasso."""
+def _fit_now(spec: LearnerSpec, Z, y, gram, corr) -> FittedModel:
+    """Fit one spec of a family other than the lasso on the rows (Z, y),
+    whose Z'Z/n and Z'y/n are ``gram`` and ``corr`` when a ridge penalty
+    is > 0."""
     if spec.family == "ridge":
+        if spec.lam > 0:
+            return FittedModel(family="ridge", coef=_ridge_solve(gram, corr, spec.lam))
         return fit_ridge(Z, y, spec.lam)
     if spec.family == "forward":
         return fit_forward(Z, y, spec.steps)

@@ -56,10 +56,14 @@ def fit_ridge(features, response, lam: float) -> FittedModel:
     if lam == 0:
         coef, *_ = np.linalg.lstsq(Z, y, rcond=None)
         return FittedModel(family="ridge", coef=coef)
-    n, d = Z.shape
-    gram = Z.T @ Z / n + lam * np.eye(d)
-    coef = np.linalg.solve(gram, Z.T @ y / n)
-    return FittedModel(family="ridge", coef=coef)
+    n = Z.shape[0]
+    return FittedModel(family="ridge", coef=_ridge_solve(Z.T @ Z / n, Z.T @ y / n, lam))
+
+
+def _ridge_solve(gram: np.ndarray, corr: np.ndarray, lam: float) -> np.ndarray:
+    """The ridge coefficients (gram + lam I)^{-1} corr, from the Z'Z/n and
+    Z'y/n of the training rows; lam > 0."""
+    return np.linalg.solve(gram + lam * np.eye(gram.shape[0]), corr)
 
 
 # ------------------------------------------------------------------- lasso
@@ -275,6 +279,11 @@ def fit_forward(features, response, steps: int) -> FittedModel:
 
 # --------------------------------------------------------------------- sgd
 
+# Elements of the largest block of rows ``sgd_trajectories`` gathers at
+# once (512 KiB of float64, the rule of ``gaussian_mc.BLOCK_ELEMS``).  The
+# blocks only copy rows, so their size changes no value.
+_BLOCK_ELEMS = 1 << 16
+
 
 @dataclass(frozen=True)
 class SgdConfig:
@@ -321,20 +330,15 @@ class SgdConfig:
         return cls(lam, step_exponent, radius_x, radius_theta).validate()
 
 
-def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dot product of each row pair of two (K, d) arrays.
-
-    The stacked matmul reduces each row as ``u[k] @ v[k]`` does, so the
-    result is bitwise that of K separate 1-d dots; ``einsum`` and
-    ``(u * v).sum(1)`` associate the sum differently.
-    """
-    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
-
-
 def row_norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a (K, d) array, bitwise equal to
-    ``np.linalg.norm(v[k])`` for every k."""
-    return np.sqrt(_row_dots(v, v))
+    ``np.linalg.norm(v[k])`` for every k.
+
+    The stacked matmul reduces each row as ``v[k] @ v[k]`` does, so the
+    squares are bitwise those of K separate 1-d dots; ``einsum`` and
+    ``(v * v).sum(1)`` associate the sum differently.
+    """
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
 def sgd_trajectories(features, response, lengths, config: SgdConfig, trial, replace) -> np.ndarray:
@@ -345,14 +349,21 @@ def sgd_trajectories(features, response, lengths, config: SgdConfig, trial, repl
     rows of dataset ``trial[k]`` in ascending order, with step size
     t^{-a} / smoothness at step t = 1..lengths[trial[k]], except that at
     each row index s in the dict ``replace[k]`` it reads the row
-    ``replace[k][s] = (z, y)`` instead.  Replaced rows are swapped into
-    the step's gathered rows, so no dataset is copied.
+    ``replace[k][s] = (z, y)`` instead.
 
     The trajectories run longest-first, so the live ones are always a
     prefix of the stack; each retires after its own last row, on a
-    schedule fixed before the loop.  Every row's arithmetic is that of a
-    lone pass, so the (K, d) final iterates, in the order of ``trial``,
-    are bitwise those of separate passes over the replaced data.
+    schedule fixed before the loop.  Between two retirements the rows of
+    the live trajectories are gathered by one ``take`` per block of at
+    most ``_BLOCK_ELEMS`` elements, laid out (steps, live, 1, d), and
+    the block's replaced rows are written into that copy, so no dataset
+    is copied.  Each step computes into buffers allocated once.  A step
+    after which every iterate lies in the radius_theta ball skips the
+    projection: each factor min(1, radius / norm) would be exactly 1.0,
+    because sqrt is correctly rounded and monotone, so skipping changes
+    no bit.  Every row's arithmetic is that of a lone pass, so the (K, d)
+    final iterates, in the order of ``trial``, are bitwise those of
+    separate passes over the replaced data.
     """
     config.validate()
     Z = np.asarray(features, dtype=np.float64)
@@ -374,7 +385,7 @@ def sgd_trajectories(features, response, lengths, config: SgdConfig, trial, repl
     order = np.argsort(-n_of, kind="stable")  # longest first
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    swaps: dict[int, tuple[list, list, list]] = {}  # row index -> (ranks, z, y)
+    swap_s, swap_k, swap_z, swap_y = [], [], [], []  # row index, rank, replacement row
     for k, rows in enumerate(replace):
         for s, (z_new, y_new) in rows.items():
             if not 0 <= s < n_of[k]:
@@ -382,13 +393,22 @@ def sgd_trajectories(features, response, lengths, config: SgdConfig, trial, repl
             z_new = np.asarray(z_new, dtype=np.float64)
             if z_new.shape != (d,):
                 raise DomainError("replacement feature row has the wrong dimension")
-            ks, zs, ys = swaps.setdefault(s, ([], [], []))
-            ks.append(rank[k])
-            zs.append(z_new)
-            ys.append(float(y_new))
+            swap_s.append(s)
+            swap_k.append(rank[k])
+            swap_z.append(z_new)
+            swap_y.append(float(y_new))
+    swap_s = np.asarray(swap_s, dtype=np.intp)
+    by_row = np.argsort(swap_s, kind="stable")
+    swap_s = swap_s[by_row]
+    swap_k = np.asarray(swap_k, dtype=np.intp)[by_row]
+    swap_z = np.asarray(swap_z, dtype=np.float64).reshape(by_row.size, d)[by_row]
+    swap_y = np.asarray(swap_y, dtype=np.float64)[by_row]
     n_sorted = n_of[order]
     start = (np.cumsum(lengths) - lengths)[trial[order]]
     theta = np.zeros((trial.size, d))
+    dots = np.empty((trial.size, 1, 1))  # z'theta, the residual, then ||theta||^2
+    grad = np.empty_like(theta)
+    decay = np.empty_like(theta)  # lam * theta
     a = config.step_exponent
     beta = config.smoothness
     lam = config.lam
@@ -398,23 +418,35 @@ def sgd_trajectories(features, response, lengths, config: SgdConfig, trial, repl
         for stop in np.unique(n_sorted).tolist():
             # steps done + 1..stop move the trajectories with rows left there
             live = int(np.count_nonzero(n_sorted >= stop))
-            th, rows = theta[:live], start[:live] + done
-            for t in range(done + 1, stop + 1):
-                z = Z.take(rows, axis=0)  # a copy, as fancy indexing makes, but faster
-                yt = y[rows]
-                swap = swaps.get(t - 1)
-                if swap is not None:
-                    ks, zs, ys = swap
-                    z[ks] = zs
-                    yt[ks] = ys
-                grad = -(yt - _row_dots(z, th))[:, None] * z + lam * th
-                th -= t**-a / beta * grad
-                # scaling by exactly 1.0 leaves rows inside the ball unchanged;
-                # row_norms is inlined so a tracer wrapping public functions
-                # does not record a span per step
-                nrm = np.sqrt(_row_dots(th, th))
-                th *= np.minimum(1.0, radius / nrm)[:, None]
-                rows += 1
+            th, g, h, r = theta[:live], grad[:live], decay[:live], dots[:live]
+            th_row, th_col, g_row, r_col = th[:, None, :], th[:, :, None], g[:, None, :], r[:, 0]
+            r_flat = r[:, 0, 0]
+            block = max(1, _BLOCK_ELEMS // max(1, live * d))
+            for first in range(done, stop, block):
+                last = min(first + block, stop)
+                at = (np.arange(first, last)[:, None] + start[:live])[:, :, None]
+                zb, yb = Z.take(at, axis=0), y.take(at)  # (steps, live, 1, d), (steps, live, 1)
+                lo, hi = np.searchsorted(swap_s, (first, last)).tolist()
+                zb[swap_s[lo:hi] - first, swap_k[lo:hi], 0] = swap_z[lo:hi]
+                yb[swap_s[lo:hi] - first, swap_k[lo:hi], 0] = swap_y[lo:hi]
+                # row_norms and the (y - z'theta) dots are written out here,
+                # so a tracer wrapping public functions records no span per step
+                for t, z, yt in zip(range(first + 1, last + 1), zb, yb):
+                    np.matmul(z, th_col, out=r)
+                    np.subtract(yt, r_col, out=r_col)
+                    np.negative(r, out=r)
+                    np.multiply(r, z, out=g_row)
+                    np.multiply(lam, th, out=h)
+                    np.add(g, h, out=g)
+                    np.multiply(t**-a / beta, g, out=g)
+                    np.subtract(th, g, out=th)
+                    np.matmul(th_row, th_col, out=r)
+                    if math.sqrt(np.maximum.reduce(r_flat)) <= radius:
+                        continue  # every factor would be 1.0; NaN and inf fail the test
+                    np.sqrt(r, out=r)
+                    np.divide(radius, r, out=r)
+                    np.minimum(1.0, r, out=r)
+                    np.multiply(th, r_col, out=th)
             done = stop
     out = np.empty_like(theta)
     out[order] = theta

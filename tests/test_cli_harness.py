@@ -1047,10 +1047,45 @@ def test_main_coverage_subcommand_with_overrides(tmp_path):
     assert int(rows[0]["seed"]) == stable_subseed(77, "band_coverage", 80, 0)
 
 
-def test_main_kind_mismatch_errors(tmp_path):
+def test_main_kind_mismatch_errors(tmp_path, capsys):
     p = _write_config(tmp_path / "c.ini", _cvc_sections(tmp_path / "o"))
-    with pytest.raises(DomainError):
-        main(["coverage", "--config", str(p)])
+    assert main(["coverage", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    want = "config kind is 'cvc_size' but this campaign runs 'band_coverage'"
+    assert err == f"cvconf: error: {want}\n"
+
+
+@pytest.mark.parametrize(
+    "command, sections",
+    [
+        ("gen", _stability_sections),
+        ("band", _stability_sections),
+        ("cvc", _stability_sections),
+        ("band", _phi_sections),
+        ("cvc", _phi_sections),
+    ],
+)
+def test_one_shots_refuse_a_kind_they_cannot_run(tmp_path, capsys, command, sections):
+    # refused before the output directory is made; main reports it in one line
+    cfg = load_config(_write_config(tmp_path / "c.ini", sections(tmp_path / "o")))
+    with pytest.raises(ConfigError, match=f"{command} cannot run a config of kind '{cfg.kind}'"):
+        if command == "gen":
+            cli_harness._one_shot_gen(cfg)
+        else:
+            cli_harness._one_shot(cfg, command)
+    assert main([command, "--config", str(tmp_path / "c.ini")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("cvconf: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and cfg.kind in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_reports_a_bad_config_file_in_one_line(tmp_path, capsys):
+    p = tmp_path / "c.ini"
+    p.write_text("[run]\nkind = band_coverage\nreps = many\n")
+    assert main(["coverage", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cvconf: error: bad value for 'reps'") and err.count("\n") == 1
 
 
 def test_main_rejects_band_kind_for_series_generator(tmp_path):

@@ -384,11 +384,11 @@ def test_fit_error_order_runs_across_the_sets_of_one_batch(monkeypatch):
     monkeypatch.setattr(cv_engine, "lasso_bank", lambda *args: lasso_bank(*args, **forced))
     real, calls = cv_engine._fit_now, []
 
-    def fail_on_second_set(spec, Z, y):
+    def fail_on_second_set(spec, *args):
         calls.append(spec)
         if len(calls) == 2:
             raise np.linalg.LinAlgError("forced")
-        return real(spec, Z, y)
+        return real(spec, *args)
 
     monkeypatch.setattr(cv_engine, "_fit_now", fail_on_second_set)
     with pytest.raises(FitError) as err:

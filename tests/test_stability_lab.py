@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from cvconf import learners
 from cvconf.datamodel import DomainError
 from cvconf.learners import SgdConfig, sgd_trajectories
 from cvconf.simgen import derive_substream
@@ -341,6 +342,37 @@ def test_sgd_trajectories_mixed_lengths_match_lone_passes(radius_theta):
     # the replacement at the last row of the shortest datasets took effect
     assert not np.array_equal(got[0], got[1])
     assert not np.array_equal(got[2], got[5])
+
+
+# 8 trajectories of d = 3 over datasets of 12, 5, 12 and 9 rows; at 96
+# elements a block holds 4 steps of all 8, 4 steps of the 7 that outlive
+# row 5 and 6 steps of the 5 that outlive row 9, so the blocks are rows
+# 0-3, 4, 5-8 and 9-11, and the swaps sit on their first and last rows
+_BLOCK_TRIAL = [0, 0, 1, 2, 2, 3, 3, 0]
+_BLOCK_ROWS = [{}, {0: 0, 11: 1}, {3: 0, 4: 1}, {4: 1, 8: 0}, {}, {5: 1, 8: 0}, {0: 1}, {9: 0}]
+
+
+@pytest.mark.parametrize("elems", [1, 96, 1 << 40])
+@pytest.mark.parametrize("radius_theta, projects", [(1e-4, "every step"), (100.0, "no step")])
+def test_sgd_trajectories_row_blocks_match_lone_passes(monkeypatch, elems, radius_theta, projects):
+    # one step per block, blocks that end inside a segment, one block per segment
+    monkeypatch.setattr(learners, "_BLOCK_ELEMS", elems)
+    lengths = [12, 5, 12, 9]
+    cfg = SgdConfig.for_ridge(1.6, 0.6, radius_x=1.0, radius_theta=radius_theta)
+    Z, y, parts = _mixed_datasets(lengths, seed=90)
+    fresh = [_fresh_row(3, seed=91), _fresh_row(3, seed=92)]
+    replace = [{s: fresh[i] for s, i in rows.items()} for rows in _BLOCK_ROWS]
+    got = sgd_trajectories(Z, y, lengths, cfg, _BLOCK_TRIAL, replace)
+    for k, (j, rows) in enumerate(zip(_BLOCK_TRIAL, replace)):
+        Zj, yj = parts[j]
+        lone = sgd_trajectories(Zj, yj, [lengths[j]], cfg, [0], [rows])[0]
+        np.testing.assert_array_equal(got[k], lone)
+        fired = set()
+        np.testing.assert_array_equal(got[k], _scalar_path(Zj, yj, cfg, rows, fired))
+        want = set(range(1, lengths[j] + 1)) if projects == "every step" else set()
+        assert fired == want
+    # the swap at row 9 took effect: trajectories 0 and 7 differ only there
+    assert not np.array_equal(got[0], got[7])
 
 
 def test_sgd_trajectories_permuting_trajectories_permutes_result():
