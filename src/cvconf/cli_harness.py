@@ -856,8 +856,9 @@ _CAMPAIGNS = {
 
 
 def main(argv=None) -> int:
-    """Run one command; a refused config or input prints
-    ``cvconf: error: <message>`` on stderr and returns 2."""
+    """Run one command; a refused config or input, or a file that cannot
+    be read or written, prints ``cvconf: error: <message>`` on stderr and
+    returns 2."""
     parser = argparse.ArgumentParser(
         prog="cvconf",
         description="Seeded cross-validation inference experiments from config files.",
@@ -882,7 +883,7 @@ def main(argv=None) -> int:
             _one_shot(cfg, args.command)
         else:
             _one_shot_gen(cfg)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"cvconf: error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -15,6 +15,11 @@ not change which normals are drawn, but it changes the shape of each
 product Z @ (F @ A), so a quantile can move by rounding (4.4e-16 to
 6.7e-16 was seen between block sizes); for fixed inputs ``BLOCK_ELEMS``
 fixes the blocks and the result.
+
+A call allocates its two buffers once and reuses them for every block,
+and draws normals several whole blocks at a time.  Every numpy call
+releases and retakes the interpreter lock, and replications run on
+threads, so fewer and larger calls per block let them overlap.
 """
 
 from __future__ import annotations
@@ -98,16 +103,21 @@ def max_quantiles(
     ``corr`` (q x q) is factored once as F'F by its eigendecomposition,
     keeping the r eigenpairs above the numerical-rank tolerance; an
     eigenvalue below ``-tol * max|corr|`` marks a genuinely indefinite
-    input and raises.  Each block draws a ``(b, r)`` array Z of standard
+    input and raises.  Each block takes a ``(b, r)`` array Z of standard
     normals from ``rng`` in row order and hands ``statistic`` the one
     product ``Z @ (F @ linear)``, a ``(b, m)`` array whose rows are
     draws of ``Y @ linear``; ``linear`` (q x m) defaults to the identity.
-    ``statistic`` returns a ``(b,)`` or ``(b, k)`` array.  A call draws
-    exactly ``draws * r`` normals.  A block holds
-    ``BLOCK_ELEMS // max(r, m)`` rows, which bounds memory; the block
-    size shapes each product, so another size can move a quantile by
-    rounding.  Of each column only the largest values that a quantile can
-    be read from are kept, about ``2 * draws * max(alpha)`` and a block.
+    ``statistic`` returns a ``(b,)`` or ``(b, k)`` array.  The product
+    lives in a buffer that the next block reuses: ``statistic`` may
+    overwrite its argument, or return it, but must not keep it.  A block
+    holds ``BLOCK_ELEMS // max(r, m)`` rows, which bounds memory; the
+    block size shapes each product, so another size can move a quantile
+    by rounding.  Normals are drawn ``max(1, max(r, m) // r)`` blocks at
+    a time into a second buffer, no larger than a product block; a call
+    draws exactly ``draws * r`` normals, the same ones in the same order
+    as a draw of each block on its own.  Of each column only the largest
+    values that a quantile can be read from are kept, about
+    ``2 * draws * max(alpha)`` and a block.
 
     ``alpha`` is a float or a sequence of them; every quantile is the
     conservative order statistic of the same ``draws`` values of the
@@ -121,6 +131,9 @@ def max_quantiles(
     M = F if linear is None else F @ np.asarray(linear, dtype=np.float64)
     r, m = M.shape
     rows = max(1, BLOCK_ELEMS // max(r, m))
+    chunk = rows * max(1, max(r, m) // r)  # whole blocks of normals per draw call
+    Z = np.empty((min(chunk, draws), r))
+    P = np.empty((min(rows, draws), m))
     ks = [conservative_order_index(draws, a) for a in alphas]
     # Every quantile read is among the `tail` largest values of its column,
     # so the buffer holds 2 * tail values and drops the smallest ones of
@@ -128,18 +141,22 @@ def max_quantiles(
     tail = draws - min(ks)
     stats = None
     kept = dropped = 0
-    while kept + dropped < draws:
-        b = min(rows, draws - kept - dropped)
-        out = np.asarray(statistic(rng.standard_normal((b, r)) @ M)).reshape(b, -1)
-        if stats is None:
-            stats = np.empty((min(draws, 2 * tail + rows), out.shape[1]))
-        if kept + b > stats.shape[0]:
-            stats[:kept].partition(kept - tail, axis=0)
-            stats[:tail] = stats[kept - tail : kept]
-            dropped += kept - tail
-            kept = tail
-        stats[kept : kept + b] = out
-        kept += b
+    for first in range(0, draws, chunk):
+        c = min(chunk, draws - first)
+        rng.standard_normal(out=Z[:c])
+        for lo in range(0, c, rows):
+            b = min(rows, c - lo)
+            Y = np.matmul(Z[lo : lo + b], M, out=P[:b])
+            out = np.asarray(statistic(Y)).reshape(b, -1)
+            if stats is None:
+                stats = np.empty((min(draws, 2 * tail + rows), out.shape[1]))
+            if kept + b > stats.shape[0]:
+                stats[:kept].partition(kept - tail, axis=0)
+                stats[:tail] = stats[kept - tail : kept]
+                dropped += kept - tail
+                kept = tail
+            stats[kept : kept + b] = out
+            kept += b
     ks = [k - dropped for k in ks]
     stats = stats[:kept]
     stats.partition(sorted(set(ks)), axis=0)

@@ -431,9 +431,11 @@ def critical_values(
     coordinates and each comparison (X_r - X_s) / sd are its columns,
     the comparisons grouped by candidate, and one ``max_quantiles`` call
     on the stream ``(seed, "critical-values")`` reads all of them at
-    every alpha.  The draws depend only on ``cov``, ``seed`` and
-    ``draws``, so a value is the same, up to rounding in the product,
-    whichever other values are drawn with it.  Nothing is drawn when no
+    every alpha.  A block's statistic takes |Y| of the band's columns in
+    place and reads the band and every candidate with one
+    ``np.maximum.reduceat``.  The draws depend only on ``cov``, ``seed``
+    and ``draws``, so a value is the same, up to rounding in the
+    product, whichever other values are drawn with it.  Nothing is drawn when no
     column is needed.
     """
     alphas = tuple(float(a) for a in alphas)
@@ -466,17 +468,21 @@ def critical_values(
         corr, kept, _ = standardized_correlation(cov)
         select = np.zeros((kept.size, band.size))
         select[np.searchsorted(kept, band), np.arange(band.size)] = 1.0
-        linear, starts = select, None
+        nb = band.size
+        # one segment of columns per statistic column: the band's, if any,
+        # then each drawn candidate's comparisons
+        sizes = [nb] if nb else []
+        linear = select
         if drawn.size:
             W, counts = _comparison_columns(cov, kept, positive, sd, drawn)
-            linear, starts = np.hstack([select, W]), band.size + np.cumsum(counts) - counts
-        nb = band.size
+            linear = np.hstack([select, W])
+            sizes += counts.tolist()
+        starts = np.cumsum(sizes) - sizes
 
         def statistic(Y):
-            parts = [np.abs(Y[:, :nb]).max(axis=1, keepdims=True)] if nb else []
-            if starts is not None:
-                parts.append(np.maximum.reduceat(Y, starts, axis=1))
-            return np.hstack(parts)
+            if nb:
+                np.abs(Y[:, :nb], out=Y[:, :nb])
+            return np.maximum.reduceat(Y, starts, axis=1)
 
         rng = derive_substream(seed, "critical-values")
         q, rank = max_quantiles(

@@ -77,9 +77,10 @@ def lasso_bank(grams, corrs, gram_index, lams, tol: float = 1e-8, max_iter: int 
     ``corrs[gram_index[k]]`` (Z'Z/n and Z'y/n of its training rows).
     Problems read the (G, d, d) stack through the index, so penalties
     and training sets share it without a copy.  Each coordinate step
-    soft-thresholds every live problem at once and updates the gradient
-    c - Gb only of the problems whose coordinate moved; a coordinate
-    whose gram diagonal is not positive never moves.  A problem retires
+    soft-thresholds every live problem at once, into buffers reused
+    from step to step, and updates the gradient c - Gb only of the
+    problems whose coordinate moved; a coordinate whose gram diagonal is
+    not positive never moves.  A problem retires
     at the first sweep whose largest move is below ``tol`` and whose
     KKT residual is within 10 * tol.  Every value a problem computes is
     bitwise the one a cyclic loop over its own coordinates computes, so
@@ -120,27 +121,33 @@ def lasso_bank(grams, corrs, gram_index, lams, tol: float = 1e-8, max_iter: int 
     # zero start
     diag = np.diagonal(grams, axis1=1, axis2=2).T[:, gi]
     div = np.where(diag > 0.0, diag, np.inf)
+    zbuf, bbuf = np.empty(K), np.empty(K)
     for sweep in range(1, int(max_iter) + 1):
         if not live.size:
             break
-        dmax = np.zeros(live.size)
-        for j in range(d):
-            b = beta[:, j]
-            zj = grad[:, j] + diag[j] * b
+        n = live.size
+        dmax = np.zeros(n)
+        zj, bnew = zbuf[:n], bbuf[:n]
+        # the column views change only when problems retire, after a sweep
+        for j, (b, g, dj, vj) in enumerate(zip(beta.T, grad.T, diag, div)):
+            np.multiply(dj, b, out=zj)
+            np.add(g, zj, out=zj)
             # soft-threshold: zj - lam above lam, zj + lam below -lam and
             # zj - zj = +0 between, exactly as the three branches give them
             # for finite zj
-            shrunk = zj - np.maximum(np.minimum(zj, lam), neg_lam)
-            bnew = shrunk / div[j]
-            diff = bnew - b
-            moved = np.flatnonzero(diff != 0.0)
+            np.minimum(zj, lam, out=bnew)
+            np.maximum(bnew, neg_lam, out=bnew)
+            np.subtract(zj, bnew, out=bnew)
+            np.divide(bnew, vj, out=bnew)
+            diff = np.subtract(bnew, b, out=zj)
+            moved = diff.nonzero()[0]
             if moved.size:
-                beta[moved, j] = bnew[moved]
+                b[moved] = bnew[moved]
                 step = grams[gi[moved], j]
                 step *= diff[moved, None]
                 grad[moved] -= step
                 # fmax skips a NaN move as the scalar comparison would
-                np.fmax(dmax, np.abs(diff), out=dmax)
+                np.fmax(dmax, np.abs(diff, out=diff), out=dmax)
         small = np.flatnonzero(dmax < tol)
         if small.size:
             # KKT residual |g - lam| where b > 0, |g + lam| where b < 0 (or
@@ -177,7 +184,7 @@ def _lasso_fit(coef, sweeps, converged, lam) -> FittedModel:
         raise ConvergenceError(
             f"lasso did not converge in {sweeps} sweeps at lam={lam:g}", iterations=sweeps
         )
-    support = tuple(int(j) for j in np.flatnonzero(coef))
+    support = tuple(np.flatnonzero(coef).tolist())
     return FittedModel(family="lasso", coef=coef, support=support, iterations=sweeps)
 
 
@@ -406,7 +413,7 @@ def sgd_trajectories(features, response, lengths, config: SgdConfig, trial, repl
     n_sorted = n_of[order]
     start = (np.cumsum(lengths) - lengths)[trial[order]]
     theta = np.zeros((trial.size, d))
-    dots = np.empty((trial.size, 1, 1))  # z'theta, the residual, then ||theta||^2
+    dots = np.empty((trial.size, 1, 1))  # z'theta, then z'theta - y, then ||theta||^2
     grad = np.empty_like(theta)
     decay = np.empty_like(theta)  # lam * theta
     a = config.step_exponent
@@ -433,8 +440,9 @@ def sgd_trajectories(features, response, lengths, config: SgdConfig, trial, repl
                 # so a tracer wrapping public functions records no span per step
                 for t, z, yt in zip(range(first + 1, last + 1), zb, yb):
                     np.matmul(z, th_col, out=r)
-                    np.subtract(yt, r_col, out=r_col)
-                    np.negative(r, out=r)
+                    # z'theta - y is bitwise -(y - z'theta), but for the
+                    # sign of a zero, which theta - step * (+-0) drops
+                    np.subtract(r_col, yt, out=r_col)
                     np.multiply(r, z, out=g_row)
                     np.multiply(lam, th, out=h)
                     np.add(g, h, out=g)

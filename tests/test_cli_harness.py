@@ -1088,6 +1088,17 @@ def test_main_reports_a_bad_config_file_in_one_line(tmp_path, capsys):
     assert err.startswith("cvconf: error: bad value for 'reps'") and err.count("\n") == 1
 
 
+def test_main_reports_an_output_path_that_is_a_file_in_one_line(tmp_path, capsys):
+    p = _write_config(tmp_path / "c.ini", _band_sections(tmp_path / "o"))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert main(["gen", "--config", str(p), "--out", str(taken)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("cvconf: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and str(taken) in err
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_main_rejects_band_kind_for_series_generator(tmp_path):
     # bounded_regression has no risk oracle; series is no longer a generator
     sec = _band_sections(tmp_path / "o")

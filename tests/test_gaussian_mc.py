@@ -225,3 +225,63 @@ def test_linear_map_is_applied_to_the_draws():
     A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
     got = max_quantiles(corr, lambda Y: Y, 0.05, 40_000, derive_substream(18, "q"), linear=A)
     np.testing.assert_allclose(got, [ndtri(0.95), ndtri(0.95)], atol=0.05)
+
+
+def _reference_quantiles(corr, statistic, alphas, draws, rng, linear):
+    """max_quantiles written plainly: a fresh (b, r) draw and product per
+    block of BLOCK_ELEMS // max(r, m) rows, and every value sorted."""
+    M = gaussian_mc._factor(corr) @ linear
+    r, m = M.shape
+    rows = max(1, gaussian_mc.BLOCK_ELEMS // max(r, m))
+    parts = []
+    for first in range(0, draws, rows):
+        b = min(rows, draws - first)
+        parts.append(np.array(statistic(rng.standard_normal((b, r)) @ M)).reshape(b, -1))
+    ks = [gaussian_mc.conservative_order_index(draws, a) for a in alphas]
+    return np.sort(np.concatenate(parts), axis=0)[ks]
+
+
+def _abs_max_min_in_place(Y):
+    np.abs(Y, out=Y)
+    return np.column_stack([Y.max(axis=1), Y.min(axis=1)])
+
+
+def _itself(Y):
+    return Y
+
+
+@pytest.mark.parametrize("statistic", [_abs_max_min_in_place, _itself])
+@pytest.mark.parametrize("block_elems", [gaussian_mc.BLOCK_ELEMS, 1000])
+@pytest.mark.parametrize(
+    "shape, draws",
+    [
+        ("wide", 4321),  # m >> r: one draw of normals spans many blocks
+        ("tall", 1000),  # r > m: one block per draw, draws not a multiple of it
+    ],
+)
+def test_chunked_draws_and_reused_products_equal_a_fresh_draw_per_block(
+    monkeypatch, statistic, block_elems, shape, draws
+):
+    monkeypatch.setattr(gaussian_mc, "BLOCK_ELEMS", block_elems)
+    rng = np.random.default_rng(19)
+    if shape == "wide":
+        corr, linear = _collinear_corr(), rng.normal(size=(6, 300))  # r = 4, m = 300
+    else:
+        A = rng.normal(size=(7, 7))
+        cov = A @ A.T + np.eye(7)
+        d = np.sqrt(np.diag(cov))
+        corr = cov / np.outer(d, d)
+        np.fill_diagonal(corr, 1.0)
+        linear = rng.normal(size=(7, 3))  # r = 7, m = 3
+    alphas = (0.05, 0.5)
+    got_rng, want_rng = derive_substream(20, "q"), derive_substream(20, "q")
+    got, rank = max_quantiles(
+        corr, statistic, alphas, draws, got_rng, linear=linear, return_rank=True
+    )
+    want = _reference_quantiles(corr, statistic, alphas, draws, want_rng, linear)
+    np.testing.assert_array_equal(got, want)
+    assert rank == (4 if shape == "wide" else 7)
+    assert draws % (block_elems // max(rank, linear.shape[1]))  # a short last block
+    fresh = derive_substream(20, "q")
+    fresh.standard_normal(draws * rank)
+    assert got_rng.standard_normal() == want_rng.standard_normal() == fresh.standard_normal()

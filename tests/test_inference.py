@@ -468,6 +468,39 @@ def test_shared_call_matches_standalone_band_and_set():
     assert drawn_any
 
 
+def test_shared_statistic_equals_the_stacked_band_and_group_maxima(monkeypatch):
+    # the one-reduceat statistic, bit for bit against the band's |Y| max
+    # stacked beside each drawn candidate's reduceat on the same draws
+    lm = _spread_loss(4)
+    risks, cov = cv_risk(lm), aggregate_covariance(lm)
+    alphas = (0.1, 0.3)
+    calls = []
+
+    def spy(corr, statistic, alpha, draws, rng, **kw):
+        calls.append((corr, kw["linear"]))
+        return max_quantiles(corr, statistic, alpha, draws, rng, **kw)
+
+    monkeypatch.setattr(inference, "max_quantiles", spy)
+    shared = critical_values(risks, cov, alphas, seed=4, draws=4000)
+    ((corr, linear),) = calls
+    nb = inference._band_coordinates(np.clip(cov.lambda_diag, 0.0, None)).size
+    decided = np.array(shared.decided)
+    drawn = np.flatnonzero((decided == "drawn").any(axis=0))
+    here = decided[:, drawn] == "drawn"
+    assert nb and (here.sum(axis=1) >= 2).all()
+    counts = _comparisons(cov)[0][drawn].sum(axis=1)
+    starts = nb + np.cumsum(counts) - counts
+
+    def stacked(Y):
+        band = np.abs(Y[:, :nb]).max(axis=1, keepdims=True)
+        return np.hstack([band, np.maximum.reduceat(Y, starts, axis=1)])
+
+    rng = derive_substream(4, "critical-values")
+    q = max_quantiles(corr, stacked, alphas, 4000, rng, linear=linear)
+    np.testing.assert_array_equal(shared.band_z, q[:, 0])
+    np.testing.assert_array_equal(shared.z_alpha[:, drawn][here], q[:, 1:][here])
+
+
 def test_shared_call_keeps_bounds_where_a_candidate_is_decided():
     # a candidate drawn at one alpha keeps its bound and label at another
     lm = _spread_loss(4)

@@ -204,9 +204,11 @@ def _reference_sweeps(gram, corr, lam, tol, max_sweeps):
     return beta, max_sweeps, False
 
 
-def _bank_instance(seed):
+def _bank_instance(seed, moving=False):
     """Four training sets of one design, one with a constant-zero column,
-    each with penalties 0, duplicated ones, and ones at and above lam_max."""
+    each with penalties 0, duplicated ones, and ones at and above lam_max.
+    With ``moving`` each set has penalty 0 twice instead, so in the first
+    sweep every problem moves on each coordinate none of them has zero."""
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 9))
     grams, corrs, index, lams = [], [], [], []
@@ -222,16 +224,22 @@ def _bank_instance(seed):
         corrs.append(Z.T @ y / n)
         lam_max = float(np.abs(corrs[-1]).max())
         drawn = list(rng.uniform(0.0, 1.0, size=4) * lam_max)
-        for lam in [0.0, *drawn, drawn[0], lam_max, 2 * lam_max]:
+        for lam in [0.0, 0.0] if moving else [0.0, *drawn, drawn[0], lam_max, 2 * lam_max]:
             index.append(g)
             lams.append(lam)
     order = rng.permutation(len(index))  # problems of one gram need not be adjacent
     return np.array(grams), np.array(corrs), np.array(index)[order], np.array(lams)[order]
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_lasso_bank_matches_the_scalar_loop_bitwise(seed):
-    grams, corrs, index, lams = _bank_instance(seed)
+@pytest.mark.parametrize(
+    "seed, moving",
+    [
+        *(pytest.param(s, False, id=str(s)) for s in range(12)),
+        *(pytest.param(s, True, id=f"moving{s}") for s in range(2)),
+    ],
+)
+def test_lasso_bank_matches_the_scalar_loop_bitwise(seed, moving):
+    grams, corrs, index, lams = _bank_instance(seed, moving)
     for tol, max_iter in ((1e-8, 1000), (1e-12, 5)):
         coefs, sweeps, ok = lasso_bank(grams, corrs, index, lams, tol, max_iter)
         for k, (g, lam) in enumerate(zip(index, lams)):
