@@ -348,6 +348,34 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
+def max_row_norm(v) -> float:
+    """The largest Euclidean norm among the rows of ``v`` (over its last
+    axis); 0.0 when it has no rows, NaN when a row holds a NaN.
+
+    One elementwise ``einsum`` pass sums the squares, several times
+    faster than ``row_norms``' one BLAS dot per row; the two may differ
+    in the last bits.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    return float(np.sqrt(np.max(np.einsum("...i,...i->...", v, v), initial=0.0)))
+
+
+def _indices(values, what: str) -> np.ndarray:
+    """``values`` as an intp array; a float or bool entry is refused, not
+    truncated."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise DomainError(f"{what} must be integers, got {arr.dtype} values")
+    return arr.astype(np.intp)
+
+
+def _row_index(s) -> int:
+    """A row index as an int; a float or a bool is refused, not truncated."""
+    if isinstance(s, (bool, np.bool_)) or not isinstance(s, (int, np.integer)):
+        raise DomainError(f"row indices must be integers, got {s!r}")
+    return int(s)
+
+
 def sgd_trajectories(features, response, lengths, config: SgdConfig, trial, replace) -> np.ndarray:
     """Step K single-pass projected SGD trajectories together from zero.
 
@@ -356,26 +384,47 @@ def sgd_trajectories(features, response, lengths, config: SgdConfig, trial, repl
     rows of dataset ``trial[k]`` in ascending order, with step size
     t^{-a} / smoothness at step t = 1..lengths[trial[k]], except that at
     each row index s in the dict ``replace[k]`` it reads the row
-    ``replace[k][s] = (z, y)`` instead.
+    ``replace[k][s] = (z, y)`` instead.  Lengths, trial indices and row
+    indices must be integers: a float or a bool is refused, not truncated.
 
-    The trajectories run longest-first, so the live ones are always a
-    prefix of the stack; each retires after its own last row, on a
-    schedule fixed before the loop.  Between two retirements the rows of
-    the live trajectories are gathered by one ``take`` per block of at
-    most ``_BLOCK_ELEMS`` elements, laid out (steps, live, 1, d), and
-    the block's replaced rows are written into that copy, so no dataset
-    is copied.  Each step computes into buffers allocated once.  A step
-    after which every iterate lies in the radius_theta ball skips the
-    projection: each factor min(1, radius / norm) would be exactly 1.0,
-    because sqrt is correctly rounded and monotone, so skipping changes
-    no bit.  Every row's arithmetic is that of a lone pass, so the (K, d)
+    The kernel skips only work that provably changes no bit.
+
+    Late starts.  Up to its first replaced row s, a trajectory reads its
+    dataset's own rows, as does every trajectory of that dataset whose
+    first replaced row is not earlier.  So per dataset the lead, the
+    trajectory whose first replaced row is latest (none counts as latest;
+    a tie goes to the first in ``trial``), runs from the first row, and
+    every other trajectory enters at its own s as a copy of the lead's
+    iterate there.  The live set changes only at these entries and after
+    each dataset's last row, on a schedule fixed before the loop.
+    Between two changes the live iterates are one (live, d) array, and
+    their rows are gathered by one ``take`` per block of at most
+    ``_BLOCK_ELEMS`` elements, laid out (steps, live, 1, d); the block's
+    replaced rows are written into that copy, so no dataset is copied.
+    Each step computes into buffers allocated once.
+
+    Certified projection skip.  A float ``bound`` stays at or above every
+    live iterate's norm.  Let zmax and ymax be the largest row norm and
+    the largest |y| among the rows of the call, replacements included.
+    A step of size alpha <= 1 / smoothness <= 1 / lam takes an iterate of
+    norm at most B to norm at most (1 - alpha lam) B + alpha (zmax B +
+    ymax) zmax, and the bound takes that step with a relative and an
+    absolute slack of (d + 16) 2^-51 for rounding.  While it lies within
+    the radius less that slack, so does every computed iterate norm, and
+    each projection factor min(1, radius / norm) would be exactly 1.0
+    (sqrt is correctly rounded and monotone), so the norm check and the
+    projection are skipped.  Otherwise the exact check runs as in a lone
+    pass, and the bound restarts from the largest measured norm, or from
+    the radius after a projection.  A NaN or inf in the rows or the
+    iterates makes the bound fail its test, so such steps take the exact
+    check.  Every row's arithmetic is that of a lone pass, so the (K, d)
     final iterates, in the order of ``trial``, are bitwise those of
     separate passes over the replaced data.
     """
     config.validate()
     Z = np.asarray(features, dtype=np.float64)
     y = np.asarray(response, dtype=np.float64)
-    lengths = np.asarray(lengths, dtype=np.intp)
+    lengths = _indices(lengths, "dataset lengths")
     if Z.ndim != 2 or y.shape != Z.shape[:1]:
         raise DomainError(f"need (N, d) features and (N,) response, got {Z.shape}, {y.shape}")
     if lengths.ndim != 1 or np.any(lengths < 0) or lengths.sum() != Z.shape[0]:
@@ -383,25 +432,26 @@ def sgd_trajectories(features, response, lengths, config: SgdConfig, trial, repl
             f"need nonnegative dataset lengths that sum to the {Z.shape[0]} rows, got {lengths}"
         )
     d = Z.shape[1]
-    trial = np.asarray(trial, dtype=np.intp)
+    trial = _indices(trial, "trial indices")
     if trial.ndim != 1 or trial.size != len(replace):
         raise DomainError("need one trial index and one replacement dict per trajectory")
     if trial.size and not (0 <= trial.min() and trial.max() < lengths.size):
         raise DomainError(f"trial indices must lie in [0, {lengths.size})")
+    K = trial.size
     n_of = lengths[trial]
-    order = np.argsort(-n_of, kind="stable")  # longest first
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    swap_s, swap_k, swap_z, swap_y = [], [], [], []  # row index, rank, replacement row
+    first_row = n_of.copy()  # each trajectory's first replaced row, n if none
+    swap_s, swap_k, swap_z, swap_y = [], [], [], []  # row index, trajectory, replacement row
     for k, rows in enumerate(replace):
         for s, (z_new, y_new) in rows.items():
+            s = _row_index(s)
             if not 0 <= s < n_of[k]:
                 raise DomainError(f"replaced row {s} outside [0, {n_of[k]})")
             z_new = np.asarray(z_new, dtype=np.float64)
             if z_new.shape != (d,):
                 raise DomainError("replacement feature row has the wrong dimension")
+            first_row[k] = min(first_row[k], s)
             swap_s.append(s)
-            swap_k.append(rank[k])
+            swap_k.append(k)
             swap_z.append(z_new)
             swap_y.append(float(y_new))
     swap_s = np.asarray(swap_s, dtype=np.intp)
@@ -410,35 +460,63 @@ def sgd_trajectories(features, response, lengths, config: SgdConfig, trial, repl
     swap_k = np.asarray(swap_k, dtype=np.intp)[by_row]
     swap_z = np.asarray(swap_z, dtype=np.float64).reshape(by_row.size, d)[by_row]
     swap_y = np.asarray(swap_y, dtype=np.float64)[by_row]
-    n_sorted = n_of[order]
-    start = (np.cumsum(lengths) - lengths)[trial[order]]
-    theta = np.zeros((trial.size, d))
-    dots = np.empty((trial.size, 1, 1))  # z'theta, then z'theta - y, then ||theta||^2
-    grad = np.empty_like(theta)
-    decay = np.empty_like(theta)  # lam * theta
+    # per dataset, the trajectory whose first replaced row is latest leads
+    by_lead = np.lexsort((-first_row, trial))
+    heads = by_lead[np.unique(trial[by_lead], return_index=True)[1]]
+    lead_of = np.empty(lengths.size, dtype=np.intp)
+    lead_of[trial[heads]] = heads
+    lead = lead_of[trial]
+    enter = np.where(lead == np.arange(K), 0, first_row)
+    # a trajectory that enters after its last row is a copy of its lead's result
+    copy = enter == n_of
+    by_enter = np.flatnonzero(~copy)
+    by_enter = by_enter[np.argsort(enter[by_enter], kind="stable")]
+    by_exit = np.argsort(n_of, kind="stable")
+    events = np.unique(np.concatenate([enter, n_of]))
+    enter_at = np.searchsorted(enter[by_enter], events[:, None] + (0, 1)).tolist()
+    exit_at = np.searchsorted(n_of[by_exit], events[:, None] + (0, 1)).tolist()
+    offset = (np.cumsum(lengths) - lengths)[trial]  # each trajectory's first row in Z
+
     a = config.step_exponent
     beta = config.smoothness
     lam = config.lam
     radius = config.radius_theta
+    slack = (d + 16) * 2.0**-51
+    grow, limit = 1.0 + slack, radius * (1.0 - slack)
+    # the largest row norm and |y| the call reads; np.max keeps a NaN
+    zmax = float(np.max([max_row_norm(Z), max_row_norm(swap_z)])) * grow
+    ymax = float(np.max([max_row_norm(y[:, None]), max_row_norm(swap_y[:, None])])) * grow
+    zl, zy = zmax * zmax - lam, zmax * ymax
+    bound = 0.0  # at or above every live iterate's norm
+
+    out = np.zeros((K, d))
+    theta = np.empty((0, d))
+    live = np.empty(0, dtype=np.intp)  # the trajectory of each row of theta
+    slot = np.empty(K, dtype=np.intp)  # the row of theta of each live trajectory
+    dots = np.empty((K, 1, 1))  # z'theta, then z'theta - y, then ||theta||^2
+    grad = np.empty((K, d))
+    decay = np.empty_like(grad)  # lam * theta
     done = 0  # steps taken
     with np.errstate(divide="ignore"):  # a zero iterate gives radius / 0 = inf, then min 1
-        for stop in np.unique(n_sorted).tolist():
-            # steps done + 1..stop move the trajectories with rows left there
-            live = int(np.count_nonzero(n_sorted >= stop))
-            th, g, h, r = theta[:live], grad[:live], decay[:live], dots[:live]
+        for stop, (in_lo, in_hi), (out_lo, out_hi) in zip(events.tolist(), enter_at, exit_at):
+            L = live.size
+            th, g, h, r = theta, grad[:L], decay[:L], dots[:L]
             th_row, th_col, g_row, r_col = th[:, None, :], th[:, :, None], g[:, None, :], r[:, 0]
             r_flat = r[:, 0, 0]
-            block = max(1, _BLOCK_ELEMS // max(1, live * d))
+            start = offset[live]
+            block = max(1, _BLOCK_ELEMS // max(1, L * d))
             for first in range(done, stop, block):
                 last = min(first + block, stop)
-                at = (np.arange(first, last)[:, None] + start[:live])[:, :, None]
+                at = (np.arange(first, last)[:, None] + start)[:, :, None]
                 zb, yb = Z.take(at, axis=0), y.take(at)  # (steps, live, 1, d), (steps, live, 1)
                 lo, hi = np.searchsorted(swap_s, (first, last)).tolist()
-                zb[swap_s[lo:hi] - first, swap_k[lo:hi], 0] = swap_z[lo:hi]
-                yb[swap_s[lo:hi] - first, swap_k[lo:hi], 0] = swap_y[lo:hi]
+                if lo < hi:
+                    hit = swap_s[lo:hi] - first, slot[swap_k[lo:hi]], 0
+                    zb[hit], yb[hit] = swap_z[lo:hi], swap_y[lo:hi]
                 # row_norms and the (y - z'theta) dots are written out here,
                 # so a tracer wrapping public functions records no span per step
                 for t, z, yt in zip(range(first + 1, last + 1), zb, yb):
+                    step = t**-a / beta
                     np.matmul(z, th_col, out=r)
                     # z'theta - y is bitwise -(y - z'theta), but for the
                     # sign of a zero, which theta - step * (+-0) drops
@@ -446,16 +524,33 @@ def sgd_trajectories(features, response, lengths, config: SgdConfig, trial, repl
                     np.multiply(r, z, out=g_row)
                     np.multiply(lam, th, out=h)
                     np.add(g, h, out=g)
-                    np.multiply(t**-a / beta, g, out=g)
+                    np.multiply(step, g, out=g)
                     np.subtract(th, g, out=th)
+                    bound = (bound * (grow + step * zl) + step * zy) * grow
+                    if bound <= limit:
+                        continue  # NaN and inf fail the test
                     np.matmul(th_row, th_col, out=r)
-                    if math.sqrt(np.maximum.reduce(r_flat)) <= radius:
-                        continue  # every factor would be 1.0; NaN and inf fail the test
+                    top = math.sqrt(np.maximum.reduce(r_flat))
+                    if top <= radius:
+                        bound = top * grow
+                        continue  # every factor would be 1.0
                     np.sqrt(r, out=r)
                     np.divide(radius, r, out=r)
                     np.minimum(1.0, r, out=r)
                     np.multiply(th, r_col, out=th)
+                    bound = radius * grow if top < math.inf else top
             done = stop
-    out = np.empty_like(theta)
-    out[order] = theta
+            if out_lo < out_hi and stop:
+                # trajectories past their last row retire; a copy reads its lead
+                gone = by_exit[out_lo:out_hi]
+                out[gone] = theta[slot[np.where(copy[gone], lead[gone], gone)]]
+                keep = n_of[live] > stop
+                theta, live = theta[keep], live[keep]
+                slot[live] = np.arange(live.size)
+            if in_lo < in_hi:
+                new = by_enter[in_lo:in_hi]
+                # an entry at the first row starts from zero, like its lead
+                src = theta[slot[lead[new]]] if stop else np.zeros((new.size, d))
+                slot[new] = np.arange(live.size, live.size + new.size)
+                theta, live = np.concatenate((theta, src)), np.concatenate((live, new))
     return out

@@ -18,8 +18,15 @@ alternating sum over S of (-1)^|S| times the final iterate.
 Trials are driven by derived substreams keyed by (purpose, n, trial), so
 any subset of a campaign can be replayed in isolation and the trial
 order never matters.  ``sgd_campaigns`` draws every trial of every n of
-every requested variant into one flat buffer of rows, then steps all of
-their trajectories in one call of ``learners.sgd_trajectories``.
+every requested variant into one flat buffer of rows, checks them
+against the radius_x ball, then steps all of their trajectories in one
+call of ``learners.sgd_trajectories``.  That kernel runs only each
+trial's unreplaced trajectory from the first row; a replaced one enters
+at its first replaced row as a copy of the unreplaced iterate there, so
+a tail-window replacement costs a few steps rather than a full pass.  While a running bound on
+the iterate norms stays within radius_theta, the kernel skips the norm
+check that the projection needs.  Both skips change no bit: every
+result is that of separate passes.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .datamodel import DomainError, _jsonable, write_csv_atomic, write_json_atomic
-from .learners import SgdConfig, row_norms, sgd_trajectories
+from .learners import SgdConfig, _row_index, max_row_norm, row_norms, sgd_trajectories
 from .simgen import derive_substream
 
 __all__ = [
@@ -82,10 +89,9 @@ def check_sgd_precondition(config: SgdConfig, n: int) -> None:
 
 
 def _check_rows_in_ball(Z: np.ndarray, y: np.ndarray, radius: float) -> None:
-    # row_norms and max/min make no temporary copy of the rows
+    # max_row_norm and max/min make no temporary copy of the rows
     tol = radius * (1 + 1e-9)
-    norm = float(np.max(row_norms(Z.reshape(-1, Z.shape[-1]))))
-    if norm > tol or float(np.max(y)) > tol or float(np.min(y)) < -tol:
+    if max_row_norm(Z) > tol or float(np.max(y)) > tol or float(np.min(y)) < -tol:
         raise DomainError(
             "data rows must satisfy the radius bound the SGD constants assume"
         )
@@ -161,7 +167,7 @@ def _one_trial_diff(features, response, config: SgdConfig, *replacements) -> flo
     z_new = [np.asarray(z, dtype=np.float64) for _, z, _ in replacements]
     if any(z.shape != (Z.shape[1],) for z in z_new):
         raise DomainError("replacement feature row has the wrong dimension")
-    idx = np.array([[i for i, _, _ in replacements]])
+    idx = np.array([[_row_index(i) for i, _, _ in replacements]], dtype=np.intp)
     y_new = np.array([[float(v) for _, _, v in replacements]])
     group = (idx, np.array([z_new]), y_new)
     return float(_replacement_diffs(Z, y, np.array([Z.shape[0]]), config, [group])[0][0])
@@ -305,8 +311,11 @@ def _draw_index(rng: np.random.Generator, n: int, a: float, mode: str) -> int:
 
 
 def _grid(n_grid: Sequence[int]) -> tuple[int, ...]:
-    """The n-grid as ints; results are keyed by n, so a repeated n is refused."""
+    """The n-grid as ints; results are keyed by n, so a repeated n is
+    refused, as is an empty grid."""
     grid = tuple(int(n) for n in n_grid)
+    if not grid:
+        raise DomainError("need at least one sample size")
     if len(set(grid)) != len(grid):
         raise DomainError(f"sample sizes must be distinct, got {grid}")
     return grid

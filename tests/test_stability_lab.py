@@ -1,6 +1,7 @@
 """Replace-one stability probes and their log-log slope fits."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cvconf.learners import SgdConfig, sgd_trajectories
 from cvconf.simgen import derive_substream
 from cvconf.stability_lab import (
     _bounded_rows,
+    _check_rows_in_ball,
     _draw_index,
     _report,
     StabilityPreconditionError,
@@ -375,6 +377,124 @@ def test_sgd_trajectories_row_blocks_match_lone_passes(monkeypatch, elems, radiu
     assert not np.array_equal(got[0], got[7])
 
 
+class _CountingMath:
+    """Stands in for ``learners.math``: counts the kernel's exact norm checks,
+    its only ``math.sqrt`` calls."""
+
+    inf = math.inf
+
+    def __init__(self):
+        self.checks = 0
+
+    def sqrt(self, x):
+        self.checks += 1
+        return math.sqrt(x)
+
+
+def _assert_scalar_passes(got, parts, lengths, cfg, trial, replace):
+    """Each trajectory equals a scalar pass over its replaced dataset;
+    returns the steps at which each pass projected."""
+    fired = []
+    for k, (j, rows) in enumerate(zip(trial, replace)):
+        Zj, yj = parts[j]
+        steps = set()
+        np.testing.assert_array_equal(got[k], _scalar_path(Zj, yj, cfg, rows, steps))
+        fired.append(steps)
+    return fired
+
+
+def test_sgd_trajectories_rows_outside_the_radius_ball_match_scalar_passes():
+    # the kernel does not check the radius_x ball.  Rows of norm up to 8
+    # make the early steps overshoot, so the iterates leave the radius
+    # ball although the responses stay within 0.1; a bound that took the
+    # rows to lie in the ball would skip those projections
+    lengths = [40, 25]
+    cfg = SgdConfig.for_ridge(1.6, 0.6, radius_x=1.0, radius_theta=1.0)
+    Z, y, parts = _mixed_datasets(lengths, seed=100)
+    Z, y = 8.0 * Z, 0.1 * y
+    parts = [(8.0 * Zj, 0.1 * yj) for Zj, yj in parts]
+    row = (np.array([8.0, 0.0, 0.0]), -0.1)
+    trial, replace = [0, 0, 1, 1], [{}, {20: row}, {}, {0: row}]
+    got = sgd_trajectories(Z, y, lengths, cfg, trial, replace)
+    fired = _assert_scalar_passes(got, parts, lengths, cfg, trial, replace)
+    assert all(fired)  # the projection fired in every trajectory
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["row", "replacement"])
+def test_sgd_trajectories_non_finite_rows_match_scalar_passes(bad, where):
+    lengths = [30, 30]
+    cfg = SgdConfig.for_ridge(1.6, 0.6, radius_x=1.0, radius_theta=1.0)
+    Z, y, parts = _mixed_datasets(lengths, seed=110)
+    row = _fresh_row(3, seed=111)
+    trial, replace = [0, 0, 1, 1], [{}, {4: row}, {}, {9: row}]
+    if where == "row":  # row 12 of dataset 0
+        Z[12, 1] = bad
+        parts[0][0][12, 1] = bad
+    else:
+        replace[1] = {4: (np.array([0.5, bad, 0.0]), 0.3)}
+    got = sgd_trajectories(Z, y, lengths, cfg, trial, replace)
+    _assert_scalar_passes(got, parts, lengths, cfg, trial, replace)
+    assert not np.all(np.isfinite(got[1]))
+    assert np.all(np.isfinite(got[2:]))  # dataset 1 is untouched
+
+
+def test_sgd_trajectories_bound_skips_and_falls_back_on_a_long_pass(monkeypatch):
+    # 3000 rows whose responses stay small until row 2400 and then push the
+    # iterates out of the radius ball, so the projection first fires late
+    n, d = 3000, 3
+    cfg = SgdConfig.for_ridge(1.6, 0.6, radius_x=1.0, radius_theta=0.2)
+    Z, y = _bounded_rows(derive_substream(120, "bounded-regression"), n, d, 1.0)
+    y[:2400] *= 0.05
+    y[2400:] = np.sign(Z[2400:, 0])
+    Z[2400:, 0] = np.where(Z[2400:, 0] >= 0, 1.0, -1.0)
+    Z[2400:, 1:] = 0.0
+    row = _fresh_row(d, seed=121)
+    trial, replace = [0, 0, 0], [{}, {100: row}, {2500: row}]
+    counter = _CountingMath()
+    monkeypatch.setattr(learners, "math", counter)
+    got = sgd_trajectories(Z, y, [n], cfg, trial, replace)
+    fired = _assert_scalar_passes(got, [(Z, y)], [n], cfg, trial, replace)
+    assert min(set.union(*fired)) > 2400
+    # the exact check ran on every projecting step and was skipped on most others
+    assert len(set.union(*fired)) <= counter.checks < n // 2
+
+
+@pytest.mark.parametrize("elems", [1, 96, 1 << 40])
+@pytest.mark.parametrize("radius_theta", [0.05, 1.0])
+def test_sgd_trajectories_late_starts_match_scalar_passes(monkeypatch, elems, radius_theta):
+    monkeypatch.setattr(learners, "_BLOCK_ELEMS", elems)
+    lengths = [12, 9, 0, 12, 7]
+    cfg = SgdConfig.for_ridge(1.6, 0.6, radius_x=1.0, radius_theta=radius_theta)
+    Z, y, parts = _mixed_datasets([12, 9, 12, 7], seed=130)
+    parts.insert(2, (Z[:0], y[:0]))
+    r1, r2 = _fresh_row(3, seed=131), _fresh_row(3, seed=132)
+    trial = [0, 0, 0, 0, 0, 1, 1, 1, 3, 3, 2, 4, 4, 4]
+    replace = [
+        {0: r1},  # dataset 0: starts at row 0 and at the last row,
+        {},  # an unreplaced lead,
+        {11: r2},
+        {5: r1, 8: r2},  # two starts at row 5,
+        {5: r2},
+        {3: r1},  # dataset 1 has no unreplaced trajectory: the lead
+        {6: r2, 1: r1},  # is the trajectory first replaced at row 3
+        {3: r2},  # and a tie with it starts at row 3
+        {},  # dataset 3: two unreplaced trajectories,
+        {},  # the second a copy of the first
+        {},  # dataset 2 has no rows
+        {6: r1},  # dataset 4: the lead is replaced at its last row
+        {0: r2, 6: r2},
+        {2: r1},
+    ]
+    got = sgd_trajectories(Z, y, lengths, cfg, trial, replace)
+    fired = _assert_scalar_passes(got, parts, lengths, cfg, trial, replace)
+    if radius_theta < 1.0:
+        assert all(fired[k] for k in range(len(trial)) if lengths[trial[k]])
+    np.testing.assert_array_equal(got[10], np.zeros(3))
+    assert not np.array_equal(got[0], got[1]) and not np.array_equal(got[1], got[2])
+
+
 def test_sgd_trajectories_permuting_trajectories_permutes_result():
     lengths = [9, 4, 12]
     cfg = SgdConfig.for_ridge(12.0, 0.6, radius_x=1.0, radius_theta=1.0)
@@ -419,9 +539,52 @@ def test_sgd_trajectories_rejects_bad_layout():
         sgd_trajectories(Z, y, lengths, cfg, [0], [{3: (np.zeros(5), 0.0)}])  # wrong d
 
 
+@pytest.mark.parametrize(
+    "case", ["float replaced row", "bool replaced row", "float lengths", "float trial"]
+)
+def test_sgd_trajectories_refuses_non_integer_indices(case):
+    # each would otherwise be truncated: row 2, row 1, 300 rows, dataset 0
+    Z, y, cfg = _sgd_instance(301, lam=12.0)
+    row = (Z[0], y[0])
+    args = {"lengths": [301], "trial": [0], "replace": [{}]}
+    if case == "float replaced row":
+        args["replace"] = [{2.5: row}]
+    elif case == "bool replaced row":
+        args["replace"] = [{True: row}]
+    elif case == "float lengths":
+        Z, y = Z[:300], y[:300]
+        args["lengths"] = [300.7]
+    else:
+        args["trial"] = [0.9]
+    with pytest.raises(DomainError, match="integers"):
+        sgd_trajectories(Z, y, args["lengths"], cfg, args["trial"], args["replace"])
+
+
+@pytest.mark.parametrize("i", [3.7, True])
+def test_param_first_diff_refuses_a_non_integer_index(i):
+    Z, y, cfg = _sgd_instance(64, lam=4.0)
+    z_new, y_new = _fresh_row(4, seed=35)
+    with pytest.raises(DomainError, match="integers"):
+        param_first_diff(Z, y, cfg, i, z_new, y_new)
+
+
+def test_rows_in_ball_check_allows_only_rounding_past_the_radius():
+    y = np.zeros(2)
+    _check_rows_in_ball(np.array([[1.0 + 1e-10, 0.0, 0.0], [0.0, 0.6, 0.8]]), y, 1.0)
+    with pytest.raises(DomainError, match="radius"):
+        _check_rows_in_ball(np.array([[0.0, 0.0, 1.0 + 1e-8], [0.0, 0.6, 0.8]]), y, 1.0)
+    with pytest.raises(DomainError, match="radius"):
+        _check_rows_in_ball(np.zeros((1, 3)), np.array([-1.0 - 1e-8]), 1.0)
+
+
 def test_sgd_campaigns_reject_repeated_sample_sizes():
     with pytest.raises(DomainError, match="distinct"):
         sgd_campaigns(("first",), (256, 256, 512), 2, lam=1.6, seed=1)
+
+
+def test_sgd_campaigns_reject_an_empty_grid():
+    with pytest.raises(DomainError, match="at least one sample size"):
+        sgd_campaigns(("first",), [], 4, lam=1.6)
 
 
 def test_sgd_campaigns_match_one_variant_campaigns():
