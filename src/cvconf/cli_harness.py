@@ -2,7 +2,9 @@
 
 Campaigns read a sectioned key=value config, run seeded replications in
 a worker pool, and emit per-replication CSV tables plus a JSON manifest
-whose aggregates are recomputed from the written rows.  Every
+whose aggregates are recomputed from the written rows.  This module
+alone names, writes, skips and reads back artifact files; the phi and
+stability modules only return values.  Every
 replication's work is a pure function of (master seed, experiment kind,
 n, replication index), so thread scheduling, completion order, and
 resumption never change a result: rerunning into the same directory
@@ -36,19 +38,13 @@ from .datamodel import (
     Dataset,
     DomainError,
     LearnerSpec,
+    _jsonable,
     make_folds,
     save_dataset_csv,
     write_csv_atomic,
     write_json_atomic,
 )
-from .det_variance import (
-    HoldoutSet,
-    default_holdout_size,
-    phi_pair,
-    phi_perturb,
-    read_phi_csv,
-    write_phi_csv,
-)
+from .det_variance import HoldoutSet, PhiEstimate, default_holdout_size, phi_pair, phi_perturb
 from .gaussian_mc import MIN_DRAWS
 from .inference import (
     check_coverage,
@@ -527,13 +523,12 @@ def _timed_lines(worker, cfg, n, rep) -> list[list[str]]:
 
 
 def _science_fields(cfg: ExperimentConfig) -> dict:
+    """The config as its manifest records it: JSON values, without the
+    fields that cannot change an output."""
     echo = dataclasses.asdict(cfg)
     echo.pop("out")
     echo.pop("threads")
-    for key, val in echo.items():
-        if isinstance(val, tuple):
-            echo[key] = list(val)
-    return echo
+    return _jsonable(echo)
 
 
 def _check_resume(out: Path, kind: str, cfg: ExperimentConfig) -> None:
@@ -545,7 +540,7 @@ def _check_resume(out: Path, kind: str, cfg: ExperimentConfig) -> None:
     path = out / f"{kind}_manifest.json"
     if not path.exists():
         return
-    old = json.loads(path.read_text()).get("config") or {}
+    old = _read_json(path).get("config") or {}
     new = _science_fields(cfg)
     # a key the config no longer has cannot change an output, so only the
     # current keys are compared
@@ -702,14 +697,61 @@ def run_fwd_pointwise(cfg: ExperimentConfig) -> dict:
 # --------------------------------------------------- stability / phi kinds
 
 
+class _Pairs:
+    """A campaign's artifacts that are each a CSV and a JSON of one stem,
+    ``<stem>.csv`` and ``<stem>.json`` in ``out``.  A rerun keeps a pair
+    whose two files are present, and ``read`` reads it back at once, so one
+    that does not parse is refused before anything is written; each pair
+    written is read back too.  ``read_back`` holds every result."""
+
+    def __init__(self, out: Path, stems: dict, read):
+        self.paths = {k: (out / f"{stem}.csv", out / f"{stem}.json") for k, stem in stems.items()}
+        self.read = read
+        self.read_back = {k: read(*p) for k, p in self.paths.items() if all(f.exists() for f in p)}
+        self.kept = list(self.read_back)
+
+    def write(self, key, rows, blob) -> None:
+        write_csv_atomic(self.paths[key][0], rows)
+        write_json_atomic(self.paths[key][1], blob)
+        self.read_back[key] = self.read(*self.paths[key])
+
+    def entry(self, key) -> dict:
+        return {"csv": self.paths[key][0].name, "json": self.paths[key][1].name}
+
+
+def _read_json(path: Path, *keys: str) -> dict:
+    """The JSON object in ``path``, refused, naming the file, if it does not
+    parse or lacks one of ``keys``."""
+    try:
+        blob = json.loads(path.read_text())
+    except ValueError:
+        blob = None
+    if isinstance(blob, dict) and blob.keys() >= set(keys):
+        return blob
+    raise ConfigError(f"{path} is not a JSON object this campaign wrote; use a fresh directory")
+
+
+def _stability_rows(report) -> list[list]:
+    """One CSV row per trial; the bound is blank where none is claimed."""
+    rows = [["kind", "n", "trial", "value", "bound"]]
+    for n in report.n_grid:
+        bound = report.bounds.get(n, "")
+        rows += [[report.kind, n, t, repr(float(v)), bound] for t, v in enumerate(report.samples[n])]
+    return rows
+
+
+def _stability_aggregate(_csv_path: Path, json_path: Path) -> dict:
+    blob = _read_json(json_path, "kind", "slope")
+    return {"kind": blob["kind"], "slope": blob["slope"], "violations": blob.get("violations", {})}
+
+
 def run_stability(cfg: ExperimentConfig) -> dict:
     """Replace-one SGD campaigns; artifacts of the same config are skipped
     when already present, and the missing variants run in one call."""
-    out = _open_campaign(cfg, "stability")
     variants = ("first", "second") if cfg.variant == "both" else (cfg.variant,)
-    paths = {v: (out / f"stability_{v}.csv", out / f"stability_{v}.json") for v in variants}
-    skipped = [v for v in variants if all(p.exists() for p in paths[v])]
-    missing = [v for v in variants if v not in skipped]
+    pairs = _Pairs(Path(cfg.out), {v: f"stability_{v}" for v in variants}, _stability_aggregate)
+    out = _open_campaign(cfg, "stability")
+    missing = [v for v in variants if v not in pairs.kept]
     if missing:
         reports = sgd_campaigns(
             missing,
@@ -724,20 +766,10 @@ def run_stability(cfg: ExperimentConfig) -> dict:
             index_mode=cfg.index_mode,
         )
         for variant, report in reports.items():
-            report.write_csv(paths[variant][0])
-            report.write_json(paths[variant][1])
-    files: dict[str, dict] = {}
-    aggregates: dict[str, dict] = {}
-    for variant, (csv_path, json_path) in paths.items():
-        blob = json.loads(json_path.read_text())
-        files[variant] = {"csv": csv_path.name, "json": json_path.name}
-        aggregates[variant] = {
-            "kind": blob["kind"],
-            "slope": blob["slope"],
-            "violations": blob.get("violations", {}),
-        }
+            pairs.write(variant, _stability_rows(report), report.summary())
+    files = {v: pairs.entry(v) for v in variants}
     return _write_manifest(
-        out, "stability", cfg, files=files, skipped=skipped, aggregates=aggregates
+        out, "stability", cfg, files=files, skipped=pairs.kept, aggregates=pairs.read_back
     )
 
 
@@ -751,6 +783,28 @@ def _phi_problem(cfg: ExperimentConfig, n: int):
     return ds, specs, make_folds(n, cfg.V), HoldoutSet.from_dataset(hold_ds)
 
 
+def _phi_artifact(est: PhiEstimate, n: int, seed: int) -> tuple[list, dict]:
+    """The phi CSV's rows, the p x p matrix, and its JSON sidecar."""
+    blob = {
+        "n": n, "m": est.m, "variant": est.variant, "seed": seed, "p": est.p,
+        "indices": est.indices, "model_labels": est.model_labels,
+    }
+    return [[repr(float(v)) for v in row] for row in est.phi], blob
+
+
+def _phi_diag(csv_path: Path, json_path: Path) -> list[float]:
+    """The diagonal of a written phi; a CSV that is not a square matrix of
+    numbers, or a sidecar that is not a JSON object, is refused."""
+    _read_json(json_path)
+    try:
+        phi = [[float(v) for v in line.split(",")] for line in csv_path.read_text().splitlines()]
+    except ValueError:
+        phi = []
+    if not phi or any(len(row) != len(phi) for row in phi):
+        raise ConfigError(f"{csv_path} is not a square matrix of numbers; use a fresh directory")
+    return [row[r] for r, row in enumerate(phi)]
+
+
 def run_phi(cfg: ExperimentConfig) -> dict:
     """Hold-out variance estimates per n; artifacts of the same config are
     skipped when present.
@@ -760,28 +814,23 @@ def run_phi(cfg: ExperimentConfig) -> dict:
     the whole campaign, so the bytes written depend on neither count.
     """
     workers = _resolve_workers(cfg)
+    variants = ("pair", "perturb") if cfg.variant == "both" else (cfg.variant,)
+    stems = {(v, n): f"phi_{v}_n{n}" for n in cfg.n_list for v in variants}
+    pairs = _Pairs(Path(cfg.out), stems, _phi_diag)
     with _one_blas_thread("phi", workers):
         out = _open_campaign(cfg, "phi")
-        variants = ("pair", "perturb") if cfg.variant == "both" else (cfg.variant,)
-        files: dict[str, dict] = {v: {} for v in variants}
-        skipped: list[str] = []
-        aggregates: dict[str, dict] = {v: {} for v in variants}
         for n in cfg.n_list:
-            csvs = {v: out / f"phi_{v}_n{n}.csv" for v in variants}
-            jsons = {v: path.with_suffix(".json") for v, path in csvs.items()}
-            missing = [v for v in variants if not (csvs[v].exists() and jsons[v].exists())]
-            skipped += [f"{v}:{n}" for v in variants if v not in missing]
+            missing = [v for v in variants if (v, n) not in pairs.kept]
             if missing:
                 ds, specs, plan, holdout = _phi_problem(cfg, n)
                 for variant in missing:
                     estimate = phi_pair if variant == "pair" else phi_perturb
                     est = estimate(ds, specs, plan, holdout, workers=workers)
-                    write_phi_csv(est, csvs[variant], n=n, seed=cfg.seed)
-            for variant in variants:
-                phi, _meta = read_phi_csv(csvs[variant])
-                files[variant][str(n)] = {"csv": csvs[variant].name, "json": jsons[variant].name}
-                aggregates[variant][str(n)] = {"diag": [float(v) for v in np.diag(phi)]}
-        return _write_manifest(out, "phi", cfg, files=files, skipped=skipped, aggregates=aggregates)
+                    pairs.write((variant, n), *_phi_artifact(est, n, cfg.seed))
+    files = {v: {str(n): pairs.entry((v, n)) for n in cfg.n_list} for v in variants}
+    diags = {v: {str(n): {"diag": pairs.read_back[v, n]} for n in cfg.n_list} for v in variants}
+    skipped = [f"{v}:{n}" for v, n in pairs.kept]
+    return _write_manifest(out, "phi", cfg, files=files, skipped=skipped, aggregates=diags)
 
 
 # -------------------------------------------------------- one-shot commands

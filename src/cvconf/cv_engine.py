@@ -33,6 +33,7 @@ from .datamodel import (
     FoldPlan,
     LearnerSpec,
     LossMatrix,
+    _replacement,
     validate_dataset,
 )
 from .learners import ConvergenceError, _lasso_fit, _ridge_solve, fit_forward, fit_ridge, lasso_bank
@@ -233,18 +234,6 @@ def cv_risk(lm: LossMatrix) -> RiskVector:
     return RiskVector(values=lm.values.mean(axis=0), n=lm.n, model_labels=lm.model_labels)
 
 
-def _swap(dataset: Dataset, i, x_new) -> tuple[int, np.ndarray, float]:
-    """Check one replacement (row i, (z, y)) as Dataset.replace_row does."""
-    i = int(i)
-    if not 0 <= i < dataset.n:
-        raise DomainError(f"row index {i} outside [0, {dataset.n})")
-    z_new, y_new = x_new
-    z_new = np.asarray(z_new, dtype=np.float64)
-    if z_new.shape != (dataset.d,):
-        raise DomainError(f"replacement has shape {z_new.shape}, expected ({dataset.d},)")
-    return i, z_new, float(y_new)
-
-
 def replace_one_cv_risks(
     dataset: Dataset,
     specs: Sequence[LearnerSpec],
@@ -277,7 +266,7 @@ def replace_one_cv_risks(
         raise DomainError("cached fits were built for a different learner bank")
     if plan.n != dataset.n:
         raise DomainError(f"plan covers {plan.n} rows, dataset has {dataset.n}")
-    swaps = [_swap(dataset, i, x_new) for i, x_new in swaps]
+    swaps = [_replacement(i, *x_new, dataset.n, dataset.d) for i, x_new in swaps]
     job = functools.partial(_risk_range, dataset, specs, plan, swaps, cached)
     chunks = min(workers, len(swaps))
     if chunks > 1:

@@ -76,6 +76,20 @@ def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _replacement(i, z_new, y_new, n: int, d: int) -> tuple[int, np.ndarray, float]:
+    """(i, z_new, y_new) checked as the replacement of row i of n rows of d
+    features: i an integer in [0, n), a float or a bool refused rather than
+    truncated, and z_new a row of d."""
+    if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
+        raise DomainError(f"row indices must be integers, got {i!r}")
+    if not 0 <= i < n:
+        raise DomainError(f"row index {i} outside [0, {n})")
+    z_new = np.asarray(z_new, dtype=np.float64)
+    if z_new.shape != (d,):
+        raise DomainError(f"replacement has shape {z_new.shape}, expected ({d},)")
+    return int(i), z_new, float(y_new)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Feature matrix (n, d) paired with a length-n response vector.
@@ -101,15 +115,11 @@ class Dataset:
 
     def replace_row(self, i: int, z_new: np.ndarray, y_new: float) -> "Dataset":
         """Copy of the dataset with row i swapped for (z_new, y_new)."""
-        if not 0 <= i < self.n:
-            raise DomainError(f"row index {i} outside [0, {self.n})")
-        z_new = _as_float_array(z_new, "z_new", 1)
-        if z_new.shape[0] != self.d:
-            raise DomainError(f"replacement has {z_new.shape[0]} features, expected {self.d}")
+        i, z_new, y_new = _replacement(i, z_new, y_new, self.n, self.d)
         features = self.features.copy()
         response = self.response.copy()
         features[i] = z_new
-        response[i] = float(y_new)
+        response[i] = y_new
         return Dataset(features, response)
 
 

@@ -21,30 +21,20 @@ one accumulator.  Their ``workers`` keyword passes through to that call:
 above one, the refits run on that many forked worker processes, and the
 estimate is bitwise the same.
 They are exactly symmetric PSD by construction and scale as averages in
-the number of hold-out points used.
+the number of hold-out points used.  The module only returns estimates;
+``cli_harness.run_phi`` writes them as a CSV with a JSON sidecar.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .cv_engine import FoldFits, cv_risk, fit_all_folds, loss_matrix, replace_one_cv_risks
-from .datamodel import (
-    Dataset,
-    DomainError,
-    FoldPlan,
-    LearnerSpec,
-    _as_float_array,
-    write_csv_atomic,
-    write_json_atomic,
-)
+from .datamodel import Dataset, DomainError, FoldPlan, LearnerSpec, _as_float_array
 
 __all__ = [
     "ParityError",
@@ -54,8 +44,6 @@ __all__ = [
     "default_perturb_schedule",
     "phi_pair",
     "phi_perturb",
-    "write_phi_csv",
-    "read_phi_csv",
 ]
 
 
@@ -222,35 +210,3 @@ def phi_perturb(
     risks = replace_one_cv_risks(dataset, specs, plan, swaps, fits, workers=workers)
     pairs = ((base, risk) for risk in risks)
     return _estimate("perturb", schedule, specs, holdout, n**2 / (2 * holdout.m), pairs)
-
-
-def write_phi_csv(est: PhiEstimate, path, *, n: int, seed: int | None = None) -> Path:
-    """Write phi as a p x p CSV plus a JSON sidecar with the metadata.
-
-    The sidecar lands next to the CSV with a ``.json`` suffix and records
-    n, m, variant, and seed.  Returns the sidecar path.
-    """
-    path = Path(path)
-    write_csv_atomic(path, [[repr(float(v)) for v in row] for row in est.phi])
-    sidecar = path.with_suffix(".json")
-    meta = {
-        "n": int(n),
-        "m": int(est.m),
-        "variant": est.variant,
-        "seed": seed,
-        "p": est.p,
-        "indices": list(est.indices),
-        "model_labels": list(est.model_labels),
-    }
-    return write_json_atomic(sidecar, meta)
-
-
-def read_phi_csv(path) -> tuple[np.ndarray, dict]:
-    """Read back a phi CSV and its JSON sidecar."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
-    phi = np.asarray(rows, dtype=np.float64)
-    sidecar = path.with_suffix(".json")
-    meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}
-    return phi, meta

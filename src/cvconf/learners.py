@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import DomainError, FittedModel
+from .datamodel import DomainError, FittedModel, _replacement
 
 
 class ConvergenceError(RuntimeError):
@@ -369,13 +369,6 @@ def _indices(values, what: str) -> np.ndarray:
     return arr.astype(np.intp)
 
 
-def _row_index(s) -> int:
-    """A row index as an int; a float or a bool is refused, not truncated."""
-    if isinstance(s, (bool, np.bool_)) or not isinstance(s, (int, np.integer)):
-        raise DomainError(f"row indices must be integers, got {s!r}")
-    return int(s)
-
-
 def sgd_trajectories(features, response, lengths, config: SgdConfig, trial, replace) -> np.ndarray:
     """Step K single-pass projected SGD trajectories together from zero.
 
@@ -443,17 +436,12 @@ def sgd_trajectories(features, response, lengths, config: SgdConfig, trial, repl
     swap_s, swap_k, swap_z, swap_y = [], [], [], []  # row index, trajectory, replacement row
     for k, rows in enumerate(replace):
         for s, (z_new, y_new) in rows.items():
-            s = _row_index(s)
-            if not 0 <= s < n_of[k]:
-                raise DomainError(f"replaced row {s} outside [0, {n_of[k]})")
-            z_new = np.asarray(z_new, dtype=np.float64)
-            if z_new.shape != (d,):
-                raise DomainError("replacement feature row has the wrong dimension")
+            s, z_new, y_new = _replacement(s, z_new, y_new, n_of[k], d)
             first_row[k] = min(first_row[k], s)
             swap_s.append(s)
             swap_k.append(k)
             swap_z.append(z_new)
-            swap_y.append(float(y_new))
+            swap_y.append(y_new)
     swap_s = np.asarray(swap_s, dtype=np.intp)
     by_row = np.argsort(swap_s, kind="stable")
     swap_s = swap_s[by_row]

@@ -26,7 +26,8 @@ at its first replaced row as a copy of the unreplaced iterate there, so
 a tail-window replacement costs a few steps rather than a full pass.  While a running bound on
 the iterate norms stays within radius_theta, the kernel skips the norm
 check that the projection needs.  Both skips change no bit: every
-result is that of separate passes.
+result is that of separate passes.  The module only returns reports;
+``cli_harness.run_stability`` writes their files.
 """
 
 from __future__ import annotations
@@ -34,13 +35,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .datamodel import DomainError, _jsonable, write_csv_atomic, write_json_atomic
-from .learners import SgdConfig, _row_index, max_row_norm, row_norms, sgd_trajectories
+from .datamodel import DomainError, _jsonable, _replacement
+from .learners import SgdConfig, _indices, max_row_norm, row_norms, sgd_trajectories
 from .simgen import derive_substream
 
 __all__ = [
@@ -132,9 +132,6 @@ def _replacement_diffs(Z, y, lengths, config: SgdConfig, groups) -> list[np.ndar
     for idx, z_new, y_new in groups:
         T, m = idx.shape
         _check_rows_in_ball(z_new, y_new, config.radius_x)
-        bad = (idx < 0) | (idx >= lengths[first : first + T, None])
-        if np.any(bad):
-            raise DomainError(f"indices {idx[bad].tolist()} outside their datasets' rows")
         ordered = np.sort(idx, axis=1)
         if np.any(ordered[:, 1:] == ordered[:, :-1]):
             raise DomainError("the replaced indices of a trial must be distinct")
@@ -164,12 +161,8 @@ def _one_trial_diff(features, response, config: SgdConfig, *replacements) -> flo
     y = np.asarray(response, dtype=np.float64)
     if Z.ndim != 2 or y.ndim != 1 or Z.shape[0] != y.shape[0]:
         raise DomainError("features must be (n, d) with a matching response")
-    z_new = [np.asarray(z, dtype=np.float64) for _, z, _ in replacements]
-    if any(z.shape != (Z.shape[1],) for z in z_new):
-        raise DomainError("replacement feature row has the wrong dimension")
-    idx = np.array([[_row_index(i) for i, _, _ in replacements]], dtype=np.intp)
-    y_new = np.array([[float(v) for _, _, v in replacements]])
-    group = (idx, np.array([z_new]), y_new)
+    checked = [_replacement(i, z, v, *Z.shape) for i, z, v in replacements]
+    group = [np.array([column]) for column in zip(*checked)]  # idx, z_new, y_new
     return float(_replacement_diffs(Z, y, np.array([Z.shape[0]]), config, [group])[0][0])
 
 
@@ -253,14 +246,6 @@ class StabilityReport:
             if n in self.violations and self.violations[n] > vals.size:
                 raise DomainError("violation count exceeds trial count")
 
-    def write_csv(self, path) -> Path:
-        rows = [["kind", "n", "trial", "value", "bound"]]
-        for n in self.n_grid:
-            bound = self.bounds.get(n, "")
-            for t, val in enumerate(self.samples[n]):
-                rows.append([self.kind, n, t, repr(float(val)), bound])
-        return write_csv_atomic(path, rows)
-
     def summary(self) -> dict:
         return {
             "kind": self.kind,
@@ -275,9 +260,6 @@ class StabilityReport:
             "master_seed": self.master_seed,
             "extras": _jsonable(self.extras),
         }
-
-    def write_json(self, path) -> Path:
-        return write_json_atomic(path, self.summary())
 
 
 # -------------------------------------------------------------- campaigns
@@ -311,9 +293,10 @@ def _draw_index(rng: np.random.Generator, n: int, a: float, mode: str) -> int:
 
 
 def _grid(n_grid: Sequence[int]) -> tuple[int, ...]:
-    """The n-grid as ints; results are keyed by n, so a repeated n is
-    refused, as is an empty grid."""
-    grid = tuple(int(n) for n in n_grid)
+    """The n-grid as ints; a float or bool n is refused, not truncated.
+    Results are keyed by n, so a repeated n is refused, as is an empty
+    grid."""
+    grid = tuple(_indices(n_grid, "sample sizes").tolist())
     if not grid:
         raise DomainError("need at least one sample size")
     if len(set(grid)) != len(grid):

@@ -876,6 +876,24 @@ def test_stability_resume_runs_only_the_missing_variant(tmp_path, monkeypatch):
     assert sorted(manifest["files"]) == ["first", "second"]
 
 
+def _refused_resume(argv, out, capsys, name):
+    """``main(argv)`` exits 2 with one error line naming ``name``, and every
+    file in ``out`` is left as it was."""
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cvconf: error: ") and err.count("\n") == 1 and name in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_stability_resume_over_a_json_that_does_not_parse_is_refused(tmp_path, capsys):
+    p = _write_config(tmp_path / "c.ini", _stability_sections(tmp_path / "o", variant="both"))
+    assert main(["stability", "--config", str(p)]) == 0
+    (tmp_path / "o" / "stability_first.json").write_text("not json")
+    argv = ["stability", "--config", str(p)]
+    _refused_resume(argv, tmp_path / "o", capsys, "stability_first.json")
+
+
 def _phi_sections(out):
     return {
         "generator": {"family": "sparse_linear", "n": 40, "d": 3, "s": 2, "nu": 10},
@@ -960,6 +978,23 @@ def test_phi_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, monkeypatch,
         assert _phi_bytes(tmp_path / f"blas2-{threads}", threads) == want
         assert blas_threads() == 2
     assert seen == [1] * 6  # two n per run
+
+
+def test_phi_resume_over_a_cell_that_is_not_a_number_is_refused(tmp_path, capsys):
+    p = _write_config(tmp_path / "c.ini", _phi_sections(tmp_path / "o"))
+    assert main(["phi", "--config", str(p)]) == 0
+    path = tmp_path / "o" / "phi_pair_n40.csv"
+    path.write_text("abc\n")
+    _refused_resume(["phi", "--config", str(p)], tmp_path / "o", capsys, path.name)
+
+
+@pytest.mark.parametrize("text", ["{", "[]"])
+def test_resume_over_a_manifest_that_does_not_parse_is_refused(tmp_path, capsys, text):
+    p = _write_config(tmp_path / "c.ini", _band_sections(tmp_path / "o", reps=2))
+    assert main(["coverage", "--config", str(p)]) == 0
+    (tmp_path / "o" / "band_coverage_manifest.json").write_text(text)
+    argv = ["coverage", "--config", str(p)]
+    _refused_resume(argv, tmp_path / "o", capsys, "band_coverage_manifest.json")
 
 
 def test_phi_resume_with_different_seed_raises(tmp_path):

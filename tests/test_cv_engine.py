@@ -481,6 +481,17 @@ def test_replace_one_rejects_bad_index():
         replace_one_cv_risk(ds, specs, plan, 8, (np.zeros(2), 0.0), cached)
 
 
+@pytest.mark.parametrize("i", [2.7, True])
+def test_replace_one_refuses_a_non_integer_index(i):
+    # neither is truncated to a row (2 and 1)
+    rng = np.random.default_rng(7)
+    ds = Dataset(rng.normal(size=(8, 2)), rng.normal(size=8))
+    plan = make_folds(8, 2)
+    cached = fit_all_folds(ds, [OLS], plan)
+    with pytest.raises(DomainError, match="integers"):
+        replace_one_cv_risk(ds, [OLS], plan, i, (np.zeros(2), 0.0), cached)
+
+
 def test_fitted_risk_oracle_formula():
     cfg = SparseLinearGen(n=40, d=6, s=2, nu=50.0, seed=8)
     ds, truth = gen_sparse_linear(cfg)

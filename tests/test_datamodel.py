@@ -100,6 +100,13 @@ def test_validate_dataset_reports_row_mismatch_and_nonfinite():
     assert any("response" in p for p in problems2)
 
 
+@pytest.mark.parametrize("i", [2.7, True])
+def test_replace_row_refuses_a_non_integer_index(i):
+    ds = Dataset(np.zeros((4, 2)), np.zeros(4))
+    with pytest.raises(DomainError, match="integers"):
+        ds.replace_row(i, np.ones(2), 1.0)
+
+
 def test_dataset_csv_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     ds = Dataset(rng.normal(size=(5, 3)), rng.normal(size=5))

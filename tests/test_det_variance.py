@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from cvconf.cli_harness import ExperimentConfig, _phi_problem, run_phi
 from cvconf.cv_engine import cv_risk, fit_all_folds, loss_matrix
 from cvconf.datamodel import Dataset, DomainError, LearnerSpec, make_folds
 from cvconf.det_variance import (
@@ -15,8 +16,6 @@ from cvconf.det_variance import (
     default_perturb_schedule,
     phi_pair,
     phi_perturb,
-    read_phi_csv,
-    write_phi_csv,
 )
 from cvconf.simgen import SparseLinearGen, derive_substream, gen_sparse_linear
 
@@ -234,18 +233,27 @@ def test_phi_matches_from_scratch_refits(variant):
 
 
 def test_phi_csv_round_trip(tmp_path):
-    ds, _ = _instance(seed=30)
-    est = phi_pair(
-        ds,
-        [ZERO_FIT, LearnerSpec(family="ridge", lam=1.0)],
-        make_folds(60, 5),
-        _holdout(6, seed=31),
-    )
-    path = tmp_path / "phi.csv"
-    write_phi_csv(est, path, n=60, seed=30)
-    back, meta = read_phi_csv(path)
+    # run_phi writes the estimate that phi_pair returns on the campaign's data
+    cfg = ExperimentConfig(
+        kind="phi",
+        n_list=(60,),
+        d=6,
+        s=3,
+        nu=3.0,
+        forward_steps=(0,),
+        ridge_lams=(1.0,),
+        holdout_m=6,
+        seed=30,
+        out=str(tmp_path),
+        threads=1,
+        variant="pair",
+    ).validate()
+    run_phi(cfg)
+    est = phi_pair(*_phi_problem(cfg, 60))
+    back = np.loadtxt(tmp_path / "phi_pair_n60.csv", delimiter=",", ndmin=2)
     np.testing.assert_allclose(back, est.phi, rtol=0, atol=1e-15)
+    meta = json.loads((tmp_path / "phi_pair_n60.json").read_text())
     assert meta["n"] == 60 and meta["m"] == 6
     assert meta["variant"] == "pair" and meta["seed"] == 30
-    raw = json.loads((tmp_path / "phi.json").read_text())
-    assert raw["variant"] == "pair"
+    manifest = json.loads((tmp_path / "phi_manifest.json").read_text())
+    assert manifest["aggregates"]["pair"]["60"]["diag"] == np.diag(est.phi).tolist()

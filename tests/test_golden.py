@@ -1,12 +1,18 @@
-"""Golden bytes: seeded stability runs write exactly the files listed in
-``golden_stability.sha256``.
+"""Golden bytes: seeded runs of every shipped and benchmark config write
+exactly the files listed in ``golden.sha256``.
 
-The list holds the sha256 of every file that ``cvconf stability`` writes
-at ``--reps 2`` for the benchmark's ``sgd_stability.ini`` (``--seed 1``)
-and the shipped ``stability.ini`` (``--seed 20253``, its own seed).  It
-was taken with numpy 2.4 and its bundled OpenBLAS on x86-64.  A change
-that means to move these bytes regenerates the list and says why; that
-is an edit to a check.
+Each run below is one or more ``cvconf`` commands into one fresh
+``--out`` directory; the list holds the sha256 of every file there
+afterwards, keyed ``<run>/<file>``.  The replication CSVs' ``ms_elapsed``
+column is a wall time, so it is dropped by its header name before
+hashing.  The runs cover 2 reps of every replicated kind, the phi
+campaigns (``phi_wide`` at 1 and 2 workers, which must agree byte for
+byte), the stability campaigns, the quickstart's one-shot commands, and
+a rerun into the same directory for ``phi`` and ``stability``, which
+hashes the manifest the skip path writes.  The list was taken with numpy
+2.4 and its bundled OpenBLAS on x86-64.  A change that means to move
+these bytes regenerates it (``python3 tests/test_golden.py >
+tests/golden.sha256``) and says why; that is an edit to a check.
 """
 
 import hashlib
@@ -17,11 +23,55 @@ import pytest
 from cvconf.cli_harness import main
 
 REPO = Path(__file__).parents[1]
-GOLDEN = Path(__file__).with_name("golden_stability.sha256")
+GOLDEN = Path(__file__).with_name("golden.sha256")
+SHIPPED = REPO / "scripts/configs"
+BENCH = REPO / "bench/configs"
+
+_SGD_STABILITY = ("stability", BENCH / "sgd_stability.ini", "--seed", "1", "--reps", "2")
+_PHI_TRAJECTORY = ("phi", SHIPPED / "phi_trajectory.ini")
+_PHI_WIDE = ("phi", BENCH / "phi_wide.ini", "--seed", "1", "--threads")
+
+# run -> (the golden entries it must match, the commands it runs in order)
 RUNS = {
-    "sgd_stability": (REPO / "bench/configs/sgd_stability.ini", 1),
-    "stability": (REPO / "scripts/configs/stability.ini", 20253),
+    "sgd_stability": ("sgd_stability", [_SGD_STABILITY]),
+    "stability": ("stability", [("stability", SHIPPED / "stability.ini", "--reps", "2")]),
+    "stability_rerun": ("stability_rerun", [_SGD_STABILITY] * 2),
+    "coverage": ("coverage", [("coverage", SHIPPED / "band_coverage.ini", "--reps", "2")]),
+    "fwd": ("fwd", [("fwd", SHIPPED / "fwd_pointwise.ini", "--reps", "2")]),
+    "cvc_size": ("cvc_size", [("cvc-size", SHIPPED / "cvc_size.ini", "--reps", "2")]),
+    "cvc_p50": ("cvc_p50", [("cvc-size", BENCH / "cvc_p50.ini", "--seed", "1", "--reps", "2")]),
+    "phi_trajectory": ("phi_trajectory", [_PHI_TRAJECTORY]),
+    "phi_rerun": ("phi_rerun", [_PHI_TRAJECTORY] * 2),
+    "phi_wide_threads1": ("phi_wide", [(*_PHI_WIDE, "1")]),
+    "phi_wide_threads2": ("phi_wide", [(*_PHI_WIDE, "2")]),
+    "quickstart": (
+        "quickstart",
+        [(command, SHIPPED / "band_coverage.ini") for command in ("gen", "band", "cvc")],
+    ),
 }
+
+
+def _digest(path: Path) -> str:
+    """sha256 of a file, a CSV's ``ms_elapsed`` column left out."""
+    data = path.read_bytes()
+    if path.suffix == ".csv":
+        lines = data.decode().splitlines()
+        header = lines[0].split(",") if lines else []
+        if "ms_elapsed" in header:
+            col = header.index("ms_elapsed")
+            cells = [line.split(",") for line in lines]
+            data = "".join(",".join(c[:col] + c[col + 1 :]) + "\n" for c in cells).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(run: str, root: Path) -> dict[str, str]:
+    """Run ``run``'s commands into ``root / run``; the digest of each file,
+    keyed by the run's golden prefix."""
+    prefix, commands = RUNS[run]
+    out = root / run
+    for command, config, *args in commands:
+        assert main([command, "--config", str(config), *args, "--out", str(out)]) == 0
+    return {f"{prefix}/{p.name}": _digest(p) for p in sorted(out.iterdir())}
 
 
 def _golden() -> dict[str, str]:
@@ -30,12 +80,19 @@ def _golden() -> dict[str, str]:
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
-def test_seeded_stability_outputs_match_the_golden_bytes(run, tmp_path):
-    config, seed = RUNS[run]
-    out = tmp_path / run
-    argv = ["stability", "--config", str(config), "--seed", str(seed), "--reps", "2"]
-    assert main([*argv, "--out", str(out)]) == 0
-    got = {f"{run}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    want = {name: digest for name, digest in _golden().items() if name.startswith(f"{run}/")}
-    assert len(want) == 5
-    assert got == want
+def test_seeded_outputs_match_the_golden_bytes(run, tmp_path):
+    prefix = RUNS[run][0]
+    want = {name: digest for name, digest in _golden().items() if name.startswith(f"{prefix}/")}
+    assert want
+    assert _run(run, tmp_path) == want
+
+
+if __name__ == "__main__":
+    import sys
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {}
+        for run in RUNS:
+            digests.update(_run(run, Path(tmp)))
+    sys.stdout.writelines(f"{digest}  {name}\n" for name, digest in sorted(digests.items()))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cvconf import learners
+from cvconf.cli_harness import ExperimentConfig, run_stability
 from cvconf.datamodel import DomainError
 from cvconf.learners import SgdConfig, sgd_trajectories
 from cvconf.simgen import derive_substream
@@ -587,6 +588,12 @@ def test_sgd_campaigns_reject_an_empty_grid():
         sgd_campaigns(("first",), [], 4, lam=1.6)
 
 
+def test_sgd_campaigns_refuse_a_float_sample_size():
+    # 256.7 is not truncated to n = 256
+    with pytest.raises(DomainError, match="integers"):
+        sgd_campaigns(("first",), [256.7, 512], 2, lam=1.6)
+
+
 def test_sgd_campaigns_match_one_variant_campaigns():
     grid, trials, d, seed = (3, 40, 97), 4, 3, 53
     kw = dict(lam=12.0, step_exponent=0.6, d=d, seed=seed)
@@ -616,6 +623,21 @@ def test_report_validate_rejects_non_finite_samples(bad):
 
 
 def test_report_round_trips_through_csv_and_json(tmp_path):
+    # run_stability writes the report that sgd_campaigns returns
+    cfg = ExperimentConfig(
+        kind="stability",
+        family="bounded_regression",
+        n_list=(128, 256, 512),
+        d=4,
+        sgd_lam=2.5,
+        sgd_a=0.6,
+        reps=30,
+        seed=13,
+        out=str(tmp_path),
+        variant="first",
+        index_mode="tail",
+    ).validate()
+    run_stability(cfg)
     rep = sgd_campaigns(
         ("first",),
         (128, 256, 512),
@@ -625,10 +647,8 @@ def test_report_round_trips_through_csv_and_json(tmp_path):
         seed=13,
         index_mode="tail",
     )["first"]
-    csv_path = tmp_path / "campaign.csv"
-    json_path = tmp_path / "campaign.json"
-    rep.write_csv(csv_path)
-    rep.write_json(json_path)
+    csv_path = tmp_path / "stability_first.csv"
+    json_path = tmp_path / "stability_first.json"
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].split(",")[:4] == ["kind", "n", "trial", "value"]
     assert len(lines) == 1 + 3 * 30
