@@ -172,6 +172,8 @@ class ExperimentConfig:
             raise ConfigError(f"alphas must be distinct, got {self.alphas}")
         if self.reps < 1:
             raise ConfigError(f"need reps >= 1, got {self.reps}")
+        if self.seed < 0:
+            raise ConfigError(f"need seed >= 0, got {self.seed}")
         if self.draws < MIN_DRAWS:
             raise ConfigError(f"need draws >= {MIN_DRAWS}, got {self.draws}")
         if self.threads < 0:
@@ -540,7 +542,7 @@ def _check_resume(out: Path, kind: str, cfg: ExperimentConfig) -> None:
     path = out / f"{kind}_manifest.json"
     if not path.exists():
         return
-    old = _read_json(path).get("config") or {}
+    old = _json_object(_read_json(path, "config")["config"], path)
     new = _science_fields(cfg)
     # a key the config no longer has cannot change an output, so only the
     # current keys are compared
@@ -726,6 +728,12 @@ def _read_json(path: Path, *keys: str) -> dict:
         blob = json.loads(path.read_text())
     except ValueError:
         blob = None
+    return _json_object(blob, path, *keys)
+
+
+def _json_object(blob, path: Path, *keys: str) -> dict:
+    """``blob``, read from ``path``, if it is a JSON object with every one of
+    ``keys``; otherwise a ConfigError that names the file."""
     if isinstance(blob, dict) and blob.keys() >= set(keys):
         return blob
     raise ConfigError(f"{path} is not a JSON object this campaign wrote; use a fresh directory")

@@ -6,9 +6,10 @@ Every fit of the bank goes through one path, ``_fit_sets``, which fits
 it on many training sets in one call: the V folds of a full run
 (``fit_all_folds``), the m x (V - 1) refitted folds of m replace-one
 risks (``replace_one_cv_risks``, whose one-swap form is
-``replace_one_cv_risk``).  Each entry validates the bank, and which
-specs share a fit is decided once per call.  The lasso problems
-of a batch of sets are solved together by ``learners.lasso_bank``.
+``replace_one_cv_risk``).  Each entry validates the bank, and every
+training set is fitted by the same rule, one fit per bank position.
+The lasso problems of a batch of sets are solved together by
+``learners.lasso_bank``.
 Replace-one recomputation reuses the one fold whose training rows are
 untouched and refits the others, reproducing a from-scratch run
 exactly.  With ``workers`` > 1, ``replace_one_cv_risks`` splits its
@@ -83,85 +84,73 @@ def _fit_sets(specs: Sequence[LearnerSpec], sets):
     """Yield the fits of every spec on each training set (v, Z, y) of
     ``sets``, in order; the caller has validated the specs.
 
-    Identical specs share one fit, decided once for the call.  Each
-    set's Z'Z/n and Z'y/n, by the formula fit_lasso and fit_ridge use on
-    their own, are computed once when the bank has a lasso spec or a
-    ridge penalty > 0.  On each set, the specs of other families than
-    the lasso are fitted at once, in the order they first appear; the
-    set's rows are then dropped and only its gram waits in a batch of
-    at most n // d sets, so the batch never outgrows one set's rows.  A
-    full batch goes through one ``lasso_bank`` call and its fits are then
+    Every set is fitted by one rule.  Its Z'Z/n and Z'y/n are computed
+    once, by the formula fit_lasso and fit_ridge use on their own, and
+    the specs of other families than the lasso are fitted at once, in
+    bank order.  The set's rows are then dropped and only its gram waits
+    in a batch of at most n // d sets, so the batch never outgrows one
+    set's rows.  A full batch goes through one ``lasso_bank`` call, with
+    one problem per lasso position of each set, and its fits are then
     yielded, so a consumer can drop them before later sets are fitted.
-    The kernel fits each problem as fit_lasso would on its own, so
-    neither the sharing nor the batching changes a fit, and permuting
+    Every fit is a pure function of its spec and rows, and the kernel
+    fits each problem as fit_lasso would on its own, so identical specs
+    get bitwise-equal fits, the batching changes no fit, and permuting
     the bank permutes the fits exactly.  A failure raises FitError for
     the first failing (set, model) in that order.
     """
-    shared: dict[LearnerSpec, list[int]] = {}  # each distinct spec's positions
-    for r, spec in enumerate(specs):
-        shared.setdefault(spec, []).append(r)
-    lasso = [(spec, pos) for spec, pos in shared.items() if spec.family == "lasso"]
-    others = [(spec, pos) for spec, pos in shared.items() if spec.family != "lasso"]
-    needs_gram = bool(lasso) or any(s.family == "ridge" and s.lam > 0 for s, _ in others)
-    batch: list[tuple] = []  # (v, row, gram, corr, lasso specs) of the waiting sets
+    lasso = [r for r, spec in enumerate(specs) if spec.family == "lasso"]
+    batch: list[tuple] = []  # (v, row, gram, corr) of the waiting sets
+    problems: list[tuple[int, int]] = []  # their (set, lasso position) problems
     for v, Z, y in sets:
         n, d = Z.shape
-        gram, corr = (Z.T @ Z / n, Z.T @ y / n) if needs_gram else (None, None)
+        gram, corr = Z.T @ Z / n, Z.T @ y / n
         row: list = [None] * len(specs)
-        todo, failure = lasso, None
-        for spec, pos in others:
-            try:
-                model = _fit_now(spec, Z, y, gram, corr)
-            except Exception as exc:
-                # only lasso specs met before the failing one are in order before it
-                todo = [(s, p) for s, p in lasso if p[0] < pos[0]]
-                failure = (pos[0], spec, exc)
-                break
-            for r in pos:
-                row[r] = model
-        if todo:
-            batch.append((v, row, gram, corr, todo))
+        failed = None
+        for r, spec in enumerate(specs):
+            if spec.family != "lasso":
+                try:
+                    row[r] = _fit_now(spec, Z, y, gram, corr)
+                except Exception as exc:
+                    failed = (r, spec, exc)
+                    break
+        # only lasso positions before a failing one are in order before it
+        problems += [(len(batch), r) for r in lasso if failed is None or r < failed[0]]
+        batch.append((v, row, gram, corr))
         del Z, y  # the kernel needs only the gram
-        if failure is not None:
-            _fit_batch(batch)  # a lasso failure earlier in the order comes first
-            r, spec, exc = failure
+        if failed is not None:
+            _fit_batch(specs, batch, problems)  # a lasso failure earlier in the order comes first
+            r, spec, exc = failed
             raise FitError(v, r, spec, exc) from exc
-        if not lasso:
-            yield tuple(row)
-        elif len(batch) == max(1, n // max(1, d)):
-            yield from _fit_batch(batch)
-            batch = []
-    yield from _fit_batch(batch)
+        if len(batch) == max(1, n // max(1, d)):
+            yield from _fit_batch(specs, batch, problems)
+            batch, problems = [], []
+    yield from _fit_batch(specs, batch, problems)
 
 
-def _fit_batch(batch: list[tuple]) -> list[tuple]:
-    """Fit the lasso problems of every set of ``batch`` in one
+def _fit_batch(specs: Sequence[LearnerSpec], batch: list[tuple], problems: list) -> list[tuple]:
+    """Fit the (set, lasso position) ``problems`` of ``batch`` in one
     ``lasso_bank`` call, place each fit in its set's row and return the
     rows; the first failing (set, model) raises FitError."""
-    problems = [(k, spec, pos) for k, entry in enumerate(batch) for spec, pos in entry[4]]
     if problems:
-        slots, lasso, _ = zip(*problems)
+        slots, lasso = zip(*problems)
         coefs, sweeps, ok = lasso_bank(
             np.stack([entry[2] for entry in batch]),
             np.stack([entry[3] for entry in batch]),
             slots,
-            [spec.lam for spec in lasso],
+            [specs[r].lam for r in lasso],
         )
-        for k, (slot, spec, pos) in enumerate(problems):
+        for k, (slot, r) in enumerate(problems):
             v, row = batch[slot][:2]
             try:
-                model = _lasso_fit(coefs[k], sweeps[k], ok[k], spec.lam)
+                row[r] = _lasso_fit(coefs[k], sweeps[k], ok[k], specs[r].lam)
             except ConvergenceError as exc:
-                raise FitError(v, pos[0], spec, exc) from exc
-            for r in pos:
-                row[r] = model
+                raise FitError(v, r, specs[r], exc) from exc
     return [tuple(entry[1]) for entry in batch]
 
 
 def _fit_now(spec: LearnerSpec, Z, y, gram, corr) -> FittedModel:
     """Fit one spec of a family other than the lasso on the rows (Z, y),
-    whose Z'Z/n and Z'y/n are ``gram`` and ``corr`` when a ridge penalty
-    is > 0."""
+    whose Z'Z/n and Z'y/n are ``gram`` and ``corr``."""
     if spec.family == "ridge":
         if spec.lam > 0:
             return FittedModel(family="ridge", coef=_ridge_solve(gram, corr, spec.lam))
@@ -199,12 +188,6 @@ def fit_all_folds(dataset: Dataset, specs: Sequence[LearnerSpec], plan: FoldPlan
     return FoldFits(fits=fits, specs=specs, plan=plan)
 
 
-def _check_squared(losses) -> None:
-    """Every candidate is scored under squared loss; refuse any other tag."""
-    if not (isinstance(losses, str) and losses == "squared"):
-        raise DomainError(f"only squared loss is supported, got {losses!r}")
-
-
 def _loss_values(dataset: Dataset, fits, plan: FoldPlan, swap=None) -> np.ndarray:
     """Held-out squared loss of every model on every row, on the dataset
     with the replacement ``swap`` = (i, z, y) made in a copy of row i's
@@ -221,7 +204,8 @@ def _loss_values(dataset: Dataset, fits, plan: FoldPlan, swap=None) -> np.ndarra
 def loss_matrix(dataset: Dataset, fold_fits: FoldFits, plan: FoldPlan, losses) -> LossMatrix:
     """Held-out squared loss of every model on every row; ``losses``
     must be "squared"."""
-    _check_squared(losses)
+    if not (isinstance(losses, str) and losses == "squared"):
+        raise DomainError(f"only squared loss is supported, got {losses!r}")
     if plan.n != dataset.n:
         raise DomainError(f"plan covers {plan.n} rows, dataset has {dataset.n}")
     values = _loss_values(dataset, fold_fits.fits, plan)
@@ -349,11 +333,9 @@ def replace_one_cv_risk(
     i: int,
     x_new,
     cached: FoldFits,
-    losses="squared",
 ) -> RiskVector:
     """Risk vector after swapping row i for x_new = (z, y): the one-swap
-    form of replace_one_cv_risks.  ``losses`` must be "squared"."""
-    _check_squared(losses)
+    form of replace_one_cv_risks."""
     return replace_one_cv_risks(dataset, specs, plan, [(i, x_new)], cached)[0]
 
 

@@ -200,7 +200,7 @@ def simultaneous_band(
         z = float(critical.band_z[critical.index(alpha, "band_z")])
     else:
         z = float(z_hat)
-        if z < 0.0:
+        if not z >= 0.0:  # a NaN is refused too
             raise DomainError("injected critical value must be nonnegative")
     kept = _band_coordinates(diag)
     half = np.zeros_like(center)

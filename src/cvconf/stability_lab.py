@@ -89,9 +89,10 @@ def check_sgd_precondition(config: SgdConfig, n: int) -> None:
 
 
 def _check_rows_in_ball(Z: np.ndarray, y: np.ndarray, radius: float) -> None:
-    # max_row_norm and max/min make no temporary copy of the rows
+    # max_row_norm and max/min make no temporary copy of the rows; a NaN
+    # fails every comparison, so it is refused like an inf
     tol = radius * (1 + 1e-9)
-    if max_row_norm(Z) > tol or float(np.max(y)) > tol or float(np.min(y)) < -tol:
+    if not (max_row_norm(Z) <= tol and float(np.max(y)) <= tol and float(np.min(y)) >= -tol):
         raise DomainError(
             "data rows must satisfy the radius bound the SGD constants assume"
         )

@@ -359,9 +359,7 @@ def _check_replace_identity(rng, case):
     fits = fit_all_folds(ds, specs, plan)
     base = cv_risk(loss_matrix(ds, fits, plan, "squared"))
     i = int(rng.integers(0, n))
-    again = replace_one_cv_risk(
-        ds, specs, plan, i, (ds.features[i], float(ds.response[i])), fits, "squared"
-    )
+    again = replace_one_cv_risk(ds, specs, plan, i, (ds.features[i], float(ds.response[i])), fits)
     assert np.array_equal(base.values, again.values)
 
 

@@ -988,7 +988,7 @@ def test_phi_resume_over_a_cell_that_is_not_a_number_is_refused(tmp_path, capsys
     _refused_resume(["phi", "--config", str(p)], tmp_path / "o", capsys, path.name)
 
 
-@pytest.mark.parametrize("text", ["{", "[]"])
+@pytest.mark.parametrize("text", ["{", "[]", '{"config": [1]}', '{"config": "x"}'])
 def test_resume_over_a_manifest_that_does_not_parse_is_refused(tmp_path, capsys, text):
     p = _write_config(tmp_path / "c.ini", _band_sections(tmp_path / "o", reps=2))
     assert main(["coverage", "--config", str(p)]) == 0
@@ -1112,6 +1112,21 @@ def test_one_shots_refuse_a_kind_they_cannot_run(tmp_path, capsys, command, sect
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("cvconf: error: ") and err.count("\n") == 1
     assert "Traceback" not in err and cfg.kind in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command, sections",
+    [("coverage", _band_sections), ("phi", _phi_sections), ("stability", _stability_sections)],
+    ids=["coverage", "phi", "stability"],
+)
+def test_a_negative_seed_is_refused_before_anything_is_written(tmp_path, capsys, command, sections):
+    p = _write_config(tmp_path / "c.ini", sections(tmp_path / "o"))
+    with pytest.raises(ConfigError, match="seed >= 0"):
+        load_config(p, seed=-1)
+    assert main([command, "--config", str(p), "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("cvconf: error: need seed >= 0") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
 

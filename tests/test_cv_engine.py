@@ -193,13 +193,16 @@ def test_replace_one_lasso_refits_share_one_gram_per_fold(monkeypatch):
     rng = np.random.default_rng(13)
     ds = Dataset(rng.normal(size=(20, 3)), rng.normal(size=20))
     plan = make_folds(20, 4)
-    specs = [LearnerSpec("lasso", lam=lam) for lam in (0.3, 0.1, 0.03)]
-    specs.append(LearnerSpec("ridge", lam=0.5))
-    cached = fit_all_folds(ds, specs, plan)
-    calls = _bank_calls(monkeypatch)
-    replace_one_cv_risk(ds, specs, plan, 6, (rng.normal(size=3), 0.4), cached)
-    # three refitted folds, three lasso penalties each, one gram per fold
-    assert calls == [(3, [0, 0, 0, 1, 1, 1, 2, 2, 2], [0.3, 0.1, 0.03] * 3)]
+    for lams in ([0.3, 0.1, 0.03], [0.3, 0.1, 0.3]):
+        specs = [LearnerSpec("lasso", lam=lam) for lam in lams]
+        specs.append(LearnerSpec("ridge", lam=0.5))
+        cached = fit_all_folds(ds, specs, plan)
+        calls = _bank_calls(monkeypatch)
+        replace_one_cv_risk(ds, specs, plan, 6, (rng.normal(size=3), 0.4), cached)
+        # three refitted folds, one problem per lasso position (a duplicated
+        # spec included) on each, one gram per fold
+        assert calls == [(3, [0, 0, 0, 1, 1, 1, 2, 2, 2], lams * 3)]
+        monkeypatch.undo()
 
 
 def _mixed_bank_instance():
@@ -436,21 +439,6 @@ def test_kernel_calls_at_the_phi_wide_shape(monkeypatch):
     calls = _bank_calls(monkeypatch)
     replace_one_cv_risks(ds, specs, plan, swaps, cached)
     assert calls == [(8, [k for k in range(8) for _ in lams], lams * 8)] * 8
-
-
-def test_replace_one_cv_risk_refuses_losses_other_than_squared():
-    rng = np.random.default_rng(16)
-    ds = Dataset(rng.normal(size=(8, 2)), rng.normal(size=8))
-    plan = make_folds(8, 2)
-    specs = [OLS, LearnerSpec("lasso", lam=0.1)]
-    cached = fit_all_folds(ds, specs, plan)
-    x_new = (np.zeros(2), 0.0)
-    want = replace_one_cv_risk(ds, specs, plan, 3, x_new, cached)
-    got = replace_one_cv_risk(ds, specs, plan, 3, x_new, cached, "squared")
-    assert np.array_equal(got.values, want.values)
-    for losses in ("absolute", ["squared", "squared"]):
-        with pytest.raises(DomainError):
-            replace_one_cv_risk(ds, specs, plan, 3, x_new, cached, losses)
 
 
 def test_fit_all_folds_validates_specs_before_fitting(monkeypatch):

@@ -69,6 +69,12 @@ def test_simultaneous_injected_zero_collapses_to_center():
     assert band.kind == "simultaneous"
 
 
+@pytest.mark.parametrize("z_hat", [-0.5, float("nan")])
+def test_simultaneous_refuses_a_negative_or_nan_injected_value(z_hat):
+    with pytest.raises(DomainError, match="injected critical value"):
+        simultaneous_band(_risk([0.3, 0.7]), _cov([1.0, 2.0]), alpha=0.1, z_hat=z_hat)
+
+
 def test_simultaneous_single_model_hand_width():
     # half-width sqrt(4) * 2 / sqrt(100) = 0.4
     band = simultaneous_band(_risk([1.0], n=100), _cov([4.0]), alpha=0.05, z_hat=2.0)

@@ -112,6 +112,28 @@ def test_param_first_diff_rejects_out_of_ball_rows():
         param_first_diff(Z, y, cfg, 0, 3.0 * np.ones(4), 0.0)
 
 
+@pytest.mark.parametrize(
+    "place", ["feature", "response", "replacement row", "replacement response"]
+)
+def test_param_first_diff_refuses_a_nan_or_inf_anywhere(place):
+    # a NaN fails every comparison, so the radius check must be written to
+    # refuse it, as it refuses an inf
+    Z, y, cfg = _sgd_instance(256, lam=1.6)
+    z_new, y_new = _fresh_row(4, seed=23)
+    for bad in (float("nan"), float("inf")):
+        args = [Z.copy(), y.copy(), z_new.copy(), y_new]
+        if place == "feature":
+            args[0][5, 1] = bad
+        elif place == "response":
+            args[1][5] = bad
+        elif place == "replacement row":
+            args[2][1] = bad
+        else:
+            args[3] = bad
+        with pytest.raises(DomainError, match="radius bound"):
+            param_first_diff(args[0], args[1], cfg, 30, args[2], args[3])
+
+
 # ------------------------------------------------------ second difference
 
 
