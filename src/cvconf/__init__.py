@@ -17,7 +17,6 @@ from .datamodel import (
     LearnerSpec,
     FittedModel,
     make_folds,
-    validate_dataset,
     save_dataset_csv,
 )
 from .cv_engine import FoldFits, RiskVector, fit_all_folds, loss_matrix, cv_risk
@@ -57,7 +56,6 @@ __all__ = [
     "LearnerSpec",
     "FittedModel",
     "make_folds",
-    "validate_dataset",
     "save_dataset_csv",
     "FoldFits",
     "RiskVector",

@@ -98,7 +98,10 @@ class ExperimentConfig:
 
     ``d`` is either a fixed width or the literal string ``"n/10"``; use
     :meth:`d_for` to resolve it per sample size.  ``reps`` doubles as
-    the trial count for stability campaigns.
+    the trial count for stability campaigns.  A config its kind cannot
+    run is refused with a ConfigError when it is built, by
+    :func:`load_config`, the constructor or ``dataclasses.replace``, so no
+    runner starts on one.
     """
 
     kind: str
@@ -140,7 +143,7 @@ class ExperimentConfig:
         lasso = {"none": 0, "log": self.lasso_count, "doubling": DOUBLING_GRID_POINTS}[self.lasso]
         return len(self.forward_steps) + len(self.ridge_lams) + lasso
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not self.n_list or any(n < 1 for n in self.n_list):
@@ -228,7 +231,6 @@ class ExperimentConfig:
                     check_sgd_precondition(sgd, n)
                 except DomainError as exc:
                     raise ConfigError(f"kind stability cannot run at n={n}: {exc}") from exc
-        return self
 
 
 def _items(parse):
@@ -276,7 +278,7 @@ def load_config(path, **overrides) -> ExperimentConfig:
     Sections are [generator], [learners], [run]; keys are case-sensitive
     and unknown keys or sections are errors, so typos never silently
     fall back to defaults.  Keyword overrides (seed, out, reps, threads)
-    replace the file's values before validation.
+    replace the file's values before the config is built.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
@@ -304,7 +306,7 @@ def load_config(path, **overrides) -> ExperimentConfig:
     for key, value in overrides.items():
         if value is not None:
             fields[key] = value
-    return ExperimentConfig(**fields).validate()
+    return ExperimentConfig(**fields)
 
 
 # ----------------------------------------------------------- shared pieces
@@ -338,10 +340,10 @@ def _build_bank(cfg: ExperimentConfig, dataset: Dataset):
 
 
 def _generate(cfg: ExperimentConfig, n: int, seed: int, *, d: int | None = None):
-    if cfg.family == "sparse_linear":
-        width = cfg.d_for(n) if d is None else d
-        return gen_sparse_linear(SparseLinearGen(n=n, d=width, s=cfg.s, nu=cfg.nu, seed=seed))
-    raise DomainError(f"generator family {cfg.family!r} cannot produce datasets here")
+    """The dataset of ``seed`` at ``n``; every kind that draws one here has
+    the sparse_linear generator, as its config was checked when built."""
+    width = cfg.d_for(n) if d is None else d
+    return gen_sparse_linear(SparseLinearGen(n=n, d=width, s=cfg.s, nu=cfg.nu, seed=seed))
 
 
 def _rep_seed(cfg: ExperimentConfig, n: int, rep: int) -> int:
@@ -791,25 +793,32 @@ def _phi_problem(cfg: ExperimentConfig, n: int):
     return ds, specs, make_folds(n, cfg.V), HoldoutSet.from_dataset(hold_ds)
 
 
+_PHI_KEYS = ("n", "m", "variant", "seed", "p", "indices", "model_labels")
+
+
 def _phi_artifact(est: PhiEstimate, n: int, seed: int) -> tuple[list, dict]:
     """The phi CSV's rows, the p x p matrix, and its JSON sidecar."""
-    blob = {
-        "n": n, "m": est.m, "variant": est.variant, "seed": seed, "p": est.p,
-        "indices": est.indices, "model_labels": est.model_labels,
-    }
+    values = (n, est.m, est.variant, seed, est.p, est.indices, est.model_labels)
+    blob = dict(zip(_PHI_KEYS, values))
     return [[repr(float(v)) for v in row] for row in est.phi], blob
 
 
 def _phi_diag(csv_path: Path, json_path: Path) -> list[float]:
     """The diagonal of a written phi; a CSV that is not a square matrix of
-    numbers, or a sidecar that is not a JSON object, is refused."""
-    _read_json(json_path)
+    numbers, or a sidecar that lacks a key ``_phi_artifact`` writes or
+    whose ``p`` is not the CSV's size, is refused."""
+    blob = _read_json(json_path, *_PHI_KEYS)
     try:
         phi = [[float(v) for v in line.split(",")] for line in csv_path.read_text().splitlines()]
     except ValueError:
         phi = []
     if not phi or any(len(row) != len(phi) for row in phi):
         raise ConfigError(f"{csv_path} is not a square matrix of numbers; use a fresh directory")
+    if blob["p"] != len(phi):
+        raise ConfigError(
+            f"{json_path} gives p = {blob['p']!r} for a {len(phi)} x {len(phi)} phi; "
+            "use a fresh directory"
+        )
     return [row[r] for r, row in enumerate(phi)]
 
 

@@ -6,8 +6,9 @@ Every fit of the bank goes through one path, ``_fit_sets``, which fits
 it on many training sets in one call: the V folds of a full run
 (``fit_all_folds``), the m x (V - 1) refitted folds of m replace-one
 risks (``replace_one_cv_risks``, whose one-swap form is
-``replace_one_cv_risk``).  Each entry validates the bank, and every
-training set is fitted by the same rule, one fit per bank position.
+``replace_one_cv_risk``).  Every training set is fitted by the same
+rule, one fit per bank position; the specs and the data were checked
+when they were built.
 The lasso problems of a batch of sets are solved together by
 ``learners.lasso_bank``.
 Replace-one recomputation reuses the one fold whose training rows are
@@ -35,7 +36,6 @@ from .datamodel import (
     LearnerSpec,
     LossMatrix,
     _replacement,
-    validate_dataset,
 )
 from .learners import ConvergenceError, _lasso_fit, _ridge_solve, fit_forward, fit_ridge, lasso_bank
 from .simgen import SparseLinearTruth
@@ -82,7 +82,7 @@ class RiskVector:
 
 def _fit_sets(specs: Sequence[LearnerSpec], sets):
     """Yield the fits of every spec on each training set (v, Z, y) of
-    ``sets``, in order; the caller has validated the specs.
+    ``sets``, in order; every spec was checked when it was built.
 
     Every set is fitted by one rule.  Its Z'Z/n and Z'y/n are computed
     once, by the formula fit_lasso and fit_ridge use on their own, and
@@ -155,9 +155,7 @@ def _fit_now(spec: LearnerSpec, Z, y, gram, corr) -> FittedModel:
         if spec.lam > 0:
             return FittedModel(family="ridge", coef=_ridge_solve(gram, corr, spec.lam))
         return fit_ridge(Z, y, spec.lam)
-    if spec.family == "forward":
-        return fit_forward(Z, y, spec.steps)
-    raise DomainError(f"unknown learner family {spec.family!r}")
+    return fit_forward(Z, y, spec.steps)
 
 
 def _rows(dataset: Dataset, ix: np.ndarray, swap=None) -> tuple[np.ndarray, np.ndarray]:
@@ -175,12 +173,9 @@ def _rows(dataset: Dataset, ix: np.ndarray, swap=None) -> tuple[np.ndarray, np.n
 
 def fit_all_folds(dataset: Dataset, specs: Sequence[LearnerSpec], plan: FoldPlan) -> FoldFits:
     """Fit every candidate on every training complement (see _fit_sets)."""
-    problems = validate_dataset(dataset)
-    if problems:
-        raise DomainError("dataset invalid: " + "; ".join(problems))
     if plan.n != dataset.n:
         raise DomainError(f"plan covers {plan.n} rows, dataset has {dataset.n}")
-    specs = tuple(spec.validate() for spec in specs)
+    specs = tuple(specs)
     if not specs:
         raise DomainError("need at least one learner spec")
     sets = ((v, *_rows(dataset, plan.train_indices(v))) for v in range(plan.V))
@@ -201,11 +196,19 @@ def _loss_values(dataset: Dataset, fits, plan: FoldPlan, swap=None) -> np.ndarra
     return values
 
 
+def _check_plan(fold_fits: FoldFits, plan: FoldPlan) -> None:
+    """Refuse ``plan`` unless it has the n and V that ``fold_fits`` were
+    fitted on, so every row is scored by the fit that held it out."""
+    if fold_fits.plan is not plan and (fold_fits.plan.n != plan.n or fold_fits.plan.V != plan.V):
+        raise DomainError("cached fits were built for a different fold plan")
+
+
 def loss_matrix(dataset: Dataset, fold_fits: FoldFits, plan: FoldPlan, losses) -> LossMatrix:
     """Held-out squared loss of every model on every row; ``losses``
-    must be "squared"."""
+    must be "squared" and ``plan`` the plan the fits were built on."""
     if not (isinstance(losses, str) and losses == "squared"):
         raise DomainError(f"only squared loss is supported, got {losses!r}")
+    _check_plan(fold_fits, plan)
     if plan.n != dataset.n:
         raise DomainError(f"plan covers {plan.n} rows, dataset has {dataset.n}")
     values = _loss_values(dataset, fold_fits.fits, plan)
@@ -243,9 +246,8 @@ def replace_one_cv_risks(
     model) in order.  With one worker or one swap, or where the
     platform cannot fork, everything runs in this process.
     """
-    specs = tuple(spec.validate() for spec in specs)
-    if cached.plan is not plan and (cached.plan.n != plan.n or cached.plan.V != plan.V):
-        raise DomainError("cached fits were built for a different fold plan")
+    specs = tuple(specs)
+    _check_plan(cached, plan)
     if cached.specs != specs:
         raise DomainError("cached fits were built for a different learner bank")
     if plan.n != dataset.n:

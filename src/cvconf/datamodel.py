@@ -3,6 +3,8 @@
 Indices are 0-based everywhere.  Fold v of a strict plan on n rows is
 the contiguous block ``[n*v // V, n*(v+1) // V)``, which for divisible
 n matches the textbook 1-based prescription {n(v-1)/V+1, ..., nv/V}.
+Each value type checks its fields when it is built, so a value that
+exists is valid and no consumer checks it again.
 """
 
 from __future__ import annotations
@@ -76,26 +78,33 @@ def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a float or a bool is refused rather than
+    truncated, with a DomainError saying ``what`` must be integers."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{what} must be integers, got {value!r}")
+    return int(value)
+
+
 def _replacement(i, z_new, y_new, n: int, d: int) -> tuple[int, np.ndarray, float]:
     """(i, z_new, y_new) checked as the replacement of row i of n rows of d
-    features: i an integer in [0, n), a float or a bool refused rather than
-    truncated, and z_new a row of d."""
-    if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
-        raise DomainError(f"row indices must be integers, got {i!r}")
+    features: i an integer in [0, n) (see ``_integer``), and z_new a row
+    of d."""
+    i = _integer(i, "row indices")
     if not 0 <= i < n:
         raise DomainError(f"row index {i} outside [0, {n})")
     z_new = np.asarray(z_new, dtype=np.float64)
     if z_new.shape != (d,):
         raise DomainError(f"replacement has shape {z_new.shape}, expected ({d},)")
-    return int(i), z_new, float(y_new)
+    return i, z_new, float(y_new)
 
 
 @dataclass(frozen=True)
 class Dataset:
     """Feature matrix (n, d) paired with a length-n response vector.
 
-    Construction only coerces dtypes; use :func:`validate_dataset` to
-    obtain a report of structural violations without raising.
+    Construction coerces dtypes and refuses a row-count mismatch or a
+    non-finite entry, so every Dataset is clean.
     """
 
     features: np.ndarray
@@ -104,6 +113,16 @@ class Dataset:
     def __post_init__(self):
         object.__setattr__(self, "features", _as_float_array(self.features, "features", 2))
         object.__setattr__(self, "response", _as_float_array(self.response, "response", 1))
+        problems: list[str] = []
+        nf, nr = self.features.shape[0], self.response.shape[0]
+        if nf != nr:
+            problems.append(f"row counts differ: features has {nf}, response has {nr}")
+        if not np.all(np.isfinite(self.features)):
+            problems.append("features contains non-finite entries")
+        if not np.all(np.isfinite(self.response)):
+            problems.append("response contains non-finite entries")
+        if problems:
+            raise DomainError("dataset invalid: " + "; ".join(problems))
 
     @property
     def n(self) -> int:
@@ -121,19 +140,6 @@ class Dataset:
         features[i] = z_new
         response[i] = y_new
         return Dataset(features, response)
-
-
-def validate_dataset(dataset: Dataset) -> list[str]:
-    """Return a list of violation descriptions; empty means clean."""
-    problems: list[str] = []
-    nf, nr = dataset.features.shape[0], dataset.response.shape[0]
-    if nf != nr:
-        problems.append(f"row counts differ: features has {nf}, response has {nr}")
-    if not np.all(np.isfinite(dataset.features)):
-        problems.append("features contains non-finite entries")
-    if not np.all(np.isfinite(dataset.response)):
-        problems.append("response contains non-finite entries")
-    return problems
 
 
 @dataclass(frozen=True)
@@ -231,7 +237,7 @@ class LearnerSpec:
     lam: float = 0.0
     steps: int | None = None
 
-    def validate(self) -> "LearnerSpec":
+    def __post_init__(self):
         if self.family not in LEARNER_FAMILIES:
             raise DomainError(f"unknown learner family {self.family!r}")
         if self.family in ("ridge", "lasso") and not self.lam >= 0:
@@ -239,14 +245,11 @@ class LearnerSpec:
         if self.family == "forward":
             if self.steps is None or self.steps < 0:
                 raise DomainError(f"forward needs steps >= 0, got {self.steps}")
-        return self
 
     def label(self) -> str:
-        if self.family == "ridge" or self.family == "lasso":
-            return f"{self.family}:{self.lam:.6g}"
         if self.family == "forward":
             return f"forward:{self.steps}"
-        return self.family
+        return f"{self.family}:{self.lam:.6g}"
 
 
 @dataclass(frozen=True)

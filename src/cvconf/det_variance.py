@@ -52,29 +52,13 @@ class ParityError(DomainError):
 
 
 @dataclass(frozen=True)
-class HoldoutSet:
-    """Fresh rows from the data distribution, disjoint from the CV data."""
-
-    features: np.ndarray
-    response: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", _as_float_array(self.features, "features", 2))
-        object.__setattr__(self, "response", _as_float_array(self.response, "response", 1))
-        if self.features.shape[0] != self.response.shape[0]:
-            raise DomainError(
-                f"{self.features.shape[0]} feature rows vs {self.response.shape[0]} responses"
-            )
-        if not (np.all(np.isfinite(self.features)) and np.all(np.isfinite(self.response))):
-            raise DomainError("hold-out entries must be finite")
+class HoldoutSet(Dataset):
+    """Fresh rows from the data distribution, disjoint from the CV data:
+    a Dataset, checked as one, of m hold-out points."""
 
     @property
     def m(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.features.shape[1]
+        return self.n
 
     def row(self, j: int) -> tuple[np.ndarray, float]:
         return self.features[j], float(self.response[j])
@@ -138,10 +122,8 @@ def _base_fits(
     specs = tuple(specs)
     if not specs:
         raise DomainError("need at least one learner")
-    if holdout.d != dataset.features.shape[1]:
-        raise DomainError(
-            f"hold-out has {holdout.d} features but the dataset has {dataset.features.shape[1]}"
-        )
+    if holdout.d != dataset.d:
+        raise DomainError(f"hold-out has {holdout.d} features but the dataset has {dataset.d}")
     return specs, fit_all_folds(dataset, specs, plan)
 
 

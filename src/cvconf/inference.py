@@ -24,7 +24,7 @@ from .covariance import (
     variance_floor,
 )
 from .cv_engine import RiskVector, cv_risk
-from .datamodel import DomainError, LossMatrix, _jsonable
+from .datamodel import DomainError, LossMatrix, _integer, _jsonable
 from .gaussian_mc import DEFAULT_DRAWS, max_quantiles
 from .simgen import derive_substream
 
@@ -510,8 +510,8 @@ def check_coverage(obj, target) -> bool:
 
     For a band, ``target`` is the vector of target risks and coverage
     means every coordinate lies inside its interval.  For a set,
-    ``target`` is either the best index itself or a vector whose argmin
-    (smallest index on ties) must be a member.
+    ``target`` is either the best index itself, an integer, or a vector
+    whose argmin (smallest index on ties) must be a member.
     """
     if isinstance(obj, BandSet):
         t = np.asarray(target, dtype=np.float64)
@@ -519,8 +519,8 @@ def check_coverage(obj, target) -> bool:
             raise DomainError(f"target must have shape ({obj.p},), got {t.shape}")
         return bool(np.all((obj.lower <= t) & (t <= obj.upper)))
     if isinstance(obj, ModelConfidenceSet):
-        if np.isscalar(target) or isinstance(target, (int, np.integer)):
-            r_star = int(target)
+        if np.isscalar(target):
+            r_star = _integer(target, "target indices")
         else:
             t = np.asarray(target, dtype=np.float64)
             if t.shape != (obj.p,):

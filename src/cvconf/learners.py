@@ -322,7 +322,7 @@ class SgdConfig:
     def lipschitz(self) -> float:
         return self.radius_x**2 * (1 + self.radius_theta) + self.lam * self.radius_theta
 
-    def validate(self) -> "SgdConfig":
+    def __post_init__(self):
         if not 0 < self.step_exponent < 1:
             raise DomainError(f"step exponent must lie in (0, 1), got {self.step_exponent}")
         if not self.lam >= 0:
@@ -330,11 +330,10 @@ class SgdConfig:
         for name in ("radius_x", "radius_theta"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"need {name} > 0, got {getattr(self, name)}")
-        return self
 
     @classmethod
     def for_ridge(cls, lam, step_exponent, radius_x, radius_theta):
-        return cls(lam, step_exponent, radius_x, radius_theta).validate()
+        return cls(lam, step_exponent, radius_x, radius_theta)
 
 
 def row_norms(v: np.ndarray) -> np.ndarray:
@@ -414,7 +413,6 @@ def sgd_trajectories(features, response, lengths, config: SgdConfig, trial, repl
     final iterates, in the order of ``trial``, are bitwise those of
     separate passes over the replaced data.
     """
-    config.validate()
     Z = np.asarray(features, dtype=np.float64)
     y = np.asarray(response, dtype=np.float64)
     lengths = _indices(lengths, "dataset lengths")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import Dataset, DomainError
+from .datamodel import Dataset, DomainError, _integer
 
 
 def _purpose_words(purpose: str) -> list[int]:
@@ -27,23 +27,27 @@ def derive_substream(master_seed: int, purpose: str, *indices: int) -> np.random
 
     The key is hashed into the seed material, so substreams for
     different purposes or indices are decorrelated while remaining
-    bit-reproducible across runs and platforms.
+    bit-reproducible across runs and platforms.  The seed and indices
+    must be non-negative integers: a float or a bool is refused, not
+    truncated.
     """
-    if master_seed < 0:
-        raise DomainError(f"master seed must be non-negative, got {master_seed}")
-    clean: list[int] = []
-    for ix in indices:
-        ix = int(ix)
+    seed = _integer(master_seed, "master seeds")
+    clean = [_integer(ix, "substream indices") for ix in indices]
+    if seed < 0:
+        raise DomainError(f"master seed must be non-negative, got {seed}")
+    for ix in clean:
         if ix < 0:
             raise DomainError(f"substream indices must be non-negative, got {ix}")
-        clean.append(ix)
-    ss = np.random.SeedSequence([int(master_seed), *_purpose_words(purpose), *clean])
+    ss = np.random.SeedSequence([seed, *_purpose_words(purpose), *clean])
     return np.random.default_rng(ss)
 
 
 def stable_subseed(master_seed: int, purpose: str, *indices: int) -> int:
-    """Collapse a substream key to a single u32, for config plumbing."""
-    payload = ":".join([str(int(master_seed)), purpose, *[str(int(i)) for i in indices]])
+    """Collapse a substream key to a single u32, for config plumbing; the
+    seed and indices must be integers, as for ``derive_substream``."""
+    seed = _integer(master_seed, "master seeds")
+    clean = [_integer(ix, "substream indices") for ix in indices]
+    payload = ":".join([str(seed), purpose, *map(str, clean)])
     digest = hashlib.sha256(payload.encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "little")
 
@@ -63,6 +67,14 @@ class SparseLinearGen:
     nu: float
     seed: int
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise DomainError(f"need n >= 1, got {self.n}")
+        if not 1 <= self.s <= self.d:
+            raise DomainError(f"need 1 <= s <= d, got s={self.s}, d={self.d}")
+        if not self.nu > 0:
+            raise DomainError(f"need nu > 0, got {self.nu}")
+
 
 @dataclass(frozen=True)
 class SparseLinearTruth:
@@ -72,12 +84,6 @@ class SparseLinearTruth:
 
 def gen_sparse_linear(cfg: SparseLinearGen) -> tuple[Dataset, SparseLinearTruth]:
     """Draw a dataset with Z ~ N(0, I) rows and Y = Z beta + eps."""
-    if cfg.n < 1:
-        raise DomainError(f"need n >= 1, got {cfg.n}")
-    if not 1 <= cfg.s <= cfg.d:
-        raise DomainError(f"need 1 <= s <= d, got s={cfg.s}, d={cfg.d}")
-    if not cfg.nu > 0:
-        raise DomainError(f"need nu > 0, got {cfg.nu}")
     beta = np.zeros(cfg.d)
     beta[: cfg.s] = 1.0
     noise_var = 0.0 if math.isinf(cfg.nu) else cfg.s / cfg.nu

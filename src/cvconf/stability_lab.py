@@ -76,7 +76,6 @@ def sgd_ratio_requirement(n: int, a: float) -> float:
 
 
 def check_sgd_precondition(config: SgdConfig, n: int) -> None:
-    config.validate()
     if config.strong_convexity <= 0:
         raise StabilityPreconditionError("stability bound needs strong convexity > 0")
     ratio = config.strong_convexity / config.smoothness
@@ -215,7 +214,7 @@ def _loglog_line(grid, stats) -> tuple[float, float, float]:
 # ---------------------------------------------------------------- reports
 
 
-@dataclass
+@dataclass(frozen=True)
 class StabilityReport:
     """Per-trial stability measurements over an n-grid plus summaries.
 
@@ -223,7 +222,8 @@ class StabilityReport:
     deterministic bound when one is claimed (first-order SGD only), and
     ``violations[n]`` how many trials exceeded it.  ``slope`` is the
     log-log fit of the per-n medians when the grid supports one.
-    ``extras`` records the campaign's settings.
+    ``extras`` records the campaign's settings.  A non-finite or negative
+    norm, or more violations than trials, is refused at construction.
     """
 
     kind: str
@@ -237,7 +237,7 @@ class StabilityReport:
     extras: dict = field(default_factory=dict)
     master_seed: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for n in self.n_grid:
             vals = self.samples[n]
             if not np.all(np.isfinite(vals)):
@@ -352,16 +352,15 @@ def _sgd_campaign(
 
 
 def _report(kind: str, n_grid, samples, seed: int, extras: dict, **fields) -> StabilityReport:
-    """A validated report, with the log-log slope of its per-n medians
-    when the grid has at least 3 points and every median is positive."""
-    rep = StabilityReport(
-        kind=kind, n_grid=n_grid, samples=samples, master_seed=seed, extras=extras, **fields
-    )
+    """The report, with the log-log slope of its per-n medians when the
+    grid has at least 3 points and every median is positive."""
     medians = [float(np.median(samples[n])) for n in n_grid]
     if len(n_grid) >= 3 and all(m > 0.0 for m in medians):
-        rep.slope, rep.intercept, rep.slope_stderr = _loglog_line(n_grid, medians)
-    rep.validate()
-    return rep
+        slope, intercept, stderr = _loglog_line(n_grid, medians)
+        fields.update(slope=slope, intercept=intercept, slope_stderr=stderr)
+    return StabilityReport(
+        kind=kind, n_grid=n_grid, samples=samples, master_seed=seed, extras=extras, **fields
+    )
 
 
 def sgd_campaigns(

@@ -152,7 +152,7 @@ def test_gate_3_band_coverage_campaign(tmp_path):
             seed=2025,
             out=str(tmp_path / "band"),
             threads=0,
-        ).validate()
+        )
         manifest = run_band_coverage(cfg)
         assert manifest["failures"]["500"] == []
         agg = manifest["aggregates"]["500"][repr(0.1)]
@@ -181,7 +181,7 @@ def test_gate_4_confidence_set_campaign(tmp_path):
             seed=2026,
             out=str(tmp_path / "cvc"),
             threads=0,
-        ).validate()
+        )
         manifest = run_cvc_size(cfg)
         for n in (1000, 2500):
             assert manifest["failures"][str(n)] == []
@@ -381,7 +381,7 @@ def _tiny_campaigns(out):
                 seed=7,
                 out=out,
                 **base,
-            ).validate(),
+            ),
         ),
         (
             run_cvc_size,
@@ -396,7 +396,7 @@ def _tiny_campaigns(out):
                 seed=8,
                 out=out,
                 **base,
-            ).validate(),
+            ),
         ),
         (
             run_fwd_pointwise,
@@ -411,7 +411,7 @@ def _tiny_campaigns(out):
                 seed=9,
                 out=out,
                 **base,
-            ).validate(),
+            ),
         ),
         (
             run_stability,
@@ -430,7 +430,7 @@ def _tiny_campaigns(out):
                 seed=10,
                 out=out,
                 threads=1,
-            ).validate(),
+            ),
         ),
         (
             run_phi,
@@ -448,7 +448,7 @@ def _tiny_campaigns(out):
                 V=5,
                 reps=1,
                 threads=1,
-            ).validate(),
+            ),
         ),
     ]
 

@@ -181,7 +181,22 @@ def test_load_config_rejects_duplicate_alphas(tmp_path):
     with pytest.raises(ConfigError, match="distinct"):
         load_config(_write_config(tmp_path / "c.ini", sec))
     with pytest.raises(ConfigError, match="distinct"):
-        ExperimentConfig(kind="cvc_size", alphas=(0.05, 0.1, 0.05)).validate()
+        ExperimentConfig(kind="cvc_size", alphas=(0.05, 0.1, 0.05))
+
+
+def test_a_config_that_load_config_refuses_cannot_be_built(tmp_path):
+    # a runner handed it would write its manifest and CSV and record every
+    # replication as a failure
+    out = tmp_path / "o"
+    out.mkdir()
+    shape = dict(kind="cvc_size", n_list=(60,), d=6, s=2, lasso="doubling", out=str(out))
+    refusal = f"need draws >= {MIN_DRAWS}, got 10"
+    with pytest.raises(ConfigError, match=refusal):
+        run_cvc_size(ExperimentConfig(**shape, draws=10))
+    valid = ExperimentConfig(**shape, reps=2)
+    with pytest.raises(ConfigError, match=refusal):
+        run_cvc_size(dataclasses.replace(valid, draws=10))
+    assert list(out.iterdir()) == []
 
 
 def test_load_config_rejects_duplicate_sample_sizes(tmp_path):
@@ -986,6 +1001,25 @@ def test_phi_resume_over_a_cell_that_is_not_a_number_is_refused(tmp_path, capsys
     path = tmp_path / "o" / "phi_pair_n40.csv"
     path.write_text("abc\n")
     _refused_resume(["phi", "--config", str(p)], tmp_path / "o", capsys, path.name)
+
+
+@pytest.mark.parametrize(
+    "name, blob",
+    [
+        ("phi_pair_n40.json", {}),
+        ("phi_perturb_n40.json", {"n": 999, "variant": "perturb"}),
+        # every key, but a p that is not the CSV's 1 x 1
+        ("phi_pair_n40.json", {
+            "n": 40, "m": 8, "variant": "pair", "seed": 5, "p": 2, "indices": [0],
+            "model_labels": ["forward:0"],
+        }),
+    ],
+)
+def test_phi_resume_over_a_sidecar_it_did_not_write_is_refused(tmp_path, capsys, name, blob):
+    p = _write_config(tmp_path / "c.ini", _phi_sections(tmp_path / "o"))
+    assert main(["phi", "--config", str(p)]) == 0
+    (tmp_path / "o" / name).write_text(json.dumps(blob))
+    _refused_resume(["phi", "--config", str(p)], tmp_path / "o", capsys, name)
 
 
 @pytest.mark.parametrize("text", ["{", "[]", '{"config": [1]}', '{"config": "x"}'])

@@ -79,8 +79,8 @@ def test_fit_all_folds_wraps_failures_with_location():
 
 
 def test_fit_all_folds_rejects_dirty_dataset():
-    ds = Dataset(np.ones((4, 2)), np.array([1.0, np.nan, 0.0, 2.0]))
     with pytest.raises(DomainError):
+        ds = Dataset(np.ones((4, 2)), np.array([1.0, np.nan, 0.0, 2.0]))
         fit_all_folds(ds, [OLS], make_folds(4, 2))
 
 
@@ -104,6 +104,18 @@ def test_loss_matrix_per_model_tags():
     for tags in (["squared", "absolute"], ["squared", "squared"], ["squared"]):
         with pytest.raises(DomainError):
             loss_matrix(ds, fits, plan, tags)
+
+
+def test_loss_matrix_refuses_a_plan_the_fits_were_not_built_on():
+    # with 2 folds, rows would be scored by fits that trained on them; with 10
+    # there are more folds than fits
+    ds, _ = gen_sparse_linear(SparseLinearGen(n=20, d=3, s=2, nu=10.0, seed=1))
+    fits = fit_all_folds(ds, [LearnerSpec("ridge", lam=0.1)], make_folds(20, 5))
+    for V in (2, 10):
+        with pytest.raises(DomainError, match="cached fits were built for a different fold plan"):
+            loss_matrix(ds, fits, make_folds(20, V), "squared")
+    # an equal plan built apart is the same plan
+    assert loss_matrix(ds, fits, make_folds(20, 5), "squared").n == 20
 
 
 def test_cv_risk_matches_naive_summation():
@@ -405,11 +417,11 @@ def test_replace_one_cv_risks_validates_specs_before_any_fit_or_fork(monkeypatch
     # a hand-built FoldFits can carry a penalty that fit_all_folds refuses
     rng, ds, plan, specs = _mixed_bank_instance()
     cached = fit_all_folds(ds, specs, plan)
-    bad = (LearnerSpec("lasso", lam=float("nan")),) + cached.specs[1:]
-    hand = FoldFits(fits=cached.fits, specs=bad, plan=plan)
     monkeypatch.setattr(cv_engine, "lasso_bank", None)  # a lasso fit would raise TypeError
     for workers in (1, 2):
         with pytest.raises(DomainError, match="lam >= 0"):
+            bad = (LearnerSpec("lasso", lam=float("nan")),) + cached.specs[1:]
+            hand = FoldFits(fits=cached.fits, specs=bad, plan=plan)
             replace_one_cv_risks(ds, bad, plan, _swaps(rng, (1, 2, 3)), hand, workers=workers)
     assert pool_chunks == []
 
@@ -454,9 +466,9 @@ def test_fit_all_folds_validates_specs_before_fitting(monkeypatch):
     monkeypatch.setattr(cv_engine, "_fit_now", no_fit)
     monkeypatch.setattr(cv_engine, "lasso_bank", no_fit)
     good = [LearnerSpec("ridge", lam=0.5), LearnerSpec("lasso", lam=0.1)]
-    for bad in (LearnerSpec("ridge", lam=float("nan")), LearnerSpec("forward")):
+    for bad in (dict(family="ridge", lam=float("nan")), dict(family="forward")):
         with pytest.raises(DomainError):
-            fit_all_folds(ds, [*good, bad], plan)
+            fit_all_folds(ds, [*good, LearnerSpec(**bad)], plan)
 
 
 def test_replace_one_rejects_bad_index():

@@ -16,7 +16,6 @@ from cvconf.datamodel import (
     LossMatrix,
     make_folds,
     save_dataset_csv,
-    validate_dataset,
     write_csv_atomic,
     write_json_atomic,
 )
@@ -82,22 +81,23 @@ def test_train_indices_is_ascending_complement():
     assert tr.tolist() == [0, 1, 2, 3, 6, 7, 8, 9]
 
 
-def test_validate_dataset_clean():
+def test_dataset_clean_builds():
     ds = Dataset(np.ones((4, 2)), np.zeros(4))
-    assert validate_dataset(ds) == []
+    assert (ds.n, ds.d) == (4, 2)
 
 
-def test_validate_dataset_reports_row_mismatch_and_nonfinite():
-    ds = Dataset(np.ones((4, 2)), np.zeros(3))
-    problems = validate_dataset(ds)
-    assert any("row" in p for p in problems)
+def test_dataset_refuses_row_mismatch_and_nonfinite():
+    with pytest.raises(DomainError, match="row counts differ: features has 4, response has 3"):
+        Dataset(np.ones((4, 2)), np.zeros(3))
 
     bad = np.ones((3, 2))
     bad[1, 0] = np.nan
-    ds2 = Dataset(bad, np.array([1.0, np.inf, 0.0]))
-    problems2 = validate_dataset(ds2)
-    assert any("features" in p for p in problems2)
-    assert any("response" in p for p in problems2)
+    with pytest.raises(DomainError) as err:
+        Dataset(bad, np.array([1.0, np.inf, 0.0]))
+    assert str(err.value) == (
+        "dataset invalid: features contains non-finite entries; "
+        "response contains non-finite entries"
+    )
 
 
 @pytest.mark.parametrize("i", [2.7, True])
@@ -160,19 +160,19 @@ def test_loss_matrix_rejects_nonfinite_and_row_mismatch():
 
 
 def test_learner_spec_validation():
-    LearnerSpec("ridge", lam=0.0).validate()
-    LearnerSpec("lasso", lam=0.3).validate()
-    LearnerSpec("forward", steps=2).validate()
+    LearnerSpec("ridge", lam=0.0)
+    LearnerSpec("lasso", lam=0.3)
+    LearnerSpec("forward", steps=2)
     with pytest.raises(DomainError):
-        LearnerSpec("lasso", lam=-0.1).validate()
+        LearnerSpec("lasso", lam=-0.1)
     with pytest.raises(DomainError):
-        LearnerSpec("forward", steps=-1).validate()
+        LearnerSpec("forward", steps=-1)
     with pytest.raises(DomainError):
-        LearnerSpec("ridge", lam=float("nan")).validate()
+        LearnerSpec("ridge", lam=float("nan"))
     # least squares is ridge at lam = 0; SGD runs only in the stability campaigns
     for family in ("kitchen_sink", "ols", "sgd", "series"):
         with pytest.raises(DomainError):
-            LearnerSpec(family).validate()
+            LearnerSpec(family)
 
 
 def test_learner_spec_is_hashable_value_type():
@@ -180,3 +180,9 @@ def test_learner_spec_is_hashable_value_type():
     b = LearnerSpec("lasso", lam=0.25)
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_learner_spec_labels():
+    assert LearnerSpec("ridge", lam=0.1).label() == "ridge:0.1"
+    assert LearnerSpec("lasso", lam=1e-7).label() == "lasso:1e-07"
+    assert LearnerSpec("forward", steps=3).label() == "forward:3"

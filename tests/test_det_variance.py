@@ -247,7 +247,7 @@ def test_phi_csv_round_trip(tmp_path):
         out=str(tmp_path),
         threads=1,
         variant="pair",
-    ).validate()
+    )
     run_phi(cfg)
     est = phi_pair(*_phi_problem(cfg, 60))
     back = np.loadtxt(tmp_path / "phi_pair_n60.csv", delimiter=",", ndmin=2)

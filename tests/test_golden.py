@@ -87,6 +87,13 @@ def test_seeded_outputs_match_the_golden_bytes(run, tmp_path):
     assert _run(run, tmp_path) == want
 
 
+def test_every_shipped_and_bench_config_has_golden_bytes():
+    # a new config cannot ship without a run, and so golden entries, of its own
+    configs = {*SHIPPED.glob("*.ini"), *BENCH.glob("*.ini")}
+    run = {config for _, commands in RUNS.values() for _, config, *_ in commands}
+    assert sorted(configs - run) == []
+
+
 if __name__ == "__main__":
     import sys
     import tempfile

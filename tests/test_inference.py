@@ -650,3 +650,12 @@ def test_coverage_set_with_target_vector_breaks_ties_low():
     assert not check_coverage(mcs, np.array([0.0, 0.0, 0.0]))  # r* = 0
     with pytest.raises(DomainError):
         check_coverage(mcs, np.array([1.0, 0.0]))
+
+
+def test_coverage_set_refuses_a_float_or_bool_index():
+    # 1.7 and True would be read as index 1, a member
+    mcs = ModelConfidenceSet(members=(1,), method="naive", alpha=0.1, p=3)
+    for bad in (1.7, True, np.float64(1.0), np.bool_(True)):
+        with pytest.raises(DomainError, match="integers"):
+            check_coverage(mcs, bad)
+    assert check_coverage(mcs, np.int64(1)) and check_coverage(mcs, np.intp(1))

@@ -399,13 +399,25 @@ def test_sgd_config_constant_derivation_ridge():
 
 def test_sgd_config_rejects_bad_exponent():
     with pytest.raises(DomainError):
-        SgdConfig.for_ridge(lam=0.5, step_exponent=1.0, radius_x=1.0, radius_theta=1.0).validate()
+        SgdConfig.for_ridge(lam=0.5, step_exponent=1.0, radius_x=1.0, radius_theta=1.0)
 
 
 def test_sgd_config_rejects_a_penalty_that_is_not_a_number():
     # the derived constants would be NaN, and every comparison with them false
     with pytest.raises(DomainError, match="lam >= 0"):
         SgdConfig.for_ridge(lam=float("nan"), step_exponent=0.6, radius_x=1.0, radius_theta=1.0)
+
+
+def test_sgd_config_refuses_bad_values_when_built():
+    # the plain constructor checks as for_ridge does, so no consumer re-checks
+    for args, message in (
+        ((0.5, 1.0, 1.0, 1.0), "step exponent"),
+        ((-0.1, 0.6, 1.0, 1.0), "lam >= 0"),
+        ((0.5, 0.6, 0.0, 1.0), "radius_x > 0"),
+        ((0.5, 0.6, 1.0, float("nan")), "radius_theta > 0"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            SgdConfig(*args)
 
 
 def test_sgd_one_step_ridge_closed_form():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cvconf.datamodel import DomainError
-from cvconf.simgen import SparseLinearGen, derive_substream, gen_sparse_linear
+from cvconf.simgen import SparseLinearGen, derive_substream, gen_sparse_linear, stable_subseed
 
 
 def test_sparse_linear_noise_variance_rule():
@@ -44,6 +44,13 @@ def test_sparse_linear_is_pure_and_ignores_global_state():
 
 
 def test_sparse_linear_domain_checks():
+    # each check runs when the config is built, before any draw
+    with pytest.raises(DomainError, match="need n >= 1"):
+        SparseLinearGen(n=0, d=3, s=2, nu=1.0, seed=0)
+    with pytest.raises(DomainError, match="1 <= s <= d"):
+        SparseLinearGen(n=10, d=3, s=4, nu=1.0, seed=0)
+    with pytest.raises(DomainError, match="nu > 0"):
+        SparseLinearGen(n=10, d=3, s=2, nu=float("nan"), seed=0)
     with pytest.raises(DomainError):
         gen_sparse_linear(SparseLinearGen(n=10, d=3, s=4, nu=1.0, seed=0))
     with pytest.raises(DomainError):
@@ -68,3 +75,18 @@ def test_derive_substream_cross_correlation():
     y = derive_substream(7, "corr", 1).standard_normal(n)
     r = float(np.corrcoef(x, y)[0, 1])
     assert abs(r) < 4 / np.sqrt(n)
+
+
+def test_substream_keys_refuse_a_float_or_bool():
+    # int() would read 2.7 as 2 and True as 1, giving another key's stream
+    for seed, indices in ((2.7, ()), (True, ()), (1, (2.5,)), (1, (np.bool_(True),)), (1.9, (2,))):
+        with pytest.raises(DomainError, match="must be integers"):
+            derive_substream(seed, "x", *indices)
+        with pytest.raises(DomainError, match="must be integers"):
+            stable_subseed(seed, "x", *indices)
+    with pytest.raises(DomainError, match="master seeds must be integers"):
+        gen_sparse_linear(SparseLinearGen(n=10, d=3, s=2, nu=1.0, seed=2.7))
+    # numpy integers are integers
+    assert stable_subseed(np.int64(1), "x", np.uint8(2)) == stable_subseed(1, "x", 2)
+    a = derive_substream(np.int64(4), "x", np.intp(3)).standard_normal(4)
+    assert np.array_equal(a, derive_substream(4, "x", 3).standard_normal(4))

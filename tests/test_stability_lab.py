@@ -1,5 +1,6 @@
 """Replace-one stability probes and their log-log slope fits."""
 
+import dataclasses
 import json
 import math
 
@@ -635,13 +636,23 @@ def test_sgd_campaigns_match_one_variant_campaigns():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_report_validate_rejects_non_finite_samples(bad):
-    rep = StabilityReport(
-        kind="sgd-first-diff",
-        n_grid=(64, 128),
-        samples={64: np.array([0.1, 0.2]), 128: np.array([0.05, bad])},
-    )
     with pytest.raises(DomainError, match="n=128"):
-        rep.validate()
+        StabilityReport(
+            kind="sgd-first-diff",
+            n_grid=(64, 128),
+            samples={64: np.array([0.1, 0.2]), 128: np.array([0.05, bad])},
+        )
+
+
+def test_report_is_checked_when_built_and_frozen():
+    samples = {64: np.array([0.1, 0.2])}
+    with pytest.raises(DomainError, match="nonnegative"):
+        StabilityReport(kind="k", n_grid=(64,), samples={64: np.array([0.1, -0.2])})
+    with pytest.raises(DomainError, match="violation count exceeds trial count"):
+        StabilityReport(kind="k", n_grid=(64,), samples=samples, violations={64: 3})
+    rep = StabilityReport(kind="k", n_grid=(64,), samples=samples, violations={64: 2})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.slope = 1.0
 
 
 def test_report_round_trips_through_csv_and_json(tmp_path):
@@ -658,7 +669,7 @@ def test_report_round_trips_through_csv_and_json(tmp_path):
         out=str(tmp_path),
         variant="first",
         index_mode="tail",
-    ).validate()
+    )
     run_stability(cfg)
     rep = sgd_campaigns(
         ("first",),
