@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Desk-scale coverage and set-size campaigns (300 replications each).
 # Campaigns are resumable: rerunning skips completed replications.
-# One full run took 44 s on a 2-core x86_64 Xeon with 2 workers; set the
-# per-config threads key or pass --threads to cap workers.
+# One full run took 86 s at commit 7fa1eff on a 2-core x86_64 host with 2
+# workers; set the per-config threads key or pass --threads to cap workers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"

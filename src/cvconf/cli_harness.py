@@ -38,6 +38,7 @@ from .datamodel import (
     Dataset,
     DomainError,
     LearnerSpec,
+    _integer,
     _jsonable,
     make_folds,
     save_dataset_csv,
@@ -146,6 +147,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        # a count is an integer: a float or a bool is refused, never truncated
+        counts = ("s", "lasso_count", "V", "reps", "draws", "seed", "threads", "holdout_m")
+        values = [(key, getattr(self, key)) for key in counts]
+        values += [("n", n) for n in self.n_list] + [("forward_steps", k) for k in self.forward_steps]
+        if not isinstance(self.d, str):
+            values.append(("d", self.d))
+        for key, value in values:
+            _integer(value, f"config values of {key}", ConfigError)
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ConfigError(f"n must be a list of positive sizes, got {self.n_list}")
         if len(set(self.n_list)) != len(self.n_list):

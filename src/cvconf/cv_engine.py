@@ -10,7 +10,12 @@ risks (``replace_one_cv_risks``, whose one-swap form is
 rule, one fit per bank position; the specs and the data were checked
 when they were built.
 The lasso problems of a batch of sets are solved together by
-``learners.lasso_bank``.
+``learners.lasso_bank``.  A batch is fitted once it holds
+max(n // d, ceil(MIN_BATCH_PROBLEMS / L)) sets of n rows and d features,
+L being the bank's number of lasso positions (n // d for a lasso-free
+bank), so a kernel call solves at least ``MIN_BATCH_PROBLEMS`` problems
+whenever that many wait, and at worst ceil(MIN_BATCH_PROBLEMS / L) x d^2
+gram elements are stacked.
 Replace-one recomputation reuses the one fold whose training rows are
 untouched and refits the others, reproducing a from-scratch run
 exactly.  With ``workers`` > 1, ``replace_one_cv_risks`` splits its
@@ -23,6 +28,7 @@ in-process run.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,6 +45,16 @@ from .datamodel import (
 )
 from .learners import ConvergenceError, _lasso_fit, _ridge_solve, fit_forward, fit_ridge, lasso_bank
 from .simgen import SparseLinearTruth
+
+
+# Fewest lasso problems a kernel call waits for.  lasso_bank pays numpy call
+# overhead per coordinate step, not per problem, so its cost per problem
+# falls as a call holds more (1.86 ms per set of 10 penalties at 8 sets a
+# call, 0.70 at 64, on one thread).  Each waiting set holds one d x d gram,
+# so where this floor exceeds n // d sets a batch stacks at most
+# ceil(MIN_BATCH_PROBLEMS / L) grams for L lasso positions: 13 x 100^2
+# elements (1 MiB) at the phi_wide shape.
+MIN_BATCH_PROBLEMS = 128
 
 
 class FitError(RuntimeError):
@@ -88,10 +104,14 @@ def _fit_sets(specs: Sequence[LearnerSpec], sets):
     once, by the formula fit_lasso and fit_ridge use on their own, and
     the specs of other families than the lasso are fitted at once, in
     bank order.  The set's rows are then dropped and only its gram waits
-    in a batch of at most n // d sets, so the batch never outgrows one
-    set's rows.  A full batch goes through one ``lasso_bank`` call, with
-    one problem per lasso position of each set, and its fits are then
-    yielded, so a consumer can drop them before later sets are fitted.
+    in a batch, which is full at max(n // d, ceil(MIN_BATCH_PROBLEMS / L))
+    sets, L being the number of lasso positions (n // d when L = 0).  So a
+    batch outgrows one set's rows only to give the kernel
+    ``MIN_BATCH_PROBLEMS`` problems, and then stacks at most
+    ceil(MIN_BATCH_PROBLEMS / L) x d^2 gram elements.  A full batch goes
+    through one ``lasso_bank`` call, with one problem per lasso position
+    of each set, and its fits are then yielded, so a consumer can drop
+    them before later sets are fitted.
     Every fit is a pure function of its spec and rows, and the kernel
     fits each problem as fit_lasso would on its own, so identical specs
     get bitwise-equal fits, the batching changes no fit, and permuting
@@ -99,6 +119,7 @@ def _fit_sets(specs: Sequence[LearnerSpec], sets):
     the first failing (set, model) in that order.
     """
     lasso = [r for r, spec in enumerate(specs) if spec.family == "lasso"]
+    floor = math.ceil(MIN_BATCH_PROBLEMS / len(lasso)) if lasso else 1
     batch: list[tuple] = []  # (v, row, gram, corr) of the waiting sets
     problems: list[tuple[int, int]] = []  # their (set, lasso position) problems
     for v, Z, y in sets:
@@ -121,7 +142,7 @@ def _fit_sets(specs: Sequence[LearnerSpec], sets):
             _fit_batch(specs, batch, problems)  # a lasso failure earlier in the order comes first
             r, spec, exc = failed
             raise FitError(v, r, spec, exc) from exc
-        if len(batch) == max(1, n // max(1, d)):
+        if len(batch) >= max(floor, n // max(1, d)):
             yield from _fit_batch(specs, batch, problems)
             batch, problems = [], []
     yield from _fit_batch(specs, batch, problems)

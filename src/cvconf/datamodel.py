@@ -78,11 +78,11 @@ def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
-def _integer(value, what: str) -> int:
+def _integer(value, what: str, error: type[DomainError] = DomainError) -> int:
     """``value`` as an int; a float or a bool is refused rather than
-    truncated, with a DomainError saying ``what`` must be integers."""
+    truncated, with an ``error`` saying ``what`` must be integers."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{what} must be integers, got {value!r}")
+        raise error(f"{what} must be integers, got {value!r}")
     return int(value)
 
 
@@ -243,7 +243,7 @@ class LearnerSpec:
         if self.family in ("ridge", "lasso") and not self.lam >= 0:
             raise DomainError(f"{self.family} needs lam >= 0, got {self.lam}")
         if self.family == "forward":
-            if self.steps is None or self.steps < 0:
+            if self.steps is None or _integer(self.steps, "forward steps") < 0:
                 raise DomainError(f"forward needs steps >= 0, got {self.steps}")
 
     def label(self) -> str:

@@ -199,6 +199,23 @@ def test_a_config_that_load_config_refuses_cannot_be_built(tmp_path):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("reps", 2.5), ("V", 5.0), ("draws", 20000.0), ("threads", True), ("holdout_m", 2.0),
+        ("s", 2.0), ("n_list", (60, 100.0)), ("seed", 1.0), ("d", 6.0), ("lasso_count", 5.0),
+        ("forward_steps", (1.0,)),
+    ],
+)
+def test_a_config_refuses_a_non_integer_count(field, value):
+    # load_config parses these with int, so only the constructor or
+    # dataclasses.replace could hand a runner one
+    valid = ExperimentConfig(kind="cvc_size", n_list=(60,), d=6, s=2, lasso="doubling")
+    key = "n" if field == "n_list" else field
+    with pytest.raises(ConfigError, match=f"config values of {key} must be integers"):
+        dataclasses.replace(valid, **{field: value})
+
+
 def test_load_config_rejects_duplicate_sample_sizes(tmp_path):
     # results are keyed and split back by n, so a repeated n has no rows of its own
     sec = _stability_sections(tmp_path / "o")

@@ -107,6 +107,14 @@ def test_replace_row_refuses_a_non_integer_index(i):
         ds.replace_row(i, np.ones(2), 1.0)
 
 
+@pytest.mark.parametrize("steps", [True, 1.5, 2.0])
+def test_forward_spec_refuses_non_integer_steps(steps):
+    # 1.5 would build and fail only inside the fold loop, as a FitError
+    with pytest.raises(DomainError, match="forward steps must be integers"):
+        LearnerSpec("forward", steps=steps)
+    assert LearnerSpec("forward", steps=np.int64(2)).label() == "forward:2"
+
+
 def test_dataset_csv_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     ds = Dataset(rng.normal(size=(5, 3)), rng.normal(size=5))

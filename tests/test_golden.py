@@ -7,7 +7,8 @@ afterwards, keyed ``<run>/<file>``.  The replication CSVs' ``ms_elapsed``
 column is a wall time, so it is dropped by its header name before
 hashing.  The runs cover 2 reps of every replicated kind, the phi
 campaigns (``phi_wide`` at 1 and 2 workers, which must agree byte for
-byte), the stability campaigns, the quickstart's one-shot commands, and
+byte), the stability campaigns (``stability_tail`` at its full 60
+trials), the quickstart's one-shot commands, and
 a rerun into the same directory for ``phi`` and ``stability``, which
 hashes the manifest the skip path writes.  The list was taken with numpy
 2.4 and its bundled OpenBLAS on x86-64.  A change that means to move
@@ -36,6 +37,7 @@ RUNS = {
     "sgd_stability": ("sgd_stability", [_SGD_STABILITY]),
     "stability": ("stability", [("stability", SHIPPED / "stability.ini", "--reps", "2")]),
     "stability_rerun": ("stability_rerun", [_SGD_STABILITY] * 2),
+    "stability_tail": ("stability_tail", [("stability", SHIPPED / "stability_tail.ini")]),
     "coverage": ("coverage", [("coverage", SHIPPED / "band_coverage.ini", "--reps", "2")]),
     "fwd": ("fwd", [("fwd", SHIPPED / "fwd_pointwise.ini", "--reps", "2")]),
     "cvc_size": ("cvc_size", [("cvc-size", SHIPPED / "cvc_size.ini", "--reps", "2")]),
