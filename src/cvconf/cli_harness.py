@@ -40,6 +40,7 @@ from .datamodel import (
     LearnerSpec,
     _integer,
     _jsonable,
+    _real,
     make_folds,
     save_dataset_csv,
     write_csv_atomic,
@@ -155,6 +156,13 @@ class ExperimentConfig:
             values.append(("d", self.d))
         for key, value in values:
             _integer(value, f"config values of {key}", ConfigError)
+        # a real value is a number: a bool or a string is refused
+        reals = ("nu", "radius_x", "lasso_ratio", "sgd_lam", "sgd_a", "sgd_radius_theta")
+        values = [(key, getattr(self, key)) for key in reals]
+        values += [("ridge_lams", lam) for lam in self.ridge_lams]
+        values += [("alphas", a) for a in self.alphas]
+        for key, value in values:
+            _real(value, f"config values of {key}", ConfigError)
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ConfigError(f"n must be a list of positive sizes, got {self.n_list}")
         if len(set(self.n_list)) != len(self.n_list):

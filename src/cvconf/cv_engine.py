@@ -15,7 +15,8 @@ max(n // d, ceil(MIN_BATCH_PROBLEMS / L)) sets of n rows and d features,
 L being the bank's number of lasso positions (n // d for a lasso-free
 bank), so a kernel call solves at least ``MIN_BATCH_PROBLEMS`` problems
 whenever that many wait, and at worst ceil(MIN_BATCH_PROBLEMS / L) x d^2
-gram elements are stacked.
+gram elements are stacked: with the floor of 256, 26 x 100^2 (about
+2 MiB) at n = 1000, d = 100 and 10 penalties.
 Replace-one recomputation reuses the one fold whose training rows are
 untouched and refits the others, reproducing a from-scratch run
 exactly.  With ``workers`` > 1, ``replace_one_cv_risks`` splits its
@@ -49,12 +50,21 @@ from .simgen import SparseLinearTruth
 
 # Fewest lasso problems a kernel call waits for.  lasso_bank pays numpy call
 # overhead per coordinate step, not per problem, so its cost per problem
-# falls as a call holds more (1.86 ms per set of 10 penalties at 8 sets a
-# call, 0.70 at 64, on one thread).  Each waiting set holds one d x d gram,
-# so where this floor exceeds n // d sets a batch stacks at most
-# ceil(MIN_BATCH_PROBLEMS / L) grams for L lasso positions: 13 x 100^2
-# elements (1 MiB) at the phi_wide shape.
-MIN_BATCH_PROBLEMS = 128
+# falls as a call holds more.  scripts/kernel_cost.py at the phi_wide shape
+# (d = 100, 10 penalties, one BLAS thread, 2-core x86_64):
+#
+#       K   call ms  steps  us/step  us/problem
+#      64      10.3   1000    10.33       161.4
+#     128      12.3   1000    12.30        96.1
+#     256      16.0   1000    15.98        62.4
+#     512      25.3   1100    23.01        49.4
+#    1024      42.4   1100    38.57        41.4
+#    step time ~ 8.42 us + 0.0293 us per problem
+#
+# Each waiting set holds one d x d gram, so where this floor exceeds n // d
+# sets a batch stacks at most ceil(MIN_BATCH_PROBLEMS / L) grams for L lasso
+# positions: 26 x 100^2 elements (about 2 MiB) at the phi_wide shape.
+MIN_BATCH_PROBLEMS = 256
 
 
 class FitError(RuntimeError):
@@ -108,10 +118,11 @@ def _fit_sets(specs: Sequence[LearnerSpec], sets):
     sets, L being the number of lasso positions (n // d when L = 0).  So a
     batch outgrows one set's rows only to give the kernel
     ``MIN_BATCH_PROBLEMS`` problems, and then stacks at most
-    ceil(MIN_BATCH_PROBLEMS / L) x d^2 gram elements.  A full batch goes
-    through one ``lasso_bank`` call, with one problem per lasso position
-    of each set, and its fits are then yielded, so a consumer can drop
-    them before later sets are fitted.
+    ceil(MIN_BATCH_PROBLEMS / L) x d^2 gram elements (ceil(256 / 10) = 26
+    grams of 100^2, about 2 MiB, at d = 100 and 10 penalties).  A full
+    batch goes through one ``lasso_bank`` call, with one problem per
+    lasso position of each set, and its fits are then yielded, so a
+    consumer can drop them before later sets are fitted.
     Every fit is a pure function of its spec and rows, and the kernel
     fits each problem as fit_lasso would on its own, so identical specs
     get bitwise-equal fits, the batching changes no fit, and permuting

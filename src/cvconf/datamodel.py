@@ -86,6 +86,17 @@ def _integer(value, what: str, error: type[DomainError] = DomainError) -> int:
     return int(value)
 
 
+def _real(value, what: str, error: type[DomainError] = DomainError) -> float:
+    """``value`` as a float; a bool or a non-number (such as the string
+    "0.1") is refused, with an ``error`` saying ``what`` must be real
+    numbers."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        raise error(f"{what} must be real numbers, got {value!r}")
+    return float(value)
+
+
 def _replacement(i, z_new, y_new, n: int, d: int) -> tuple[int, np.ndarray, float]:
     """(i, z_new, y_new) checked as the replacement of row i of n rows of d
     features: i an integer in [0, n) (see ``_integer``), and z_new a row
@@ -240,8 +251,9 @@ class LearnerSpec:
     def __post_init__(self):
         if self.family not in LEARNER_FAMILIES:
             raise DomainError(f"unknown learner family {self.family!r}")
-        if self.family in ("ridge", "lasso") and not self.lam >= 0:
-            raise DomainError(f"{self.family} needs lam >= 0, got {self.lam}")
+        if self.family in ("ridge", "lasso"):
+            if not _real(self.lam, f"{self.family} penalties") >= 0:
+                raise DomainError(f"{self.family} needs lam >= 0, got {self.lam}")
         if self.family == "forward":
             if self.steps is None or _integer(self.steps, "forward steps") < 0:
                 raise DomainError(f"forward needs steps >= 0, got {self.steps}")

@@ -216,6 +216,21 @@ def test_a_config_refuses_a_non_integer_count(field, value):
         dataclasses.replace(valid, **{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("nu", True), ("radius_x", "1.0"), ("lasso_ratio", np.bool_(True)), ("sgd_lam", True),
+        ("sgd_a", "0.6"), ("sgd_radius_theta", True), ("ridge_lams", (0.1, True)),
+        ("alphas", ("0.05",)),
+    ],
+)
+def test_a_config_refuses_a_non_real_value(field, value):
+    # nu = True built; a string failed later on a bare TypeError or not at all
+    valid = ExperimentConfig(kind="cvc_size", n_list=(60,), d=6, s=2, lasso="doubling")
+    with pytest.raises(ConfigError, match=f"config values of {field} must be real numbers"):
+        dataclasses.replace(valid, **{field: value})
+
+
 def test_load_config_rejects_duplicate_sample_sizes(tmp_path):
     # results are keyed and split back by n, so a repeated n has no rows of its own
     sec = _stability_sections(tmp_path / "o")

@@ -240,7 +240,7 @@ def test_replace_one_cv_risks_equal_one_swap_calls(monkeypatch):
     swaps = [(i, (rng.normal(size=3), float(rng.normal()))) for i in rows]
     one_by_one = [replace_one_cv_risk(ds, specs, plan, i, x, cached) for i, x in swaps]
     # 9 swaps refit 27 training sets; with 4 lasso positions a kernel call
-    # waits for max(18 // 3, ceil(128 / 4)) = 32 sets, so one call fits them all
+    # waits for max(18 // 3, ceil(256 / 4)) = 64 sets, so one call fits them all
     calls = []
 
     def recording_bank(grams, *args):
@@ -441,7 +441,7 @@ def test_kernel_calls_at_the_cvc_p50_shape(monkeypatch):
 def test_kernel_calls_at_the_phi_wide_shape(monkeypatch):
     # n = 1000, d = 100, the 10-penalty doubling lasso among two other specs:
     # 16 swaps of one row refit 64 folds of 800 rows, max(800 // 100,
-    # ceil(128 / 10)) = 13 grams (130 problems) to a call, the last call 12
+    # ceil(256 / 10)) = 26 grams (260 problems) to a call, the last call 12
     ds, _ = gen_sparse_linear(SparseLinearGen(n=1000, d=100, s=5, nu=1000.0, seed=4))
     lams = [float(lam) for lam in lasso_grid(ds.features, ds.response, 5)]
     specs = [LearnerSpec("forward", steps=0), LearnerSpec("ridge", lam=0.1)]
@@ -452,7 +452,7 @@ def test_kernel_calls_at_the_phi_wide_shape(monkeypatch):
     swaps = [(0, (rows.features[j], rows.response[j])) for j in range(16)]
     calls = _bank_calls(monkeypatch)
     replace_one_cv_risks(ds, specs, plan, swaps, cached)
-    want = [(k, [j for j in range(k) for _ in lams], lams * k) for k in (13, 13, 13, 13, 12)]
+    want = [(k, [j for j in range(k) for _ in lams], lams * k) for k in (26, 26, 12)]
     assert calls == want
 
 
@@ -462,8 +462,8 @@ def test_kernel_calls_at_the_phi_wide_shape(monkeypatch):
 )
 def test_the_batch_floor_changes_no_bit(monkeypatch, floor, fold_calls, refit_calls):
     # 18 training rows of 8 features and 4 lasso positions: the default
-    # batches are max(18 // 8, ceil(128 / 4)) = 32 sets, here 4 folds in one
-    # call and the 36 refits of 12 swaps in calls of 32 and 4
+    # batches are max(18 // 8, ceil(256 / 4)) = 64 sets, here 4 folds in one
+    # call and the 36 refits of 12 swaps in one call
     rng = np.random.default_rng(19)
     ds = Dataset(rng.normal(size=(24, 8)), rng.normal(size=24))
     plan = make_folds(24, 4)
@@ -483,7 +483,7 @@ def test_the_batch_floor_changes_no_bit(monkeypatch, floor, fold_calls, refit_ca
 
     calls = _bank_calls(monkeypatch)
     want = raw(*run())
-    assert [k for k, _, _ in calls] == [4, 32, 4]
+    assert [k for k, _, _ in calls] == [4, 36]
     monkeypatch.setattr(cv_engine, "MIN_BATCH_PROBLEMS", floor)
     calls.clear()
     assert raw(*run()) == want

@@ -115,6 +115,16 @@ def test_forward_spec_refuses_non_integer_steps(steps):
     assert LearnerSpec("forward", steps=np.int64(2)).label() == "forward:2"
 
 
+@pytest.mark.parametrize("family", ["ridge", "lasso"])
+@pytest.mark.parametrize("lam", [True, "0.1", np.bool_(True)])
+def test_penalized_spec_refuses_a_non_real_penalty(family, lam):
+    # True built and labelled itself ridge:1; "0.1" failed on a bare TypeError
+    with pytest.raises(DomainError, match=f"{family} penalties must be real numbers"):
+        LearnerSpec(family, lam=lam)
+    assert LearnerSpec(family, lam=np.float64(0.5)).label() == f"{family}:0.5"
+    assert LearnerSpec(family, lam=2).label() == f"{family}:2"
+
+
 def test_dataset_csv_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     ds = Dataset(rng.normal(size=(5, 3)), rng.normal(size=5))
