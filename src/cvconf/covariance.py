@@ -66,13 +66,12 @@ def variance_floor(lambda_diag: np.ndarray) -> float:
 def standardized_correlation(cov: CovEstimate):
     """Correlation matrix over coordinates of positive variance.
 
-    Returns (corr, kept, dropped): corr is k x k over the kept
-    coordinates with a unit diagonal and entries clipped to [-1, 1];
-    kept and dropped are index arrays into the original ordering.
+    Returns (corr, kept): corr is k x k over the kept coordinates with a
+    unit diagonal and entries clipped to [-1, 1]; kept is an index array
+    into the original ordering.
     """
     diag = np.asarray(cov.lambda_diag, dtype=np.float64)
     kept = np.flatnonzero(diag > 0.0)
-    dropped = np.flatnonzero(diag <= 0.0)
     if kept.size == 0:
         raise EmptyProblemError("no coordinate has positive variance")
     sub = cov.sigma[np.ix_(kept, kept)]
@@ -80,4 +79,4 @@ def standardized_correlation(cov: CovEstimate):
     corr = sub * inv_scale[:, None] * inv_scale[None, :]
     corr = np.clip((corr + corr.T) / 2, -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)
-    return corr, kept, dropped
+    return corr, kept

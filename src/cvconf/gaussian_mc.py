@@ -4,12 +4,13 @@ Critical values for the simultaneous bands and for the one-sided model
 comparisons are upper quantiles of maxima of linear maps of
 ``Y ~ N(0, C)``, where ``C`` is an estimated correlation matrix.  None of
 them has a usable closed form once coordinates are dependent, so they
-are computed by simulation from a caller-supplied stream.  ``C`` is
-factored as ``F'F`` with ``F`` of its numerical rank ``r`` rows, so a
-draw costs ``r`` normals however many coordinates are collinear.  One
-call draws one sample and reads every column of a caller's statistic
-from it at every requested alpha, so all critical values of a problem
-share the same draws.  Determinism is part of the contract: the stream
+are computed by simulation from a caller-supplied stream and draw count;
+``inference.critical_values`` makes every call.  ``C`` is factored as
+``F'F`` with ``F`` of its numerical rank ``r`` rows, so a draw costs
+``r`` normals however many coordinates are collinear.  One call draws
+one sample and reads every column of a caller's statistic from it at
+every requested alpha, so all critical values of a problem share the
+same draws.  Determinism is part of the contract: the stream
 fixes the draws and the draws fix the quantiles.  The block size does
 not change which normals are drawn, but it changes the shape of each
 product Z @ (F @ A), so a quantile can move by rounding (4.4e-16 to
@@ -32,12 +33,9 @@ from .datamodel import DomainError
 
 __all__ = [
     "BLOCK_ELEMS",
-    "DEFAULT_DRAWS",
     "MIN_DRAWS",
     "max_quantiles",
 ]
-
-DEFAULT_DRAWS = 100_000
 
 # Fewest draws a quantile may rest on.
 MIN_DRAWS = 1000
@@ -74,8 +72,8 @@ def _check_inputs(corr, alphas: np.ndarray, draws: int) -> np.ndarray:
         raise DomainError("correlation must have unit diagonal")
     if float(np.max(np.abs(C))) > 1.0 + _SYM_TOL:
         raise DomainError("correlation entries must lie in [-1, 1]")
-    if alphas.size == 0 or not np.all((alphas > 0.0) & (alphas < 1.0)):
-        raise DomainError(f"alpha must lie in (0, 1), got {alphas.tolist()}")
+    if alphas.ndim != 1 or alphas.size == 0 or not np.all((alphas > 0.0) & (alphas < 1.0)):
+        raise DomainError(f"alphas must be a nonempty sequence in (0, 1), got {alphas.tolist()}")
     if draws < MIN_DRAWS:
         raise DomainError(f"need at least {MIN_DRAWS} draws, got {draws}")
     return C
@@ -95,10 +93,8 @@ def _factor(C: np.ndarray) -> np.ndarray:
     return (vecs[:, keep] * np.sqrt(w[keep])).T
 
 
-def max_quantiles(
-    corr, statistic, alpha, draws: int, rng, *, linear=None, return_rank: bool = False
-):
-    """Upper alpha quantiles of every column of ``statistic(Y @ linear)``, ``Y ~ N(0, corr)``.
+def max_quantiles(corr, statistic, alphas, draws: int, rng, *, linear):
+    """Upper quantiles of every column of ``statistic(Y @ linear)``, ``Y ~ N(0, corr)``.
 
     ``corr`` (q x q) is factored once as F'F by its eigendecomposition,
     keeping the r eigenpairs above the numerical-rank tolerance; an
@@ -106,7 +102,7 @@ def max_quantiles(
     input and raises.  Each block takes a ``(b, r)`` array Z of standard
     normals from ``rng`` in row order and hands ``statistic`` the one
     product ``Z @ (F @ linear)``, a ``(b, m)`` array whose rows are
-    draws of ``Y @ linear``; ``linear`` (q x m) defaults to the identity.
+    draws of ``Y @ linear`` for ``linear`` of shape (q x m).
     ``statistic`` returns a ``(b,)`` or ``(b, k)`` array.  The product
     lives in a buffer that the next block reuses: ``statistic`` may
     overwrite its argument, or return it, but must not keep it.  A block
@@ -117,18 +113,15 @@ def max_quantiles(
     draws exactly ``draws * r`` normals, the same ones in the same order
     as a draw of each block on its own.  Of each column only the largest
     values that a quantile can be read from are kept, about
-    ``2 * draws * max(alpha)`` and a block.
+    ``2 * draws * max(alphas)`` and a block.
 
-    ``alpha`` is a float or a sequence of them; every quantile is the
-    conservative order statistic of the same ``draws`` values of the
-    statistic.  A float gives a ``(k,)`` array, a sequence a
-    ``(len(alpha), k)`` array with one row per alpha.  With
-    ``return_rank`` the result is the pair ``(quantiles, r)``.
+    Returns ``(quantiles, r)``: ``quantiles`` is a ``(len(alphas), k)``
+    array with one row per alpha, each the conservative order statistic
+    of the same ``draws`` values of the statistic.
     """
-    alphas = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
+    alphas = np.asarray(alphas, dtype=np.float64)
     C = _check_inputs(corr, alphas, draws)
-    F = _factor(C)
-    M = F if linear is None else F @ np.asarray(linear, dtype=np.float64)
+    M = _factor(C) @ np.asarray(linear, dtype=np.float64)
     r, m = M.shape
     rows = max(1, BLOCK_ELEMS // max(r, m))
     chunk = rows * max(1, max(r, m) // r)  # whole blocks of normals per draw call
@@ -160,5 +153,4 @@ def max_quantiles(
     ks = [k - dropped for k in ks]
     stats = stats[:kept]
     stats.partition(sorted(set(ks)), axis=0)
-    quantiles = stats[ks] if np.ndim(alpha) else stats[ks[0]].copy()
-    return (quantiles, r) if return_rank else quantiles
+    return stats[ks], r

@@ -6,8 +6,10 @@ all candidates, the band-overlap confidence set, and the sharper set built
 from per-candidate risk differences with one-sided calibration.  All of
 them treat the loss-matrix column means as the point estimates and draw
 critical values from the Gaussian machinery, so results are deterministic
-functions of (data, alpha, seed).  ``critical_values`` reads the band's
-and the screened set's critical values at every alpha from one draw.
+functions of (data, alpha, seed).  ``critical_values`` draws the band's
+and the screened set's critical values at every alpha from one sample;
+``simultaneous_band`` and ``cvc_set`` read theirs from its result, or
+take an injected value instead.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .covariance import (
 )
 from .cv_engine import RiskVector, cv_risk
 from .datamodel import DomainError, LossMatrix, _integer, _jsonable
-from .gaussian_mc import DEFAULT_DRAWS, max_quantiles
+from .gaussian_mc import max_quantiles
 from .simgen import derive_substream
 
 _normal_quantile = NormalDist().inv_cdf
@@ -111,7 +113,8 @@ class ModelConfidenceSet:
       set leaves both None).
 
     In every case membership (apart from the sign rule on degenerate
-    comparisons) is ``max_stat <= z_alpha``.
+    comparisons) is ``max_stat <= z_alpha``.  ``seed`` is that of the
+    draw the critical values came from, None when they were injected.
     """
 
     members: tuple[int, ...]
@@ -159,25 +162,34 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
 
 
+def _check_source(injected, critical: CriticalValues | None, p: int, name: str) -> None:
+    """Refuse both or neither of an injected value and ``critical``, and
+    critical values drawn for another number of candidates."""
+    if (injected is None) == (critical is None):
+        raise DomainError(f"provide exactly one of {name} or critical values")
+    if critical is not None and critical.p != p:
+        raise DomainError(
+            f"critical values were drawn for {critical.p} candidates, but the problem has {p}"
+        )
+
+
 def simultaneous_band(
     risks: RiskVector,
     cov: CovEstimate,
     alpha: float,
     *,
     z_hat: float | None = None,
-    seed: int | None = None,
-    draws: int = DEFAULT_DRAWS,
     critical: CriticalValues | None = None,
 ) -> BandSet:
     """Band risk_r +/- sqrt(sigma_rr) * z / sqrt(n) with a shared critical value.
 
-    When ``z_hat`` is not injected, z is the upper-alpha quantile of the
-    max absolute coordinate of a centered Gaussian vector with the
-    standardized correlation of ``cov``, read from ``critical`` (see
-    ``critical_values``), or drawn here from ``seed``.  Coordinates whose
-    variance falls below the floor are excluded from the max and get
-    zero-width intervals.  If every coordinate is degenerate the band is
-    a point band regardless of z.
+    z is either injected as ``z_hat`` or read from ``critical`` (see
+    ``critical_values``), where it is the upper-alpha quantile of the max
+    absolute coordinate of a centered Gaussian vector with the
+    standardized correlation of ``cov``; exactly one of the two is given.
+    Coordinates whose variance falls below the floor are excluded from
+    the max and get zero-width intervals.  If every coordinate is
+    degenerate the band is a point band regardless of z.
     """
     _check_alpha(alpha)
     center = np.asarray(risks.values, dtype=np.float64)
@@ -186,17 +198,9 @@ def simultaneous_band(
         raise DomainError("risk vector and covariance diagonal disagree on p")
     if risks.n < 2:
         raise DomainError("need at least two observations")
+    _check_source(z_hat, critical, center.shape[0], "z_hat")
     scale = np.sqrt(diag)
-    if z_hat is None:
-        if critical is None:
-            if seed is None:
-                raise DomainError("provide z_hat, critical values or a seed for the quantile draw")
-            critical = critical_values(risks, cov, (alpha,), seed=seed, draws=draws, sets=False)
-        if critical.p != center.shape[0]:
-            raise DomainError(
-                f"critical values were drawn for {critical.p} candidates, "
-                f"but the band has {center.shape[0]}"
-            )
+    if critical is not None:
         z = float(critical.band_z[critical.index(alpha, "band_z")])
     else:
         z = float(z_hat)
@@ -254,8 +258,6 @@ def cvc_set(
     lm: LossMatrix,
     alpha: float,
     *,
-    draws: int = DEFAULT_DRAWS,
-    seed: int | None = None,
     z_inject=None,
     critical: CriticalValues | None = None,
 ) -> ModelConfidenceSet:
@@ -274,36 +276,28 @@ def cvc_set(
     lower end and the union bound the upper.  A gap at most the lower
     end keeps r and a gap above the upper end drops it, with that bound
     as r's ``z_alpha``; at k = 1 the two ends meet.  Only the remaining
-    candidates are drawn, all from one sample (see ``critical_values``,
-    whose result ``critical`` may be passed in place of ``seed``).
-    ``decided`` records which case applied to each candidate.
+    candidates are drawn, all from one sample, by ``critical_values``,
+    whose result is passed as ``critical``.  Exactly one of ``critical``
+    and ``z_inject`` (one value for every candidate, or one each) is
+    given.  ``decided`` records which case applied to each candidate.
     """
     _check_alpha(alpha)
     n, p = lm.n, lm.p
-    if critical is not None:
-        seed = critical.seed
-        if critical.p != p:
-            raise DomainError(
-                f"critical values were drawn for {critical.p} candidates, "
-                f"but the loss matrix has {p}"
-            )
+    _check_source(z_inject, critical, p, "z_inject")
+    seed = None if critical is None else critical.seed
     if n < 2 * lm.plan.V:
         raise DomainError(f"need n >= 2V for within-fold covariances, got n={n}, V={lm.plan.V}")
     if p == 1:
         return ModelConfidenceSet((0,), "cvc", alpha, 1, seed=seed, decided=("none",))
-    if z_inject is None and critical is None and seed is None:
-        raise DomainError("provide a seed, critical values or injected quantiles")
-    injected = None if z_inject is None else _resolve_injection(z_inject, p)
     risks, cov = cv_risk(lm), aggregate_covariance(lm)
     positive, _, gaps, rows, max_stat = _screen(risks, cov)
-    if injected is not None:
+    if critical is None:
+        injected = _resolve_injection(z_inject, p)
         z_alpha = np.full(p, np.nan)
         decided = np.full(p, "none", dtype=object)
         z_alpha[rows] = injected[rows]
         decided[rows] = "injected"
     else:
-        if critical is None:
-            critical = critical_values(risks, cov, (alpha,), seed=seed, draws=draws, bands=False)
         i = critical.index(alpha, "z_alpha")
         z_alpha, decided = critical.z_alpha[i].copy(), critical.decided[i]
     # the sign rule on degenerate comparisons, then the gap rule where any is positive
@@ -409,11 +403,15 @@ def critical_values(
     alphas,
     *,
     seed: int,
-    draws: int = DEFAULT_DRAWS,
+    draws: int,
     bands: bool = True,
     sets: bool = True,
 ) -> CriticalValues:
     """The band's and the screened set's critical values at every alpha, from one draw.
+
+    This is the one source of drawn critical values: ``simultaneous_band``
+    and ``cvc_set`` read theirs from its result.  At least one of
+    ``bands`` and ``sets`` is asked for.
 
     With ``bands``, the band's z is the quantile of max |Y_j| over its
     floor-kept coordinates, Y ~ N(0, corr) with corr the standardized
@@ -435,12 +433,14 @@ def critical_values(
     place and reads the band and every candidate with one
     ``np.maximum.reduceat``.  The draws depend only on ``cov``, ``seed``
     and ``draws``, so a value is the same, up to rounding in the
-    product, whichever other values are drawn with it.  Nothing is drawn when no
-    column is needed.
+    product, whichever other values are drawn with it.  Nothing is drawn
+    when no column is needed.
     """
     alphas = tuple(float(a) for a in alphas)
     if not alphas:
         raise DomainError("need at least one alpha")
+    if not (bands or sets):
+        raise DomainError("ask for the band's critical values, the set's or both")
     for alpha in alphas:
         _check_alpha(alpha)
     p = risks.p
@@ -465,7 +465,7 @@ def critical_values(
         drawn = np.flatnonzero((decided == "drawn").any(axis=0))
     rank = 0
     if band.size or drawn.size:
-        corr, kept, _ = standardized_correlation(cov)
+        corr, kept = standardized_correlation(cov)
         select = np.zeros((kept.size, band.size))
         select[np.searchsorted(kept, band), np.arange(band.size)] = 1.0
         nb = band.size
@@ -485,9 +485,7 @@ def critical_values(
             return np.maximum.reduceat(Y, starts, axis=1)
 
         rng = derive_substream(seed, "critical-values")
-        q, rank = max_quantiles(
-            corr, statistic, alphas, draws, rng, linear=linear, return_rank=True
-        )
+        q, rank = max_quantiles(corr, statistic, alphas, draws, rng, linear=linear)
         if nb:
             band_z = q[:, 0]
         if drawn.size:

@@ -22,7 +22,7 @@ from cvconf.cv_engine import cv_risk, fit_all_folds, loss_matrix, replace_one_cv
 from cvconf.datamodel import LearnerSpec, LossMatrix, make_folds
 from cvconf.det_variance import HoldoutSet, phi_pair, phi_perturb
 from cvconf.gaussian_mc import max_quantiles
-from cvconf.inference import cvc_set, naive_set, simultaneous_band
+from cvconf.inference import critical_values, cvc_set, naive_set, simultaneous_band
 from cvconf.learners import fit_lasso, lasso_max_lam
 from cvconf.simgen import SparseLinearGen, gen_sparse_linear
 from cvconf.stability_lab import sgd_campaigns
@@ -66,7 +66,8 @@ def test_gate_1_gaussian_quantile_oracles():
         for k, (corr, statistic, want) in enumerate(cases):
             rng = np.random.default_rng(1000 + k)
             t0 = time.perf_counter()
-            got = float(max_quantiles(corr, statistic, 0.05, 200_000, rng)[0])
+            q, _ = max_quantiles(corr, statistic, (0.05,), 200_000, rng, linear=np.eye(len(corr)))
+            got = float(q[0, 0])
             elapsed = time.perf_counter() - t0
             assert abs(got - want) <= 0.02, f"case {k}: {got} vs {want}"
             assert elapsed < 2.0, f"case {k} took {elapsed:.2f} s"
@@ -280,10 +281,21 @@ def _random_instance(rng, *, p_max=5):
     return LossMatrix(values, plan, tuple(f"m{j}" for j in range(p)))
 
 
+def _band_alone(risks, cov, alpha, seed):
+    critical = critical_values(risks, cov, (alpha,), seed=seed, draws=1000, sets=False)
+    return simultaneous_band(risks, cov, alpha, critical=critical)
+
+
+def _set_alone(lm, alpha, seed):
+    risks, cov = cv_risk(lm), aggregate_covariance(lm)
+    critical = critical_values(risks, cov, (alpha,), seed=seed, draws=1000, bands=False)
+    return cvc_set(lm, alpha, critical=critical)
+
+
 def _check_screened_argmin(rng, case):
     lm = _random_instance(rng)
     alpha = float(rng.choice([0.05, 0.2, 0.5, 0.9]))
-    mcs = cvc_set(lm, alpha, draws=1000, seed=case)
+    mcs = _set_alone(lm, alpha, case)
     r_hat = int(np.argmin(cv_risk(lm).values))
     z = mcs.z_alpha[r_hat]
     if np.isnan(z) or z >= 0.0:
@@ -292,7 +304,7 @@ def _check_screened_argmin(rng, case):
 
 def _check_overlap_argmin(rng, case):
     lm = _random_instance(rng)
-    band = simultaneous_band(cv_risk(lm), aggregate_covariance(lm), 0.1, seed=case, draws=1000)
+    band = _band_alone(cv_risk(lm), aggregate_covariance(lm), 0.1, case)
     r_hat = int(np.argmin(cv_risk(lm).values))
     assert r_hat in naive_set(band).members
 
@@ -303,13 +315,10 @@ def _check_rescaling_invariance(rng, case):
     lm2 = LossMatrix(lm.values * c, lm.plan, lm.model_labels)
     risks, cov = cv_risk(lm), aggregate_covariance(lm)
     risks2, cov2 = cv_risk(lm2), aggregate_covariance(lm2)
-    band = simultaneous_band(risks, cov, 0.1, seed=case, draws=1000)
-    band2 = simultaneous_band(risks2, cov2, 0.1, seed=case, draws=1000)
+    band = _band_alone(risks, cov, 0.1, case)
+    band2 = _band_alone(risks2, cov2, 0.1, case)
     assert naive_set(band).members == naive_set(band2).members
-    assert (
-        cvc_set(lm, 0.1, draws=1000, seed=case).members
-        == cvc_set(lm2, 0.1, draws=1000, seed=case).members
-    )
+    assert _set_alone(lm, 0.1, case).members == _set_alone(lm2, 0.1, case).members
 
 
 def _check_covariance_shape(rng, case):

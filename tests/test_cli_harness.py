@@ -27,11 +27,12 @@ from cvconf.cli_harness import (
     run_phi,
     run_stability,
 )
+from cvconf.covariance import aggregate_covariance
 from cvconf.cv_engine import cv_risk, fit_all_folds, loss_matrix
 from cvconf.datamodel import Dataset, DomainError, LearnerSpec, make_folds
 from cvconf.det_variance import HoldoutSet, phi_pair
 from cvconf.gaussian_mc import MIN_DRAWS
-from cvconf.inference import check_coverage, cvc_set
+from cvconf.inference import check_coverage, critical_values, cvc_set, naive_set, simultaneous_band
 from cvconf.learners import lasso_grid
 from cvconf.simgen import SparseLinearGen, gen_sparse_linear, stable_subseed
 
@@ -716,13 +717,19 @@ def test_cvc_size_campaign_matches_library_oracle(tmp_path):
     plan = make_folds(60, 5)
     fits = fit_all_folds(ds, specs, plan)
     lm = loss_matrix(ds, fits, plan, "squared")
-    mcs = cvc_set(lm, 0.1, draws=3000, seed=q_seed)
+    # the campaign's own call: one draw, for the band and the set together
+    risks, cov = cv_risk(lm), aggregate_covariance(lm)
+    critical = critical_values(risks, cov, cfg.alphas, seed=q_seed, draws=cfg.draws)
+    base = naive_set(simultaneous_band(risks, cov, 0.1, critical=critical))
+    mcs = cvc_set(lm, 0.1, critical=critical)
     from cvconf.cv_engine import average_fitted_risk_oracle
 
     target = average_fitted_risk_oracle(fits, truth)
     assert int(rows[0]["seed"]) == data_seed
     assert int(rows[0]["size_cvc"]) == len(mcs.members)
     assert int(rows[0]["covered"]) == int(check_coverage(mcs, target))
+    assert int(rows[0]["size_naive"]) == len(base.members)
+    assert int(rows[0]["covered_naive"]) == int(check_coverage(base, target))
 
 
 def test_cvc_size_manifest_sizes(tmp_path):
@@ -746,7 +753,7 @@ def test_one_sampler_call_per_replication(tmp_path, monkeypatch, kind):
 
     def counted(*args, **kwargs):
         out = real(*args, **kwargs)
-        calls.append((args[2], out[1] if kwargs.get("return_rank") else None))
+        calls.append((args[2], out[1]))
         return out
 
     monkeypatch.setattr(inference, "max_quantiles", counted)

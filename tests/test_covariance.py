@@ -107,25 +107,24 @@ def test_per_fold_constant_shift_leaves_covariance_unchanged():
 
 def test_standardized_correlation_hand_case():
     est = CovEstimate(sigma=np.array([[4.0, 2.0], [2.0, 1.0]]))
-    corr, kept, dropped = standardized_correlation(est)
+    corr, kept = standardized_correlation(est)
     np.testing.assert_allclose(corr, np.ones((2, 2)), atol=1e-14)
-    assert kept.tolist() == [0, 1] and dropped.size == 0
+    assert kept.tolist() == [0, 1]
 
 
 def test_standardized_correlation_drops_floored_coordinates():
     sigma = np.diag([1.0, 0.0, 2.0])
     est = CovEstimate(sigma=sigma)
-    corr, kept, dropped = standardized_correlation(est)
+    corr, kept = standardized_correlation(est)
     assert kept.tolist() == [0, 2]
-    assert dropped.tolist() == [1]
     np.testing.assert_allclose(np.diag(corr), 1.0)
 
 
 def test_standardized_correlation_keeps_tiny_positive_variances():
     sigma = np.diag([1.0, 1e-14])
     est = CovEstimate(sigma=sigma)
-    corr, kept, dropped = standardized_correlation(est)
-    assert kept.tolist() == [0, 1] and dropped.size == 0
+    corr, kept = standardized_correlation(est)
+    assert kept.tolist() == [0, 1]
     np.testing.assert_allclose(corr, np.eye(2))
 
 
@@ -145,6 +144,6 @@ def test_correlation_entries_lie_in_unit_interval():
     vals = rng.normal(size=(30, 4))
     vals[:, 1] = vals[:, 0] + 1e-9 * rng.normal(size=30)  # near-perfect correlation
     est = aggregate_covariance(_lm(vals, V=3))
-    corr, *_ = standardized_correlation(est)
+    corr, _ = standardized_correlation(est)
     assert np.all(np.abs(corr) <= 1.0)
     np.testing.assert_allclose(np.diag(corr), 1.0)

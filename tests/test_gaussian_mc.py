@@ -23,7 +23,9 @@ STATS = {"abs_max": _abs_max, "max": _max}
 
 def _z(corr, alpha, draws, mode, seed):
     rng = derive_substream(seed, "test-quantile")
-    return float(max_quantiles(np.asarray(corr, dtype=float), STATS[mode], alpha, draws, rng)[0])
+    C = np.asarray(corr, dtype=float)
+    q, _ = max_quantiles(C, STATS[mode], (alpha,), draws, rng, linear=np.eye(C.shape[0]))
+    return float(q[0, 0])
 
 
 # ---------------------------------------------------------- input checks
@@ -144,17 +146,20 @@ def test_request_validation():
         _z(np.array([[2.0, 0.0], [0.0, 1.0]]), 0.05, 2000, "abs_max", seed=0)
     with pytest.raises(DomainError):
         _z(np.array([[1.0, 1.5], [1.5, 1.0]]), 0.05, 2000, "abs_max", seed=0)
+    with pytest.raises(DomainError, match="sequence"):
+        max_quantiles(np.eye(2), _abs_max, 0.05, 2000, derive_substream(0, "q"), linear=np.eye(2))
 
 
 def test_quantiles_one_per_statistic_column():
     # a two-column statistic reads both quantiles from the same draws
     corr = np.array([[1.0, -0.4], [-0.4, 1.0]])
-    both = max_quantiles(
+    (both,), _ = max_quantiles(
         corr,
         lambda Y: np.column_stack([_max(Y), _abs_max(Y)]),
-        0.1,
+        (0.1,),
         3000,
         derive_substream(14, "test-quantile"),
+        linear=np.eye(2),
     )
     assert both.shape == (2,)
     assert both[0] == _z(corr, 0.1, 3000, "max", seed=14)
@@ -179,7 +184,7 @@ def test_factor_has_the_numerical_rank_and_reproduces_corr():
 def test_call_draws_exactly_draws_times_rank_normals():
     corr, draws = _collinear_corr(), 3000
     rng = derive_substream(16, "test-quantile")
-    _, rank = max_quantiles(corr, _abs_max, 0.1, draws, rng, return_rank=True)
+    _, rank = max_quantiles(corr, _abs_max, (0.1,), draws, rng, linear=np.eye(6))
     assert rank == 4
     fresh = derive_substream(16, "test-quantile")
     fresh.standard_normal(draws * rank)
@@ -193,10 +198,14 @@ def test_multi_alpha_call_equals_single_alpha_calls_bitwise():
         return np.column_stack([_max(Y), _abs_max(Y)])
 
     alphas = (0.05, 0.2, 0.5, 0.2)
-    both = max_quantiles(corr, stat, alphas, 4000, derive_substream(17, "test-quantile"))
+    both, _ = max_quantiles(
+        corr, stat, alphas, 4000, derive_substream(17, "test-quantile"), linear=np.eye(6)
+    )
     assert both.shape == (4, 2)
     for row, alpha in zip(both, alphas):
-        one = max_quantiles(corr, stat, alpha, 4000, derive_substream(17, "test-quantile"))
+        (one,), _ = max_quantiles(
+            corr, stat, (alpha,), 4000, derive_substream(17, "test-quantile"), linear=np.eye(6)
+        )
         np.testing.assert_array_equal(row, one)
 
 
@@ -213,7 +222,9 @@ def test_quantiles_kept_from_the_tail_equal_those_of_all_draws(monkeypatch, draw
             seen.append(np.column_stack([_max(Y), _abs_max(Y)]))
             return seen[-1]
 
-        got = max_quantiles(_collinear_corr(), stat, alphas, draws, derive_substream(seed, "q"))
+        got, _ = max_quantiles(
+            _collinear_corr(), stat, alphas, draws, derive_substream(seed, "q"), linear=np.eye(6)
+        )
         every = np.concatenate(seen)
         assert every.shape == (draws, 2)
         np.testing.assert_array_equal(got, np.sort(every, axis=0)[ks])
@@ -223,7 +234,8 @@ def test_linear_map_is_applied_to_the_draws():
     # Y @ A with A = [e_0 - e_1, e_2]: the first column has variance 2 - 2 rho
     corr = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
     A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-    got = max_quantiles(corr, lambda Y: Y, 0.05, 40_000, derive_substream(18, "q"), linear=A)
+    rng = derive_substream(18, "q")
+    (got,), _ = max_quantiles(corr, lambda Y: Y, (0.05,), 40_000, rng, linear=A)
     np.testing.assert_allclose(got, [ndtri(0.95), ndtri(0.95)], atol=0.05)
 
 
@@ -275,9 +287,7 @@ def test_chunked_draws_and_reused_products_equal_a_fresh_draw_per_block(
         linear = rng.normal(size=(7, 3))  # r = 7, m = 3
     alphas = (0.05, 0.5)
     got_rng, want_rng = derive_substream(20, "q"), derive_substream(20, "q")
-    got, rank = max_quantiles(
-        corr, statistic, alphas, draws, got_rng, linear=linear, return_rank=True
-    )
+    got, rank = max_quantiles(corr, statistic, alphas, draws, got_rng, linear=linear)
     want = _reference_quantiles(corr, statistic, alphas, draws, want_rng, linear)
     np.testing.assert_array_equal(got, want)
     assert rank == (4 if shape == "wide" else 7)

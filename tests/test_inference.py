@@ -59,6 +59,19 @@ def _random_loss(rng, n, p, V):
     return _loss_matrix(vals, V)
 
 
+def _band(risks, cov, alpha, *, seed, draws):
+    """The band on critical values drawn for it alone."""
+    critical = critical_values(risks, cov, (alpha,), seed=seed, draws=draws, sets=False)
+    return simultaneous_band(risks, cov, alpha, critical=critical)
+
+
+def _set(lm, alpha, *, seed, draws):
+    """The screened set on critical values drawn for it alone."""
+    risks, cov = cv_risk(lm), aggregate_covariance(lm)
+    critical = critical_values(risks, cov, (alpha,), seed=seed, draws=draws, bands=False)
+    return cvc_set(lm, alpha, critical=critical)
+
+
 # ------------------------------------------------------------------ bands
 
 
@@ -83,14 +96,12 @@ def test_simultaneous_single_model_hand_width():
 
 
 def test_simultaneous_sampled_single_model_matches_normal_quantile():
-    band = simultaneous_band(
-        _risk([0.0], n=400), _cov([1.0]), alpha=0.05, seed=21, draws=40_000
-    )
+    band = _band(_risk([0.0], n=400), _cov([1.0]), alpha=0.05, seed=21, draws=40_000)
     assert band.z_used == pytest.approx(ndtri(0.975), abs=0.05)
 
 
 def test_simultaneous_degenerate_coordinate_gets_zero_width():
-    band = simultaneous_band(_risk([0.2, 0.8]), _cov([1.0, 0.0]), alpha=0.1, seed=3)
+    band = _band(_risk([0.2, 0.8]), _cov([1.0, 0.0]), alpha=0.1, seed=3, draws=100_000)
     assert band.upper[1] == band.lower[1] == 0.8
     assert band.upper[0] > band.lower[0]
 
@@ -101,7 +112,7 @@ def test_simultaneous_injected_z_keeps_sub_floor_coordinates_at_zero_width():
     risks, cov = _risk([1.0, 2.0], n=100), _cov([4.0, 1e-13])
     for band in (
         simultaneous_band(risks, cov, alpha=0.1, z_hat=2.0),
-        simultaneous_band(risks, cov, alpha=0.1, seed=3),
+        _band(risks, cov, alpha=0.1, seed=3, draws=100_000),
     ):
         assert band.upper[1] == band.lower[1] == 2.0
         assert band.upper[0] > band.lower[0]
@@ -111,12 +122,12 @@ def test_simultaneous_injected_z_keeps_sub_floor_coordinates_at_zero_width():
 
 
 def test_simultaneous_all_degenerate_returns_point_band():
-    band = simultaneous_band(_risk([0.2, 0.8]), _cov([0.0, 0.0]), alpha=0.1, seed=3)
+    band = _band(_risk([0.2, 0.8]), _cov([0.0, 0.0]), alpha=0.1, seed=3, draws=100_000)
     np.testing.assert_array_equal(band.lower, band.upper)
 
 
-def test_simultaneous_all_degenerate_still_needs_a_seed():
-    with pytest.raises(DomainError, match="seed"):
+def test_simultaneous_all_degenerate_still_needs_a_critical_value():
+    with pytest.raises(DomainError, match="exactly one of z_hat or critical values"):
         simultaneous_band(_risk([0.2, 0.8]), _cov([0.0, 0.0]), alpha=0.1)
 
 
@@ -125,8 +136,8 @@ def test_simultaneous_scaling_losses_scales_endpoints_exactly():
     lm = _random_loss(rng, 60, 3, V=5)
     lm4 = LossMatrix(4.0 * lm.values, lm.plan, lm.model_labels)
     kw = dict(alpha=0.1, seed=11, draws=5000)
-    b1 = simultaneous_band(cv_risk(lm), aggregate_covariance(lm), **kw)
-    b4 = simultaneous_band(cv_risk(lm4), aggregate_covariance(lm4), **kw)
+    b1 = _band(cv_risk(lm), aggregate_covariance(lm), **kw)
+    b4 = _band(cv_risk(lm4), aggregate_covariance(lm4), **kw)
     assert b4.z_used == b1.z_used
     np.testing.assert_array_equal(b4.lower, 4.0 * b1.lower)
     np.testing.assert_array_equal(b4.upper, 4.0 * b1.upper)
@@ -150,7 +161,7 @@ def test_pointwise_never_wider_than_simultaneous():
         lm = _random_loss(rng, 80, p, V=4)
         risks, cov = cv_risk(lm), aggregate_covariance(lm)
         pw = pointwise_band(risks, cov, alpha=0.1)
-        sim = simultaneous_band(risks, cov, alpha=0.1, seed=int(p), draws=20_000)
+        sim = _band(risks, cov, alpha=0.1, seed=int(p), draws=20_000)
         assert np.all(pw.upper - pw.lower <= sim.upper - sim.lower + 1e-12)
 
 
@@ -211,7 +222,7 @@ def test_naive_always_contains_empirical_minimizer():
 
 def test_cvc_single_model_short_circuits():
     lm = _loss_matrix(np.abs(np.random.default_rng(0).normal(size=(20, 1))), V=4)
-    out = cvc_set(lm, alpha=0.05, seed=1)
+    out = _set(lm, alpha=0.05, seed=1, draws=100_000)
     assert out.members == (0,)
     assert out.method == "cvc"
     assert out.decided == ("none",) and out.z_alpha is None and out.max_stat is None
@@ -221,7 +232,7 @@ def test_cvc_identical_columns_keeps_both():
     rng = np.random.default_rng(2)
     col = rng.normal(size=(24, 1)) ** 2
     lm = _loss_matrix(np.hstack([col, col]), V=4)
-    out = cvc_set(lm, alpha=0.05, seed=5)
+    out = _set(lm, alpha=0.05, seed=5, draws=100_000)
     assert out.members == (0, 1)
 
 
@@ -296,7 +307,7 @@ def test_cvc_sampled_path_contains_argmin():
     rng = np.random.default_rng(31)
     for trial in range(5):
         lm = _random_loss(rng, 60, 4, V=5)
-        out = cvc_set(lm, alpha=0.05, seed=trial, draws=2000)
+        out = _set(lm, alpha=0.05, seed=trial, draws=2000)
         r_star = int(np.argmin(lm.values.mean(axis=0)))
         assert out.z_alpha[r_star] >= 0.0
         assert r_star in out.members
@@ -321,7 +332,7 @@ def test_cvc_pairwise_critical_values_identity_sigma():
     law = multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, 0.5], [0.5, 1.0]])
     want = brentq(lambda z: law.cdf([z, z]) - (1.0 - alpha), 0.0, 5.0, xtol=1e-6)
     # every risk is equal, so each gap of 0 sits below Phi^-1(1 - alpha)
-    out = cvc_set(lm, alpha, seed=3, draws=200_000)
+    out = _set(lm, alpha, seed=3, draws=200_000)
     assert out.decided == ("low", "low", "low")
     np.testing.assert_array_equal(out.z_alpha, _quantile(1.0 - alpha))
     drawn = _draw_candidates(aggregate_covariance(lm), np.arange(3), alpha, 200_000, 3)
@@ -331,14 +342,15 @@ def test_cvc_pairwise_critical_values_identity_sigma():
 def _draw_candidates(cov, rows, alpha, draws, seed):
     """The drawn critical values of candidates ``rows``, drawing all of them
     on the stream and factor that ``critical_values`` uses."""
-    corr, kept, _ = standardized_correlation(cov)
+    corr, kept = standardized_correlation(cov)
     positive, sd = _comparisons(cov)
     W, counts = _comparison_columns(cov, kept, positive, sd, rows)
     starts = np.cumsum(counts) - counts
     rng = derive_substream(seed, "critical-values")
-    return max_quantiles(
-        corr, lambda Y: np.maximum.reduceat(Y, starts, axis=1), alpha, draws, rng, linear=W
+    (q,), _ = max_quantiles(
+        corr, lambda Y: np.maximum.reduceat(Y, starts, axis=1), (alpha,), draws, rng, linear=W
     )
+    return q
 
 
 def _spread_loss(seed, n=200):
@@ -355,7 +367,7 @@ def _raising_sampler(*args, **kwargs):
 
 def test_cvc_drawn_candidates_match_drawing_every_candidate():
     lm = _spread_loss(4)
-    out = cvc_set(lm, alpha=0.1, seed=4, draws=4000)
+    out = _set(lm, alpha=0.1, seed=4, draws=4000)
     assert set(out.decided) == {"low", "drawn", "high"}
     every = _draw_candidates(aggregate_covariance(lm), np.arange(lm.p), 0.1, 4000, 4)
     drawn = np.array([d == "drawn" for d in out.decided])
@@ -364,7 +376,7 @@ def test_cvc_drawn_candidates_match_drawing_every_candidate():
 
 def _elementwise_pairwise_quantiles(cov, rows, alpha, draws, seed):
     """Reference: the statistic built elementwise as (X_r - X_s) * weight + mask."""
-    corr, kept, _ = standardized_correlation(cov)
+    corr, kept = standardized_correlation(cov)
     positive, sd = _comparisons(cov)
     p = cov.sigma.shape[0]
     scale = np.sqrt(cov.lambda_diag[kept])
@@ -378,7 +390,8 @@ def _elementwise_pairwise_quantiles(cov, rows, alpha, draws, seed):
         return (D * weight + mask).max(axis=2)
 
     rng = derive_substream(seed, "critical-values")
-    return max_quantiles(corr, statistic, alpha, draws, rng)
+    (q,), _ = max_quantiles(corr, statistic, (alpha,), draws, rng, linear=np.eye(kept.size))
+    return q
 
 
 def _lopsided_cov():
@@ -416,7 +429,7 @@ def test_cvc_decided_candidates_report_their_bound():
     alpha = 0.1
     for seed in range(6):
         lm = _spread_loss(seed)
-        out = cvc_set(lm, alpha=alpha, seed=seed, draws=2000)
+        out = _set(lm, alpha=alpha, seed=seed, draws=2000)
         k = _comparisons(aggregate_covariance(lm))[0].sum(axis=1)
         for r, how in enumerate(out.decided):
             if how == "low":
@@ -434,7 +447,7 @@ def test_cvc_all_decided_never_calls_the_sampler(monkeypatch):
     monkeypatch.setattr(inference, "max_quantiles", _raising_sampler)
     rng = np.random.default_rng(23)
     vals = rng.normal(size=(40, 3)) ** 2 + np.array([0.0, 5.0, 10.0])
-    out = cvc_set(_loss_matrix(vals, V=4), alpha=0.05, seed=1)
+    out = _set(_loss_matrix(vals, V=4), alpha=0.05, seed=1, draws=100_000)
     assert out.decided == ("low", "high", "high")
     assert out.members == (0,)
 
@@ -445,7 +458,7 @@ def test_cvc_two_candidates_are_decided_exactly(monkeypatch):
     rng = np.random.default_rng(53)
     for trial in range(20):
         lm = _random_loss(rng, 40, 2, V=4)
-        out = cvc_set(lm, alpha=0.2, seed=trial)
+        out = _set(lm, alpha=0.2, seed=trial, draws=100_000)
         assert set(out.decided) <= {"low", "high"}
         np.testing.assert_array_equal(out.z_alpha, _quantile(0.8))
         assert out.members == tuple(np.flatnonzero(out.max_stat <= _quantile(0.8)))
@@ -460,9 +473,9 @@ def test_shared_call_matches_standalone_band_and_set():
     assert shared.rank == lm.p and shared.draws == 4000
     drawn_any = False
     for i, alpha in enumerate(alphas):
-        band = simultaneous_band(risks, cov, alpha, seed=4, draws=4000)
+        band = _band(risks, cov, alpha, seed=4, draws=4000)
         assert shared.band_z[i] == pytest.approx(band.z_used, rel=0, abs=1e-12)
-        alone = cvc_set(lm, alpha, seed=4, draws=4000)
+        alone = _set(lm, alpha, seed=4, draws=4000)
         via = cvc_set(lm, alpha, critical=shared)
         drawn = np.array([d == "drawn" for d in alone.decided])
         drawn_any |= drawn.any()
@@ -502,7 +515,7 @@ def test_shared_statistic_equals_the_stacked_band_and_group_maxima(monkeypatch):
         return np.hstack([band, np.maximum.reduceat(Y, starts, axis=1)])
 
     rng = derive_substream(4, "critical-values")
-    q = max_quantiles(corr, stacked, alphas, 4000, rng, linear=linear)
+    q, _ = max_quantiles(corr, stacked, alphas, 4000, rng, linear=linear)
     np.testing.assert_array_equal(shared.band_z, q[:, 0])
     np.testing.assert_array_equal(shared.z_alpha[:, drawn][here], q[:, 1:][here])
 
@@ -514,7 +527,7 @@ def test_shared_call_keeps_bounds_where_a_candidate_is_decided():
     mixed = [r for r in range(lm.p) if len({shared.decided[0][r], shared.decided[1][r]}) == 2]
     assert mixed
     for i, alpha in enumerate((0.1, 0.5)):
-        one = cvc_set(lm, alpha, seed=4, draws=2000)
+        one = _set(lm, alpha, seed=4, draws=2000)
         for r in mixed:
             assert shared.decided[i][r] == one.decided[r]
             if one.decided[r] != "drawn":
@@ -534,7 +547,23 @@ def test_shared_call_parts_must_be_asked_for():
     with pytest.raises(DomainError, match="band_z"):
         simultaneous_band(risks, cov, 0.1, critical=set_only)
     with pytest.raises(DomainError):
-        critical_values(risks, cov, (), seed=1)
+        critical_values(risks, cov, (), seed=1, draws=100_000)
+    with pytest.raises(DomainError, match="or both"):
+        critical_values(risks, cov, (0.1,), seed=1, draws=2000, bands=False, sets=False)
+
+
+def test_band_and_set_take_exactly_one_critical_value_source():
+    # both given and neither given are refused; neither source is
+    # silently preferred to the other
+    lm = _spread_loss(4)
+    risks, cov = cv_risk(lm), aggregate_covariance(lm)
+    critical = critical_values(risks, cov, (0.1,), seed=9, draws=2000)
+    for kw in ({}, {"z_hat": 0.0, "critical": critical}):
+        with pytest.raises(DomainError, match="exactly one of z_hat or critical values"):
+            simultaneous_band(risks, cov, 0.1, **kw)
+    for kw in ({}, {"z_inject": 5.0, "critical": critical}):
+        with pytest.raises(DomainError, match="exactly one of z_inject or critical values"):
+            cvc_set(lm, 0.1, **kw)
 
 
 def test_cvc_refuses_critical_values_of_another_candidate_count():
@@ -561,7 +590,7 @@ def test_band_refuses_critical_values_of_another_candidate_count():
 def test_shared_call_draws_nothing_when_no_column_is_needed(monkeypatch):
     monkeypatch.setattr(inference, "max_quantiles", _raising_sampler)
     risks = _risk([0.2, 0.8])
-    out = critical_values(risks, _cov([0.0, 0.0]), (0.1, 0.2), seed=3)
+    out = critical_values(risks, _cov([0.0, 0.0]), (0.1, 0.2), seed=3, draws=100_000)
     assert out.rank == 0
     np.testing.assert_array_equal(out.band_z, [0.0, 0.0])
     assert out.decided == (("none", "none"), ("none", "none"))
@@ -572,7 +601,7 @@ def test_cvc_labels_injected_and_degenerate_candidates():
     lm = _loss_matrix(np.hstack([col, col, col + 1.0 + 0.1 * col]), V=4)
     out = cvc_set(lm, alpha=0.1, z_inject=1.0)
     assert out.decided == ("injected", "injected", "injected")
-    dup = cvc_set(_loss_matrix(np.hstack([col, col]), V=4), alpha=0.1, seed=1)
+    dup = _set(_loss_matrix(np.hstack([col, col]), V=4), alpha=0.1, seed=1, draws=100_000)
     assert dup.decided == ("none", "none")
     assert np.all(np.isnan(dup.z_alpha))
     with pytest.raises(DomainError):
@@ -586,7 +615,7 @@ def test_cvc_comparison_of_coordinates_below_sigma_floor_keeps_its_law():
     x = np.random.default_rng(47).normal(size=40)
     x = 9e-7 * (x - x.mean()) / x.std()
     lm = _loss_matrix(np.column_stack([x, -x]), V=4)
-    out = cvc_set(lm, alpha=0.1, seed=1, draws=40_000)
+    out = _set(lm, alpha=0.1, seed=1, draws=40_000)
     np.testing.assert_allclose(out.z_alpha, ndtri(0.9), atol=0.03)
     assert out.members == (0, 1)
 
@@ -595,28 +624,32 @@ def test_cvc_rescaling_all_columns_is_a_noop():
     rng = np.random.default_rng(37)
     lm = _random_loss(rng, 60, 4, V=5)
     lm4 = _loss_matrix(4.0 * lm.values, V=5)
-    a = cvc_set(lm, alpha=0.05, seed=101, draws=3000)
-    b = cvc_set(lm4, alpha=0.05, seed=101, draws=3000)
+    a = _set(lm, alpha=0.05, seed=101, draws=3000)
+    b = _set(lm4, alpha=0.05, seed=101, draws=3000)
     assert a.members == b.members
     np.testing.assert_array_equal(a.z_alpha, b.z_alpha)
 
 
 def test_cvc_input_checks():
     lm = _loss_matrix(np.ones((8, 2)), V=4)  # n == 2V ok
-    cvc_set(lm, alpha=0.05, seed=0)
+    _set(lm, alpha=0.05, seed=0, draws=100_000)
     small = _loss_matrix(np.ones((6, 2)), V=3)  # n == 2V ok
-    cvc_set(small, alpha=0.05, seed=0)
+    _set(small, alpha=0.05, seed=0, draws=100_000)
     short = _loss_matrix(np.ones((4, 2)), V=4)
+    # short's folds hold one row each, so its critical values come from lm's
+    critical = critical_values(
+        cv_risk(lm), aggregate_covariance(lm), (0.05,), seed=0, draws=100_000, bands=False
+    )
     with pytest.raises(DomainError):
-        cvc_set(short, alpha=0.05, seed=0)
+        cvc_set(short, alpha=0.05, critical=critical)
     with pytest.raises(DomainError):
-        cvc_set(lm, alpha=0.05)  # no seed, no injection
+        cvc_set(lm, alpha=0.05)  # no critical values, no injection
 
 
 def test_cvc_serializes_to_json():
     rng = np.random.default_rng(41)
     lm = _random_loss(rng, 40, 3, V=4)
-    out = cvc_set(lm, alpha=0.1, seed=7, draws=2000)
+    out = _set(lm, alpha=0.1, seed=7, draws=2000)
     blob = json.loads(json.dumps(out.to_dict()))
     assert blob["method"] == "cvc"
     assert set(blob["members"]) == set(out.members)
