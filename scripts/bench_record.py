@@ -3,7 +3,7 @@
 
 Usage (from the root of a checkout):
 
-    python3 scripts/bench_record.py --base HEAD --label 7
+    python3 scripts/bench_record.py --base HEAD --label 7 [--claim WORKLOAD:METRIC ...]
 
 ``--base`` names a git revision; its committed files are exported into a
 temporary directory and serve as the parent tree.  The checkout this
@@ -19,9 +19,12 @@ tree's ``src/``.
 The output holds every run (seed, order, wall time, the run's JSON
 line), per side the median and quartiles of each end-to-end metric, per
 pair the change/parent ratio and how many pairs the change won, an
-environment block, and the Tier-1 wall time of both trees.  It is
-written to ``BENCH_<label>.json`` at the root of the checkout after each
-workload.  Nothing else should run on the machine meanwhile.
+environment block, and the Tier-1 wall time of both trees.  Each
+end-to-end metric of each workload also gets a ``verdict`` (see
+``verdict``) against the bound ``BENCHMARK.json`` fixes for it; a metric
+named by ``--claim WORKLOAD:METRIC`` (repeatable) is a claimed gain.  The
+record is written to ``BENCH_<label>.json`` at the root of the checkout
+after each workload.  Nothing else should run on the machine meanwhile.
 """
 
 from __future__ import annotations
@@ -94,26 +97,80 @@ def quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per-metric medians and quartiles per side, and the pairwise comparison.
+def verdict(parent: list[float], change: list[float], better: str, bound: float,
+            claimed: bool = False) -> str:
+    """How the change's runs of one metric compare with the parent's, pair by pair.
 
-    ``better`` maps each metric name to ``"higher"`` or ``"lower"``, as
-    ``BENCHMARK.json`` declares it.
+    ``parent[k]`` and ``change[k]`` are the two runs of pair k; ``better``
+    is ``"higher"`` or ``"lower"`` and ``bound`` the relative worsening
+    ``BENCHMARK.json`` allows.
+
+    - ``"claim met"``: the metric is ``claimed``, the change wins at least
+      nine tenths of the pairs (ties count for neither side), and its
+      median is better than the parent's by more than the parent's
+      interquartile range.
+    - ``"unresolved"``: the parent's interquartile range exceeds the bound
+      (relative to its median), so the runs cannot tell a regression,
+      unless every run of the change is better than every run of the
+      parent.
+    - ``"worse"``: the change's median is worse than the parent's by more
+      than the bound.
+    - ``"within bound"``: otherwise, including a claimed gain not met.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    base, new = quartiles(parent), quartiles(change)
+    gain = sign * (new["median"] - base["median"])
+    wins = sum(sign * (c - a) > 0 for a, c in zip(parent, change))
+    if claimed and 10 * wins >= 9 * len(parent) and gain > base["iqr"]:
+        return "claim met"
+    beats_all = min(sign * c for c in change) > max(sign * a for a in parent)
+    if base["iqr"] > bound * abs(base["median"]) and not beats_all:
+        return "unresolved"
+    if -gain > bound * abs(base["median"]):
+        return "worse"
+    return "within bound"
+
+
+def parse_claims(values: list[str], spec: dict) -> dict[str, set[str]]:
+    """``WORKLOAD:METRIC`` strings as the claimed metrics of each workload,
+    each name checked against ``BENCHMARK.json``."""
+    workloads = {w["name"] for w in spec["workloads"]}
+    metrics = {m["name"] for m in spec["end_to_end"]}
+    claims: dict[str, set[str]] = {}
+    for value in values:
+        workload, _, metric = value.partition(":")
+        if workload not in workloads or metric not in metrics:
+            raise ValueError(f"--claim {value!r}: need WORKLOAD:METRIC, a workload of "
+                             f"{sorted(workloads)} and an end-to-end metric of {sorted(metrics)}")
+        claims.setdefault(workload, set()).add(metric)
+    return claims
+
+
+def summarize(pairs: list[dict], end_to_end: dict[str, dict], claimed: set[str]) -> dict:
+    """Per-metric medians and quartiles per side, the pairwise comparison
+    and its verdict.
+
+    ``end_to_end`` maps each metric name to its ``BENCHMARK.json`` entry
+    (``better`` and ``bound``); ``claimed`` names the claimed metrics.
     """
     out = {}
     for name, spec in pairs[0]["parent"]["result"]["metrics"].items():
         side = {s: [p[s]["result"]["metrics"][name]["value"] for p in pairs]
                 for s in ("parent", "change")}
         ratios = [c / a for a, c in zip(side["parent"], side["change"])]
-        higher = better[name] == "higher"
+        better, bound = end_to_end[name]["better"], end_to_end[name]["bound"]
+        higher = better == "higher"
         wins = sum((c > a) if higher else (c < a) for a, c in zip(side["parent"], side["change"]))
         out[name] = {
             "unit": spec["unit"],
-            "better": better[name],
+            "better": better,
+            "bound": bound,
             "parent": quartiles(side["parent"]),
             "change": quartiles(side["change"]),
             "ratio_change_over_parent": quartiles(ratios),
             "change_wins": f"{wins}/{len(pairs)}",
+            "claimed": name in claimed,
+            "verdict": verdict(side["parent"], side["change"], better, bound, name in claimed),
         }
     return out
 
@@ -141,10 +198,16 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git revision of the parent tree")
     ap.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
+    ap.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC",
+                    help="an end-to-end metric this change claims to improve (repeatable)")
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    try:
+        claims = parse_claims(args.claim, spec)
+    except ValueError as exc:
+        ap.error(str(exc))
     workloads = [w["name"] for w in spec["workloads"]]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    end_to_end = {m["name"]: m for m in spec["end_to_end"]}
     seconds = float(spec["run_seconds"])
     out = ROOT / f"BENCH_{args.label}.json"
     base_sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.base],
@@ -156,6 +219,7 @@ def main(argv=None) -> int:
             "label": args.label,
             "base": base_sha,
             "command": f"bench/run.py --trace 0 --seconds {seconds:g} --seed <pair>",
+            "claims": sorted(args.claim),
             "env": environment(),
             "workloads": {},
         }
@@ -176,8 +240,10 @@ def main(argv=None) -> int:
                 "runs": pairs,
                 "all_correct": all(p[s]["result"]["correct"] for p in pairs for s in trees),
                 "failed": sum(p[s]["result"]["failed"] for p in pairs for s in trees),
-                "summary": summarize(pairs, better),
+                "summary": summarize(pairs, end_to_end, claims.get(workload, set())),
             }
+            for metric, res in record["workloads"][workload]["summary"].items():
+                print(f"{workload} {metric}: {res['verdict']}", file=sys.stderr)
             write_json_atomic(out, record)
         record["tier1"] = {side: tier1(tree) for side, tree in trees.items()}
         for side, res in record["tier1"].items():

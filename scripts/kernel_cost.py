@@ -14,7 +14,9 @@ max(sweeps) x d coordinate steps, and each step pays a fixed numpy call
 overhead plus a share per problem, so the script prints the time per
 coordinate step and per problem, and the least-squares line
 step time = fixed + per_problem x K through the rows.  This is the
-measurement behind ``cv_engine.MIN_BATCH_PROBLEMS``.
+measurement behind ``cv_engine.GRAM_STACK_BYTES``: the fixed cost is
+paid once per call, so the fewer calls a chunk of refits makes, the less
+it pays.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from cvconf.datamodel import make_folds
 from cvconf.learners import lasso_bank, lasso_grid
 from cvconf.simgen import SparseLinearGen, gen_sparse_linear
 
-SIZES = (64, 128, 256, 512, 1024)
+SIZES = (64, 128, 256, 512, 1024, 2048)
 REPEATS = 15
 N, D, V = 1000, 100, 5
 

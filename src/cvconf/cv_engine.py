@@ -10,13 +10,12 @@ risks (``replace_one_cv_risks``, whose one-swap form is
 rule, one fit per bank position; the specs and the data were checked
 when they were built.
 The lasso problems of a batch of sets are solved together by
-``learners.lasso_bank``.  A batch is fitted once it holds
-max(n // d, ceil(MIN_BATCH_PROBLEMS / L)) sets of n rows and d features,
-L being the bank's number of lasso positions (n // d for a lasso-free
-bank), so a kernel call solves at least ``MIN_BATCH_PROBLEMS`` problems
-whenever that many wait, and at worst ceil(MIN_BATCH_PROBLEMS / L) x d^2
-gram elements are stacked: with the floor of 256, 26 x 100^2 (about
-2 MiB) at n = 1000, d = 100 and 10 penalties.
+``learners.lasso_bank``.  Each caller says how many sets it will fit,
+and they go in the fewest batches whose stacked d x d grams fit in
+``GRAM_STACK_BYTES`` (8 MiB), of sizes that differ by at most one.  So
+a process stacks at most max(8 MiB, 8 d^2 bytes) of grams at once,
+plus a d-vector per gram: 104 grams of 100^2 at d = 100, where a
+two-worker chunk of 128 refitted sets goes in two calls of 64.
 Replace-one recomputation reuses the one fold whose training rows are
 untouched and refits the others, reproducing a from-scratch run
 exactly.  With ``workers`` > 1, ``replace_one_cv_risks`` splits its
@@ -29,7 +28,6 @@ in-process run.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,23 +46,25 @@ from .learners import ConvergenceError, _lasso_fit, _ridge_solve, fit_forward, f
 from .simgen import SparseLinearTruth
 
 
-# Fewest lasso problems a kernel call waits for.  lasso_bank pays numpy call
-# overhead per coordinate step, not per problem, so its cost per problem
-# falls as a call holds more.  scripts/kernel_cost.py at the phi_wide shape
-# (d = 100, 10 penalties, one BLAS thread, 2-core x86_64):
+# Bytes of d x d grams one lasso kernel call may stack.  lasso_bank pays
+# numpy call overhead per coordinate step, not per problem, so its cost per
+# problem falls as a call holds more, down to about 1000 problems.
+# scripts/kernel_cost.py at the phi_wide shape (d = 100, 10 penalties, one
+# BLAS thread, 2-core x86_64):
 #
 #       K   call ms  steps  us/step  us/problem
-#      64      10.3   1000    10.33       161.4
-#     128      12.3   1000    12.30        96.1
-#     256      16.0   1000    15.98        62.4
-#     512      25.3   1100    23.01        49.4
-#    1024      42.4   1100    38.57        41.4
-#    step time ~ 8.42 us + 0.0293 us per problem
+#      64      10.6   1000    10.56       165.0
+#     128      12.7   1000    12.71        99.3
+#     256      16.3   1000    16.33        63.8
+#     512      24.3   1000    24.33        47.5
+#    1024      42.2   1100    38.39        41.2
+#    2048      87.1   1100    79.22        42.5
+#    step time ~ 7.29 us + 0.0342 us per problem
 #
-# Each waiting set holds one d x d gram, so where this floor exceeds n // d
-# sets a batch stacks at most ceil(MIN_BATCH_PROBLEMS / L) grams for L lasso
-# positions: 26 x 100^2 elements (about 2 MiB) at the phi_wide shape.
-MIN_BATCH_PROBLEMS = 256
+# 8 MiB holds 104 grams of 100^2, 1040 problems at the phi_wide shape, so a
+# worker's chunk of 128 refitted sets goes in two calls of 64 and the 256
+# of a one-worker campaign in three (86, 85, 85).
+GRAM_STACK_BYTES = 8 * 2**20
 
 
 class FitError(RuntimeError):
@@ -106,23 +106,30 @@ class RiskVector:
         return self.values.shape[0]
 
 
-def _fit_sets(specs: Sequence[LearnerSpec], sets):
-    """Yield the fits of every spec on each training set (v, Z, y) of
-    ``sets``, in order; every spec was checked when it was built.
+def _batch_sizes(count: int, d: int) -> list[int]:
+    """Sizes of the fewest batches of ``count`` training sets of d features
+    whose stacked d x d grams fit in ``GRAM_STACK_BYTES`` (one gram a batch
+    at least), largest first; any two differ by at most one."""
+    calls = -(-count // max(1, GRAM_STACK_BYTES // (8 * d * d)))
+    return [count // calls + (k < count % calls) for k in range(calls)]
+
+
+def _fit_sets(specs: Sequence[LearnerSpec], sets, count: int):
+    """Yield the fits of every spec on each of the ``count`` training sets
+    (v, Z, y) of ``sets``, in order; every spec was checked when it was
+    built.
 
     Every set is fitted by one rule.  Its Z'Z/n and Z'y/n are computed
-    once, by the formula fit_lasso and fit_ridge use on their own, and
-    the specs of other families than the lasso are fitted at once, in
-    bank order.  The set's rows are then dropped and only its gram waits
-    in a batch, which is full at max(n // d, ceil(MIN_BATCH_PROBLEMS / L))
-    sets, L being the number of lasso positions (n // d when L = 0).  So a
-    batch outgrows one set's rows only to give the kernel
-    ``MIN_BATCH_PROBLEMS`` problems, and then stacks at most
-    ceil(MIN_BATCH_PROBLEMS / L) x d^2 gram elements (ceil(256 / 10) = 26
-    grams of 100^2, about 2 MiB, at d = 100 and 10 penalties).  A full
-    batch goes through one ``lasso_bank`` call, with one problem per
-    lasso position of each set, and its fits are then yielded, so a
-    consumer can drop them before later sets are fitted.
+    once, by the formula fit_lasso and fit_ridge use on their own, straight
+    into the gram and corr stacks of its batch, and the specs of other
+    families than the lasso are fitted at once, in bank order.  The set's
+    rows are then dropped and only its gram waits.  The ``count`` sets go
+    in the fewest batches whose stacked grams fit in ``GRAM_STACK_BYTES``,
+    of sizes that differ by at most one (``_batch_sizes``), so a worker
+    stacks at most that budget of grams: 104 grams of 100^2 (about 8 MiB)
+    at d = 100.  A full batch goes through one ``lasso_bank`` call, with
+    one problem per lasso position of each set, and its fits are then
+    yielded, so a consumer can drop them before later sets are fitted.
     Every fit is a pure function of its spec and rows, and the kernel
     fits each problem as fit_lasso would on its own, so identical specs
     get bitwise-equal fits, the batching changes no fit, and permuting
@@ -130,12 +137,23 @@ def _fit_sets(specs: Sequence[LearnerSpec], sets):
     the first failing (set, model) in that order.
     """
     lasso = [r for r, spec in enumerate(specs) if spec.family == "lasso"]
-    floor = math.ceil(MIN_BATCH_PROBLEMS / len(lasso)) if lasso else 1
-    batch: list[tuple] = []  # (v, row, gram, corr) of the waiting sets
+    sizes = None
+    batch: list[tuple] = []  # (v, row) of the waiting sets
     problems: list[tuple[int, int]] = []  # their (set, lasso position) problems
     for v, Z, y in sets:
         n, d = Z.shape
-        gram, corr = Z.T @ Z / n, Z.T @ y / n
+        if not batch:
+            if sizes is None:
+                sizes = iter(_batch_sizes(count, d))
+            size = next(sizes, 0)
+            if not size:
+                raise ValueError(f"more training sets came than the {count} counted")
+            grams, corrs = np.empty((size, d, d)), np.empty((size, d))
+        slot = len(batch)
+        gram = np.matmul(Z.T, Z, out=grams[slot])
+        gram /= n
+        corr = np.matmul(Z.T, y, out=corrs[slot])
+        corr /= n
         row: list = [None] * len(specs)
         failed = None
         for r, spec in enumerate(specs):
@@ -146,38 +164,38 @@ def _fit_sets(specs: Sequence[LearnerSpec], sets):
                     failed = (r, spec, exc)
                     break
         # only lasso positions before a failing one are in order before it
-        problems += [(len(batch), r) for r in lasso if failed is None or r < failed[0]]
-        batch.append((v, row, gram, corr))
+        problems += [(slot, r) for r in lasso if failed is None or r < failed[0]]
+        batch.append((v, row))
         del Z, y  # the kernel needs only the gram
         if failed is not None:
-            _fit_batch(specs, batch, problems)  # a lasso failure earlier in the order comes first
+            # a lasso failure earlier in the order comes first
+            _fit_batch(specs, batch, problems, grams[: slot + 1], corrs[: slot + 1])
             r, spec, exc = failed
             raise FitError(v, r, spec, exc) from exc
-        if len(batch) >= max(floor, n // max(1, d)):
-            yield from _fit_batch(specs, batch, problems)
+        if len(batch) == size:
+            yield from _fit_batch(specs, batch, problems, grams, corrs)
             batch, problems = [], []
-    yield from _fit_batch(specs, batch, problems)
+    if batch:
+        raise ValueError(f"fewer training sets came than the {count} counted")
 
 
-def _fit_batch(specs: Sequence[LearnerSpec], batch: list[tuple], problems: list) -> list[tuple]:
-    """Fit the (set, lasso position) ``problems`` of ``batch`` in one
-    ``lasso_bank`` call, place each fit in its set's row and return the
-    rows; the first failing (set, model) raises FitError."""
+def _fit_batch(
+    specs: Sequence[LearnerSpec], batch: list[tuple], problems: list, grams, corrs
+) -> list[tuple]:
+    """Fit the (set, lasso position) ``problems`` of ``batch``, whose Z'Z/n
+    and Z'y/n are ``grams`` and ``corrs``, in one ``lasso_bank`` call,
+    place each fit in its set's row and return the rows; the first failing
+    (set, model) raises FitError."""
     if problems:
         slots, lasso = zip(*problems)
-        coefs, sweeps, ok = lasso_bank(
-            np.stack([entry[2] for entry in batch]),
-            np.stack([entry[3] for entry in batch]),
-            slots,
-            [specs[r].lam for r in lasso],
-        )
+        coefs, sweeps, ok = lasso_bank(grams, corrs, slots, [specs[r].lam for r in lasso])
         for k, (slot, r) in enumerate(problems):
-            v, row = batch[slot][:2]
+            v, row = batch[slot]
             try:
                 row[r] = _lasso_fit(coefs[k], sweeps[k], ok[k], specs[r].lam)
             except ConvergenceError as exc:
                 raise FitError(v, r, specs[r], exc) from exc
-    return [tuple(entry[1]) for entry in batch]
+    return [tuple(row) for _, row in batch]
 
 
 def _fit_now(spec: LearnerSpec, Z, y, gram, corr) -> FittedModel:
@@ -211,7 +229,7 @@ def fit_all_folds(dataset: Dataset, specs: Sequence[LearnerSpec], plan: FoldPlan
     if not specs:
         raise DomainError("need at least one learner spec")
     sets = ((v, *_rows(dataset, plan.train_indices(v))) for v in range(plan.V))
-    fits = tuple(_fit_sets(specs, sets))
+    fits = tuple(_fit_sets(specs, sets, plan.V))
     return FoldFits(fits=fits, specs=specs, plan=plan)
 
 
@@ -309,6 +327,7 @@ def _risk_range(dataset, specs, plan, swaps, cached, lo: int, hi: int) -> list[R
             for v in range(plan.V)
             if v != plan.fold_of[swap[0]]
         ),
+        len(chunk) * (plan.V - 1),
     )
     risks = []
     for swap in chunk:

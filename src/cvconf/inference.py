@@ -436,6 +436,7 @@ def critical_values(
     product, whichever other values are drawn with it.  Nothing is drawn
     when no column is needed.
     """
+    draws = _integer(draws, "draws")
     alphas = tuple(float(a) for a in alphas)
     if not alphas:
         raise DomainError("need at least one alpha")

@@ -92,7 +92,7 @@ def lasso_bank(grams, corrs, gram_index, lams, tol: float = 1e-8, max_iter: int 
     """
     grams = np.asarray(grams, dtype=np.float64)
     corrs = np.asarray(corrs, dtype=np.float64)
-    gram_index = np.asarray(gram_index, dtype=np.intp)
+    gram_index = _indices(gram_index, "gram indices")
     lams = np.asarray(lams, dtype=np.float64)
     if grams.ndim != 3 or grams.shape[1] != grams.shape[2] or corrs.shape != grams.shape[:2]:
         raise DomainError(f"need (G, d, d) grams and (G, d) corrs, got {grams.shape}, {corrs.shape}")

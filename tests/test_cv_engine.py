@@ -239,8 +239,8 @@ def test_replace_one_cv_risks_equal_one_swap_calls(monkeypatch):
     rows = [0, 6, 12, 18, 5, 11, 17, 23, 0]
     swaps = [(i, (rng.normal(size=3), float(rng.normal()))) for i in rows]
     one_by_one = [replace_one_cv_risk(ds, specs, plan, i, x, cached) for i, x in swaps]
-    # 9 swaps refit 27 training sets; with 4 lasso positions a kernel call
-    # waits for max(18 // 3, ceil(256 / 4)) = 64 sets, so one call fits them all
+    # 9 swaps refit 27 training sets of 3 features; 8 MiB holds 116,508 grams
+    # of 3^2, so one call fits them all
     calls = []
 
     def recording_bank(grams, *args):
@@ -392,8 +392,9 @@ def test_fit_error_order_runs_across_families(monkeypatch):
 
 
 def test_fit_error_order_runs_across_the_sets_of_one_batch(monkeypatch):
-    # all 4 folds share one kernel call (18 // 3 = 6 grams fit): set 0's lasso
-    # fails there, set 1's least squares fails before that call is made
+    # all 4 folds share one kernel call (8 MiB holds 116,508 grams of 3^2):
+    # set 0's lasso fails there, set 1's least squares fails before that call
+    # is made
     _, ds, plan, _ = _mixed_bank_instance()
     specs = [OLS, LearnerSpec("lasso", lam=0.01)]
     forced = dict(tol=1e-14, max_iter=2)
@@ -428,8 +429,8 @@ def test_replace_one_cv_risks_validates_specs_before_any_fit_or_fork(monkeypatch
 
 
 def test_kernel_calls_at_the_cvc_p50_shape(monkeypatch):
-    # n = 500, d = 20, the 50-penalty log lasso: 5 folds of 400 rows fit 20
-    # grams, so one call solves every problem of the run
+    # n = 500, d = 20, the 50-penalty log lasso: 8 MiB holds 2621 grams of
+    # 20^2, so one call solves the 5 folds' 250 problems
     ds, _ = gen_sparse_linear(SparseLinearGen(n=500, d=20, s=5, nu=1000.0, seed=3))
     lams = lasso_grid_log(ds.features, ds.response, 50, 1e-3)
     specs = [LearnerSpec("lasso", lam=float(lam)) for lam in lams]
@@ -440,35 +441,47 @@ def test_kernel_calls_at_the_cvc_p50_shape(monkeypatch):
 
 def test_kernel_calls_at_the_phi_wide_shape(monkeypatch):
     # n = 1000, d = 100, the 10-penalty doubling lasso among two other specs:
-    # 16 swaps of one row refit 64 folds of 800 rows, max(800 // 100,
-    # ceil(256 / 10)) = 26 grams (260 problems) to a call, the last call 12
+    # 8 MiB holds 104 grams of 100^2, so the 64 folds of 800 rows that 16
+    # swaps of one row refit go in one call, and the 128 of 32 swaps (a
+    # two-worker chunk of phi_wide) in two calls of 64
     ds, _ = gen_sparse_linear(SparseLinearGen(n=1000, d=100, s=5, nu=1000.0, seed=4))
     lams = [float(lam) for lam in lasso_grid(ds.features, ds.response, 5)]
     specs = [LearnerSpec("forward", steps=0), LearnerSpec("ridge", lam=0.1)]
     specs += [LearnerSpec("lasso", lam=lam) for lam in lams]
     plan = make_folds(1000, 5)
     cached = fit_all_folds(ds, specs, plan)
-    rows, _ = gen_sparse_linear(SparseLinearGen(n=16, d=100, s=5, nu=1000.0, seed=5))
-    swaps = [(0, (rows.features[j], rows.response[j])) for j in range(16)]
-    calls = _bank_calls(monkeypatch)
-    replace_one_cv_risks(ds, specs, plan, swaps, cached)
-    want = [(k, [j for j in range(k) for _ in lams], lams * k) for k in (26, 26, 12)]
-    assert calls == want
+    rows, _ = gen_sparse_linear(SparseLinearGen(n=32, d=100, s=5, nu=1000.0, seed=5))
+    want = (64, [j for j in range(64) for _ in lams], lams * 64)
+    for count, calls_made in ((16, 1), (32, 2)):
+        swaps = [(0, (rows.features[j], rows.response[j])) for j in range(count)]
+        calls = _bank_calls(monkeypatch)
+        replace_one_cv_risks(ds, specs, plan, swaps, cached)
+        assert calls == [want] * calls_made
+        monkeypatch.undo()
 
 
-@pytest.mark.parametrize(
-    "floor, fold_calls, refit_calls",
-    [(1, [2, 2], [2] * 18), (10**6, [4], [36])],
-)
-def test_the_batch_floor_changes_no_bit(monkeypatch, floor, fold_calls, refit_calls):
-    # 18 training rows of 8 features and 4 lasso positions: the default
-    # batches are max(18 // 8, ceil(256 / 4)) = 64 sets, here 4 folds in one
-    # call and the 36 refits of 12 swaps in one call
+def _tiny_instance():
+    """A 24-row dataset of 8 features, its plan, the mixed bank and 12
+    swaps, one in every other row."""
     rng = np.random.default_rng(19)
     ds = Dataset(rng.normal(size=(24, 8)), rng.normal(size=24))
     plan = make_folds(24, 4)
     specs = _mixed_bank_instance()[3]
     swaps = [(i, (rng.normal(size=8), float(rng.normal()))) for i in range(0, 24, 2)]
+    return ds, plan, specs, swaps
+
+
+@pytest.mark.parametrize(
+    "budget, fold_calls, refit_calls",
+    # a 1-byte budget still stacks one gram a call; 10**6 bytes hold 1953
+    # grams of 8^2, more than any call here can fill
+    [(1, [1] * 4, [1] * 36), (10**6, [4], [36])],
+)
+def test_the_batch_floor_changes_no_bit(monkeypatch, budget, fold_calls, refit_calls):
+    # 18 training rows of 8 features: the default 8 MiB budget holds 16,384
+    # grams of 8^2, so the 4 folds go in one call and the 36 refits of 12
+    # swaps in one call
+    ds, plan, specs, swaps = _tiny_instance()
 
     def run():
         fits = fit_all_folds(ds, specs, plan)
@@ -484,10 +497,40 @@ def test_the_batch_floor_changes_no_bit(monkeypatch, floor, fold_calls, refit_ca
     calls = _bank_calls(monkeypatch)
     want = raw(*run())
     assert [k for k, _, _ in calls] == [4, 36]
-    monkeypatch.setattr(cv_engine, "MIN_BATCH_PROBLEMS", floor)
+    monkeypatch.setattr(cv_engine, "GRAM_STACK_BYTES", budget)
     calls.clear()
     assert raw(*run()) == want
     assert [k for k, _, _ in calls] == fold_calls + refit_calls
+
+
+@pytest.mark.parametrize("grams", [1, 2, 5, 7, 36])
+def test_a_budget_of_k_grams_splits_the_sets_evenly(monkeypatch, grams):
+    # 12 swaps refit 36 sets of 8 features: a budget of k grams of 8^2, plus
+    # 511 bytes (one short of another gram), fits them in ceil(36 / k) calls
+    # of at most k grams, whose sizes differ by at most one
+    ds, plan, specs, swaps = _tiny_instance()
+    cached = fit_all_folds(ds, specs, plan)
+    monkeypatch.setattr(cv_engine, "GRAM_STACK_BYTES", grams * 8 * 8**2 + 511)
+    calls = _bank_calls(monkeypatch)
+    replace_one_cv_risks(ds, specs, plan, swaps, cached)
+    sizes = [k for k, _, _ in calls]
+    assert sum(sizes) == 36 and len(sizes) == -(-36 // grams)
+    assert max(sizes) <= grams and max(sizes) - min(sizes) <= 1
+
+
+def test_batch_sizes_are_the_fewest_within_the_budget(monkeypatch):
+    for d in (1, 3, 8):
+        for grams in range(1, 13):
+            # the budget of exactly k grams, and one byte short of k + 1
+            for budget in (grams * 8 * d * d, (grams + 1) * 8 * d * d - 1):
+                monkeypatch.setattr(cv_engine, "GRAM_STACK_BYTES", budget)
+                for count in range(60):
+                    sizes = cv_engine._batch_sizes(count, d)
+                    assert sum(sizes) == count and len(sizes) == -(-count // grams)
+                    assert all(0 < k <= grams for k in sizes)
+                    assert not sizes or max(sizes) - min(sizes) <= 1
+    # one gram a call at least, however large d is
+    assert cv_engine._batch_sizes(3, 10**4) == [1, 1, 1]
 
 
 def test_fit_all_folds_validates_specs_before_fitting(monkeypatch):

@@ -552,6 +552,15 @@ def test_shared_call_parts_must_be_asked_for():
         critical_values(risks, cov, (0.1,), seed=1, draws=2000, bands=False, sets=False)
 
 
+@pytest.mark.parametrize("draws", [2000.5, 2000.0, "3000", True])
+def test_critical_values_refuse_non_integer_draws_before_drawing(monkeypatch, draws):
+    lm = _spread_loss(4)
+    risks, cov = cv_risk(lm), aggregate_covariance(lm)
+    monkeypatch.setattr(inference, "max_quantiles", _raising_sampler)
+    with pytest.raises(DomainError, match="draws must be integers"):
+        critical_values(risks, cov, (0.1,), seed=1, draws=draws)
+
+
 def test_band_and_set_take_exactly_one_critical_value_source():
     # both given and neither given are refused; neither source is
     # silently preferred to the other

@@ -279,6 +279,16 @@ def test_lasso_bank_rejects_bad_input():
             lasso_bank(gram, corr, **bad)
 
 
+def test_lasso_bank_refuses_float_or_bool_gram_indices():
+    # a float index would be truncated (0.7 to gram 0) and a bool read as
+    # gram 0 or 1, so both are refused, as sgd_trajectories refuses them
+    grams, corrs = np.stack([np.eye(2), 2 * np.eye(2)]), np.ones((2, 2))
+    for bad in ([0.7], [True], np.array([1.0])):
+        with pytest.raises(DomainError, match="gram indices must be integers"):
+            lasso_bank(grams, corrs, bad, [0.1] * len(bad))
+    lasso_bank(grams, corrs, np.array([1, 0], dtype=np.uint8), [0.1, 0.1])
+
+
 def test_lasso_nonconvergence_reports_iterations():
     rng = np.random.default_rng(5)
     base = rng.normal(size=(30, 1))
