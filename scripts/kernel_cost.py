@@ -7,7 +7,8 @@ Usage (from the root of a checkout):
 
 The problems are those of the phi_wide refits: n = 1000 rows of d = 100
 features, the 10-penalty doubling lasso, and training sets that are the
-5-fold complements of the data with one row replaced (800 rows each).
+5-fold complements of the data with one row replaced (800 rows each),
+their Z'Z/n and Z'y/n summed from fold blocks as the refits sum them.
 A call of K problems holds ceil(K / 10) grams.  Each K is timed as the
 median of ``REPEATS`` calls, on one BLAS thread.  A call runs
 max(sweeps) x d coordinate steps, and each step pays a fixed numpy call
@@ -28,6 +29,7 @@ import time
 import numpy as np
 
 from cvconf.cli_harness import _one_blas_thread
+from cvconf.cv_engine import _fold_block, _training_moments
 from cvconf.datamodel import make_folds
 from cvconf.learners import lasso_bank, lasso_grid
 from cvconf.simgen import SparseLinearGen, gen_sparse_linear
@@ -39,23 +41,22 @@ N, D, V = 1000, 100, 5
 
 def phi_wide_problems(count: int):
     """The Z'Z/n and Z'y/n stacks of ``count`` replace-one training sets
-    at the phi_wide shape, and its 10 penalties."""
+    at the phi_wide shape, and its 10 penalties.  Each set's moments are
+    built as the refits build them, from fold blocks, so the kernel sees
+    bitwise the problems of the phi refits."""
     ds, _ = gen_sparse_linear(SparseLinearGen(n=N, d=D, s=5, nu=1000.0, seed=1))
     rows, _ = gen_sparse_linear(SparseLinearGen(n=count, d=D, s=5, nu=1000.0, seed=2))
     lams = lasso_grid(ds.features, ds.response, V)
     plan = make_folds(N, V)
-    grams, corrs = [], []
+    base = [_fold_block(ds, ix) for ix in plan.index_sets]
+    grams, corrs = np.empty((count, D, D)), np.empty((count, D))
     for k in range(count):
         # replace row k of fold 0 and refit one of the other folds, as the
         # φ refits do
-        Z, y = ds.features.copy(), ds.response.copy()
-        i = k % plan.index_sets[0].size
-        Z[i], y[i] = rows.features[k], rows.response[k]
-        train = plan.train_indices(1 + k % (V - 1))
-        Z, y = Z[train], y[train]
-        grams.append(Z.T @ Z / train.size)
-        corrs.append(Z.T @ y / train.size)
-    return np.stack(grams), np.stack(corrs), lams
+        swap = (k % plan.index_sets[0].size, rows.features[k], rows.response[k])
+        blocks = [_fold_block(ds, plan.index_sets[0], swap)] + base[1:]
+        _training_moments(blocks, 1 + k % (V - 1), grams[k], corrs[k])
+    return grams, corrs, lams
 
 
 def main() -> None:

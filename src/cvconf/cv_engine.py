@@ -9,6 +9,22 @@ risks (``replace_one_cv_risks``, whose one-swap form is
 ``replace_one_cv_risk``).  Every training set is fitted by the same
 rule, one fit per bank position; the specs and the data were checked
 when they were built.
+
+Training moments are sums of fold blocks.  Fold u's block is
+B_u = Z_u'Z_u and c_u = Z_u'y_u over its own held-out rows
+(``_fold_block``), and fold v's training set has the moments
+Z'Z/n_v = (sum of B_u over u != v) / n_v and Z'y/n_v likewise, the
+blocks added in fold order (``_training_moments``).  ``fit_all_folds``
+computes the V blocks once; a chunk of replace-one swaps computes them
+once and, for each swap, recomputes only the swapped fold's block.  A
+replace-one risk and a from-scratch run on the replaced data sum the
+same blocks in the same order, so they agree bit for bit; a fold fit
+equals a standalone ``fit_lasso`` or ``fit_ridge`` on the training
+rows, which forms Z'Z in one product, only to rounding.  Training rows
+themselves are gathered only for the specs that read them: forward
+selection with at least one step, and least squares (ridge at
+lam = 0).
+
 The lasso problems of a batch of sets are solved together by
 ``learners.lasso_bank``.  Each caller says how many sets it will fit,
 and they go in the fewest batches whose stacked d x d grams fit in
@@ -116,32 +132,39 @@ def _batch_sizes(count: int, d: int) -> list[int]:
 
 def _fit_sets(specs: Sequence[LearnerSpec], sets, count: int):
     """Yield the fits of every spec on each of the ``count`` training sets
-    (v, Z, y) of ``sets``, in order; every spec was checked when it was
-    built.
+    (v, blocks, rows) of ``sets``, in order; every spec was checked when
+    it was built.
 
-    Every set is fitted by one rule.  Its Z'Z/n and Z'y/n are computed
-    once, by the formula fit_lasso and fit_ridge use on their own, straight
-    into the gram and corr stacks of its batch, and the specs of other
-    families than the lasso are fitted at once, in bank order.  The set's
-    rows are then dropped and only its gram waits.  The ``count`` sets go
-    in the fewest batches whose stacked grams fit in ``GRAM_STACK_BYTES``,
-    of sizes that differ by at most one (``_batch_sizes``), so a worker
-    stacks at most that budget of grams: 104 grams of 100^2 (about 8 MiB)
-    at d = 100.  A full batch goes through one ``lasso_bank`` call, with
-    one problem per lasso position of each set, and its fits are then
-    yielded, so a consumer can drop them before later sets are fitted.
-    Every fit is a pure function of its spec and rows, and the kernel
-    fits each problem as fit_lasso would on its own, so identical specs
-    get bitwise-equal fits, the batching changes no fit, and permuting
-    the bank permutes the fits exactly.  A failure raises FitError for
-    the first failing (set, model) in that order.
+    Set v trains on every fold but v: ``blocks`` holds the V fold blocks
+    (``_fold_block``) in fold order, and ``rows()`` returns the set's
+    training rows (Z, y).  Every set is fitted by one rule.  Its Z'Z/n
+    and Z'y/n are the sums of the blocks of the other folds, added in
+    fold order straight into the gram and corr stacks of its batch
+    (``_training_moments``), and the specs of other families than the
+    lasso are fitted at once, in bank order.  ``rows`` is called only
+    when a spec reads rows (forward selection with at least one step,
+    least squares), so a bank of the lasso, ridge at lam > 0 and
+    forward:0 gathers no training row.  The ``count`` sets go in the
+    fewest batches whose stacked grams fit in ``GRAM_STACK_BYTES``, of
+    sizes that differ by at most one (``_batch_sizes``), so a worker
+    stacks at most that budget of grams: 104 grams of 100^2 (about
+    8 MiB) at d = 100.  A full batch goes through one ``lasso_bank``
+    call, with one problem per lasso position of each set, and its fits
+    are then yielded, so a consumer can drop them before later sets are
+    fitted.  Every fit is a pure function of its spec, its blocks and
+    its rows, and the kernel fits each problem as fit_lasso would on its
+    own gram, so identical specs get bitwise-equal fits, the batching
+    changes no fit, and permuting the bank permutes the fits exactly.  A
+    failure raises FitError for the first failing (set, model) in that
+    order.
     """
     lasso = [r for r, spec in enumerate(specs) if spec.family == "lasso"]
+    reads_rows = any(_reads_rows(spec) for spec in specs)
     sizes = None
     batch: list[tuple] = []  # (v, row) of the waiting sets
     problems: list[tuple[int, int]] = []  # their (set, lasso position) problems
-    for v, Z, y in sets:
-        n, d = Z.shape
+    for v, blocks, rows in sets:
+        d = blocks[0][1].size
         if not batch:
             if sizes is None:
                 sizes = iter(_batch_sizes(count, d))
@@ -150,10 +173,10 @@ def _fit_sets(specs: Sequence[LearnerSpec], sets, count: int):
                 raise ValueError(f"more training sets came than the {count} counted")
             grams, corrs = np.empty((size, d, d)), np.empty((size, d))
         slot = len(batch)
-        gram = np.matmul(Z.T, Z, out=grams[slot])
-        gram /= n
-        corr = np.matmul(Z.T, y, out=corrs[slot])
-        corr /= n
+        gram, corr = grams[slot], corrs[slot]
+        _training_moments(blocks, v, gram, corr)
+        # forward:0 reads no row, so it is fitted on none when no spec reads them
+        Z, y = rows() if reads_rows else (np.empty((0, d)), np.empty(0))
         row: list = [None] * len(specs)
         failed = None
         for r, spec in enumerate(specs):
@@ -198,6 +221,14 @@ def _fit_batch(
     return [tuple(row) for _, row in batch]
 
 
+def _reads_rows(spec: LearnerSpec) -> bool:
+    """Whether fitting ``spec`` reads the training rows, not only their
+    Z'Z/n and Z'y/n: forward selection with steps >= 1 and least squares."""
+    if spec.family == "forward":
+        return spec.steps > 0
+    return spec.family == "ridge" and spec.lam == 0
+
+
 def _fit_now(spec: LearnerSpec, Z, y, gram, corr) -> FittedModel:
     """Fit one spec of a family other than the lasso on the rows (Z, y),
     whose Z'Z/n and Z'y/n are ``gram`` and ``corr``."""
@@ -221,6 +252,27 @@ def _rows(dataset: Dataset, ix: np.ndarray, swap=None) -> tuple[np.ndarray, np.n
     return Z, y
 
 
+def _fold_block(dataset: Dataset, ix: np.ndarray, swap=None) -> tuple[np.ndarray, np.ndarray, int]:
+    """The block (Z'Z, Z'y, rows) of one fold's held-out rows ``ix``, with
+    the replacement ``swap`` = (i, z, y) made when row i is among them."""
+    Z, y = _rows(dataset, ix, swap)
+    return Z.T @ Z, Z.T @ y, ix.size
+
+
+def _training_moments(blocks, v: int, gram: np.ndarray, corr: np.ndarray) -> None:
+    """Write fold v's training Z'Z/n and Z'y/n into ``gram`` and ``corr``:
+    the blocks of every other fold, added in fold order, over their rows."""
+    others = [block for u, block in enumerate(blocks) if u != v]
+    np.copyto(gram, others[0][0])
+    np.copyto(corr, others[0][1])
+    for B, c, _ in others[1:]:
+        gram += B
+        corr += c
+    n = sum(rows for _, _, rows in others)
+    gram /= n
+    corr /= n
+
+
 def fit_all_folds(dataset: Dataset, specs: Sequence[LearnerSpec], plan: FoldPlan) -> FoldFits:
     """Fit every candidate on every training complement (see _fit_sets)."""
     if plan.n != dataset.n:
@@ -228,7 +280,11 @@ def fit_all_folds(dataset: Dataset, specs: Sequence[LearnerSpec], plan: FoldPlan
     specs = tuple(specs)
     if not specs:
         raise DomainError("need at least one learner spec")
-    sets = ((v, *_rows(dataset, plan.train_indices(v))) for v in range(plan.V))
+    blocks = [_fold_block(dataset, ix) for ix in plan.index_sets]
+    sets = (
+        (v, blocks, functools.partial(_rows, dataset, plan.train_indices(v)))
+        for v in range(plan.V)
+    )
     fits = tuple(_fit_sets(specs, sets, plan.V))
     return FoldFits(fits=fits, specs=specs, plan=plan)
 
@@ -315,20 +371,25 @@ def replace_one_cv_risks(
 
 
 def _risk_range(dataset, specs, plan, swaps, cached, lo: int, hi: int) -> list[RiskVector]:
-    """Risk vectors of the checked swaps[lo:hi], refitted in one fit call."""
+    """Risk vectors of the checked swaps[lo:hi], refitted in one fit call.
+
+    The V fold blocks are computed once for the chunk; each swap
+    recomputes only the block of the fold that holds its row."""
     labels = tuple(spec.label() for spec in specs)
-    trains = [plan.train_indices(v) for v in range(plan.V)]
     chunk = swaps[lo:hi]
-    refitted = _fit_sets(
-        specs,
-        (
-            (v, *_rows(dataset, trains[v], swap))
-            for swap in chunk
-            for v in range(plan.V)
-            if v != plan.fold_of[swap[0]]
-        ),
-        len(chunk) * (plan.V - 1),
-    )
+    trains = [plan.train_indices(v) for v in range(plan.V)]
+    base = [_fold_block(dataset, ix) for ix in plan.index_sets]
+
+    def sets():
+        for swap in chunk:
+            kept = plan.fold_of[swap[0]]
+            blocks = base.copy()
+            blocks[kept] = _fold_block(dataset, plan.index_sets[kept], swap)
+            for v in range(plan.V):
+                if v != kept:
+                    yield v, blocks, functools.partial(_rows, dataset, trains[v], swap)
+
+    refitted = _fit_sets(specs, sets(), len(chunk) * (plan.V - 1))
     risks = []
     for swap in chunk:
         kept = plan.fold_of[swap[0]]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import DomainError, FittedModel, _replacement
+from .datamodel import DomainError, FittedModel, _integer, _replacement
 
 
 class ConvergenceError(RuntimeError):
@@ -48,7 +48,10 @@ def fit_ridge(features, response, lam: float) -> FittedModel:
     """Closed-form ridge: (Z'Z/n + lam I)^{-1} Z'y / n on the given rows.
 
     lam = 0 delegates to the minimum-norm least-squares solution, so a
-    singular design never raises.
+    singular design never raises.  The fold fits of ``cv_engine`` at
+    lam > 0 solve the same system from Z'Z/n and Z'y/n summed over fold
+    blocks, so they equal this fit only to rounding; at lam = 0 they are
+    this fit bit for bit.
     """
     Z, y = _check_xy(features, response)
     if not lam >= 0:
@@ -198,7 +201,9 @@ def fit_lasso(
     """Minimize (1/2n)||y - Z beta||^2 + lam ||beta||_1 by cyclic
     coordinate descent with soft-thresholding from a zero start: one
     problem of ``lasso_bank`` on Z'Z/n and Z'y/n.  The returned fit
-    satisfies the KKT conditions to within 10 * tol.
+    satisfies the KKT conditions to within 10 * tol.  The fold fits of
+    ``cv_engine`` run the same kernel on Z'Z/n and Z'y/n summed over fold
+    blocks, so they equal this fit on the training rows only to rounding.
     """
     Z, y = _check_xy(features, response)
     if not lam >= 0:
@@ -361,7 +366,10 @@ def max_row_norm(v) -> float:
 
 def _indices(values, what: str) -> np.ndarray:
     """``values`` as an intp array; a float or bool entry is refused, not
-    truncated."""
+    truncated.  Each entry of a list or tuple is checked on its own, since
+    numpy reads [0, False] as integers."""
+    if isinstance(values, (list, tuple)):
+        values = [_integer(value, what) for value in values]
     arr = np.asarray(values)
     if arr.size and arr.dtype.kind not in "iu":
         raise DomainError(f"{what} must be integers, got {arr.dtype} values")

@@ -50,12 +50,22 @@ def test_fit_all_folds_trains_on_complement():
     ds = Dataset(rng.normal(size=(20, 3)), rng.normal(size=20))
     plan = make_folds(20, 4)
     fits = fit_all_folds(ds, [OLS, LearnerSpec("ridge", lam=0.7)], plan)
+    blocks = [(Z.T @ Z, Z.T @ ds.response[ix]) for ix in plan.index_sets for Z in [ds.features[ix]]]
     for v in range(4):
         tr = plan.train_indices(v)
         expect_ols, *_ = np.linalg.lstsq(ds.features[tr], ds.response[tr], rcond=None)
-        expect_ridge = fit_ridge(ds.features[tr], ds.response[tr], 0.7)
         assert np.array_equal(fits.fits[v][0].coef, expect_ols)
-        assert np.array_equal(fits.fits[v][1].coef, expect_ridge.coef)
+        # the training moments are the other folds' blocks, added in fold order
+        others = [blocks[u] for u in range(4) if u != v]
+        gram, corr = others[0][0].copy(), others[0][1].copy()
+        for B, c in others[1:]:
+            gram += B
+            corr += c
+        expect_ridge = np.linalg.solve(gram / tr.size + 0.7 * np.eye(3), corr / tr.size)
+        assert np.array_equal(fits.fits[v][1].coef, expect_ridge)
+        # and a standalone fit on the training rows agrees to rounding
+        standalone = fit_ridge(ds.features[tr], ds.response[tr], 0.7).coef
+        assert np.allclose(fits.fits[v][1].coef, standalone, rtol=1e-12, atol=0)
 
 
 def test_fit_all_folds_identical_specs_identical_fits():
@@ -187,6 +197,70 @@ def test_replace_one_equals_from_scratch():
         ds2 = ds.replace_row(i, z_new, y_new)
         slow = cv_risk(loss_matrix(ds2, fit_all_folds(ds2, specs, plan), plan, "squared"))
         assert np.array_equal(fast.values, slow.values)
+
+
+@pytest.mark.parametrize(
+    "n, V, mode, specs",
+    [
+        (12, 2, "strict", [LearnerSpec("lasso", lam=0.05), LearnerSpec("ridge", lam=0.1)]),
+        (23, 4, "balanced", [LearnerSpec("lasso", lam=0.05), LearnerSpec("ridge", lam=0.1)]),
+        (
+            20,
+            4,
+            "strict",
+            [
+                LearnerSpec("forward", steps=2),
+                LearnerSpec("lasso", lam=0.05),
+                OLS,
+                LearnerSpec("ridge", lam=0.1),
+            ],
+        ),
+    ],
+    ids=["two-folds", "unequal-folds", "a-bank-that-reads-rows"],
+)
+def test_replace_one_sums_the_fold_blocks_of_a_from_scratch_run(n, V, mode, specs):
+    # each refitted training set sums the same fold blocks, one of them
+    # recomputed with the swap, in the same order as a run on the replaced data
+    rng = np.random.default_rng(23)
+    ds = Dataset(rng.normal(size=(n, 3)), rng.normal(size=n))
+    plan = make_folds(n, V, mode)
+    cached = fit_all_folds(ds, specs, plan)
+    swaps = [(i, (rng.normal(size=3), float(rng.normal()))) for i in (0, n // 2, n - 1)]
+    for (i, (z, y)), fast in zip(swaps, replace_one_cv_risks(ds, specs, plan, swaps, cached)):
+        ds2 = ds.replace_row(i, z, y)
+        slow = cv_risk(loss_matrix(ds2, fit_all_folds(ds2, specs, plan), plan, "squared"))
+        assert np.array_equal(fast.values, slow.values)
+
+
+def test_a_chunk_of_k_swaps_computes_v_plus_k_fold_blocks_and_no_training_rows(monkeypatch):
+    # the phi_wide shape and bank: no spec reads rows, so the 4 refitted sets
+    # of each swap sum the chunk's 5 fold blocks, one of them recomputed
+    ds, _ = gen_sparse_linear(SparseLinearGen(n=1000, d=100, s=5, nu=1000.0, seed=4))
+    lams = [float(lam) for lam in lasso_grid(ds.features, ds.response, 5)]
+    specs = [LearnerSpec("forward", steps=0), LearnerSpec("ridge", lam=0.1)]
+    specs += [LearnerSpec("lasso", lam=lam) for lam in lams]
+    plan = make_folds(1000, 5)
+    cached = fit_all_folds(ds, specs, plan)
+    rows, _ = gen_sparse_linear(SparseLinearGen(n=7, d=100, s=5, nu=1000.0, seed=5))
+    at = (0, 250, 999, 0, 400, 600, 800)
+    swaps = [(i, (rows.features[j], rows.response[j])) for j, i in enumerate(at)]
+    blocks, gathered = [], []
+    real_block, real_rows = cv_engine._fold_block, cv_engine._rows
+
+    def counting_block(dataset, ix, swap=None):
+        blocks.append(swap is not None)
+        return real_block(dataset, ix, swap)
+
+    def recording_rows(dataset, ix, swap=None):
+        gathered.append(ix.size)
+        return real_rows(dataset, ix, swap)
+
+    monkeypatch.setattr(cv_engine, "_fold_block", counting_block)
+    monkeypatch.setattr(cv_engine, "_rows", recording_rows)
+    replace_one_cv_risks(ds, specs, plan, swaps, cached)
+    assert blocks == [False] * 5 + [True] * 7
+    # every gathered block of rows is one fold's 200: a block or a scored fold
+    assert set(gathered) == {200}
 
 
 def _bank_calls(monkeypatch):

@@ -289,6 +289,15 @@ def test_lasso_bank_refuses_float_or_bool_gram_indices():
     lasso_bank(grams, corrs, np.array([1, 0], dtype=np.uint8), [0.1, 0.1])
 
 
+@pytest.mark.parametrize("bad", [[0, False], [True, 1], (1, np.bool_(False))])
+def test_lasso_bank_refuses_a_bool_among_integer_gram_indices(bad):
+    # numpy reads [0, False] as an int64 array, which would solve the second
+    # problem on gram 0
+    grams, corrs = np.stack([np.eye(2), 2 * np.eye(2)]), np.ones((2, 2))
+    with pytest.raises(DomainError, match="gram indices must be integers"):
+        lasso_bank(grams, corrs, bad, [0.1, 0.1])
+
+
 def test_lasso_nonconvergence_reports_iterations():
     rng = np.random.default_rng(5)
     base = rng.normal(size=(30, 1))

@@ -584,6 +584,15 @@ def test_sgd_trajectories_refuses_non_integer_indices(case):
         sgd_trajectories(Z, y, args["lengths"], cfg, args["trial"], args["replace"])
 
 
+@pytest.mark.parametrize("trial", [[0, False], [True, 1]])
+def test_sgd_trajectories_refuses_a_bool_among_integer_trial_indices(trial):
+    # numpy reads [0, False] as an int64 array, which would run dataset 0 twice
+    Z, y, cfg = _sgd_instance(16, lam=12.0)
+    Z, y = np.concatenate([Z, Z]), np.concatenate([y, y])
+    with pytest.raises(DomainError, match="trial indices must be integers"):
+        sgd_trajectories(Z, y, [16, 16], cfg, trial, [{}, {}])
+
+
 @pytest.mark.parametrize("i", [3.7, True])
 def test_param_first_diff_refuses_a_non_integer_index(i):
     Z, y, cfg = _sgd_instance(64, lam=4.0)
