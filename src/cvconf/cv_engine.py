@@ -19,11 +19,13 @@ computes the V blocks once; a chunk of replace-one swaps computes them
 once and, for each swap, recomputes only the swapped fold's block.  A
 replace-one risk and a from-scratch run on the replaced data sum the
 same blocks in the same order, so they agree bit for bit; a fold fit
-equals a standalone ``fit_lasso`` or ``fit_ridge`` on the training
-rows, which forms Z'Z in one product, only to rounding.  Training rows
-themselves are gathered only for the specs that read them: forward
-selection with at least one step, and least squares (ridge at
-lam = 0).
+equals a standalone ``fit_lasso``, ``fit_ridge`` or ``fit_forward`` on
+the training rows, which forms Z'Z in one product, only to rounding.
+Every family fits from these moments alone, so no training row is
+gathered: rows are read only to build fold blocks and to score held-out
+folds.  The normal equations square cond(Z); the training designs of
+the shipped configs are Gaussian with d/n <= 0.1, where that costs
+only rounding.
 
 The lasso problems of a batch of sets are solved together by
 ``learners.lasso_bank``.  Each caller says how many sets it will fit,
@@ -31,10 +33,9 @@ and they go in the fewest batches whose stacked d x d grams fit in
 ``GRAM_STACK_BYTES`` (8 MiB), of sizes that differ by at most one.  So
 a process stacks at most max(8 MiB, 8 d^2 bytes) of grams at once,
 plus a d-vector per gram: 104 grams of 100^2 at d = 100, where a
-two-worker chunk of 128 refitted sets goes in two calls of 64.
-Replace-one recomputation reuses the one fold whose training rows are
-untouched and refits the others, reproducing a from-scratch run
-exactly.  With ``workers`` > 1, ``replace_one_cv_risks`` splits its
+two-worker chunk of 128 refitted sets goes in two calls of 64.  A
+replace-one swap reuses the fits of the fold that holds its row.  With
+``workers`` > 1, ``replace_one_cv_risks`` splits its
 swaps into contiguous chunks run by worker processes forked from the
 caller; they inherit the data and fits, so only chunk bounds go in
 and risk vectors come out, and the results are bitwise those of the
@@ -56,9 +57,10 @@ from .datamodel import (
     FoldPlan,
     LearnerSpec,
     LossMatrix,
+    _integer,
     _replacement,
 )
-from .learners import ConvergenceError, _lasso_fit, _ridge_solve, fit_forward, fit_ridge, lasso_bank
+from .learners import ConvergenceError, _forward_solve, _lasso_fit, _ridge_solve, lasso_bank
 from .simgen import SparseLinearTruth
 
 
@@ -132,38 +134,32 @@ def _batch_sizes(count: int, d: int) -> list[int]:
 
 def _fit_sets(specs: Sequence[LearnerSpec], sets, count: int):
     """Yield the fits of every spec on each of the ``count`` training sets
-    (v, blocks, rows) of ``sets``, in order; every spec was checked when
-    it was built.
+    (v, blocks) of ``sets``, in order; every spec was checked when it
+    was built.
 
     Set v trains on every fold but v: ``blocks`` holds the V fold blocks
-    (``_fold_block``) in fold order, and ``rows()`` returns the set's
-    training rows (Z, y).  Every set is fitted by one rule.  Its Z'Z/n
-    and Z'y/n are the sums of the blocks of the other folds, added in
-    fold order straight into the gram and corr stacks of its batch
-    (``_training_moments``), and the specs of other families than the
-    lasso are fitted at once, in bank order.  ``rows`` is called only
-    when a spec reads rows (forward selection with at least one step,
-    least squares), so a bank of the lasso, ridge at lam > 0 and
-    forward:0 gathers no training row.  The ``count`` sets go in the
-    fewest batches whose stacked grams fit in ``GRAM_STACK_BYTES``, of
-    sizes that differ by at most one (``_batch_sizes``), so a worker
-    stacks at most that budget of grams: 104 grams of 100^2 (about
-    8 MiB) at d = 100.  A full batch goes through one ``lasso_bank``
+    (``_fold_block``) in fold order.  Every set is fitted by one rule.
+    Its Z'Z/n and Z'y/n are the sums of the blocks of the other folds,
+    added in fold order straight into the gram and corr stacks of its
+    batch (``_training_moments``), and the specs of other families than
+    the lasso are fitted from them at once, in bank order
+    (``_fit_now``), so no family reads a training row.  The ``count``
+    sets go in the fewest batches whose stacked grams fit in
+    ``GRAM_STACK_BYTES``, of sizes that differ by at most one
+    (``_batch_sizes``).  A full batch goes through one ``lasso_bank``
     call, with one problem per lasso position of each set, and its fits
     are then yielded, so a consumer can drop them before later sets are
-    fitted.  Every fit is a pure function of its spec, its blocks and
-    its rows, and the kernel fits each problem as fit_lasso would on its
-    own gram, so identical specs get bitwise-equal fits, the batching
-    changes no fit, and permuting the bank permutes the fits exactly.  A
-    failure raises FitError for the first failing (set, model) in that
-    order.
+    fitted.  Every fit is a pure function of its spec and its blocks,
+    and the kernel fits each problem as fit_lasso would on its own gram,
+    so identical specs get bitwise-equal fits, the batching changes no
+    fit, and permuting the bank permutes the fits exactly.  A failure
+    raises FitError for the first failing (set, model) in that order.
     """
     lasso = [r for r, spec in enumerate(specs) if spec.family == "lasso"]
-    reads_rows = any(_reads_rows(spec) for spec in specs)
     sizes = None
     batch: list[tuple] = []  # (v, row) of the waiting sets
     problems: list[tuple[int, int]] = []  # their (set, lasso position) problems
-    for v, blocks, rows in sets:
+    for v, blocks in sets:
         d = blocks[0][1].size
         if not batch:
             if sizes is None:
@@ -175,21 +171,18 @@ def _fit_sets(specs: Sequence[LearnerSpec], sets, count: int):
         slot = len(batch)
         gram, corr = grams[slot], corrs[slot]
         _training_moments(blocks, v, gram, corr)
-        # forward:0 reads no row, so it is fitted on none when no spec reads them
-        Z, y = rows() if reads_rows else (np.empty((0, d)), np.empty(0))
         row: list = [None] * len(specs)
         failed = None
         for r, spec in enumerate(specs):
             if spec.family != "lasso":
                 try:
-                    row[r] = _fit_now(spec, Z, y, gram, corr)
+                    row[r] = _fit_now(spec, gram, corr)
                 except Exception as exc:
                     failed = (r, spec, exc)
                     break
         # only lasso positions before a failing one are in order before it
         problems += [(slot, r) for r in lasso if failed is None or r < failed[0]]
         batch.append((v, row))
-        del Z, y  # the kernel needs only the gram
         if failed is not None:
             # a lasso failure earlier in the order comes first
             _fit_batch(specs, batch, problems, grams[: slot + 1], corrs[: slot + 1])
@@ -221,22 +214,12 @@ def _fit_batch(
     return [tuple(row) for _, row in batch]
 
 
-def _reads_rows(spec: LearnerSpec) -> bool:
-    """Whether fitting ``spec`` reads the training rows, not only their
-    Z'Z/n and Z'y/n: forward selection with steps >= 1 and least squares."""
-    if spec.family == "forward":
-        return spec.steps > 0
-    return spec.family == "ridge" and spec.lam == 0
-
-
-def _fit_now(spec: LearnerSpec, Z, y, gram, corr) -> FittedModel:
-    """Fit one spec of a family other than the lasso on the rows (Z, y),
-    whose Z'Z/n and Z'y/n are ``gram`` and ``corr``."""
+def _fit_now(spec: LearnerSpec, gram, corr) -> FittedModel:
+    """Fit one spec of a family other than the lasso from the Z'Z/n and
+    Z'y/n of its training rows, ``gram`` and ``corr``."""
     if spec.family == "ridge":
-        if spec.lam > 0:
-            return FittedModel(family="ridge", coef=_ridge_solve(gram, corr, spec.lam))
-        return fit_ridge(Z, y, spec.lam)
-    return fit_forward(Z, y, spec.steps)
+        return FittedModel(family="ridge", coef=_ridge_solve(gram, corr, spec.lam))
+    return _forward_solve(gram, corr, spec.steps)
 
 
 def _rows(dataset: Dataset, ix: np.ndarray, swap=None) -> tuple[np.ndarray, np.ndarray]:
@@ -281,11 +264,7 @@ def fit_all_folds(dataset: Dataset, specs: Sequence[LearnerSpec], plan: FoldPlan
     if not specs:
         raise DomainError("need at least one learner spec")
     blocks = [_fold_block(dataset, ix) for ix in plan.index_sets]
-    sets = (
-        (v, blocks, functools.partial(_rows, dataset, plan.train_indices(v)))
-        for v in range(plan.V)
-    )
-    fits = tuple(_fit_sets(specs, sets, plan.V))
+    fits = tuple(_fit_sets(specs, ((v, blocks) for v in range(plan.V)), plan.V))
     return FoldFits(fits=fits, specs=specs, plan=plan)
 
 
@@ -352,6 +331,8 @@ def replace_one_cv_risks(
     model) in order.  With one worker or one swap, or where the
     platform cannot fork, everything runs in this process.
     """
+    if _integer(workers, "worker counts") < 1:
+        raise DomainError(f"need workers >= 1, got {workers}")
     specs = tuple(specs)
     _check_plan(cached, plan)
     if cached.specs != specs:
@@ -377,7 +358,6 @@ def _risk_range(dataset, specs, plan, swaps, cached, lo: int, hi: int) -> list[R
     recomputes only the block of the fold that holds its row."""
     labels = tuple(spec.label() for spec in specs)
     chunk = swaps[lo:hi]
-    trains = [plan.train_indices(v) for v in range(plan.V)]
     base = [_fold_block(dataset, ix) for ix in plan.index_sets]
 
     def sets():
@@ -385,9 +365,7 @@ def _risk_range(dataset, specs, plan, swaps, cached, lo: int, hi: int) -> list[R
             kept = plan.fold_of[swap[0]]
             blocks = base.copy()
             blocks[kept] = _fold_block(dataset, plan.index_sets[kept], swap)
-            for v in range(plan.V):
-                if v != kept:
-                    yield v, blocks, functools.partial(_rows, dataset, trains[v], swap)
+            yield from ((v, blocks) for v in range(plan.V) if v != kept)
 
     refitted = _fit_sets(specs, sets(), len(chunk) * (plan.V - 1))
     risks = []

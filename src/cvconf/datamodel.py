@@ -155,12 +155,40 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """Partition of row indices 0..n-1 into V contiguous folds."""
+    """Partition of row indices 0..n-1 into V folds.
+
+    Construction refuses a plan unless V >= 2 equals the number of index
+    sets, every set is a non-empty ascending integer array, the sets
+    partition 0..n-1, and ``fold_of`` gives each row the fold whose set
+    holds it; so every row is scored exactly once.
+    """
 
     n: int
     V: int
     fold_of: np.ndarray
     index_sets: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        n, V = _integer(self.n, "row counts"), _integer(self.V, "fold counts")
+        sets = tuple(np.asarray(ix) for ix in self.index_sets)
+        fold_of = np.asarray(self.fold_of)
+        if V < 2 or len(sets) != V:
+            raise DomainError(f"a plan needs V >= 2 index sets, got V={V} and {len(sets)} sets")
+        for v, ix in enumerate(sets):
+            if ix.ndim != 1 or not ix.size or ix.dtype.kind not in "iu" or np.any(ix[1:] <= ix[:-1]):
+                raise DomainError(f"index set {v} is not a non-empty ascending integer array")
+        if not np.array_equal(np.sort(np.concatenate(sets)), np.arange(n)):
+            raise DomainError(f"the index sets do not partition the rows 0..{n - 1}")
+        if (
+            fold_of.shape != (n,)
+            or fold_of.dtype.kind not in "iu"
+            or any(np.any(fold_of[ix] != v) for v, ix in enumerate(sets))
+        ):
+            raise DomainError("fold_of does not give each row the fold whose index set holds it")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "fold_of", fold_of)
+        object.__setattr__(self, "index_sets", sets)
 
     def train_indices(self, v: int) -> np.ndarray:
         """Ascending indices of all rows outside fold v."""
@@ -181,6 +209,7 @@ def make_folds(n: int, V: int, mode: str = "strict") -> FoldPlan:
         "balanced" allows any n >= V and yields contiguous blocks whose
         sizes differ by at most one, larger blocks first.
     """
+    n, V = _integer(n, "row counts"), _integer(V, "fold counts")
     if V < 2:
         raise DomainError(f"need at least 2 folds, got V={V}")
     if n < V:
@@ -194,9 +223,7 @@ def make_folds(n: int, V: int, mode: str = "strict") -> FoldPlan:
     sizes = [base + 1 if v < rem else base for v in range(V)]
     bounds = np.concatenate([[0], np.cumsum(sizes)])
     index_sets = tuple(np.arange(bounds[v], bounds[v + 1]) for v in range(V))
-    fold_of = np.empty(n, dtype=np.int64)
-    for v, ix in enumerate(index_sets):
-        fold_of[ix] = v
+    fold_of = np.repeat(np.arange(V, dtype=np.int64), sizes)
     return FoldPlan(n=n, V=V, fold_of=fold_of, index_sets=index_sets)
 
 

@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .cv_engine import FoldFits, cv_risk, fit_all_folds, loss_matrix, replace_one_cv_risks
-from .datamodel import Dataset, DomainError, FoldPlan, LearnerSpec, _as_float_array
+from .datamodel import Dataset, DomainError, FoldPlan, LearnerSpec, _as_float_array, _integer
 
 __all__ = [
     "ParityError",
@@ -100,7 +100,7 @@ class PhiEstimate:
 
 def default_holdout_size(n: int) -> int:
     """ceil(n ** 0.6), rounded up to the next even integer."""
-    if n < 1:
+    if _integer(n, "row counts") < 1:
         raise DomainError("n must be positive")
     m = math.ceil(n**0.6)
     return m + (m % 2)
@@ -108,7 +108,7 @@ def default_holdout_size(n: int) -> int:
 
 def default_perturb_schedule(n: int, m: int) -> tuple[int, ...]:
     """Round-robin over dataset rows: j-th hold-out point perturbs row j mod n."""
-    if n < 1 or m < 1:
+    if _integer(n, "row counts") < 1 or _integer(m, "hold-out sizes") < 1:
         raise DomainError("schedule needs positive n and m")
     return tuple(j % n for j in range(m))
 

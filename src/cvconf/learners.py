@@ -3,7 +3,8 @@ selection and single-pass SGD.
 
 All fitting functions are pure: identical inputs give identical
 outputs, with no dependence on global RNG or iteration order beyond
-the documented cyclic/greedy schedules.  The lasso has one solver,
+the documented cyclic/greedy schedules.  Ridge, the lasso and forward
+selection fit from Z'Z/n and Z'y/n alone.  The lasso has one solver,
 ``lasso_bank``, which runs the coordinate descent of many problems
 together; ``fit_lasso`` is its one-problem call.  SGD passes likewise
 run together in ``sgd_trajectories``.
@@ -38,7 +39,15 @@ def _check_xy(features, response):
         raise DomainError(f"features must be 2-d, got shape {Z.shape}")
     if y.ndim != 1 or y.shape[0] != Z.shape[0]:
         raise DomainError(f"response shape {y.shape} does not match {Z.shape[0]} rows")
+    if not Z.shape[0]:
+        raise DomainError("need at least one row")
     return Z, y
+
+
+def _moments(features, response) -> tuple[np.ndarray, np.ndarray]:
+    """Z'Z/n and Z'y/n of the checked rows, from which every linear learner fits."""
+    Z, y = _check_xy(features, response)
+    return Z.T @ Z / Z.shape[0], Z.T @ y / Z.shape[0]
 
 
 # ------------------------------------------------------------------- ridge
@@ -47,25 +56,23 @@ def _check_xy(features, response):
 def fit_ridge(features, response, lam: float) -> FittedModel:
     """Closed-form ridge: (Z'Z/n + lam I)^{-1} Z'y / n on the given rows.
 
-    lam = 0 delegates to the minimum-norm least-squares solution, so a
-    singular design never raises.  The fold fits of ``cv_engine`` at
-    lam > 0 solve the same system from Z'Z/n and Z'y/n summed over fold
-    blocks, so they equal this fit only to rounding; at lam = 0 they are
-    this fit bit for bit.
+    Every penalty solves from Z'Z/n and Z'y/n, whose normal equations
+    square cond(Z); lam = 0 takes their minimum-norm solution, so a
+    singular design never raises.  The fold fits of ``cv_engine`` solve
+    from moments summed over fold blocks, so they equal this fit only to
+    rounding.
     """
-    Z, y = _check_xy(features, response)
     if not lam >= 0:
         raise DomainError(f"ridge needs lam >= 0, got {lam}")
-    if lam == 0:
-        coef, *_ = np.linalg.lstsq(Z, y, rcond=None)
-        return FittedModel(family="ridge", coef=coef)
-    n = Z.shape[0]
-    return FittedModel(family="ridge", coef=_ridge_solve(Z.T @ Z / n, Z.T @ y / n, lam))
+    return FittedModel(family="ridge", coef=_ridge_solve(*_moments(features, response), lam))
 
 
 def _ridge_solve(gram: np.ndarray, corr: np.ndarray, lam: float) -> np.ndarray:
     """The ridge coefficients (gram + lam I)^{-1} corr, from the Z'Z/n and
-    Z'y/n of the training rows; lam > 0."""
+    Z'y/n of the training rows; at lam = 0 the minimum-norm solution of
+    gram b = corr."""
+    if lam == 0:
+        return np.linalg.lstsq(gram, corr, rcond=None)[0]
     return np.linalg.solve(gram + lam * np.eye(gram.shape[0]), corr)
 
 
@@ -205,11 +212,10 @@ def fit_lasso(
     ``cv_engine`` run the same kernel on Z'Z/n and Z'y/n summed over fold
     blocks, so they equal this fit on the training rows only to rounding.
     """
-    Z, y = _check_xy(features, response)
     if not lam >= 0:
         raise DomainError(f"lasso needs lam >= 0, got {lam}")
-    n = Z.shape[0]
-    coefs, sweeps, ok = lasso_bank((Z.T @ Z / n)[None], (Z.T @ y / n)[None], [0], [lam], tol, max_iter)
+    gram, corr = _moments(features, response)
+    coefs, sweeps, ok = lasso_bank(gram[None], corr[None], [0], [lam], tol, max_iter)
     return _lasso_fit(coefs[0], sweeps[0], ok[0], lam)
 
 
@@ -229,7 +235,7 @@ def lasso_grid(features, response, V: int) -> np.ndarray:
     The common rescale factor compensates for training folds holding
     only a (1 - 1/V) share of the rows.
     """
-    if V < 2:
+    if _integer(V, "fold counts") < 2:
         raise DomainError(f"need V >= 2, got {V}")
     lam_max = lasso_max_lam(features, response)
     if lam_max == 0:
@@ -241,7 +247,7 @@ def lasso_grid(features, response, V: int) -> np.ndarray:
 def lasso_grid_log(features, response, count: int = 50, floor_ratio: float = 1e-3) -> np.ndarray:
     """Log-spaced descending penalties from lam_max down to
     lam_max * floor_ratio."""
-    if count < 2:
+    if _integer(count, "penalty counts") < 2:
         raise DomainError(f"need count >= 2, got {count}")
     if not 0 < floor_ratio < 1:
         raise DomainError(f"need floor_ratio in (0, 1), got {floor_ratio}")
@@ -255,38 +261,39 @@ def lasso_grid_log(features, response, count: int = 50, floor_ratio: float = 1e-
 
 
 def fit_forward(features, response, steps: int) -> FittedModel:
-    """Greedy forward selection for ``steps`` rounds.
-
-    Each round adds the feature whose inclusion minimizes the residual
-    sum of squares, breaking ties toward the smallest index; the final
-    coefficients are the least-squares refit on the selected support.
+    """Greedy forward selection for ``steps`` rounds (``_forward_solve``)
+    from the Z'Z/n and Z'y/n of the given rows, whose normal equations
+    square cond(Z).  The fold fits of ``cv_engine`` run it on moments
+    summed over fold blocks, so they equal this fit only to rounding.
     """
-    Z, y = _check_xy(features, response)
-    n, d = Z.shape
-    if steps is None or not 0 <= steps <= d:
+    return _forward_solve(*_moments(features, response), steps)
+
+
+def _forward_solve(gram: np.ndarray, corr: np.ndarray, steps: int) -> FittedModel:
+    """Greedy forward selection for ``steps`` rounds from Z'Z/n and Z'y/n.
+
+    Each round adds the feature j that maximizes c_T' G_TT^+ c_T over
+    T = support + [j], which is y'y/n less the residual sum of squares
+    over n, so it minimizes that sum; ties go to the smallest index.  The
+    coefficients are the least-squares solve on the support's G_SS.
+    """
+    d = corr.size
+    if not 0 <= _integer(steps, "forward steps") <= d:
         raise DomainError(f"forward needs 0 <= steps <= {d}, got {steps}")
     support: list[int] = []
     for _ in range(steps):
-        best_j = -1
-        best_rss = np.inf
+        best_j, best = -1, -np.inf
         for j in range(d):
-            if j in support:
-                continue
-            sub = Z[:, support + [j]]
-            coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
-            resid = y - sub @ coef
-            rss = float(resid @ resid)
-            if rss < best_rss:
-                best_j, best_rss = j, rss
+            if j not in support:
+                T = support + [j]
+                explained = float(corr[T] @ _ridge_solve(gram[np.ix_(T, T)], corr[T], 0.0))
+                if explained > best:
+                    best_j, best = j, explained
         support.append(best_j)
     coef = np.zeros(d)
     if support:
-        sub = Z[:, support]
-        sol, *_ = np.linalg.lstsq(sub, y, rcond=None)
-        coef[support] = sol
-    return FittedModel(
-        family="forward", coef=coef, support=tuple(support), iterations=len(support)
-    )
+        coef[support] = _ridge_solve(gram[np.ix_(support, support)], corr[support], 0.0)
+    return FittedModel(family="forward", coef=coef, support=tuple(support), iterations=len(support))
 
 
 # --------------------------------------------------------------------- sgd

@@ -68,6 +68,8 @@ class SparseLinearGen:
     seed: int
 
     def __post_init__(self):
+        for name in ("n", "d", "s"):
+            _integer(getattr(self, name), f"generator {name} values")
         if self.n < 1:
             raise DomainError(f"need n >= 1, got {self.n}")
         if not 1 <= self.s <= self.d:

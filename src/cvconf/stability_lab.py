@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import DomainError, _jsonable, _replacement
+from .datamodel import DomainError, _integer, _jsonable, _replacement
 from .learners import SgdConfig, _indices, max_row_norm, row_norms, sgd_trajectories
 from .simgen import derive_substream
 
@@ -393,6 +393,9 @@ def sgd_campaigns(
         raise DomainError(f"variants must be distinct names among first, second; got {variants}")
     config = SgdConfig.for_ridge(lam, step_exponent, radius_x, radius_theta)
     n_grid = _grid(n_grid)
+    trials, d = _integer(trials, "trial counts"), _integer(d, "feature counts")
+    if d < 1:
+        raise DomainError(f"need d >= 1, got {d}")
     samples = _sgd_campaign(config, n_grid, trials, d, seed, [plans[v] for v in variants])
     extras = {"objective": "ridge_sq", "lam": lam}
     reports = {}

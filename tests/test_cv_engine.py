@@ -23,6 +23,7 @@ from cvconf.cv_engine import (
 from cvconf.datamodel import Dataset, DomainError, LearnerSpec, LossMatrix, make_folds
 from cvconf.learners import (
     ConvergenceError,
+    fit_forward,
     fit_lasso,
     fit_ridge,
     lasso_bank,
@@ -49,23 +50,29 @@ def test_fit_all_folds_trains_on_complement():
     rng = np.random.default_rng(0)
     ds = Dataset(rng.normal(size=(20, 3)), rng.normal(size=20))
     plan = make_folds(20, 4)
-    fits = fit_all_folds(ds, [OLS, LearnerSpec("ridge", lam=0.7)], plan)
+    fits = fit_all_folds(ds, [OLS, LearnerSpec("ridge", lam=0.7), LearnerSpec("forward", steps=2)], plan)
     blocks = [(Z.T @ Z, Z.T @ ds.response[ix]) for ix in plan.index_sets for Z in [ds.features[ix]]]
     for v in range(4):
         tr = plan.train_indices(v)
-        expect_ols, *_ = np.linalg.lstsq(ds.features[tr], ds.response[tr], rcond=None)
-        assert np.array_equal(fits.fits[v][0].coef, expect_ols)
         # the training moments are the other folds' blocks, added in fold order
         others = [blocks[u] for u in range(4) if u != v]
         gram, corr = others[0][0].copy(), others[0][1].copy()
         for B, c in others[1:]:
             gram += B
             corr += c
-        expect_ridge = np.linalg.solve(gram / tr.size + 0.7 * np.eye(3), corr / tr.size)
+        gram, corr = gram / tr.size, corr / tr.size
+        expect_ols, *_ = np.linalg.lstsq(gram, corr, rcond=None)
+        assert np.array_equal(fits.fits[v][0].coef, expect_ols)
+        expect_ridge = np.linalg.solve(gram + 0.7 * np.eye(3), corr)
         assert np.array_equal(fits.fits[v][1].coef, expect_ridge)
         # and a standalone fit on the training rows agrees to rounding
-        standalone = fit_ridge(ds.features[tr], ds.response[tr], 0.7).coef
-        assert np.allclose(fits.fits[v][1].coef, standalone, rtol=1e-12, atol=0)
+        Z, y = ds.features[tr], ds.response[tr]
+        for model, lam in ((0, 0.0), (1, 0.7)):
+            standalone = fit_ridge(Z, y, lam).coef
+            assert np.allclose(fits.fits[v][model].coef, standalone, rtol=1e-12, atol=0)
+        standalone = fit_forward(Z, y, 2)
+        assert fits.fits[v][2].support == standalone.support
+        assert np.allclose(fits.fits[v][2].coef, standalone.coef, rtol=1e-12, atol=0)
 
 
 def test_fit_all_folds_identical_specs_identical_fits():
@@ -233,34 +240,37 @@ def test_replace_one_sums_the_fold_blocks_of_a_from_scratch_run(n, V, mode, spec
 
 
 def test_a_chunk_of_k_swaps_computes_v_plus_k_fold_blocks_and_no_training_rows(monkeypatch):
-    # the phi_wide shape and bank: no spec reads rows, so the 4 refitted sets
+    # the phi_wide shape and bank, then with forward selection and least
+    # squares too: every family fits from the moments, so the 4 refitted sets
     # of each swap sum the chunk's 5 fold blocks, one of them recomputed
     ds, _ = gen_sparse_linear(SparseLinearGen(n=1000, d=100, s=5, nu=1000.0, seed=4))
     lams = [float(lam) for lam in lasso_grid(ds.features, ds.response, 5)]
-    specs = [LearnerSpec("forward", steps=0), LearnerSpec("ridge", lam=0.1)]
-    specs += [LearnerSpec("lasso", lam=lam) for lam in lams]
     plan = make_folds(1000, 5)
-    cached = fit_all_folds(ds, specs, plan)
     rows, _ = gen_sparse_linear(SparseLinearGen(n=7, d=100, s=5, nu=1000.0, seed=5))
     at = (0, 250, 999, 0, 400, 600, 800)
     swaps = [(i, (rows.features[j], rows.response[j])) for j, i in enumerate(at)]
-    blocks, gathered = [], []
     real_block, real_rows = cv_engine._fold_block, cv_engine._rows
+    for extra in ([], [LearnerSpec("forward", steps=2), OLS]):
+        specs = [LearnerSpec("forward", steps=0), LearnerSpec("ridge", lam=0.1), *extra]
+        specs += [LearnerSpec("lasso", lam=lam) for lam in lams]
+        cached = fit_all_folds(ds, specs, plan)
+        blocks, gathered = [], []
 
-    def counting_block(dataset, ix, swap=None):
-        blocks.append(swap is not None)
-        return real_block(dataset, ix, swap)
+        def counting_block(dataset, ix, swap=None):
+            blocks.append(swap is not None)
+            return real_block(dataset, ix, swap)
 
-    def recording_rows(dataset, ix, swap=None):
-        gathered.append(ix.size)
-        return real_rows(dataset, ix, swap)
+        def recording_rows(dataset, ix, swap=None):
+            gathered.append(ix.size)
+            return real_rows(dataset, ix, swap)
 
-    monkeypatch.setattr(cv_engine, "_fold_block", counting_block)
-    monkeypatch.setattr(cv_engine, "_rows", recording_rows)
-    replace_one_cv_risks(ds, specs, plan, swaps, cached)
-    assert blocks == [False] * 5 + [True] * 7
-    # every gathered block of rows is one fold's 200: a block or a scored fold
-    assert set(gathered) == {200}
+        monkeypatch.setattr(cv_engine, "_fold_block", counting_block)
+        monkeypatch.setattr(cv_engine, "_rows", recording_rows)
+        replace_one_cv_risks(ds, specs, plan, swaps, cached)
+        monkeypatch.undo()
+        assert blocks == [False] * 5 + [True] * 7
+        # every gathered block of rows is one fold's 200: a block or a scored fold
+        assert set(gathered) == {200}
 
 
 def _bank_calls(monkeypatch):

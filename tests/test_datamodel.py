@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvconf import cv_engine
 from cvconf.datamodel import (
     Dataset,
     DivisibilityError,
@@ -19,6 +20,16 @@ from cvconf.datamodel import (
     write_csv_atomic,
     write_json_atomic,
 )
+from cvconf.det_variance import (
+    HoldoutSet,
+    default_holdout_size,
+    default_perturb_schedule,
+    phi_pair,
+    phi_perturb,
+)
+from cvconf.learners import lasso_grid, lasso_grid_log
+from cvconf.simgen import SparseLinearGen
+from cvconf.stability_lab import sgd_campaigns
 
 
 def test_make_folds_strict_first_and_last_block():
@@ -73,6 +84,88 @@ def test_make_folds_deterministic():
     a = make_folds(20, 5)
     b = make_folds(20, 5)
     assert np.array_equal(a.fold_of, b.fold_of)
+
+
+def _hand_plan(fold_of, index_sets, n=6, V=2):
+    return FoldPlan(n=n, V=V, fold_of=np.array(fold_of), index_sets=tuple(map(np.array, index_sets)))
+
+
+@pytest.mark.parametrize(
+    "fold_of, index_sets",
+    [
+        ([0, 0, 0, 1, 1, 1], [[0, 1, 2], [3, 4, 5], [5]]),  # three sets for V = 2
+        ([0, 0, 0, 1, 1, 1], [[0, 1, 2], []]),  # an empty set
+        ([0, 0, 0, 1, 1, 1], [[0, 2, 1], [3, 4, 5]]),  # a set out of order
+        ([0, 0, 0, 1, 1, 1], [[0, 1, 2], [3, 4, 5.0]]),  # a float index
+        ([0, 0, 0, 1, 1, 1], [[0, 1, 2], [3, 4, 6]]),  # row 5 missing, row 6 past n
+        ([0, 0, 0, 1, 1, 1], [[0, 1, 2], [3, 4]]),  # row 5 missing
+        ([0, 0, 0, 1, 1, 1], [[0, 1, 2], [2, 3, 4, 5]]),  # row 2 listed twice
+        ([0, 0, 1, 1, 1, 1], [[0, 1, 2], [3, 4, 5]]),  # fold_of puts row 2 in fold 1
+        ([0, 0, 0, 1, 1], [[0, 1, 2], [3, 4, 5]]),  # fold_of one row short
+    ],
+    ids=[
+        "sets-not-V", "empty-set", "unsorted-set", "float-index",
+        "row-past-n", "missing-row", "row-twice", "fold-of-disagrees", "fold-of-short",
+    ],
+)
+def test_fold_plan_refuses_a_plan_that_does_not_partition_the_rows(fold_of, index_sets):
+    with pytest.raises(DomainError):
+        _hand_plan(fold_of, index_sets)
+
+
+def test_fold_plan_built_by_hand_scores_every_row():
+    # interleaved folds are a partition too, and score every row once
+    plan = _hand_plan([0, 1, 0, 1, 0, 1], [[0, 2, 4], [1, 3, 5]])
+    assert plan.train_indices(0).tolist() == [1, 3, 5]
+    with pytest.raises(DomainError):
+        _hand_plan([0, 1, 0, 1, 0, 1], [[0, 2, 4], [1, 3]], n=6)
+    with pytest.raises(DomainError):
+        _hand_plan([0, 1], [[0], [1]], n=2, V=1)
+
+
+_DATA = Dataset(np.arange(12.0).reshape(6, 2) % 5, np.arange(6.0))
+_HOLD = HoldoutSet(np.ones((2, 2)), np.ones(2))
+_SGD = dict(lam=1.6)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        *(
+            pytest.param(lambda w=w: cv_engine.replace_one_cv_risks(
+                _DATA, [LearnerSpec("ridge", lam=0.1)], make_folds(6, 2), [],
+                cv_engine.fit_all_folds(_DATA, [LearnerSpec("ridge", lam=0.1)], make_folds(6, 2)),
+                workers=w), id=f"replace-one-workers-{w!r}")
+            for w in (2.5, 0, -3, True)
+        ),
+        *(
+            pytest.param(lambda f=f, w=w: f(_DATA, [LearnerSpec("ridge", lam=0.1)], make_folds(6, 2),
+                                            _HOLD, workers=w), id=f"{f.__name__}-workers-{w!r}")
+            for f in (phi_pair, phi_perturb)
+            for w in (2.5, 0, True)
+        ),
+        pytest.param(lambda: sgd_campaigns(["first"], [256], True, **_SGD), id="sgd-trials-bool"),
+        pytest.param(lambda: sgd_campaigns(["first"], [256], 2.0, **_SGD), id="sgd-trials-float"),
+        pytest.param(lambda: sgd_campaigns(["first"], [256], 2, d=2.0, **_SGD), id="sgd-d-float"),
+        pytest.param(lambda: sgd_campaigns(["first"], [256], 2, d=-1, **_SGD), id="sgd-d-negative"),
+        pytest.param(lambda: make_folds(10.0, 2), id="make-folds-n"),
+        pytest.param(lambda: make_folds(10, 2.0), id="make-folds-V"),
+        *(
+            pytest.param(lambda k=k: SparseLinearGen(**{**dict(n=10, d=4, s=2, nu=1.0, seed=0), k: 2.0}),
+                         id=f"generator-{k}")
+            for k in ("n", "d", "s")
+        ),
+        pytest.param(lambda: lasso_grid(_DATA.features, _DATA.response, 2.5), id="lasso-grid-V"),
+        pytest.param(lambda: lasso_grid_log(_DATA.features, _DATA.response, 5.0), id="lasso-grid-log-count"),
+        pytest.param(lambda: default_holdout_size(2.5), id="holdout-size"),
+        pytest.param(lambda: default_perturb_schedule(True, 3), id="perturb-schedule-n"),
+        pytest.param(lambda: default_perturb_schedule(6, 3.0), id="perturb-schedule-m"),
+    ],
+)
+def test_public_counts_refuse_non_integers_and_non_positive_workers(call):
+    # none is truncated (2.5 to 2, True to 1) or run in-process as one worker
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_train_indices_is_ascending_complement():

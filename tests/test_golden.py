@@ -12,18 +12,25 @@ trials), the quickstart's one-shot commands, and
 a rerun into the same directory for ``phi`` and ``stability``, which
 hashes the manifest the skip path writes.  The list was taken with numpy
 2.4 and its bundled OpenBLAS on x86-64.  A change that means to move
-these bytes regenerates it (``python3 tests/test_golden.py >
-tests/golden.sha256``) and says why; that is an edit to a check.
+these bytes regenerates it and says why; that is an edit to a check.
+``python3 tests/test_golden.py``, from any directory and without
+``PYTHONPATH``, runs every run and only then replaces the list, in one
+atomic write, so a run that fails leaves the old list whole.
 """
 
 import hashlib
+import sys
 from pathlib import Path
 
 import pytest
 
-from cvconf.cli_harness import main
+REPO = Path(__file__).resolve().parents[1]
+if __name__ == "__main__":  # run as a script, the package may not be on the path
+    sys.path.insert(0, str(REPO / "src"))
 
-REPO = Path(__file__).parents[1]
+from cvconf.cli_harness import main  # noqa: E402
+from cvconf.datamodel import _replace_file  # noqa: E402
+
 GOLDEN = Path(__file__).with_name("golden.sha256")
 SHIPPED = REPO / "scripts/configs"
 BENCH = REPO / "bench/configs"
@@ -97,11 +104,11 @@ def test_every_shipped_and_bench_config_has_golden_bytes():
 
 
 if __name__ == "__main__":
-    import sys
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         digests = {}
         for run in RUNS:
             digests.update(_run(run, Path(tmp)))
-    sys.stdout.writelines(f"{digest}  {name}\n" for name, digest in sorted(digests.items()))
+    _replace_file(GOLDEN, "".join(f"{digest}  {name}\n" for name, digest in sorted(digests.items())))
+    print(f"wrote {len(digests)} digests to {GOLDEN}")

@@ -37,6 +37,25 @@ def _sgd_pass(Z, y, cfg):
     return sgd_trajectories(Z, y, [len(y)], cfg, [0], [{}])[0]
 
 
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda Z, y: fit_ridge(Z, y, 0.5),
+        lambda Z, y: fit_ridge(Z, y, 0.0),
+        lambda Z, y: fit_lasso(Z, y, 0.1),
+        lambda Z, y: fit_forward(Z, y, 1),
+        lambda Z, y: fit_forward(Z, y, 0),
+        lasso_max_lam,
+    ],
+    ids=["ridge", "least-squares", "lasso", "forward", "forward-0", "lasso-max-lam"],
+)
+def test_fits_refuse_zero_rows(fit):
+    # Z'Z/n and Z'y/n would be 0/0: NaN coefficients, not a fit
+    Z, y = _random_instance(0)
+    with pytest.raises(DomainError, match="at least one row"):
+        fit(Z[:0], y[:0])
+
+
 # ------------------------------------------------- least squares (lam = 0)
 
 
