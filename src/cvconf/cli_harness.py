@@ -506,9 +506,12 @@ def _rows_per_rep(cfg: ExperimentConfig) -> int:
     return len(cfg.alphas)
 
 
-def _read_completed(path: Path, header: Sequence[str], per_rep: int) -> dict[int, list]:
+def _read_completed(path: Path, kind: str, per_rep: int) -> dict[int, list]:
     if not path.exists():
         return {}
+    header = _columns(kind)
+    counts = ("rep", *_COUNTS[kind])
+    at = [header.index(column) for column in counts]
     lines = path.read_text().splitlines()
     if not lines or lines[0] != ",".join(header):
         raise DomainError(
@@ -519,11 +522,11 @@ def _read_completed(path: Path, header: Sequence[str], per_rep: int) -> dict[int
         if not line.strip():
             continue
         cells = line.split(",")
-        if len(cells) != len(header) or not cells[0].isdecimal():
+        if len(cells) != len(header) or not all(cells[j].isdecimal() for j in at):
             # a torn row would be kept as completed and break the aggregates
             raise ConfigError(
-                f"{path} line {number} is not a row of {len(header)} cells with an "
-                "integer rep; use a fresh directory"
+                f"{path} line {number} is not a row of {len(header)} cells whose "
+                f"{', '.join(counts)} are integers; use a fresh directory"
             )
         groups.setdefault(int(cells[0]), []).append(cells)
     return {rep: rows for rep, rows in groups.items() if len(rows) == per_rep}
@@ -552,14 +555,21 @@ def _science_fields(cfg: ExperimentConfig) -> dict:
     return _jsonable(echo)
 
 
-def _check_resume(out: Path, kind: str, cfg: ExperimentConfig) -> None:
+def _check_resume(out: Path, kind: str, cfg: ExperimentConfig, kept: Sequence[Path]) -> None:
     """Refuse to add to artifacts that a different config wrote.
 
     Reads ``<kind>_manifest.json`` in ``out`` if there is one.  For the
-    replicated kinds ``reps`` may differ: extending it is a resume.
+    replicated kinds ``reps`` may differ: extending it is a resume.  The
+    manifest is written before any artifact, so ``kept`` files, which the
+    run would keep, without one are refused: no config vouches for them.
     """
     path = out / f"{kind}_manifest.json"
     if not path.exists():
+        if kept:
+            raise ConfigError(
+                f"{out} holds {', '.join(sorted(f.name for f in kept))} but no {path.name}; "
+                "use a fresh directory"
+            )
         return
     old = _json_object(_read_json(path, "config")["config"], path)
     new = _science_fields(cfg)
@@ -580,15 +590,16 @@ def _write_manifest(out: Path, kind: str, cfg: ExperimentConfig, **fields) -> di
     return manifest
 
 
-def _open_campaign(cfg: ExperimentConfig, kind: str) -> Path:
+def _open_campaign(cfg: ExperimentConfig, kind: str, kept: Sequence[Path]) -> Path:
     """Check the kind, make the output directory and refuse a mismatched
-    resume; then record the config in a manifest before any work, so
-    artifacts of a run that stops early are still config-checked."""
+    resume over the ``kept`` files; then record the config in a manifest
+    before any work, so artifacts of a run that stops early are still
+    config-checked."""
     if cfg.kind != kind:
         raise DomainError(f"config kind is {cfg.kind!r} but this campaign runs {kind!r}")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    _check_resume(out, kind, cfg)
+    _check_resume(out, kind, cfg, kept)
     _write_manifest(out, kind, cfg, files={}, aggregates={})
     return out
 
@@ -603,6 +614,9 @@ _MEANS = {
         "coverage_naive": "covered_naive",
     },
 }
+# the integer cells of a kind's rows: the columns its aggregates count
+_COUNTS = {kind: tuple(means.values()) for kind, means in _MEANS.items()}
+_COUNTS["fwd_pointwise"] = ("covered",)
 
 
 def _aggregate_rows(kind: str, rows: list[dict]) -> dict:
@@ -641,14 +655,14 @@ def _run_replicated(cfg: ExperimentConfig, kind: str) -> dict:
     header = _columns(kind)
     per_rep = _rows_per_rep(cfg)
     paths = {n: Path(cfg.out) / f"{kind}_n{n}.csv" for n in cfg.n_list}
-    kept = {n: _read_completed(path, header, per_rep) for n, path in paths.items()}
+    kept = {n: _read_completed(path, kind, per_rep) for n, path in paths.items()}
     for n, keep in kept.items():
         if keep and max(keep) >= cfg.reps:
             raise ConfigError(
                 f"{paths[n]} holds completed replication {max(keep)}, past reps={cfg.reps}; "
                 "a resume may extend reps, never shrink it"
             )
-    out = _open_campaign(cfg, kind)
+    out = _open_campaign(cfg, kind, [paths[n] for n, keep in kept.items() if keep])
     worker = _REP_WORKERS[kind]
     files: dict[str, str] = {}
     failures: dict[str, list] = {}
@@ -736,6 +750,9 @@ class _Pairs:
         write_json_atomic(self.paths[key][1], blob)
         self.read_back[key] = self.read(*self.paths[key])
 
+    def kept_files(self) -> list[Path]:
+        return [f for key in self.kept for f in self.paths[key]]
+
     def entry(self, key) -> dict:
         return {"csv": self.paths[key][0].name, "json": self.paths[key][1].name}
 
@@ -777,7 +794,7 @@ def run_stability(cfg: ExperimentConfig) -> dict:
     when already present, and the missing variants run in one call."""
     variants = ("first", "second") if cfg.variant == "both" else (cfg.variant,)
     pairs = _Pairs(Path(cfg.out), {v: f"stability_{v}" for v in variants}, _stability_aggregate)
-    out = _open_campaign(cfg, "stability")
+    out = _open_campaign(cfg, "stability", pairs.kept_files())
     missing = [v for v in variants if v not in pairs.kept]
     if missing:
         reports = sgd_campaigns(
@@ -852,7 +869,7 @@ def run_phi(cfg: ExperimentConfig) -> dict:
     stems = {(v, n): f"phi_{v}_n{n}" for n in cfg.n_list for v in variants}
     pairs = _Pairs(Path(cfg.out), stems, _phi_diag)
     with _one_blas_thread("phi", workers):
-        out = _open_campaign(cfg, "phi")
+        out = _open_campaign(cfg, "phi", pairs.kept_files())
         for n in cfg.n_list:
             missing = [v for v in variants if (v, n) not in pairs.kept]
             if missing:

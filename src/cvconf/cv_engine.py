@@ -27,18 +27,21 @@ folds.  The normal equations square cond(Z); the training designs of
 the shipped configs are Gaussian with d/n <= 0.1, where that costs
 only rounding.
 
-The lasso problems of a batch of sets are solved together by
-``learners.lasso_bank``.  Each caller says how many sets it will fit,
-and they go in the fewest batches whose stacked d x d grams fit in
-``GRAM_STACK_BYTES`` (8 MiB), of sizes that differ by at most one.  So
-a process stacks at most max(8 MiB, 8 d^2 bytes) of grams at once,
-plus a d-vector per gram: 104 grams of 100^2 at d = 100, where a
-two-worker chunk of 128 refitted sets goes in two calls of 64.  A
-replace-one swap reuses the fits of the fold that holds its row.  With
-``workers`` > 1, ``replace_one_cv_risks`` splits its
+A batch of training sets is fitted in one pass: their moments are
+stacked, one ``learners.lasso_bank`` call solves every lasso problem of
+the batch, and then each set's fits are taken in bank order, a lasso
+position from the kernel and any other from the set's moments, so the
+first failure met is the first failing (set, model).  Each caller says
+how many sets it will fit, and they go in the fewest batches whose
+stacked d x d grams fit in ``GRAM_STACK_BYTES`` (8 MiB), of sizes that
+differ by at most one.  So a process stacks at most max(8 MiB, 8 d^2
+bytes) of grams at once, plus a d-vector per gram: 104 grams of 100^2
+at d = 100, where a two-worker chunk of 128 refitted sets goes in two
+calls of 64.  A replace-one swap reuses the fits of the fold that holds
+its row.  With ``workers`` > 1, ``replace_one_cv_risks`` splits its
 swaps into contiguous chunks run by worker processes forked from the
-caller; they inherit the data and fits, so only chunk bounds go in
-and risk vectors come out, and the results are bitwise those of the
+caller; they inherit the data and fits, so only chunk bounds go in and
+risk vectors come out, and the results are bitwise those of the
 in-process run.
 """
 
@@ -60,7 +63,7 @@ from .datamodel import (
     _integer,
     _replacement,
 )
-from .learners import ConvergenceError, _forward_solve, _lasso_fit, _ridge_solve, lasso_bank
+from .learners import _forward_solve, _lasso_fit, _ridge_solve, lasso_bank
 from .simgen import SparseLinearTruth
 
 
@@ -132,86 +135,57 @@ def _batch_sizes(count: int, d: int) -> list[int]:
     return [count // calls + (k < count % calls) for k in range(calls)]
 
 
-def _fit_sets(specs: Sequence[LearnerSpec], sets, count: int):
+def _fit_sets(specs: Sequence[LearnerSpec], sets, count: int, d: int):
     """Yield the fits of every spec on each of the ``count`` training sets
-    (v, blocks) of ``sets``, in order; every spec was checked when it
-    was built.
+    (v, blocks) of ``sets``, of d features, in order; every spec was
+    checked when it was built.
 
     Set v trains on every fold but v: ``blocks`` holds the V fold blocks
-    (``_fold_block``) in fold order.  Every set is fitted by one rule.
-    Its Z'Z/n and Z'y/n are the sums of the blocks of the other folds,
-    added in fold order straight into the gram and corr stacks of its
-    batch (``_training_moments``), and the specs of other families than
-    the lasso are fitted from them at once, in bank order
-    (``_fit_now``), so no family reads a training row.  The ``count``
-    sets go in the fewest batches whose stacked grams fit in
-    ``GRAM_STACK_BYTES``, of sizes that differ by at most one
-    (``_batch_sizes``).  A full batch goes through one ``lasso_bank``
-    call, with one problem per lasso position of each set, and its fits
-    are then yielded, so a consumer can drop them before later sets are
-    fitted.  Every fit is a pure function of its spec and its blocks,
-    and the kernel fits each problem as fit_lasso would on its own gram,
-    so identical specs get bitwise-equal fits, the batching changes no
-    fit, and permuting the bank permutes the fits exactly.  A failure
-    raises FitError for the first failing (set, model) in that order.
+    (``_fold_block``) in fold order.  The ``count`` sets go in the fewest
+    batches whose stacked grams fit in ``GRAM_STACK_BYTES``, of sizes
+    that differ by at most one (``_batch_sizes``), and each batch is
+    fitted in one pass.  Its sets are drawn from ``sets`` and their
+    Z'Z/n and Z'y/n, the sums of the blocks of the other folds, are added
+    in fold order straight into the batch's gram and corr stacks
+    (``_training_moments``).  One ``lasso_bank`` call then solves one
+    problem per lasso position of each set, in (set, position) order.
+    Last, the sets are walked in order, each row in bank order: a lasso
+    position reads its kernel result, and every other spec is fitted
+    from the set's moments (``_fit_now``), so no family reads a training
+    row.  Each row is yielded as it is built, so a consumer can drop it
+    before the next batch is fitted.  Every fit is a pure function of its
+    spec and its blocks, and the kernel fits each problem as fit_lasso
+    would on its own gram, so identical specs get bitwise-equal fits, the
+    batching changes no fit, and permuting the bank permutes the fits
+    exactly.  The first failing (set, model) in that order raises
+    FitError.
     """
-    lasso = [r for r, spec in enumerate(specs) if spec.family == "lasso"]
-    sizes = None
-    batch: list[tuple] = []  # (v, row) of the waiting sets
-    problems: list[tuple[int, int]] = []  # their (set, lasso position) problems
-    for v, blocks in sets:
-        d = blocks[0][1].size
-        if not batch:
-            if sizes is None:
-                sizes = iter(_batch_sizes(count, d))
-            size = next(sizes, 0)
-            if not size:
-                raise ValueError(f"more training sets came than the {count} counted")
-            grams, corrs = np.empty((size, d, d)), np.empty((size, d))
-        slot = len(batch)
-        gram, corr = grams[slot], corrs[slot]
-        _training_moments(blocks, v, gram, corr)
-        row: list = [None] * len(specs)
-        failed = None
-        for r, spec in enumerate(specs):
-            if spec.family != "lasso":
+    lasso = [spec.lam for spec in specs if spec.family == "lasso"]
+    sets = iter(sets)
+    for size in _batch_sizes(count, d):
+        grams, corrs = np.empty((size, d, d)), np.empty((size, d))
+        folds = []
+        for slot, (v, blocks) in zip(range(size), sets):
+            _training_moments(blocks, v, grams[slot], corrs[slot])
+            folds.append(v)
+        if len(folds) < size:
+            raise ValueError(f"fewer training sets came than the {count} counted")
+        if lasso:
+            slots = [slot for slot in range(size) for _ in lasso]
+            solved = zip(*lasso_bank(grams, corrs, slots, lasso * size))
+        for slot, v in enumerate(folds):
+            row = []
+            for r, spec in enumerate(specs):
                 try:
-                    row[r] = _fit_now(spec, gram, corr)
+                    if spec.family == "lasso":
+                        row.append(_lasso_fit(*next(solved), spec.lam))
+                    else:
+                        row.append(_fit_now(spec, grams[slot], corrs[slot]))
                 except Exception as exc:
-                    failed = (r, spec, exc)
-                    break
-        # only lasso positions before a failing one are in order before it
-        problems += [(slot, r) for r in lasso if failed is None or r < failed[0]]
-        batch.append((v, row))
-        if failed is not None:
-            # a lasso failure earlier in the order comes first
-            _fit_batch(specs, batch, problems, grams[: slot + 1], corrs[: slot + 1])
-            r, spec, exc = failed
-            raise FitError(v, r, spec, exc) from exc
-        if len(batch) == size:
-            yield from _fit_batch(specs, batch, problems, grams, corrs)
-            batch, problems = [], []
-    if batch:
-        raise ValueError(f"fewer training sets came than the {count} counted")
-
-
-def _fit_batch(
-    specs: Sequence[LearnerSpec], batch: list[tuple], problems: list, grams, corrs
-) -> list[tuple]:
-    """Fit the (set, lasso position) ``problems`` of ``batch``, whose Z'Z/n
-    and Z'y/n are ``grams`` and ``corrs``, in one ``lasso_bank`` call,
-    place each fit in its set's row and return the rows; the first failing
-    (set, model) raises FitError."""
-    if problems:
-        slots, lasso = zip(*problems)
-        coefs, sweeps, ok = lasso_bank(grams, corrs, slots, [specs[r].lam for r in lasso])
-        for k, (slot, r) in enumerate(problems):
-            v, row = batch[slot]
-            try:
-                row[r] = _lasso_fit(coefs[k], sweeps[k], ok[k], specs[r].lam)
-            except ConvergenceError as exc:
-                raise FitError(v, r, specs[r], exc) from exc
-    return [tuple(row) for _, row in batch]
+                    raise FitError(v, r, spec, exc) from exc
+            yield tuple(row)
+    if next(sets, None) is not None:
+        raise ValueError(f"more training sets came than the {count} counted")
 
 
 def _fit_now(spec: LearnerSpec, gram, corr) -> FittedModel:
@@ -264,7 +238,7 @@ def fit_all_folds(dataset: Dataset, specs: Sequence[LearnerSpec], plan: FoldPlan
     if not specs:
         raise DomainError("need at least one learner spec")
     blocks = [_fold_block(dataset, ix) for ix in plan.index_sets]
-    fits = tuple(_fit_sets(specs, ((v, blocks) for v in range(plan.V)), plan.V))
+    fits = tuple(_fit_sets(specs, ((v, blocks) for v in range(plan.V)), plan.V, dataset.d))
     return FoldFits(fits=fits, specs=specs, plan=plan)
 
 
@@ -367,7 +341,7 @@ def _risk_range(dataset, specs, plan, swaps, cached, lo: int, hi: int) -> list[R
             blocks[kept] = _fold_block(dataset, plan.index_sets[kept], swap)
             yield from ((v, blocks) for v in range(plan.V) if v != kept)
 
-    refitted = _fit_sets(specs, sets(), len(chunk) * (plan.V - 1))
+    refitted = _fit_sets(specs, sets(), len(chunk) * (plan.V - 1), dataset.d)
     risks = []
     for swap in chunk:
         kept = plan.fold_of[swap[0]]

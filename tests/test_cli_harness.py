@@ -1081,6 +1081,57 @@ def test_phi_resume_with_different_seed_raises(tmp_path):
     assert (tmp_path / "o" / "phi_manifest.json").read_bytes() == manifest
 
 
+def test_cvc_size_resume_without_a_manifest_is_refused(tmp_path, capsys):
+    # the manifest is written before any artifact, so completed rows without
+    # one have no config to vouch for them
+    out = tmp_path / "o"
+    p = _write_config(tmp_path / "c.ini", _cvc_sections(out))
+    assert main(["cvc-size", "--config", str(p), "--seed", "1", "--reps", "2"]) == 0
+    (out / "cvc_size_manifest.json").unlink()
+    argv = ["cvc-size", "--config", str(p), "--seed", "2", "--reps", "3"]
+    _refused_resume(argv, out, capsys, f"{out} holds cvc_size_n60.csv")
+    # a CSV without a completed replication keeps nothing, so it is rewritten
+    path = out / "cvc_size_n60.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    assert main(argv) == 0
+    assert json.loads((out / "cvc_size_manifest.json").read_text())["resumed_reps"]["60"] == 0
+
+
+def test_phi_resume_without_a_manifest_is_refused(tmp_path, capsys):
+    out = tmp_path / "o"
+    p = _write_config(tmp_path / "c.ini", _phi_sections(out))
+    assert main(["phi", "--config", str(p), "--seed", "1"]) == 0
+    (out / "phi_manifest.json").unlink()
+    _refused_resume(["phi", "--config", str(p), "--seed", "2"], out, capsys, f"{out} holds")
+
+
+def test_cvc_size_resume_over_a_count_that_is_not_an_integer_is_refused(tmp_path, monkeypatch):
+    # a row whose counted cell is not an integer would break the aggregates
+    # after the missing reps ran; it is refused before any work instead
+    out = tmp_path / "o"
+    sec = _cvc_sections(out)
+    sec["run"]["reps"] = 2
+    run_cvc_size(load_config(_write_config(tmp_path / "a.ini", sec)))
+    path = out / "cvc_size_n60.csv"
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    sec["run"]["reps"] = 3
+    cfg = load_config(_write_config(tmp_path / "b.ini", sec))
+
+    def no_work(*args):
+        raise AssertionError("a replication ran before the kept rows were checked")
+
+    monkeypatch.setitem(cli_harness._REP_WORKERS, "cvc_size", no_work)
+    for column in ("covered", "size_naive", "size_cvc", "covered_naive"):
+        cells = lines[2].split(",")
+        cells[header.index(column)] = "x"
+        path.write_text("\n".join([*lines[:2], ",".join(cells)]) + "\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(ConfigError, match=f"{path.name} line 3 .*{column}"):
+            run_cvc_size(cfg)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 # -------------------------------------------------------------------- CLI
 
 

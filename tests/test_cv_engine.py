@@ -477,8 +477,8 @@ def test_fit_error_order_runs_across_families(monkeypatch):
 
 def test_fit_error_order_runs_across_the_sets_of_one_batch(monkeypatch):
     # all 4 folds share one kernel call (8 MiB holds 116,508 grams of 3^2):
-    # set 0's lasso fails there, set 1's least squares fails before that call
-    # is made
+    # set 0's lasso fails there, and the walk in (set, model) order raises it
+    # before set 1's least squares, which would fail, is fitted
     _, ds, plan, _ = _mixed_bank_instance()
     specs = [OLS, LearnerSpec("lasso", lam=0.01)]
     forced = dict(tol=1e-14, max_iter=2)
@@ -496,7 +496,24 @@ def test_fit_error_order_runs_across_the_sets_of_one_batch(monkeypatch):
         fit_all_folds(ds, specs, plan)
     assert (err.value.fold, err.value.model) == (0, 1)
     assert isinstance(err.value.cause, ConvergenceError)
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_no_swaps_fit_nothing(monkeypatch):
+    _, ds, plan, specs = _mixed_bank_instance()
+    cached = fit_all_folds(ds, specs, plan)
+    monkeypatch.setattr(cv_engine, "lasso_bank", None)  # a kernel call would raise TypeError
+    assert replace_one_cv_risks(ds, specs, plan, [], cached) == []
+
+
+def test_fit_sets_refuses_a_set_count_other_than_the_one_counted():
+    _, ds, plan, specs = _mixed_bank_instance()
+    blocks = [cv_engine._fold_block(ds, ix) for ix in plan.index_sets]
+    sets = [(v, blocks) for v in range(plan.V)]
+    with pytest.raises(ValueError, match="fewer training sets"):
+        list(cv_engine._fit_sets(specs, sets, plan.V + 1, ds.d))
+    with pytest.raises(ValueError, match="more training sets"):
+        list(cv_engine._fit_sets(specs, sets, plan.V - 1, ds.d))
 
 
 def test_replace_one_cv_risks_validates_specs_before_any_fit_or_fork(monkeypatch, pool_chunks):
